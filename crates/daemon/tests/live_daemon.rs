@@ -243,6 +243,60 @@ fn snapshot_over_the_wire_restores_into_a_new_daemon() {
 }
 
 #[test]
+fn pipelined_submits_are_acked_in_order() {
+    const N: u64 = 2_000;
+    let config = DaemonConfig {
+        max_queue: N as usize,
+        ..quiet()
+    };
+    with_daemon(config, None, |client| {
+        // Every submit in one write, from a second thread so the acks
+        // can flow back while the batch is still going out.
+        let batch: String = (1..=N)
+            .map(|id| {
+                Request {
+                    id,
+                    kind: RequestKind::Submit {
+                        class: "swim".to_string(),
+                        request: None,
+                        work_secs: Some(5.0),
+                    },
+                }
+                .to_line()
+                    + "\n"
+            })
+            .collect();
+        let mut writer = client.writer.try_clone().expect("clone stream");
+        let sender = std::thread::spawn(move || writer.write_all(batch.as_bytes()));
+        let mut jobs = std::collections::HashSet::new();
+        for id in 1..=N {
+            let mut line = String::new();
+            client.reader.read_line(&mut line).expect("read ack");
+            let response = Response::parse_line(line.trim_end()).expect("parse ack");
+            assert_eq!(response.id, id, "acks arrive in request order");
+            let ResponseBody::Ack(ack) = response.body else {
+                panic!("expected ack for submit {id}, got {:?}", response.body);
+            };
+            assert!(
+                jobs.insert(ack.job.expect("job id")),
+                "job ids are distinct"
+            );
+        }
+        sender.join().expect("sender thread").expect("send batch");
+        client.next_id = N;
+
+        let ResponseBody::Ack(_) = client.ask(RequestKind::Drain) else {
+            panic!("expected drain ack");
+        };
+        let ResponseBody::Status(status) = client.ask(RequestKind::Status) else {
+            panic!("expected status");
+        };
+        assert_eq!(status.jobs_finished + status.jobs_failed, N);
+        client.ask(RequestKind::Shutdown { snapshot: None });
+    });
+}
+
+#[test]
 fn hello_answers_even_without_a_serve_loop() {
     // `hello` is answered on the connection thread, not by the core, so
     // liveness probes work even while the core is busy (here: not

@@ -524,7 +524,15 @@ fn parse_job_row(doc: &Json) -> Result<JobRow, String> {
 impl Response {
     /// Serializes to one protocol line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut out = format!("{{\"id\":{}", self.id);
+        let mut out = String::new();
+        self.push_line(&mut out);
+        out
+    }
+
+    /// Appends this response's protocol line (no trailing newline) to
+    /// `out`, so a server can batch replies in one reusable buffer.
+    pub fn push_line(&self, out: &mut String) {
+        let _ = write!(out, "{{\"id\":{}", self.id);
         match &self.body {
             ResponseBody::Status(s) => {
                 let _ = write!(
@@ -534,9 +542,9 @@ impl Response {
                     s.state.label()
                 );
                 out.push_str(",\"policy\":");
-                push_str_escaped(&mut out, &s.policy);
+                push_str_escaped(out, &s.policy);
                 out.push_str(",\"trace\":");
-                push_str_escaped(&mut out, &s.trace);
+                push_str_escaped(out, &s.trace);
                 let _ = write!(
                     out,
                     ",\"shards\":{},\"jobs\":{{\"total\":{},\"submitted\":{},\
@@ -550,7 +558,7 @@ impl Response {
                     s.events_published,
                     fmt_f64(s.elapsed_secs),
                 );
-                push_opt_str(&mut out, "watchdog", &s.watchdog);
+                push_opt_str(out, "watchdog", &s.watchdog);
             }
             ResponseBody::Progress(p) => {
                 let _ = write!(
@@ -572,8 +580,8 @@ impl Response {
             }
             ResponseBody::Health(h) => {
                 out.push_str(",\"type\":\"health\"");
-                push_opt_str(&mut out, "heartbeat", &h.heartbeat);
-                push_opt_str(&mut out, "watchdog", &h.watchdog);
+                push_opt_str(out, "heartbeat", &h.heartbeat);
+                push_opt_str(out, "watchdog", &h.watchdog);
                 out.push_str(",\"shard_events\":[");
                 for (i, n) in h.shard_events.iter().enumerate() {
                     if i > 0 {
@@ -591,9 +599,9 @@ impl Response {
             }
             ResponseBody::Metrics { format, body } => {
                 out.push_str(",\"type\":\"metrics\",\"format\":");
-                push_str_escaped(&mut out, format);
+                push_str_escaped(out, format);
                 out.push_str(",\"body\":");
-                push_str_escaped(&mut out, body);
+                push_str_escaped(out, body);
             }
             ResponseBody::Tail(t) => {
                 out.push_str(",\"type\":\"tail\",\"events\":[");
@@ -601,15 +609,15 @@ impl Response {
                     if i > 0 {
                         out.push(',');
                     }
-                    push_str_escaped(&mut out, ev);
+                    push_str_escaped(out, ev);
                 }
                 let _ = write!(out, "],\"dropped\":{}", t.dropped);
             }
             ResponseBody::Hello(h) => {
                 let _ = write!(out, ",\"type\":\"hello\",\"proto\":{},\"server\":", h.proto);
-                push_str_escaped(&mut out, &h.server);
+                push_str_escaped(out, &h.server);
                 out.push_str(",\"policy\":");
-                push_str_escaped(&mut out, &h.policy);
+                push_str_escaped(out, &h.policy);
                 let _ = write!(out, ",\"state\":\"{}\"", h.state.label());
             }
             ResponseBody::Ack(a) => {
@@ -622,12 +630,12 @@ impl Response {
                 }
                 if let Some(info) = &a.info {
                     out.push_str(",\"info\":");
-                    push_str_escaped(&mut out, info);
+                    push_str_escaped(out, info);
                 }
             }
             ResponseBody::Reject(r) => {
                 out.push_str(",\"type\":\"reject\",\"reason\":");
-                push_str_escaped(&mut out, &r.reason);
+                push_str_escaped(out, &r.reason);
                 if let Some(after) = r.retry_after_secs {
                     let _ = write!(out, ",\"retry_after_secs\":{}", fmt_f64(after));
                 }
@@ -638,21 +646,20 @@ impl Response {
                     if i > 0 {
                         out.push(',');
                     }
-                    push_job_row(&mut out, row);
+                    push_job_row(out, row);
                 }
                 out.push(']');
             }
             ResponseBody::Job(row) => {
                 out.push_str(",\"type\":\"job\",\"record\":");
-                push_job_row(&mut out, row);
+                push_job_row(out, row);
             }
             ResponseBody::Error { message } => {
                 out.push_str(",\"type\":\"error\",\"message\":");
-                push_str_escaped(&mut out, message);
+                push_str_escaped(out, message);
             }
         }
         out.push('}');
-        out
     }
 
     /// Parses one protocol line.
