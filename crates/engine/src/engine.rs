@@ -13,7 +13,7 @@ use pdpa_prof::{
     HealthSnapshot, Heartbeat, Lane, LaneProfile, Profile, SpanKind, StderrHeartbeat, Watchdog,
 };
 use pdpa_qs::{JobSpec, QueueSystem};
-use pdpa_sim::{AdaptiveQueue, CpuId, JobId, Machine, SimRng, SimTime};
+use pdpa_sim::{CpuId, EventQueue, JobId, Machine, QueueStats, SimRng, SimTime};
 use pdpa_trace::TraceObserver;
 
 use crate::config::EngineConfig;
@@ -76,7 +76,9 @@ pub enum CancelOutcome {
 /// Engine events.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// A job's submission instant passed: it joins the queue.
+    /// A job's submission instant passed: it joins the queue. Never in the
+    /// event heap — arrivals stream from the queue system's submit-sorted
+    /// jobs (see `Sim::pop_next`).
     Arrival(JobId),
     /// A job's current iteration is predicted to end. Scheduled under the
     /// job's queue key, so rescheduling or removing the job lazily
@@ -171,13 +173,13 @@ impl Engine {
             ObsSink::Borrowed(observer),
             lane,
         );
-        sim.schedule_arrivals();
+        sim.schedule_plan();
         let replay = sim.lane.begin(SpanKind::Replay);
         let mut steps: u64 = 0;
         // Stale iteration events (their job rescheduled, completed, or
         // crashed) are invalidated by key and discarded inside the queue,
         // so handlers only ever see live events.
-        while let Some((t, ev)) = sim.events.pop() {
+        while let Some((t, ev)) = sim.pop_next() {
             if t.as_secs() > self.config.max_sim_secs {
                 break;
             }
@@ -185,12 +187,13 @@ impl Engine {
             steps += 1;
             if let Some(wd) = watchdog.as_mut() {
                 if wd.observe(t.as_secs()) {
+                    let stats = sim.queue_stats();
                     let diag = wd.diagnostic(&format!(
                         "classic engine: running={}, waiting={}, qlen={}, stale_drops={}",
                         sim.store.len(),
                         sim.qs.waiting_count(),
-                        sim.events.len(),
-                        sim.events.stale_drops(),
+                        stats.len,
+                        stats.stale_drops,
                     ));
                     if let Some(tap) = tap.as_deref() {
                         tap.watchdog_fired(&diag);
@@ -204,7 +207,7 @@ impl Engine {
             if steps & 0xFFFF == 0 && (heartbeat.is_some() || tap.is_some()) {
                 let hb_due = heartbeat.as_ref().is_some_and(Heartbeat::due);
                 if hb_due || tap.is_some() {
-                    let stats = sim.events.stats();
+                    let stats = sim.queue_stats();
                     let snap = HealthSnapshot {
                         sim_clock_secs: t.as_secs(),
                         events_popped: stats.popped,
@@ -229,7 +232,7 @@ impl Engine {
         sim.lane.end(replay);
         if let Some(tap) = tap.as_deref() {
             // Final refresh so the mirror's counters reflect the whole run.
-            let stats = sim.events.stats();
+            let stats = sim.queue_stats();
             tap.progress(&HealthSnapshot {
                 sim_clock_secs: sim.clock.as_secs(),
                 events_popped: stats.popped,
@@ -266,9 +269,14 @@ pub(crate) struct Sim<'a> {
     sharing: SharingModel,
     qs: QueueSystem,
     machine: Machine,
-    /// The event queue: heap-backed while small, migrating to a calendar
-    /// (bucketed) backend once the backlog crosses the upgrade threshold.
-    events: AdaptiveQueue<Ev>,
+    /// Pending engine events: iteration predictions, faults, retries and
+    /// ticks — never arrivals, so the heap stays as small as the running
+    /// set.
+    events: EventQueue<Ev>,
+    /// The arrival cursor: jobs `0..arrived` of the queue system (ids are
+    /// submission order) have arrived; the next arrival is job `arrived`
+    /// at its submit instant.
+    arrived: usize,
     rng: SimRng,
     noise: NoiseModel,
     clock: SimTime,
@@ -278,6 +286,9 @@ pub(crate) struct Sim<'a> {
     /// Reused buffer for policy-call snapshots — refilled by
     /// `refresh_views` instead of allocating a fresh `Vec` per policy call.
     views_scratch: Vec<JobView>,
+    /// The store version `views_scratch` was filled at (`None` before the
+    /// first fill).
+    views_version: Option<u64>,
     outcomes: Vec<JobOutcome>,
     /// `(class, average allocation)` of completed jobs.
     completed_allocs: Vec<(AppClass, f64)>,
@@ -350,7 +361,8 @@ impl<'a> Sim<'a> {
             sharing,
             qs: QueueSystem::new(jobs),
             machine: Machine::new(config.cpus),
-            events: AdaptiveQueue::new(),
+            events: EventQueue::new(),
+            arrived: 0,
             rng: SimRng::new(config.seed),
             noise: if config.noise_sigma == 0.0 {
                 NoiseModel::none()
@@ -360,6 +372,7 @@ impl<'a> Sim<'a> {
             clock: SimTime::ZERO,
             store: JobStore::new(),
             views_scratch: Vec::new(),
+            views_version: None,
             outcomes: Vec::new(),
             completed_allocs: Vec::new(),
             completed_alloc_by_job: HashMap::new(),
@@ -406,19 +419,10 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn schedule_arrivals(&mut self) {
-        // One O(n) batch insertion instead of n heap sifts — on a 10k-job
-        // replay trace this is the difference between a linear and an
-        // n log n startup. Sequence numbers are assigned in submission
-        // order, so pop order is identical to one-by-one pushes.
-        let subs: Vec<(SimTime, Ev)> = self
-            .qs
-            .submissions()
-            .map(|(id, spec)| (spec.submit, Ev::Arrival(id)))
-            .collect();
-        let prof = self.lane.begin(SpanKind::QueueOps);
-        self.events.push_batch(subs);
-        self.lane.end(prof);
+    /// Schedules what the configuration fixes up front: the quantum clock
+    /// and the fault plan. Arrivals are not scheduled; they stream from
+    /// the queue system through `pop_next`.
+    fn schedule_plan(&mut self) {
         // Kick off the time-shared/gang quantum clock when tracing.
         if self.config.collect_trace {
             if let Some(q) = self.quantum() {
@@ -438,10 +442,70 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Refills the reusable snapshot of the running jobs for a policy call.
+    // --- The event stream ---
+
+    /// The submit instant of the next job still to arrive.
+    fn next_arrival_at(&self) -> Option<SimTime> {
+        (self.arrived < self.qs.total_jobs())
+            .then(|| self.qs.spec(JobId(self.arrived as u32)).submit)
+    }
+
+    /// Removes and returns the earlier of the heap's next live event and
+    /// the next arrival, due at `at`; the arrival wins a tie — the order
+    /// the engine had when every arrival was pushed into the heap first,
+    /// with the lowest sequence numbers.
+    fn pop_before_arrival(&mut self, at: SimTime) -> (SimTime, Ev) {
+        if let Some(event) = self.events.pop_before(at) {
+            return event;
+        }
+        let job = JobId(self.arrived as u32);
+        self.arrived += 1;
+        (at, Ev::Arrival(job))
+    }
+
+    /// Removes and returns the next event.
+    fn pop_next(&mut self) -> Option<(SimTime, Ev)> {
+        match self.next_arrival_at() {
+            Some(at) => Some(self.pop_before_arrival(at)),
+            None => self.events.pop(),
+        }
+    }
+
+    /// Removes and returns the next event at or before `barrier`.
+    fn pop_due(&mut self, barrier: SimTime) -> Option<(SimTime, Ev)> {
+        match self.next_arrival_at() {
+            Some(at) if at <= barrier => Some(self.pop_before_arrival(at)),
+            // No arrival is due, so only the heap can have an event by the
+            // barrier. (An arrival is pending past the barrier only when it
+            // was submitted beyond the `max_sim_secs` horizon, where nothing
+            // is dispatched.)
+            _ => self.events.pop_due(barrier),
+        }
+    }
+
+    /// Traffic counters of the whole event stream: the heap's plus the
+    /// arrivals, each submission counted as pushed when it enters the
+    /// queue system and as popped when it arrives — the figures the
+    /// engine reported when arrivals went through the heap.
+    pub(crate) fn queue_stats(&self) -> QueueStats {
+        let heap = self.events.stats();
+        let submitted = self.qs.total_jobs();
+        QueueStats {
+            pushed: heap.pushed + submitted as u64,
+            popped: heap.popped + self.arrived as u64,
+            stale_drops: heap.stale_drops,
+            len: heap.len + (submitted - self.arrived),
+        }
+    }
+
+    /// Refills the reusable snapshot of the running jobs for a policy call,
+    /// unless nothing a view shows has changed since the last refill.
     /// Read the result via `self.views_scratch`.
     fn refresh_views(&mut self) {
-        self.store.fill_views(&mut self.views_scratch);
+        if self.views_version != Some(self.store.version()) {
+            self.store.fill_views(&mut self.views_scratch);
+            self.views_version = Some(self.store.version());
+        }
     }
 
     /// Operational processors right now (total minus injected failures) —
@@ -558,6 +622,7 @@ impl<'a> Sim<'a> {
     /// iteration event), an immediate event is scheduled so the completion
     /// path still runs.
     fn reschedule(&mut self, job: JobId) {
+        let prof = self.lane.begin(SpanKind::QueueOps);
         let key = u64::from(job.0);
         self.events.invalidate_key(key);
         if self.store.is_complete(job) {
@@ -573,6 +638,7 @@ impl<'a> Sim<'a> {
             }
             self.events.push_keyed(at, key, Ev::IterEnd { job });
         }
+        self.lane.end(prof);
     }
 
     /// Recomputes every running job's rate (time-shared: any membership or
@@ -762,7 +828,7 @@ impl<'a> Sim<'a> {
         let max = SimTime::from_secs(self.config.max_sim_secs);
         let barrier = if barrier > max { max } else { barrier };
         let mut steps = 0;
-        while let Some((t, ev)) = self.events.pop_due(barrier) {
+        while let Some((t, ev)) = self.pop_due(barrier) {
             self.clock = t;
             steps += 1;
             self.dispatch(ev, policy);
@@ -771,10 +837,11 @@ impl<'a> Sim<'a> {
         steps
     }
 
-    /// Admits a job submitted online: appends it to the queue system and
-    /// schedules its arrival at `at`. The caller must have processed all
-    /// events up to `at` first (see [`run_due`](Self::run_due)) and keep
-    /// submission instants nondecreasing.
+    /// Admits a job submitted online: appends it to the queue system, whose
+    /// submit-sorted jobs the arrival cursor streams, so it arrives at `at`.
+    /// The caller must have processed all events up to `at` first (see
+    /// [`run_due`](Self::run_due)) and keep submission instants
+    /// nondecreasing.
     pub(crate) fn submit_at(
         &mut self,
         at: SimTime,
@@ -782,9 +849,7 @@ impl<'a> Sim<'a> {
         policy: &mut dyn SchedulingPolicy,
     ) -> JobId {
         self.run_due(at, policy);
-        let job = self.qs.push_job(JobSpec::new(at, app));
-        self.events.push(at, Ev::Arrival(job));
-        job
+        self.qs.push_job(JobSpec::new(at, app))
     }
 
     /// Cancels a job at instant `at`: a still-queued job is removed and
@@ -829,10 +894,6 @@ impl<'a> Sim<'a> {
         &self.config
     }
 
-    pub(crate) fn queue_stats(&self) -> pdpa_sim::QueueStats {
-        self.events.stats()
-    }
-
     pub(crate) fn qs(&self) -> &QueueSystem {
         &self.qs
     }
@@ -852,25 +913,21 @@ impl<'a> Sim<'a> {
     /// Picks the job to admit: the FCFS head, or — with backfilling — the
     /// first waiting job the policy accepts.
     fn pick_admissible(&self, policy: &dyn SchedulingPolicy, views: &[JobView]) -> Option<JobId> {
-        let candidates: Vec<JobId> = if self.config.backfill {
-            self.qs.waiting().collect()
+        let scan = if self.config.backfill {
+            self.qs.waiting_count()
         } else {
-            self.qs.head().into_iter().collect()
+            1
         };
-        for job in candidates {
-            let ctx = PolicyCtx {
+        self.qs.waiting().take(scan).find(|&job| {
+            policy.may_start_new_job(&PolicyCtx {
                 now: self.clock,
                 total_cpus: self.alive_cpus(),
                 free_cpus: self.free_cpus(),
                 jobs: views,
                 queued_jobs: self.qs.waiting_count(),
                 next_request: Some(self.qs.spec(job).app.request),
-            };
-            if policy.may_start_new_job(&ctx) {
-                return Some(job);
-            }
-        }
-        None
+            })
+        })
     }
 
     fn try_admit(&mut self, policy: &mut dyn SchedulingPolicy) {
@@ -1335,9 +1392,10 @@ impl<'a> Sim<'a> {
             .map(|(c, (sum, n))| (c, sum / n as f64))
             .collect();
         let end = self.clock;
-        let events_pushed = self.events.total_pushed();
-        let events_popped = self.events.total_popped();
-        let events_stale_dropped = self.events.stale_drops();
+        let stats = self.queue_stats();
+        let events_pushed = stats.pushed;
+        let events_popped = stats.popped;
+        let events_stale_dropped = stats.stale_drops;
         pdpa_obs::metrics::record_engine_run(&RunCounters {
             events_pushed,
             events_popped,
@@ -2065,5 +2123,163 @@ mod backfill_tests {
         let b = Engine::new(quiet().with_backfill())
             .run(blocked_queue(), Box::new(Pdpa::paper_default()));
         assert_eq!(a.end_secs, b.end_secs);
+    }
+}
+
+#[cfg(test)]
+mod tie_tests {
+    //! The arrival tie rule: an arrival beats every pending event at its
+    //! instant, on the batch loop (`pop_next`) and on the session's
+    //! barrier stepping (`run_due` → `pop_due`) alike.
+    use super::*;
+    use pdpa_apps::paper::{apsi, bt_a};
+    use pdpa_faults::FaultPlan;
+    use pdpa_obs::{RecordingObserver, TimedEvent};
+    use pdpa_policies::{Equipartition, GangScheduler};
+    use pdpa_qs::JobSpec;
+    use pdpa_sim::CostModel;
+
+    /// The tie instant: a multiple of the gang quantum, so a tick lands
+    /// on it exactly.
+    const TIE: f64 = 10.0;
+
+    fn quiet() -> EngineConfig {
+        EngineConfig {
+            noise_sigma: 0.0,
+            cost: CostModel::free(),
+            ..EngineConfig::default()
+        }
+    }
+
+    /// A bt.A running from 0 and an apsi arriving at the tie instant.
+    fn jobs() -> Vec<JobSpec> {
+        vec![
+            JobSpec::new(SimTime::ZERO, bt_a()),
+            JobSpec::new(SimTime::from_secs(TIE), apsi()),
+        ]
+    }
+
+    /// The decision streams of the batch loop and of `run_due` slices, one
+    /// of which ends exactly on the tie instant.
+    fn both_paths(
+        config: &EngineConfig,
+        policy: impl Fn() -> Box<dyn SchedulingPolicy>,
+    ) -> [Vec<TimedEvent>; 2] {
+        let mut batch = RecordingObserver::new();
+        Engine::new(config.clone()).run_observed(jobs(), policy(), &mut batch);
+        let mut stepped = RecordingObserver::new();
+        let mut policy = policy();
+        let mut sim = Sim::new(
+            config,
+            jobs(),
+            policy.sharing(),
+            ObsSink::Borrowed(&mut stepped),
+            Lane::disabled(),
+        );
+        sim.schedule_plan();
+        for barrier in [TIE / 2.0, TIE, config.max_sim_secs] {
+            sim.run_due(SimTime::from_secs(barrier), policy.as_mut());
+        }
+        drop(sim);
+        [batch.take_events(), stepped.take_events()]
+    }
+
+    /// Asserts that the first event at the tie instant is the arrival and
+    /// that `rival` is published there too, after it.
+    fn assert_arrival_first(
+        config: EngineConfig,
+        policy: fn() -> Box<dyn SchedulingPolicy>,
+        rival: fn(&ObsEvent) -> bool,
+    ) {
+        let [batch, stepped] = both_paths(&config, policy);
+        let lines = |evs: &[TimedEvent]| evs.iter().map(TimedEvent::to_line).collect::<Vec<_>>();
+        assert_eq!(
+            lines(&batch),
+            lines(&stepped),
+            "both paths publish one stream"
+        );
+        let at_tie: Vec<&ObsEvent> = batch
+            .iter()
+            .filter(|e| e.at == SimTime::from_secs(TIE))
+            .map(|e| &e.event)
+            .collect();
+        assert!(
+            matches!(
+                at_tie.first(),
+                Some(ObsEvent::JobSubmitted { job: JobId(1) })
+            ),
+            "the arrival must come first at its instant: {at_tie:?}"
+        );
+        assert!(
+            at_tie.iter().any(|e| rival(e)),
+            "the rival fired at the tie"
+        );
+    }
+
+    #[test]
+    fn arrival_beats_a_cpu_failure_at_its_instant() {
+        assert_arrival_first(
+            quiet().with_faults(FaultPlan::none().fail_cpu_at(CpuId(0), TIE)),
+            || Box::new(Equipartition::default()),
+            |e| matches!(e, ObsEvent::CpuFailed { .. }),
+        );
+    }
+
+    #[test]
+    fn arrival_beats_a_job_kill_at_its_instant() {
+        assert_arrival_first(
+            quiet().with_faults(FaultPlan::none().fail_job_at(JobId(0), TIE)),
+            || Box::new(Equipartition::default()),
+            |e| matches!(e, ObsEvent::JobFailed { job: JobId(0), .. }),
+        );
+    }
+
+    #[test]
+    fn arrival_beats_a_time_shared_tick_at_its_instant() {
+        // Gang rotation publishes every CPU's occupant on each tick.
+        assert_arrival_first(
+            quiet().with_trace(),
+            || Box::new(GangScheduler::paper_comparable()),
+            |e| matches!(e, ObsEvent::CpuAssigned { .. }),
+        );
+    }
+
+    #[test]
+    fn a_session_submission_arrives_before_a_later_op_at_its_instant() {
+        // The arrival waits in the cursor until the next op's barrier;
+        // a cancel at the same instant must find it already arrived.
+        let mut rec = RecordingObserver::new();
+        let mut policy: Box<dyn SchedulingPolicy> = Box::new(Equipartition::new(1));
+        let mut sim = Sim::new(
+            &quiet(),
+            Vec::new(),
+            policy.sharing(),
+            ObsSink::Borrowed(&mut rec),
+            Lane::disabled(),
+        );
+        let tie = SimTime::from_secs(TIE);
+        let running = sim.submit_at(SimTime::ZERO, bt_a(), policy.as_mut());
+        let queued = sim.submit_at(tie, apsi(), policy.as_mut());
+        assert_eq!(
+            sim.queue_stats().len,
+            2,
+            "one prediction, one arrival pending"
+        );
+        assert_eq!(
+            sim.cancel_at(tie, queued, policy.as_mut()),
+            CancelOutcome::Queued
+        );
+        sim.cancel_at(tie, running, policy.as_mut());
+        drop(sim);
+        let at_tie: Vec<ObsEvent> = rec
+            .take_events()
+            .into_iter()
+            .filter(|e| e.at == tie)
+            .map(|e| e.event)
+            .collect();
+        assert!(
+            matches!(at_tie.first(), Some(ObsEvent::JobSubmitted { job }) if *job == queued),
+            "{at_tie:?}"
+        );
     }
 }

@@ -18,13 +18,16 @@
 //! Every op carries a monotone instant, and the session processes all
 //! events at or before that instant *before* applying the op. Event-queue
 //! sequence numbers (the FIFO tie-breaker) are then a pure function of
-//! the op sequence, so re-applying a journal of `(at, op)` pairs to a
-//! fresh session — followed by `run_until(barrier)` — reconstructs the
-//! exact simulation state, decision stream included. That is the whole
-//! snapshot/restore story of the daemon: a snapshot is the op journal
-//! plus the barrier, not a serialized heap. Intermediate `run_until`
-//! barriers need no journaling: state depends only on which events have
-//! been processed, and that set is determined by the furthest barrier.
+//! the op sequence — and so is the arrival order: a submission joins the
+//! queue system, whose submit-sorted jobs the engine streams as arrivals,
+//! and on a tie the arrival comes before any pending event. Re-applying a
+//! journal of `(at, op)` pairs to a fresh session — followed by
+//! `run_until(barrier)` — reconstructs the exact simulation state,
+//! decision stream included. That is the whole snapshot/restore story of
+//! the daemon: a snapshot is the op journal plus the barrier, not a
+//! serialized heap. Intermediate `run_until` barriers need no journaling:
+//! state depends only on which events have been processed, and that set
+//! is determined by the furthest barrier.
 //!
 //! Sessions refuse fault plans and CPU-trace collection — both schedule
 //! events at construction time, which has no meaning for an initially

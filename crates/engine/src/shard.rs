@@ -53,7 +53,7 @@ use pdpa_prof::{
 };
 use pdpa_qs::JobSpec;
 use pdpa_qs::QueueSystem;
-use pdpa_sim::{AdaptiveQueue, CpuId, EventQueue, JobId, Machine, SimDuration, SimTime};
+use pdpa_sim::{CpuId, EventQueue, JobId, Machine, SimDuration, SimTime};
 use pdpa_trace::TraceObserver;
 
 use crate::config::EngineConfig;
@@ -102,7 +102,7 @@ enum ItemKind {
 struct Shard {
     store: JobStore,
     /// Iteration-end predictions, keyed by job id (lazy invalidation).
-    queue: AdaptiveQueue<JobId>,
+    queue: EventQueue<JobId>,
     /// Items produced by the current round, in emission order.
     items: Vec<Item>,
 }
@@ -111,7 +111,7 @@ impl Shard {
     fn new() -> Self {
         Shard {
             store: JobStore::new(),
-            queue: AdaptiveQueue::new(),
+            queue: EventQueue::new(),
             items: Vec::new(),
         }
     }

@@ -55,6 +55,12 @@ pub struct MemoStats {
 /// The running-job set in struct-of-arrays layout.
 #[derive(Clone, Debug, Default)]
 pub struct JobStore {
+    /// Bumped by every mutation that can change what [`fill_views`]
+    /// produces, so a caller holding a filled snapshot can tell whether it
+    /// is still current.
+    ///
+    /// [`fill_views`]: JobStore::fill_views
+    version: u64,
     /// `JobId → slot` (job ids are dense submission ranks, so a vector
     /// beats a hash map); `VACANT` marks a job that is not running.
     slot_of: Vec<u32>,
@@ -107,6 +113,12 @@ impl JobStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         JobStore::default()
+    }
+
+    /// The view version: equal versions guarantee equal
+    /// [`fill_views`](Self::fill_views) output.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Number of running jobs.
@@ -209,6 +221,7 @@ impl JobStore {
         };
         self.slot_of[id_idx] = slot;
         self.order.push(slot);
+        self.version += 1;
         slot as usize
     }
 
@@ -219,6 +232,7 @@ impl JobStore {
         assert!(slot != VACANT, "job {} is not running", job.0);
         self.slot_of[job.0 as usize] = VACANT;
         self.order.retain(|&s| s != slot);
+        self.version += 1;
         let cold = self.cold[slot as usize].take().expect("occupied slot");
         self.free.push(slot);
         let (hits, misses) = cold.speedup_memo.stats();
@@ -305,6 +319,7 @@ impl JobStore {
     pub fn set_allocated(&mut self, job: JobId, alloc: usize) {
         let s = self.slot(job);
         self.allocated[s] = alloc;
+        self.version += 1;
     }
 
     /// Requested processors.
@@ -386,6 +401,7 @@ impl JobStore {
         let dt = now.since(self.advanced_to[s]);
         self.cpu_seconds[s] += self.allocated[s] as f64 * dt.as_secs();
         self.advanced_to[s] = now;
+        self.version += 1;
         self.progress[s].advance(dt, self.rate[s])
     }
 
@@ -404,7 +420,8 @@ impl JobStore {
             .effective_procs(self.allocated[s])
     }
 
-    /// Charges a reallocation penalty as progress debt.
+    /// Charges a reallocation penalty as progress debt. Debt is not part
+    /// of a view, so the version stays.
     pub fn charge(&mut self, job: JobId, penalty: SimDuration) {
         let s = self.slot(job);
         self.progress[s].add_debt(penalty);
@@ -446,6 +463,7 @@ impl JobStore {
             .record_iteration(procs, measured);
         if let Some(sample) = sample {
             self.last_sample[s] = Some(sample);
+            self.version += 1;
         }
         sample
     }
@@ -460,6 +478,7 @@ impl JobStore {
             .analyzer
             .reset();
         self.last_sample[s] = None;
+        self.version += 1;
     }
 
     /// Recomputes the job's progress rate from `eff` effective
@@ -480,7 +499,10 @@ impl JobStore {
             * (1.0 + cold.spec.measurement_overhead);
         // Keep the hot mirror current: working-set phase changes move the
         // per-iteration time, and every such move passes through here.
-        self.seq_iter_secs[s] = iter_secs;
+        if self.seq_iter_secs[s] != iter_secs {
+            self.seq_iter_secs[s] = iter_secs;
+            self.version += 1;
+        }
         self.rate[s] = if speedup > 0.0 {
             speedup * factor / iter_secs
         } else {
@@ -634,6 +656,81 @@ mod tests {
         let mut views = Vec::new();
         store.fill_views(&mut views);
         assert_eq!(views[0].remaining_secs, v1.remaining_secs);
+    }
+
+    /// The version and the rendered views of `store`.
+    fn snapshot(store: &JobStore) -> (u64, String) {
+        let mut views = Vec::new();
+        store.fill_views(&mut views);
+        (store.version(), format!("{views:?}"))
+    }
+
+    /// Asserts that the views moved since `before` and the version with
+    /// them; returns the new snapshot.
+    fn assert_moved(before: &(u64, String), store: &JobStore, what: &str) -> (u64, String) {
+        let after = snapshot(store);
+        assert_ne!(after.1, before.1, "{what} should change the views");
+        assert_ne!(
+            after.0, before.0,
+            "{what} changed the views, not the version"
+        );
+        after
+    }
+
+    #[test]
+    fn every_view_affecting_mutator_bumps_the_version() {
+        // The engine skips a view refill while the version stands still,
+        // so every mutator that changes what `fill_views` produces must
+        // bump it.
+        let mut store = JobStore::new();
+        let job = JobId(0);
+        let mut last = snapshot(&store);
+        store.start(
+            job,
+            apsi().with_phase_change(1, 2.0),
+            SelfAnalyzer::default(),
+            t(0.0),
+            job_noise_rng(1, job, 0),
+        );
+        last = assert_moved(&last, &store, "start");
+        store.set_allocated(job, 2);
+        last = assert_moved(&last, &store, "set_allocated");
+        store.set_rate_from(job, 2.0, 1.0);
+        assert_eq!(snapshot(&store).1, last.1, "same iteration time, same view");
+        let eta = store.time_to_iteration_end(job).unwrap();
+        store.advance_to(job, t(eta.as_secs()));
+        last = assert_moved(&last, &store, "advance_to");
+        // Past the phase change the iteration time doubles.
+        store.set_rate_from(job, 2.0, 1.0);
+        last = assert_moved(&last, &store, "set_rate_from");
+        // Mutators outside the view leave it alone.
+        store.set_iter_polluted(job, true);
+        store.set_iter_started_at(job, t(1.0));
+        store.charge(job, SimDuration::from_secs(1.0));
+        assert_eq!(snapshot(&store).1, last.1);
+        let mut reported = false;
+        for _ in 0..10 {
+            let sample = store.record_iteration(job, 2, SimDuration::from_secs(5.0));
+            if sample.is_some() {
+                last = assert_moved(&last, &store, "record_iteration with a sample");
+                reported = true;
+                break;
+            }
+            assert_eq!(snapshot(&store).1, last.1, "no sample, same view");
+        }
+        assert!(reported, "the analyzer never produced a sample");
+        store.reset_analyzer(job);
+        last = assert_moved(&last, &store, "reset_analyzer");
+        store.start(
+            JobId(1),
+            apsi(),
+            SelfAnalyzer::default(),
+            t(2.0),
+            job_noise_rng(1, JobId(1), 0),
+        );
+        last = assert_moved(&last, &store, "a second start");
+        store.remove(job);
+        assert_moved(&last, &store, "remove");
     }
 
     #[test]

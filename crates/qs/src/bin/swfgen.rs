@@ -1,7 +1,7 @@
 //! `swfgen` — generate and inspect Standard Workload Format traces.
 //!
 //! ```text
-//! swfgen gen <w1|w2|w3|w4> <load> <seed> [--untuned] [--duration S] [--cpus N] [--jobs N]
+//! swfgen gen <w1|w2|w3|w4> <load> <seed> [--untuned] [--cpus N] [--duration S | --jobs N]
 //! swfgen info < trace.swf                              # summarize stdin
 //! ```
 //!
@@ -9,9 +9,10 @@
 //! window past the paper's 300 s (job count scales linearly with it, so
 //! long windows produce the multi-thousand-job traces the replay engine
 //! is benchmarked on) and `--cpus` sets the machine the demand math
-//! targets. `--jobs N` pins the trace to **exactly** N jobs (conditioned
-//! Poisson process) instead of hitting the demand target in expectation —
-//! use it when a benchmark promises a specific trace size.
+//! targets. `--jobs N` pins the trace to **exactly** N jobs (the same
+//! Poisson process conditioned on its count) at the requested demand; the
+//! window then follows from the load, so it excludes `--duration`. Use it
+//! when a benchmark promises a specific trace size.
 //!
 //! The paper distributes its workloads as SWF trace files so that every
 //! scheduling policy replays the identical submission sequence; this tool
@@ -28,7 +29,7 @@ use pdpa_qs::{
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  swfgen gen <w1|w2|w3|w4> <load> <seed> [--untuned] [--duration S] [--cpus N] [--jobs N]\n  swfgen info < trace.swf"
+        "usage:\n  swfgen gen <w1|w2|w3|w4> <load> <seed> [--untuned] [--cpus N] [--duration S | --jobs N]\n  swfgen info < trace.swf"
     );
     ExitCode::from(2)
 }
@@ -89,6 +90,10 @@ fn gen(args: &[String]) -> ExitCode {
         }
         None => None,
     };
+    if exact_jobs.is_some() && flag_value(args, "--duration").is_some() {
+        eprintln!("--jobs derives the submission window from the load; drop --duration");
+        return ExitCode::from(2);
+    }
     let config = GeneratorConfig {
         composition: workload.composition(),
         load,

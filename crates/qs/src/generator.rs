@@ -135,48 +135,78 @@ pub fn generate(config: &GeneratorConfig, seed: u64) -> Vec<JobSpec> {
     jobs
 }
 
-/// Generates a workload with **exactly** `n_jobs` jobs.
+/// Generates a workload with **exactly** `n_jobs` jobs at the requested
+/// demand.
 ///
 /// The open-ended Poisson process in [`generate`] only hits a target count
 /// in expectation; benchmark harnesses that promise "a 1M-job trace" need
-/// the count to be exact. This variant conditions the process on the
-/// count: each class receives its share of the `n_jobs` total (largest
-/// remainders resolve rounding), and the submissions within the window
-/// are i.i.d. uniform draws — exactly the conditional distribution of a
-/// Poisson process given its event count. Deterministic for a given seed.
+/// the count to be exact. This variant conditions the same process on its
+/// count:
+///
+/// - each class receives the fraction of the jobs that [`generate`]
+///   expects of it — its share of the *work* divided by its sequential
+///   work per job — with largest remainders resolving the rounding;
+/// - the submission window is derived from `load`: the jobs' total
+///   sequential work over `load × cpus`, so the trace's demand is `load`;
+/// - submissions are i.i.d. uniform draws over that window, the
+///   conditional distribution of a Poisson process given its event count.
+///
+/// Deterministic for a given seed.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (see
-/// [`GeneratorConfig::validate`]) or `n_jobs` is zero. `load` is ignored
-/// (the count replaces the demand math); it must still be in range.
+/// [`GeneratorConfig::validate`]) or `n_jobs` is zero. `duration_secs` is
+/// ignored (the count and the load fix the window).
 pub fn generate_exact(config: &GeneratorConfig, seed: u64, n_jobs: usize) -> Vec<JobSpec> {
     config.validate().expect("invalid generator configuration");
     assert!(n_jobs > 0, "n_jobs must be positive");
     let mut rng = SimRng::new(seed);
 
-    // Apportion n_jobs across classes by share, largest remainder first.
-    let mut counts: Vec<(AppClass, usize, f64)> = config
+    // `generate` expects `share × total_work / seq_work` jobs of a class,
+    // so its job fractions are proportional to `share / seq_work`.
+    let apps: Vec<(AppClass, ApplicationSpec)> = config
         .composition
         .iter()
-        .map(|&(class, share)| {
-            let exact = share * n_jobs as f64;
-            (class, exact as usize, exact - exact.floor())
+        .map(|&(class, _)| (class, app_for(class, config.tuned)))
+        .collect();
+    let weights: Vec<f64> = config
+        .composition
+        .iter()
+        .zip(&apps)
+        .map(|(&(_, share), (_, app))| share / app.total_seq_time().as_secs())
+        .collect();
+    let total_weight: f64 = weights.iter().sum();
+
+    // Apportion n_jobs across classes by those fractions, largest
+    // remainder first.
+    let mut counts: Vec<(usize, f64)> = weights
+        .iter()
+        .map(|w| {
+            let exact = w / total_weight * n_jobs as f64;
+            (exact as usize, exact - exact.floor())
         })
         .collect();
-    let assigned: usize = counts.iter().map(|&(_, c, _)| c).sum();
+    let assigned: usize = counts.iter().map(|&(c, _)| c).sum();
     let mut order: Vec<usize> = (0..counts.len()).collect();
-    order.sort_by(|&a, &b| counts[b].2.partial_cmp(&counts[a].2).unwrap());
+    order.sort_by(|&a, &b| counts[b].1.partial_cmp(&counts[a].1).unwrap());
     for &i in order.iter().cycle().take(n_jobs - assigned) {
-        counts[i].1 += 1;
+        counts[i].0 += 1;
     }
 
+    // The window over which this much work is `load` of the machine.
+    let work: f64 = counts
+        .iter()
+        .zip(&apps)
+        .map(|(&(count, _), (_, app))| count as f64 * app.total_seq_time().as_secs())
+        .sum();
+    let window = work / (config.load * config.cpus as f64);
+
     let mut jobs = Vec::with_capacity(n_jobs);
-    for (class, count, _) in counts {
-        let app = app_for(class, config.tuned);
+    for ((count, _), (class, app)) in counts.into_iter().zip(apps) {
         let mut stream = rng.fork(class as u64 + 1);
         for _ in 0..count {
-            let t = stream.uniform(0.0, config.duration_secs);
+            let t = stream.uniform(0.0, window);
             jobs.push(JobSpec::new(SimTime::from_secs(t), app.clone()));
         }
     }
@@ -296,13 +326,21 @@ mod tests {
         assert!(jobs.iter().all(|j| j.app.request == 2));
     }
 
+    /// Sequential work of all jobs over their machine capacity and
+    /// submission window.
+    fn demand_of(jobs: &[JobSpec]) -> f64 {
+        let records = crate::swf::parse_swf_trace(&crate::swf::write_swf(jobs))
+            .expect("round trip")
+            .records;
+        crate::shape::demand(&records, 60)
+    }
+
     #[test]
     fn exact_count_is_exact() {
         for n in [1, 7, 100, 1234] {
             let jobs = generate_exact(&config(1.0), 42, n);
             assert_eq!(jobs.len(), n);
             assert!(jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
-            assert!(jobs.iter().all(|j| j.submit.as_secs() < 300.0));
         }
     }
 
@@ -319,13 +357,69 @@ mod tests {
     }
 
     #[test]
-    fn exact_count_honors_composition_shares() {
+    fn exact_count_splits_jobs_by_work_share() {
+        // Equal work shares: the class with half the sequential work per
+        // job gets twice the jobs, exactly as `generate` expects them.
         let jobs = generate_exact(&config(1.0), 3, 1000);
         let swim = jobs
             .iter()
             .filter(|j| j.app.class == AppClass::Swim)
-            .count();
-        assert_eq!(swim, 500, "0.5 share of 1000 jobs must be exact");
+            .count() as f64;
+        let swim_work = paper_app(AppClass::Swim).total_seq_time().as_secs();
+        let bt_work = paper_app(AppClass::BtA).total_seq_time().as_secs();
+        let expected = 1000.0 * (0.5 / swim_work) / (0.5 / swim_work + 0.5 / bt_work);
+        assert!(
+            (swim - expected).abs() <= 1.0,
+            "{swim} swim jobs, expected {expected:.1}"
+        );
+    }
+
+    #[test]
+    fn exact_count_hits_the_requested_demand() {
+        // The window follows from the load: the drawn work over the
+        // window is `load` of the machine.
+        for load in [0.6, 1.0] {
+            let jobs = generate_exact(&config(load), 11, 5000);
+            let work: f64 = jobs.iter().map(|j| j.app.total_seq_time().as_secs()).sum();
+            let last = jobs.last().unwrap().submit.as_secs();
+            let window = work / (load * 60.0);
+            assert!(
+                last < window && last > 0.99 * window,
+                "last submit {last} of {window}"
+            );
+            let demand = demand_of(&jobs);
+            assert!(
+                (demand - load).abs() < 0.01 * load,
+                "demand {demand} at load {load}"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_count_and_poisson_traces_agree_on_demand() {
+        // The same load through `--jobs` and through the Poisson process:
+        // `shape::demand` agrees within 5 % (the count-split bug put the
+        // exact trace at about 2.6× the Poisson one on w4).
+        for (workload, load) in [
+            (crate::Workload::W4, 1.0),
+            (crate::Workload::W4, 0.6),
+            (crate::Workload::W2, 0.8),
+        ] {
+            let cfg = GeneratorConfig {
+                composition: workload.composition(),
+                load,
+                cpus: 60,
+                duration_secs: 60_000.0,
+                tuned: true,
+            };
+            let poisson = generate(&cfg, 5);
+            let exact = generate_exact(&cfg, 5, poisson.len());
+            let (p, e) = (demand_of(&poisson), demand_of(&exact));
+            assert!(
+                (e - p).abs() <= 0.05 * p,
+                "{workload:?} at {load}: --jobs demand {e:.3} vs Poisson {p:.3}"
+            );
+        }
     }
 
     #[test]

@@ -11,21 +11,25 @@
 //!    under a *key* and later [`invalidate_key`](EventQueue::invalidate_key)
 //!    it: the queue tags each keyed entry with the key's generation at push
 //!    time and lazily discards entries whose generation has since moved on.
-//!    Invalidation is an O(1) hash bump; the stale entry costs one extra
-//!    O(log n) pop when its turn comes.
+//!    Keys are small dense integers (the engine keys by job id), so the
+//!    generations live in a vector and invalidation is an O(1) index bump;
+//!    the stale entry costs one extra O(log n) pop when its turn comes.
 //!
-//! Large traces additionally benefit from
-//! [`push_batch`](EventQueue::push_batch), which rebuilds the heap
-//! bottom-up in O(n) instead of n × O(log n) sifts.
+//! The engine keeps the heap small: only running jobs' predictions, faults
+//! and quantum ticks are ever pending. Arrivals stay in the workload's
+//! submit-sorted job list and are merged in through
+//! [`pop_before`](EventQueue::pop_before), which pops a heap event only
+//! when it is strictly earlier than the next arrival — so an arrival wins
+//! every tie.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
 /// A point-in-time snapshot of a queue's traffic counters, as returned by
-/// the `stats()` method on every queue implementation. Health monitors
-/// sample these per shard each heartbeat instead of calling four getters.
+/// [`EventQueue::stats`]. Health monitors sample these per shard each
+/// heartbeat instead of calling four getters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Total events pushed over the queue's lifetime.
@@ -43,10 +47,11 @@ pub struct QueueStats {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Current generation per key; keyed entries pushed under an older
-    /// generation are stale. Generations only grow, so a key reused after
-    /// retirement can never collide with an entry still buried in the heap.
-    generations: HashMap<u64, u64>,
+    /// Current generation per key, indexed by key (missing keys are at
+    /// generation 0); keyed entries pushed under an older generation are
+    /// stale. Generations only grow, so a key reused after retirement can
+    /// never collide with an entry still buried in the heap.
+    generations: Vec<u64>,
     next_seq: u64,
     pushed: u64,
     popped: u64,
@@ -91,7 +96,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            generations: HashMap::new(),
+            generations: Vec::new(),
             next_seq: 0,
             pushed: 0,
             popped: 0,
@@ -115,12 +120,13 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at instant `at` under `key`, so a later
     /// [`invalidate_key`](Self::invalidate_key) can lazily discard it.
     /// Entries pushed after an invalidation are live again — the queue
-    /// snapshots the key's generation at push time.
+    /// snapshots the key's generation at push time. Keys index a vector:
+    /// keep them small and dense.
     pub fn push_keyed(&mut self, at: SimTime, key: u64, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed += 1;
-        let generation = self.generations.get(&key).copied().unwrap_or(0);
+        let generation = self.generation(key);
         self.heap.push(Entry {
             at,
             seq,
@@ -155,17 +161,25 @@ impl<E> EventQueue<E> {
     /// discarded (and counted by [`stale_drops`](Self::stale_drops)) when
     /// they reach the head of the queue. O(1).
     pub fn invalidate_key(&mut self, key: u64) {
-        *self.generations.entry(key).or_insert(0) += 1;
+        let i = key as usize;
+        if i >= self.generations.len() {
+            self.generations.resize(i + 1, 0);
+        }
+        self.generations[i] += 1;
+    }
+
+    /// The current generation of `key`.
+    #[inline]
+    fn generation(&self, key: u64) -> u64 {
+        self.generations.get(key as usize).copied().unwrap_or(0)
     }
 
     /// True if `entry` was invalidated after it was pushed.
+    #[inline]
     fn is_stale(&self, entry: &Entry<E>) -> bool {
-        match entry.key {
-            Some((key, generation)) => {
-                self.generations.get(&key).copied().unwrap_or(0) != generation
-            }
-            None => false,
-        }
+        entry
+            .key
+            .is_some_and(|(key, generation)| self.generation(key) != generation)
     }
 
     /// Removes and returns the earliest live event, or `None` when empty.
@@ -209,20 +223,29 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest live event for which `valid` also
-    /// holds, discarding invalid ones along the way; `None` when the queue
-    /// runs out.
+    /// Removes and returns the earliest live event strictly before `t`,
+    /// or `None` when there is none. Stale keyed heads before `t` are
+    /// discarded along the way; nothing at or after `t` is touched.
     ///
-    /// Key-stale entries are skipped by [`pop`](Self::pop) underneath;
-    /// this adds a payload-level predicate on top for callers with their
-    /// own validity notion. Discarded events still count toward
-    /// [`total_popped`](Self::total_popped).
-    pub fn pop_valid(&mut self, mut valid: impl FnMut(&E) -> bool) -> Option<(SimTime, E)> {
+    /// This is the merge step between the queue and an external,
+    /// time-sorted stream (the engine's arrival cursor): with `t` the
+    /// stream's next instant, a `None` means the stream's item comes next,
+    /// including on a tie — exactly as if it had been pushed before every
+    /// entry in the queue.
+    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
         loop {
-            let (at, payload) = self.pop()?;
-            if valid(&payload) {
-                return Some((at, payload));
+            let head = self.heap.peek()?;
+            if head.at >= t {
+                return None;
             }
+            let stale = self.is_stale(head);
+            let e = self.heap.pop().expect("peeked entry exists");
+            self.popped += 1;
+            if stale {
+                self.stale += 1;
+                continue;
+            }
+            return Some((e.at, e.payload));
         }
     }
 
@@ -268,38 +291,6 @@ impl<E> EventQueue<E> {
             stale_drops: self.stale,
             len: self.len(),
         }
-    }
-
-    /// Decomposes the queue into its raw state — pending entries as
-    /// `(at, seq, key, payload)` in unspecified order, key generations,
-    /// and the sequence/traffic counters — so another implementation
-    /// (the calendar queue) can take over mid-stream without disturbing
-    /// pop order or statistics.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_raw_parts(
-        self,
-    ) -> (
-        Vec<(SimTime, u64, Option<(u64, u64)>, E)>,
-        HashMap<u64, u64>,
-        u64,
-        u64,
-        u64,
-        u64,
-    ) {
-        let entries = self
-            .heap
-            .into_vec()
-            .into_iter()
-            .map(|e| (e.at, e.seq, e.key, e.payload))
-            .collect();
-        (
-            entries,
-            self.generations,
-            self.next_seq,
-            self.pushed,
-            self.popped,
-            self.stale,
-        )
     }
 }
 
@@ -366,19 +357,6 @@ mod tests {
         assert_eq!(q.total_pushed(), 2);
         assert_eq!(q.total_popped(), 1);
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn pop_valid_skips_stale_entries() {
-        let mut q = EventQueue::new();
-        q.push(t(1.0), "stale");
-        q.push(t(2.0), "live");
-        q.push(t(3.0), "stale");
-        assert_eq!(q.pop_valid(|e| *e != "stale"), Some((t(2.0), "live")));
-        assert_eq!(q.pop_valid(|e| *e != "stale"), None);
-        // Discards still count as pops.
-        assert_eq!(q.total_popped(), 3);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -491,18 +469,31 @@ mod tests {
     }
 
     #[test]
-    fn pop_valid_composes_with_key_staleness() {
+    fn pop_before_is_strict_and_leaves_ties() {
         let mut q = EventQueue::new();
-        q.push_keyed(t(1.0), 3, "stale");
-        q.push(t(2.0), "rejected");
-        q.push_keyed(t(3.0), 4, "live");
+        q.push(t(1.0), "a");
+        q.push(t(2.0), "b");
+        assert_eq!(q.pop_before(t(2.0)), Some((t(1.0), "a")));
+        assert_eq!(q.pop_before(t(2.0)), None, "a tie belongs to the caller");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_before(t(2.5)), Some((t(2.0), "b")));
+        assert_eq!(q.pop_before(t(9.0)), None);
+        assert_eq!(q.total_popped(), 2);
+    }
+
+    #[test]
+    fn pop_before_discards_stale_heads_only_before_the_bound() {
+        let mut q = EventQueue::new();
+        q.push_keyed(t(1.0), 3, "stale-early");
+        q.push_keyed(t(4.0), 4, "stale-late");
+        q.push(t(5.0), "live");
         q.invalidate_key(3);
-        assert_eq!(
-            q.pop_valid(|e| *e != "rejected"),
-            Some((t(3.0), "live")),
-            "skips both the key-stale and the predicate-rejected entry"
-        );
-        assert_eq!(q.stale_drops(), 1);
+        q.invalidate_key(4);
+        assert_eq!(q.pop_before(t(4.0)), None);
+        assert_eq!(q.stale_drops(), 1, "the entry at the bound stays");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_before(t(6.0)), Some((t(5.0), "live")));
+        assert_eq!(q.stale_drops(), 2);
         assert_eq!(q.total_popped(), 3);
     }
 }

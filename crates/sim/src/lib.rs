@@ -6,10 +6,12 @@
 //! - [`SimTime`] / [`SimDuration`] — the simulated clock (seconds, `f64`).
 //! - [`SimRng`] — a small deterministic SplitMix64-based random number
 //!   generator, so every experiment is reproducible from a seed.
-//! - [`EventQueue`] — a stable priority queue of timestamped events.
-//! - [`CalendarQueue`] / [`AdaptiveQueue`] — a bucketed O(1)-amortized
-//!   variant of the same queue API, and the wrapper that switches to it
-//!   automatically once the backlog is large enough to warrant it.
+//! - [`EventQueue`] — a stable binary-heap priority queue of timestamped
+//!   events with keyed lazy invalidation. It holds only what is pending
+//!   (iteration predictions, faults, ticks); the engine streams arrivals
+//!   from the workload's submit-sorted job list and merges them in with
+//!   [`EventQueue::pop_before`], so the heap stays as small as the
+//!   running set.
 //! - [`Machine`] — a CC-NUMA machine model (SGI Origin 2000-like: two CPUs
 //!   per node) with affinity-preserving cpuset assignment and migration
 //!   accounting.
@@ -21,7 +23,6 @@
 
 #![deny(missing_docs)]
 
-pub mod calendar;
 pub mod cost;
 pub mod event;
 pub mod ids;
@@ -29,7 +30,6 @@ pub mod machine;
 pub mod rng;
 pub mod time;
 
-pub use calendar::{AdaptiveQueue, CalendarQueue};
 pub use cost::CostModel;
 pub use event::{EventQueue, QueueStats};
 pub use ids::{CpuId, JobId};

@@ -142,6 +142,11 @@ pub struct Machine {
     cpus_per_node: usize,
     /// Cpuset of each running job.
     owned: HashMap<JobId, CpuSet>,
+    /// Alive, unowned CPUs — kept in step with `owner`/`alive` so the
+    /// supply every policy context reads is O(1), not a topology scan.
+    n_free: usize,
+    /// Alive CPUs.
+    n_alive: usize,
     stats: MachineStats,
 }
 
@@ -169,6 +174,8 @@ impl Machine {
             alive: vec![true; n_cpus],
             cpus_per_node,
             owned: HashMap::new(),
+            n_free: n_cpus,
+            n_alive: n_cpus,
             stats: MachineStats::default(),
         }
     }
@@ -180,21 +187,17 @@ impl Machine {
 
     /// Number of alive, unowned CPUs — the supply available to allocate.
     pub fn free_cpus(&self) -> usize {
-        self.owner
-            .iter()
-            .zip(&self.alive)
-            .filter(|(o, &a)| o.is_none() && a)
-            .count()
+        self.n_free
     }
 
-    /// Number of currently owned CPUs.
+    /// Number of currently owned CPUs (dead CPUs are never owned).
     pub fn used_cpus(&self) -> usize {
-        self.owner.iter().filter(|o| o.is_some()).count()
+        self.n_alive - self.n_free
     }
 
     /// Number of alive CPUs — the machine's current capacity.
     pub fn alive_cpus(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.n_alive
     }
 
     /// Number of failed CPUs.
@@ -216,7 +219,11 @@ impl Machine {
             return None;
         }
         self.alive[cpu.index()] = false;
+        self.n_alive -= 1;
         let victim = self.owner[cpu.index()].take();
+        if victim.is_none() {
+            self.n_free -= 1;
+        }
         if let Some(job) = victim {
             let set = self.owned.get_mut(&job).expect("owner table has the job");
             set.remove(cpu);
@@ -231,7 +238,12 @@ impl Machine {
     /// machine's capacity actually grew).
     pub fn recover_cpu(&mut self, cpu: CpuId) -> bool {
         let was_dead = !self.alive[cpu.index()];
-        self.alive[cpu.index()] = true;
+        if was_dead {
+            // Dead CPUs are never owned, so a recovered one is free.
+            self.alive[cpu.index()] = true;
+            self.n_alive += 1;
+            self.n_free += 1;
+        }
         was_dead
     }
 
@@ -279,6 +291,7 @@ impl Machine {
             let picks = self.pick_free_cpus(job, want);
             if !picks.is_empty() {
                 let set = self.owned.entry(job).or_default();
+                self.n_free -= picks.len();
                 for cpu in picks {
                     set.push(cpu);
                     self.owner[cpu.index()] = Some(job);
@@ -295,6 +308,7 @@ impl Machine {
                 self.owner[cpu.index()] = None;
                 outcome.lost.push(cpu);
             }
+            self.n_free += outcome.lost.len();
             if set.is_empty() {
                 self.owned.remove(&job);
             }
@@ -321,6 +335,7 @@ impl Machine {
                 for cpu in &cpus {
                     self.owner[cpu.index()] = None;
                 }
+                self.n_free += cpus.len();
                 cpus
             }
             None => Vec::new(),
@@ -367,8 +382,22 @@ impl Machine {
     }
 
     /// Internal consistency check used by tests and debug assertions:
-    /// the owner table and the per-job cpusets must agree.
+    /// the owner table and the per-job cpusets must agree, and the kept
+    /// free/alive counts must equal a recount of the topology.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let alive = self.alive.iter().filter(|&&a| a).count();
+        let free = self
+            .owner
+            .iter()
+            .zip(&self.alive)
+            .filter(|(o, &a)| o.is_none() && a)
+            .count();
+        if (self.n_alive, self.n_free) != (alive, free) {
+            return Err(format!(
+                "kept counts alive={} free={} disagree with recount alive={alive} free={free}",
+                self.n_alive, self.n_free
+            ));
+        }
         let mut seen = vec![false; self.n_cpus()];
         for (job, set) in &self.owned {
             if set.is_empty() {
@@ -697,6 +726,37 @@ mod proptests {
                     m.free_cpus() + m.used_cpus() + m.dead_cpus(),
                     m.n_cpus()
                 );
+            }
+        }
+
+        /// The kept free/alive counts equal a recount through the public
+        /// per-CPU and per-job views after every random resize, release,
+        /// failure and recovery.
+        #[test]
+        fn kept_counts_match_a_recount(
+            actions in proptest::collection::vec(arb_action(), 1..80),
+        ) {
+            let mut m = Machine::new(60);
+            for action in actions {
+                match action {
+                    Action::Resize { job, target } => {
+                        m.resize(JobId(job), target);
+                    }
+                    Action::Release { job } => {
+                        m.release(JobId(job));
+                    }
+                    Action::Fail { cpu } => {
+                        m.fail_cpu(CpuId(cpu));
+                    }
+                    Action::Recover { cpu } => {
+                        m.recover_cpu(CpuId(cpu));
+                    }
+                }
+                let alive = (0..60u16).filter(|&c| m.is_alive(CpuId(c))).count();
+                let owned: usize = (0..8u32).map(|j| m.allocation(JobId(j))).sum();
+                prop_assert_eq!(m.alive_cpus(), alive);
+                prop_assert_eq!(m.free_cpus(), alive - owned);
+                prop_assert_eq!(m.used_cpus(), owned);
             }
         }
 
