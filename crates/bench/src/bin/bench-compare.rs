@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bench-compare --baseline BENCH_pdpa.json [--current other.json] \
-//!               [--threshold 10%] [--assert-faster <modeA>:<modeB>]
+//!               [--threshold 10%]
 //! ```
 //!
 //! With only `--baseline`, the latest trajectory entry of each mode is
@@ -11,48 +11,25 @@
 //! run). With `--current`, the newest entries of the two files are
 //! compared — baseline from the main branch, current from the candidate.
 //!
-//! `--assert-faster modeA:modeB` (repeatable) additionally requires the
-//! latest `modeA` entry of the current document to show strictly higher
-//! events/sec than the latest `modeB` entry — the cross-mode check CI
-//! uses to prove the sharded replay outruns the sequential one.
-//!
-//! Exit status: 0 when the gate passes, 1 on a perf regression or a
-//! failed assertion, 2 on usage or I/O errors.
+//! Exit status: 0 when the gate passes, 1 on a perf regression, 2 on
+//! usage or I/O errors.
 
-use pdpa_bench::regression::{assert_faster, compare_reports};
+use pdpa_bench::regression::compare_reports;
 use pdpa_bench::trajectory::BenchReport;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bench-compare --baseline <file> [--current <file>] \
-                     [--threshold <pct>] [--assert-faster <modeA>:<modeB>]";
+                     [--threshold <pct>]";
 
 fn main() -> ExitCode {
     let mut baseline_path = None;
     let mut current_path = None;
     let mut threshold = 0.10;
-    let mut assertions: Vec<(String, String)> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--baseline" => baseline_path = args.next(),
             "--current" => current_path = args.next(),
-            "--assert-faster" => {
-                let Some(raw) = args.next() else {
-                    eprintln!("{USAGE}");
-                    return ExitCode::from(2);
-                };
-                match raw.split_once(':') {
-                    Some((a, b)) if !a.is_empty() && !b.is_empty() => {
-                        assertions.push((a.to_string(), b.to_string()));
-                    }
-                    _ => {
-                        eprintln!(
-                            "bench-compare: bad --assert-faster {raw:?} (want <modeA>:<modeB>)"
-                        );
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--threshold" => {
                 let Some(raw) = args.next() else {
                     eprintln!("{USAGE}");
@@ -99,17 +76,7 @@ fn main() -> ExitCode {
     };
     let gate = compare_reports(&baseline, &current, threshold);
     println!("{}", gate.render(threshold));
-    let mut failed = gate.regressed();
-    for (faster, slower) in &assertions {
-        match assert_faster(&current, faster, slower) {
-            Ok(line) => println!("{line}"),
-            Err(line) => {
-                println!("{line}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
+    if gate.regressed() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

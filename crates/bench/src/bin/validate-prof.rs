@@ -2,16 +2,15 @@
 //! the CI gate behind the span profiler and the binary observer stream.
 //!
 //! ```text
-//! validate-prof --profile prof.json --shards 2 \
-//!               [--report report.txt] [--stream run.bin]
+//! validate-prof --profile prof.json [--report report.txt] [--stream run.bin]
 //! ```
 //!
 //! Checks (any failure exits nonzero with a message):
 //!
 //! - the profile parses as Chrome `trace_event` JSON, every event is a
 //!   complete (`X`) span or a metadata (`M`) record, every `X` span has a
-//!   name and a duration on a declared lane, and with `--shards N` the
-//!   thread lanes are exactly `coordinator` plus `shard-0..shard-N-1`;
+//!   name and a duration on a declared lane, and the only thread lane is
+//!   `coordinator`;
 //! - with `--report`, the text hot-path report is non-empty and carries
 //!   the table header plus the top-level `replay` span row;
 //! - with `--stream`, the file starts with the `PDPAOBS1` magic and every
@@ -32,9 +31,8 @@ fn read(path: &str) -> Result<Value, String> {
     parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Validates the profiler's Chrome trace and returns
-/// `(span_count, lane_count)`.
-fn check_profile(doc: &Value, shards: Option<usize>) -> Result<(usize, usize), String> {
+/// Validates the profiler's Chrome trace and returns its span count.
+fn check_profile(doc: &Value) -> Result<usize, String> {
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_arr)
@@ -86,17 +84,10 @@ fn check_profile(doc: &Value, shards: Option<usize>) -> Result<(usize, usize), S
     if let Some(tid) = span_tids.difference(&lane_tids).next() {
         return Err(format!("span on tid {tid} has no thread_name lane"));
     }
-    if let Some(n) = shards {
-        // One lane per shard plus the coordinator: the acceptance shape.
-        let mut want: BTreeSet<String> = (0..n).map(|i| format!("shard-{i}")).collect();
-        want.insert("coordinator".to_string());
-        if lanes != want {
-            return Err(format!(
-                "lanes {lanes:?} do not match coordinator + {n} shard(s)"
-            ));
-        }
+    if lanes.len() != 1 || !lanes.contains("coordinator") {
+        return Err(format!("lanes {lanes:?} are not exactly [\"coordinator\"]"));
     }
-    Ok((spans, lanes.len()))
+    Ok(spans)
 }
 
 fn check_report(path: &str) -> Result<(), String> {
@@ -128,7 +119,6 @@ fn check_stream(path: &str) -> Result<usize, String> {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let (mut profile, mut report, mut stream) = (None, None, None);
-    let mut shards = None;
     while let Some(arg) = args.next() {
         let Some(value) = args.next() else {
             return fail(&format!("{arg} requires a value"));
@@ -137,14 +127,6 @@ fn main() -> ExitCode {
             "--profile" => profile = Some(value),
             "--report" => report = Some(value),
             "--stream" => stream = Some(value),
-            "--shards" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => shards = Some(n),
-                _ => {
-                    return fail(&format!(
-                        "--shards expects a positive integer, got {value:?}"
-                    ))
-                }
-            },
             other => return fail(&format!("unknown argument `{other}`")),
         }
     }
@@ -153,9 +135,9 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = profile {
-        match read(&path).and_then(|doc| check_profile(&doc, shards)) {
-            Ok((spans, lanes)) => {
-                println!("validate-prof: {path}: OK ({spans} spans across {lanes} lane(s))");
+        match read(&path).and_then(|doc| check_profile(&doc)) {
+            Ok(spans) => {
+                println!("validate-prof: {path}: OK ({spans} spans on the coordinator lane)");
             }
             Err(e) => return fail(&e),
         }

@@ -42,16 +42,6 @@ const POLICIES: [PolicyKind; 3] = [
     PolicyKind::EqualEfficiency,
 ];
 
-/// Shard count requested through the harness `--shards` flag (delivered
-/// via `PDPA_SHARDS`, the same environment channel `--sequential` uses).
-/// `None` means the classic sequential engine loop.
-fn requested_shards() -> Option<usize> {
-    std::env::var("PDPA_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-}
-
 struct Row {
     label: &'static str,
     makespan: f64,
@@ -90,23 +80,9 @@ fn replay(trace: &pdpa_qs::SwfTrace, policy: PolicyKind) -> Row {
     let config = EngineConfig::default()
         .with_cpus(CPUS)
         .with_seed(SEED ^ 0xA5A5);
-    let engine = Engine::new(config);
-    let shards = requested_shards();
-    let key = match shards {
-        Some(s) => format!("scale-{}-seed{SEED}-s{s}", policy.label()),
-        None => format!("scale-{}-seed{SEED}", policy.label()),
-    };
+    let key = format!("scale-{}-seed{SEED}", policy.label());
     let mut rec = RecordingObserver::new();
-    let result = match shards {
-        Some(s) => engine.run_sharded_observed(
-            jobs,
-            policy.build(),
-            s,
-            pdpa_engine::shard::DEFAULT_EPOCH_SECS,
-            &mut rec,
-        ),
-        None => engine.run_observed(jobs, policy.build(), &mut rec),
-    };
+    let result = Engine::new(config).run_observed(jobs, policy.build(), &mut rec);
     let events = rec.take_events();
     assert!(result.completed_all, "{} wedged at scale", policy.label());
     crate::stats::record_run(&result);
@@ -134,14 +110,10 @@ pub fn run() -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# Scale (extension): large SWF trace replay\n");
     let (first, last) = trace.submit_span().unwrap_or((0.0, 0.0));
-    let engine_mode = match requested_shards() {
-        Some(s) => format!("sharded engine, {s} shards"),
-        None => "classic sequential engine".to_owned(),
-    };
     let _ = writeln!(
         out,
         "w4 mix at {LOAD:.1} load on {CPUS} CPUs; {} jobs submitted over {:.0}s\n\
-         (generated, SWF round-trip, window/remap/rescale transforms; {engine_mode})\n",
+         (generated, SWF round-trip, window/remap/rescale transforms; classic sequential engine)\n",
         trace.records.len(),
         last - first,
     );

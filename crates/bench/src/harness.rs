@@ -24,9 +24,7 @@
 //!   history as CSV (the Fig.-8 series, one row per change);
 //! - `--analyze-out <file>` — run `pdpa-analyze` over every recorded
 //!   stream and write the `pdpa-analyze/v1` document (timelines,
-//!   time-in-state, migrations, CPU/MPL series) as JSON;
-//! - `--shards <n>` — replay-style experiments (`scale`) run their engine
-//!   executions on `n` shards via the epoch-parallel sharded engine.
+//!   time-in-state, migrations, CPU/MPL series) as JSON.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
@@ -64,10 +62,6 @@ pub struct Options {
     pub mpl_csv: Option<String>,
     /// Export the recorded runs' derived analytics as JSON.
     pub analyze_out: Option<String>,
-    /// Replay-style experiments run their engine executions on this many
-    /// shards (epoch-parallel sharded engine) instead of the classic
-    /// sequential loop.
-    pub shards: Option<usize>,
 }
 
 impl Options {
@@ -105,15 +99,11 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String>
                 Some(path) => opts.analyze_out = Some(path),
                 None => return Err("--analyze-out requires a file path".into()),
             },
-            "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.shards = Some(n),
-                _ => return Err("--shards requires a positive integer".into()),
-            },
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (expected --json, --sequential, --only <name>, \
                      --trace-out <file>, --metrics-out <file>, --mpl-csv <file>, \
-                     --analyze-out <file>, or --shards <n>)"
+                     or --analyze-out <file>)"
                 ))
             }
         }
@@ -210,12 +200,6 @@ fn run(list: &[Experiment], opts: &Options) -> ExitCode {
     if opts.sequential {
         // Push the choice down into the experiments' own par_map sweeps.
         std::env::set_var("RAYON_NUM_THREADS", "1");
-    }
-    if let Some(shards) = opts.shards {
-        // Experiments are fn() thunks, so the shard request travels the
-        // same way --sequential does: through the environment. Only the
-        // replay-style experiments (scale) consult it.
-        std::env::set_var("PDPA_SHARDS", shards.to_string());
     }
     let threads = if opts.sequential {
         1
@@ -380,12 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_shards() {
-        assert_eq!(parse(&["--shards", "4"]).unwrap().shards, Some(4));
-        assert_eq!(parse(&[]).unwrap().shards, None);
-    }
-
-    #[test]
     fn rejects_bad_flags() {
         assert!(parse(&["--only"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
@@ -393,9 +371,6 @@ mod tests {
         assert!(parse(&["--metrics-out"]).is_err());
         assert!(parse(&["--mpl-csv"]).is_err());
         assert!(parse(&["--analyze-out"]).is_err());
-        assert!(parse(&["--shards"]).is_err());
-        assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards", "x"]).is_err());
     }
 
     #[test]

@@ -181,40 +181,6 @@ fn compare_entries(
     }
 }
 
-/// Checks a cross-mode ordering assertion: the latest `faster`-mode entry
-/// must show strictly higher event throughput than the latest
-/// `slower`-mode entry of the same document. The same-mode gate above
-/// proves neither run regressed against its own history; this proves the
-/// sharded replay actually outruns the sequential one on the same machine
-/// (`--assert-faster replay-pdpa-s4:replay-pdpa-s1` in CI).
-///
-/// # Errors
-///
-/// Returns the rendered verdict line; `Err` when either mode has no
-/// trajectory entry or the ordering does not hold.
-pub fn assert_faster(report: &BenchReport, faster: &str, slower: &str) -> Result<String, String> {
-    let latest = |mode: &str| report.trajectory.iter().rev().find(|e| e.mode == mode);
-    let Some(f) = latest(faster) else {
-        return Err(format!(
-            "assert-faster {faster} > {slower}: no trajectory entry for mode {faster:?}"
-        ));
-    };
-    let Some(s) = latest(slower) else {
-        return Err(format!(
-            "assert-faster {faster} > {slower}: no trajectory entry for mode {slower:?}"
-        ));
-    };
-    let line = format!(
-        "{faster} {:.0} events/s vs {slower} {:.0} events/s",
-        f.events_per_sec, s.events_per_sec
-    );
-    if f.events_per_sec > s.events_per_sec {
-        Ok(format!("assert-faster ok: {line}"))
-    } else {
-        Err(format!("assert-faster FAILED: {line}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +192,6 @@ mod tests {
             threads: if mode == "parallel" { 4 } else { 1 },
             wall_secs: wall,
             events_per_sec: eps,
-            shard_imbalance: None,
         }
     }
 
@@ -332,38 +297,6 @@ mod tests {
         assert!(!gate.comparisons[0].regressed);
         assert!(gate.comparisons[1].regressed);
         assert_eq!(gate.uncompared, vec!["replay-equip".to_string()]);
-    }
-
-    #[test]
-    fn assert_faster_orders_modes_by_latest_throughput() {
-        let d = doc(vec![
-            entry("replay-pdpa-s1", "a", 10.0, 1_000_000.0),
-            entry("replay-pdpa-s4", "a", 3.0, 3_600_000.0),
-            // A newer, slower s4 entry: `latest` must win, not `best`.
-            entry("replay-pdpa-s4", "b", 8.0, 1_400_000.0),
-        ]);
-        let ok = assert_faster(&d, "replay-pdpa-s4", "replay-pdpa-s1").unwrap();
-        assert!(ok.contains("ok"), "{ok}");
-        let err = assert_faster(&d, "replay-pdpa-s1", "replay-pdpa-s4").unwrap_err();
-        assert!(err.contains("FAILED"), "{err}");
-    }
-
-    #[test]
-    fn assert_faster_requires_both_modes() {
-        let d = doc(vec![entry("replay-pdpa-s1", "a", 10.0, 1_000_000.0)]);
-        let err = assert_faster(&d, "replay-pdpa-s4", "replay-pdpa-s1").unwrap_err();
-        assert!(err.contains("no trajectory entry"), "{err}");
-        let err = assert_faster(&d, "replay-pdpa-s1", "missing").unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-    }
-
-    #[test]
-    fn assert_faster_is_strict_on_ties() {
-        let d = doc(vec![
-            entry("a-mode", "r", 5.0, 2_000_000.0),
-            entry("b-mode", "r", 5.0, 2_000_000.0),
-        ]);
-        assert!(assert_faster(&d, "a-mode", "b-mode").is_err());
     }
 
     #[test]

@@ -42,25 +42,17 @@ pub struct TrajectoryEntry {
     pub wall_secs: f64,
     /// Simulation events drained per wall-clock second.
     pub events_per_sec: f64,
-    /// Per-shard event-count imbalance of a sharded replay
-    /// (`max/mean - 1`, so `0.0` is perfectly balanced). Absent for
-    /// classic runs and entries written before the field existed.
-    pub shard_imbalance: Option<f64>,
 }
 
 impl TrajectoryEntry {
     fn to_value(&self) -> Value {
-        let mut pairs = vec![
+        Value::Obj(vec![
             ("git_rev".into(), Value::Str(self.git_rev.clone())),
             ("mode".into(), Value::Str(self.mode.clone())),
             ("threads".into(), Value::Num(self.threads as f64)),
             ("wall_secs".into(), Value::Num(self.wall_secs)),
             ("events_per_sec".into(), Value::Num(self.events_per_sec)),
-        ];
-        if let Some(imbalance) = self.shard_imbalance {
-            pairs.push(("shard_imbalance".into(), Value::Num(imbalance)));
-        }
-        Value::Obj(pairs)
+        ])
     }
 
     fn from_value(v: &Value) -> Option<TrajectoryEntry> {
@@ -70,8 +62,6 @@ impl TrajectoryEntry {
             threads: v.get("threads")?.as_u64()? as usize,
             wall_secs: v.get("wall_secs")?.as_f64()?,
             events_per_sec: v.get("events_per_sec")?.as_f64()?,
-            // Optional for back-compat: pre-existing entries lack it.
-            shard_imbalance: v.get("shard_imbalance").and_then(Value::as_f64),
         })
     }
 }
@@ -283,7 +273,6 @@ impl BenchReport {
             threads: report.threads,
             wall_secs: report.wall_secs,
             events_per_sec: report.events_per_sec(),
-            shard_imbalance: None,
         });
         if sequential_mode {
             doc.sequential = Some(report);
@@ -363,7 +352,6 @@ mod tests {
                 threads: 4,
                 wall_secs: 3.5,
                 events_per_sec: 271.4,
-                shard_imbalance: Some(0.125),
             }],
         };
         let text = report.to_json();

@@ -57,21 +57,10 @@ pub struct ReplayOptions {
     pub trace_out: Option<String>,
     /// Write the `pdpa-analyze/v1` analysis document here.
     pub analyze_out: Option<String>,
-    /// Replay through the epoch-parallel sharded engine with this many
-    /// shards (omitted: the classic sequential engine).
-    pub shards: Option<usize>,
-    /// Barrier epoch in simulated seconds for `--shards` (omitted: the
-    /// engine default).
-    pub epoch: Option<f64>,
-    /// Replay a second time with this shard count and diff the two
-    /// decision-event streams (requires `--shards`; a divergence is an
-    /// error, so CI can gate on the exit status).
-    pub diff_shards: Option<usize>,
-    /// Fault-injection plan (the `pdpa_faults::FaultPlan` grammar),
-    /// applied identically to both replays under `--diff-shards`.
+    /// Fault-injection plan (the `pdpa_faults::FaultPlan` grammar).
     pub faults: Option<String>,
     /// Enable the span profiler and write its Chrome `trace_event` JSON
-    /// here (one lane per shard); also prints the text hot-path report.
+    /// here; also prints the text hot-path report.
     pub profile_out: Option<String>,
     /// Write the recorded decision-event stream to this file.
     pub obs_out: Option<String>,
@@ -164,9 +153,6 @@ impl Default for ReplayOptions {
             obs: false,
             trace_out: None,
             analyze_out: None,
-            shards: None,
-            epoch: None,
-            diff_shards: None,
             faults: None,
             profile_out: None,
             obs_out: None,
@@ -650,36 +636,6 @@ fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Resul
                     .parse::<u64>()
                     .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
             }
-            "--shards" => {
-                let v = value_of("--shards", it)?;
-                let shards = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--shards expects an integer, got {v:?}"))?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                opts.shards = Some(shards);
-            }
-            "--epoch" => {
-                let v = value_of("--epoch", it)?;
-                let epoch = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--epoch expects seconds, got {v:?}"))?;
-                if !(epoch > 0.0 && epoch.is_finite()) {
-                    return Err(format!("--epoch {v} must be a positive number of seconds"));
-                }
-                opts.epoch = Some(epoch);
-            }
-            "--diff-shards" => {
-                let v = value_of("--diff-shards", it)?;
-                let shards = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--diff-shards expects an integer, got {v:?}"))?;
-                if shards == 0 {
-                    return Err("--diff-shards must be at least 1".into());
-                }
-                opts.diff_shards = Some(shards);
-            }
             "--json" => opts.json = true,
             "--obs" => opts.obs = true,
             "--trace-out" => opts.trace_out = Some(value_of("--trace-out", it)?),
@@ -734,25 +690,8 @@ fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Resul
     if !policy_set {
         return Err("--policy is required for `pdpa replay`".into());
     }
-    if opts.shards.is_some() && matches!(opts.policy, PolicyChoice::Irix | PolicyChoice::Gang) {
-        return Err(format!(
-            "--shards requires a space-sharing policy; {:?} is time-shared",
-            opts.policy
-        ));
-    }
-    if opts.epoch.is_some() && opts.shards.is_none() {
-        return Err("--epoch is only meaningful together with --shards".into());
-    }
-    if opts.diff_shards.is_some() && opts.shards.is_none() {
-        return Err(
-            "--diff-shards compares two sharded replays; give the first count with --shards".into(),
-        );
-    }
     if opts.obs_format != ObsFormat::Text && opts.obs_out.is_none() {
         return Err("--obs-format chooses the --obs-out encoding; give --obs-out too".into());
-    }
-    if opts.serve.is_some() && opts.diff_shards.is_some() {
-        return Err("--serve watches one live replay; it conflicts with --diff-shards".into());
     }
     Ok(Command::Replay(opts))
 }
@@ -1321,49 +1260,23 @@ mod tests {
     }
 
     #[test]
-    fn replay_shard_flags() {
-        let cmd = parse(&argv(
-            "replay t.swf --policy pdpa --shards 4 --epoch 5 --diff-shards 2",
-        ))
-        .unwrap();
-        let Command::Replay(o) = cmd else {
-            panic!("expected Replay")
-        };
-        assert_eq!(o.shards, Some(4));
-        assert_eq!(o.epoch, Some(5.0));
-        assert_eq!(o.diff_shards, Some(2));
-    }
-
-    #[test]
-    fn replay_shard_flag_diagnostics() {
-        assert!(parse(&argv("replay t.swf --policy pdpa --shards 0"))
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse(&argv("replay t.swf --policy irix --shards 2"))
-            .unwrap_err()
-            .contains("space-sharing"));
-        assert!(parse(&argv("replay t.swf --policy pdpa --epoch 5"))
-            .unwrap_err()
-            .contains("--shards"));
-        assert!(
-            parse(&argv("replay t.swf --policy pdpa --shards 2 --epoch -1"))
-                .unwrap_err()
-                .contains("positive")
-        );
-        assert!(parse(&argv("replay t.swf --policy pdpa --diff-shards 4"))
-            .unwrap_err()
-            .contains("--shards"));
-        assert!(parse(&argv(
-            "replay t.swf --policy pdpa --shards 1 --diff-shards 0"
-        ))
-        .unwrap_err()
-        .contains("at least 1"));
+    fn replay_rejects_the_retired_engine_flags() {
+        // Flags of the retired epoch-parallel engine are rejected as
+        // unknown options, not silently ignored.
+        for flags in ["--shards 2", "--epoch 5", "--diff-shards 2"] {
+            let err = parse(&argv(&format!("replay t.swf --policy pdpa {flags}"))).unwrap_err();
+            let flag = flags.split(' ').next().unwrap();
+            assert!(
+                err.contains("unknown option") && err.contains(flag),
+                "{flags}: {err}"
+            );
+        }
     }
 
     #[test]
     fn replay_observability_flags() {
         let cmd = parse(&argv(
-            "replay t.swf --policy pdpa --shards 2 --profile-out p.json \
+            "replay t.swf --policy pdpa --profile-out p.json \
              --obs-out s.bin --obs-format binary --heartbeat 2.5",
         ))
         .unwrap();
@@ -1419,13 +1332,6 @@ mod tests {
                 .unwrap_err()
                 .contains("bogus")
         );
-        // A diff replay runs the engine twice; there is no single live run
-        // to serve.
-        assert!(parse(&argv(
-            "replay t.swf --policy pdpa --shards 2 --diff-shards 4 --serve 127.0.0.1:0"
-        ))
-        .unwrap_err()
-        .contains("--diff-shards"));
     }
 
     #[test]
@@ -1514,13 +1420,11 @@ mod tests {
             PolicyChoice::parse("learnedalloc"),
             Some(PolicyChoice::Learned)
         );
-        // The new policies are space-shared, so sharded replay takes them.
-        let cmd = parse(&argv("replay t.swf --policy hesrpt --shards 2")).unwrap();
+        let cmd = parse(&argv("replay t.swf --policy hesrpt")).unwrap();
         let Command::Replay(o) = cmd else {
             panic!("expected Replay")
         };
         assert_eq!(o.policy, PolicyChoice::Hesrpt);
-        assert_eq!(o.shards, Some(2));
     }
 
     #[test]

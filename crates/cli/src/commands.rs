@@ -469,18 +469,12 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         config = config.with_faults(plan);
     }
 
-    let jobs_b = opts.diff_shards.map(|_| jobs.clone());
-    let config_b = config.clone();
-
     let mut instr = Instrumentation::none();
     if opts.profile_out.is_some() {
         instr = instr.with_profile();
     }
     if opts.watchdog {
-        instr = instr.with_watchdog(match opts.shards {
-            Some(_) => WatchdogConfig::sharded(),
-            None => WatchdogConfig::classic(),
-        });
+        instr = instr.with_watchdog(WatchdogConfig::classic());
     }
     if let Some(secs) = opts.heartbeat {
         instr = instr.with_heartbeat(HeartbeatConfig {
@@ -496,7 +490,6 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             let tap = LiveTap::new(RunMeta {
                 policy: build_policy(opts.policy).name().to_string(),
                 trace: opts.trace_path.clone(),
-                shards: opts.shards.unwrap_or(1) as u64,
                 jobs_total: n_jobs as u64,
             });
             let server = StatusServer::bind(addr.as_str(), Arc::clone(&tap))
@@ -531,17 +524,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             filtered = FilterObserver::new(observer, filter);
             observer = &mut filtered;
         }
-        match opts.shards {
-            Some(shards) => engine.run_sharded_instrumented(
-                jobs,
-                build_policy(opts.policy),
-                shards,
-                opts.epoch.unwrap_or(pdpa_engine::shard::DEFAULT_EPOCH_SECS),
-                observer,
-                instr,
-            ),
-            None => engine.run_instrumented(jobs, build_policy(opts.policy), observer, instr),
-        }
+        engine.run_instrumented(jobs, build_policy(opts.policy), observer, instr)
     };
     let wall_secs = started.elapsed().as_secs_f64();
     // Publish the terminal state, give polling watchers a window to see
@@ -612,54 +595,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         let _ = writeln!(out, "\nstatus server answered {n} connection(s)");
     }
 
-    // `--diff-shards N`: replay again at N shards and require the two
-    // decision-event streams to be identical — the shard-count-invariance
-    // contract of the sharded engine, checked end to end on a real trace.
-    if let Some(shards_b) = opts.diff_shards {
-        let shards_a = opts.shards.expect("parser enforces --shards");
-        let mut rec_b = RecordingObserver::new();
-        let instr_b = if opts.watchdog {
-            Instrumentation::none().with_watchdog(WatchdogConfig::sharded())
-        } else {
-            Instrumentation::none()
-        };
-        let result_b = {
-            let _scope = scope::enter("cli-replay");
-            Engine::new(config_b).run_sharded_instrumented(
-                jobs_b.expect("cloned when --diff-shards is set"),
-                build_policy(opts.policy),
-                shards_b,
-                opts.epoch.unwrap_or(pdpa_engine::shard::DEFAULT_EPOCH_SECS),
-                &mut rec_b,
-                instr_b,
-            )
-        };
-        if let Some(diag) = &result_b.watchdog {
-            return Err(format!("{}: {diag}", opts.trace_path));
-        }
-        if !result_b.completed_all {
-            return Err(format!(
-                "{:?} at {shards_b} shards did not drain the trace within the simulation bound",
-                opts.policy
-            ));
-        }
-        let events_b = rec_b.take_events();
-        let label_a = format!("{}-s{shards_a}", opts.policy.slug());
-        let label_b = format!("{}-s{shards_b}", opts.policy.slug());
-        let run_diff = RunDiff::compare(&events, &events_b);
-        if !run_diff.identical() {
-            return Err(format!(
-                "shard-count divergence:\n{}",
-                run_diff.render(&label_a, &label_b)
-            ));
-        }
-        let _ = writeln!(out, "\n{}", run_diff.render(&label_a, &label_b));
-    }
-
-    let key = match opts.shards {
-        Some(shards) => format!("replay-{}-s{shards}", opts.policy.slug()),
-        None => format!("replay-{}", opts.policy.slug()),
-    };
+    let key = format!("replay-{}", opts.policy.slug());
     if let Some(path) = &opts.trace_out {
         let runs = vec![(key.clone(), events.clone())];
         std::fs::write(path, chrome_trace(&runs))
@@ -694,13 +630,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         out.push_str(&profile.hot_path_report());
     }
     if opts.json {
-        let entry = replay_entry(
-            &key,
-            opts.shards,
-            wall_secs,
-            result.events_popped,
-            pdpa_prof::report::imbalance(&result.shard_events_popped),
-        );
+        let entry = replay_entry(&key, wall_secs, result.events_popped);
         let existing = std::fs::read_to_string(BENCH_PATH).ok();
         std::fs::write(
             BENCH_PATH,
@@ -717,31 +647,17 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     Ok(out)
 }
 
-/// The trajectory entry a `--json` replay appends: one `replay-<policy>`
-/// mode per classic replay and one `replay-<policy>-s<N>` mode per shard
-/// count, gated by `bench-compare` like the harness's own modes. The
-/// `threads` field records the worker threads actually used — 1 for the
-/// classic sequential engine, the shard count for `--shards N` — and
-/// sharded entries carry the per-shard event-count imbalance
-/// (`max/mean - 1`) so the trajectory tracks partitioning skew over time.
-fn replay_entry(
-    mode: &str,
-    shards: Option<usize>,
-    wall_secs: f64,
-    events_popped: u64,
-    shard_imbalance: Option<f64>,
-) -> TrajectoryEntry {
+/// The trajectory entry a `--json` replay appends (one `replay-<policy>`
+/// mode; tournaments append one `tournament-<entrant>` mode each), gated
+/// by `bench-compare` like the harness's own modes. The engine is
+/// sequential, so `threads` is always 1.
+fn replay_entry(mode: &str, wall_secs: f64, events_popped: u64) -> TrajectoryEntry {
     TrajectoryEntry {
         git_rev: git_rev(),
         mode: mode.to_string(),
-        threads: shards.unwrap_or(1),
+        threads: 1,
         wall_secs,
         events_per_sec: events_popped as f64 / wall_secs.max(1e-9),
-        shard_imbalance: if shards.is_some() {
-            shard_imbalance
-        } else {
-            None
-        },
     }
 }
 
@@ -785,11 +701,10 @@ fn render_watch(responses: &[Response]) -> String {
             ResponseBody::Status(s) => {
                 let _ = writeln!(
                     out,
-                    "run: {} on {} [{}] shards={}",
+                    "run: {} on {} [{}]",
                     s.policy,
                     s.trace,
                     s.state.label(),
-                    s.shards,
                 );
                 let _ = writeln!(
                     out,
@@ -823,13 +738,6 @@ fn render_watch(responses: &[Response]) -> String {
             ResponseBody::Health(h) => {
                 if let Some(line) = &h.heartbeat {
                     let _ = writeln!(out, "health: {line}");
-                }
-                if let Some(imb) = h.imbalance {
-                    let _ = writeln!(
-                        out,
-                        "health: shard imbalance {imb:.3} over {} shards",
-                        h.shard_events.len()
-                    );
                 }
                 if let Some(kib) = h.memory_hwm_kib {
                     let _ = writeln!(out, "health: memory high-water {kib} KiB");
@@ -1151,10 +1059,8 @@ fn tournament(opts: &TournamentOptions) -> Result<String, String> {
                 .expect("both legs share the roster");
             let entry = replay_entry(
                 &format!("tournament-{}", swf_leg.slug),
-                None,
                 swf_leg.wall_secs + chaos_leg.wall_secs,
                 swf_leg.events_popped + chaos_leg.events_popped,
-                None,
             );
             doc = Some(BenchReport::append_entry(doc.as_deref(), entry));
         }
@@ -1452,34 +1358,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_diff_shards_proves_shard_count_invariance() {
-        let (dir, path) = write_test_trace("pdpa-cli-replay-diff-shards-test");
-        let out = run_cli(&format!(
-            "replay {} --policy pdpa --shards 1 --diff-shards 4",
-            path.display()
-        ))
-        .unwrap();
-        assert!(
-            out.contains("streams identical"),
-            "shards 1 vs 4 diverged:\n{out}"
-        );
-        // The invariance must survive fault injection: the chaos plan
-        // perturbs both replays identically.
-        let out = run_cli(&format!(
-            "replay {} --policy equip \
-             --faults mtbf=2000,horizon=6000,repair=500;retry=2,backoff=30 \
-             --shards 1 --diff-shards 4",
-            path.display()
-        ))
-        .unwrap();
-        assert!(
-            out.contains("streams identical"),
-            "faulted shards 1 vs 4 diverged:\n{out}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn replay_reports_missing_or_empty_traces() {
         let err = run_cli("replay /nonexistent/x.swf --policy pdpa").unwrap_err();
         assert!(err.contains("cannot open"), "unhelpful error: {err}");
@@ -1496,28 +1374,20 @@ mod tests {
 
     #[test]
     fn replay_entries_match_the_gate_contract() {
-        // Classic replay: single-threaded, bare policy mode; imbalance is
-        // meaningless without shards and is dropped even if supplied.
-        let e = replay_entry("replay-equal-eff", None, 2.0, 1_000_000, Some(0.5));
+        // Single-threaded, bare policy mode.
+        let e = replay_entry("replay-equal-eff", 2.0, 1_000_000);
         assert_eq!(e.mode, "replay-equal-eff");
         assert_eq!(e.threads, 1);
-        assert_eq!(e.shard_imbalance, None);
         assert!((e.events_per_sec - 500_000.0).abs() < 1e-9);
-        // Sharded replay: the threads field records the real worker
-        // count, and the mode carries the shard suffix so each point of
-        // the scaling curve is gated independently.
-        let s = replay_entry("replay-pdpa-s4", Some(4), 1.0, 1_000_000, Some(0.25));
-        assert_eq!(s.mode, "replay-pdpa-s4");
-        assert_eq!(s.threads, 4);
-        assert_eq!(s.shard_imbalance, Some(0.25));
+        let p = replay_entry("replay-pdpa", 1.0, 1_000_000);
         // Entries survive the append round-trip under their own mode.
         let doc = BenchReport::append_entry(None, e);
-        let doc = BenchReport::append_entry(Some(&doc), s);
+        let doc = BenchReport::append_entry(Some(&doc), p);
         let report = BenchReport::from_json(&doc).unwrap();
         assert_eq!(report.trajectory.len(), 2);
         assert_eq!(report.trajectory[0].mode, "replay-equal-eff");
-        assert_eq!(report.trajectory[1].mode, "replay-pdpa-s4");
-        assert_eq!(report.trajectory[1].threads, 4);
+        assert_eq!(report.trajectory[1].mode, "replay-pdpa");
+        assert_eq!(report.trajectory[1].threads, 1);
     }
 
     #[test]
@@ -1525,7 +1395,7 @@ mod tests {
         let (dir, path) = write_test_trace("pdpa-cli-replay-profile-test");
         let profile = dir.join("prof.json");
         let out = run_cli(&format!(
-            "replay {} --policy pdpa --shards 2 --profile-out {}",
+            "replay {} --policy pdpa --profile-out {}",
             path.display(),
             profile.display()
         ))
@@ -1535,10 +1405,12 @@ mod tests {
         assert!(out.contains("policy_decision"), "no span rows in:\n{out}");
         let json = std::fs::read_to_string(&profile).unwrap();
         assert!(json.contains("\"traceEvents\""));
-        // One lane per shard plus the coordinator lane.
-        for lane in ["coordinator", "shard-0", "shard-1"] {
-            assert!(json.contains(lane), "missing {lane} lane in trace");
-        }
+        // One lane: the coordinator.
+        assert!(
+            json.contains("\"coordinator\""),
+            "no coordinator lane in trace"
+        );
+        assert_eq!(json.matches("\"thread_name\"").count(), 1, "in:\n{json}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1655,7 +1527,6 @@ mod tests {
         let tap = LiveTap::new(RunMeta {
             policy: "PDPA".into(),
             trace: "t.swf".into(),
-            shards: 1,
             jobs_total: 4,
         });
         let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&tap)).expect("binds");
@@ -1697,7 +1568,6 @@ mod tests {
         let tap = LiveTap::new(RunMeta {
             policy: "PDPA".into(),
             trace: "t.swf".into(),
-            shards: 1,
             jobs_total: 1,
         });
         let mut server = None;

@@ -57,7 +57,6 @@ USAGE:
   pdpa diff    --from-stream <file> --from-stream-b <file>
   pdpa replay  <trace.swf> --policy <name>
                [--load <frac>] [--cpus <n>] [--window <start:end>] [--seed <n>]
-               [--shards <n>] [--epoch <secs>] [--diff-shards <n>]
                [--json] [--obs] [--trace-out <file>] [--analyze-out <file>]
                [--obs-out <file>] [--obs-format <text|binary>] [--profile-out <file>]
                [--no-watchdog] [--heartbeat <secs>] [--faults <plan>]
@@ -132,24 +131,18 @@ OPTIONS:
   --policy-b   diff only: the second run's policy (defaults to --policy)
   --seed-b     diff only: the second run's seed (defaults to --seed)
   --window     replay only: keep submissions inside [start, end) seconds
-  --shards     replay only: run the epoch-parallel sharded engine with this
-               many shards (space-sharing policies only)
-  --epoch      replay only: barrier epoch in simulated seconds (with --shards)
-  --diff-shards  replay only: replay again at this shard count and fail
-               unless the two decision-event streams are identical
-  --json       replay only: append wall-clock + events/s (and, for sharded
-               replays, the per-shard event imbalance) to BENCH_pdpa.json
+  --json       replay only: append wall-clock + events/s to BENCH_pdpa.json
   --obs-out    replay only: write the decision-event stream to a file
   --obs-format replay only: --obs-out encoding, text (default) or the
                PDPAOBS1 length-prefixed binary framing
   --profile-out  replay only: enable the span profiler and write its Chrome
-               trace_event JSON (one lane per shard); also prints the text
+               trace_event JSON (one coordinator lane); also prints the text
                hot-path report
   --watchdog / --no-watchdog  replay only: abort with a structured
                diagnostic when the simulated clock stops advancing
                (default on)
   --heartbeat  replay only: print health snapshots (clock, events/s, queue
-               depth, per-shard lag, memory) to stderr every SECS seconds
+               depth, memory) to stderr every SECS seconds
   --serve      replay only: answer status/progress/health/metrics/tail
                queries on this TCP address while the run is live
                (127.0.0.1:0 picks an ephemeral port, printed to stderr)

@@ -219,7 +219,6 @@ impl DaemonCore {
         let tap = LiveTap::new(RunMeta {
             policy: policy.name().to_string(),
             trace: "live".to_string(),
-            shards: 1,
             jobs_total: 0,
         });
         let registry = RunRegistry::new();

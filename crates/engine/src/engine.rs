@@ -9,9 +9,7 @@ use pdpa_obs::metrics::{Histogram, Registry, RunCounters, Span};
 use pdpa_obs::{DecisionTrigger, NullObserver, ObsEvent, Observer};
 use pdpa_perf::SelfAnalyzer;
 use pdpa_policies::{Decisions, JobView, PolicyCtx, SchedulingPolicy, SharingModel};
-use pdpa_prof::{
-    HealthSnapshot, Heartbeat, Lane, LaneProfile, Profile, SpanKind, StderrHeartbeat, Watchdog,
-};
+use pdpa_prof::{HealthSnapshot, Heartbeat, Lane, SpanKind, StderrHeartbeat, Watchdog};
 use pdpa_qs::{JobSpec, QueueSystem};
 use pdpa_sim::{CpuId, EventQueue, JobId, Machine, QueueStats, SimRng, SimTime};
 use pdpa_trace::TraceObserver;
@@ -19,7 +17,7 @@ use pdpa_trace::TraceObserver;
 use crate::config::EngineConfig;
 use crate::instrument::Instrumentation;
 use crate::result::RunResult;
-use crate::store::{job_noise_rng, JobStore};
+use crate::store::JobStore;
 use crate::timeshare::{effective_procs, throughput_factor, QuantumPlacement};
 
 /// The observer slot of a [`Sim`]: a run borrows the caller's observer
@@ -214,7 +212,6 @@ impl Engine {
                         queue_len: stats.len,
                         running: sim.store.len(),
                         waiting: sim.qs.waiting_count(),
-                        shard_events: Vec::new(),
                     };
                     if let Some(tap) = tap.as_deref() {
                         tap.progress(&snap);
@@ -239,18 +236,9 @@ impl Engine {
                 queue_len: stats.len,
                 running: sim.store.len(),
                 waiting: sim.qs.waiting_count(),
-                shard_events: Vec::new(),
             });
         }
-        let profile = if instr.profile {
-            Some(Profile::from_lanes(vec![LaneProfile {
-                name: "coordinator".to_string(),
-                spans: sim.lane.spans().to_vec(),
-                events: sim.lane.events(),
-            }]))
-        } else {
-            None
-        };
+        let profile = sim.lane.finish();
         let mut result = sim.into_result(policy.name());
         result.watchdog = watchdog_diag;
         result.profile = profile;
@@ -945,13 +933,7 @@ impl<'a> Sim<'a> {
             let spec = self.qs.spec(job).app.clone();
             let request = spec.request;
             let analyzer = SelfAnalyzer::new(self.config.analyzer);
-            // The per-job noise stream is derived, not drawn from the shared
-            // rng, so admission order does not perturb other jobs' noise.
-            // (The classic engine perturbs from the shared stream; the
-            // private stream drives the sharded engine.)
-            let attempt = self.retries.get(&job).copied().unwrap_or(0);
-            let rng = job_noise_rng(self.config.seed, job, attempt);
-            self.store.start(job, spec, analyzer, self.clock, rng);
+            self.store.start(job, spec, analyzer, self.clock);
             if self.obs_on {
                 self.publish(ObsEvent::JobStarted { job, request });
             }
@@ -1433,7 +1415,6 @@ impl<'a> Sim<'a> {
             job_retries: self.job_retries,
             jobs_failed: self.jobs_failed,
             watchdog: None,
-            shard_events_popped: Vec::new(),
             profile: None,
         }
     }

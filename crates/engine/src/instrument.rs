@@ -3,8 +3,8 @@
 //! [`Instrumentation`] bundles the health/introspection knobs from
 //! `pdpa-prof` — span profiling, the zero-progress watchdog, periodic
 //! heartbeat snapshots, and the live-observability sinks behind
-//! `pdpa replay --serve` — behind one parameter so the engines need a
-//! single `*_instrumented` entry point each. The default is everything
+//! `pdpa replay --serve` — behind one parameter so the engine needs a
+//! single entry point, [`Engine::run_instrumented`](crate::Engine::run_instrumented). The default is everything
 //! off, which is what [`Engine::run_observed`](crate::Engine::run_observed)
 //! and friends pass: those paths stay inside the same ≤2% overhead bound
 //! as `NullObserver`, because disabled lanes and absent monitors cost one

@@ -16,6 +16,12 @@
 //! - the **tracer** (`pdpa-trace`): per-CPU occupancy is recorded for the
 //!   Fig. 5 views and Table 2 statistics.
 //!
+//! There is one event loop. Like the NANOS resource manager, it
+//! re-decides an allocation the moment a job reports an iteration:
+//! [`Engine`] runs a whole workload in one call, and [`EngineSession`]
+//! steps the same loop incrementally for the resident daemon, with
+//! submissions injected mid-run.
+//!
 //! Space-sharing policies get dedicated cpusets from the machine model;
 //! the IRIX-like baseline instead declares
 //! [`pdpa_policies::SharingModel::TimeShared`] and runs under the
@@ -39,7 +45,6 @@ pub mod engine;
 pub mod instrument;
 pub mod result;
 pub mod session;
-pub mod shard;
 pub mod store;
 pub mod timeshare;
 

@@ -72,10 +72,6 @@ pub struct RunResult {
     /// the simulated clock stopped advancing for the configured number of
     /// steps (a livelock). `completed_all` is false for such runs.
     pub watchdog: Option<String>,
-    /// Events popped per shard, in shard order — the input to the
-    /// load-imbalance figure in profiles and bench trajectories. Empty on
-    /// the classic (unsharded) engine.
-    pub shard_events_popped: Vec<u64>,
     /// The self-profile collected when the run was instrumented with an
     /// enabled profiler; `None` otherwise.
     pub profile: Option<pdpa_prof::Profile>,
@@ -136,7 +132,6 @@ mod tests {
             job_retries: 0,
             jobs_failed: 0,
             watchdog: None,
-            shard_events_popped: Vec::new(),
             profile: None,
         };
         assert_eq!(r.peak_ml(), 4);

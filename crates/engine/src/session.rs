@@ -210,7 +210,6 @@ impl EngineSession {
             queue_len: stats.len,
             running: self.running_count(),
             waiting: self.waiting_count(),
-            shard_events: Vec::new(),
         }
     }
 

@@ -21,7 +21,7 @@
 use pdpa_apps::{ApplicationSpec, PhaseChange, Progress, SpeedupMemo};
 use pdpa_perf::{PerfSample, SelfAnalyzer};
 use pdpa_policies::JobView;
-use pdpa_sim::{JobId, SimDuration, SimRng, SimTime};
+use pdpa_sim::{JobId, SimDuration, SimTime};
 
 /// Sentinel in the slot map for "not running".
 const VACANT: u32 = u32::MAX;
@@ -38,9 +38,6 @@ pub struct JobCold {
     pub started_at: SimTime,
     /// Memoized integer points of `spec.speedup`.
     pub speedup_memo: SpeedupMemo,
-    /// The job's private timing-noise stream (used by the sharded
-    /// engine; the classic engine draws from its global stream).
-    pub rng: SimRng,
 }
 
 /// Memo statistics harvested when a job leaves the store.
@@ -99,16 +96,6 @@ pub struct JobStore {
     cold: Vec<Option<JobCold>>,
 }
 
-/// Derives a job's private timing-noise stream from the run seed, the
-/// job id, and the retry attempt. Pure — no draw is consumed from any
-/// shared stream, so the derivation is identical at every shard count.
-pub fn job_noise_rng(seed: u64, job: JobId, attempt: u32) -> SimRng {
-    let mix = 0x9E37_79B9_7F4A_7C15u64
-        .wrapping_mul(u64::from(job.0) + 1)
-        .wrapping_add(u64::from(attempt).wrapping_mul(0xD1B5_4A32_D192_ED03));
-    SimRng::new(seed ^ mix)
-}
-
 impl JobStore {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -163,7 +150,6 @@ impl JobStore {
         spec: ApplicationSpec,
         analyzer: SelfAnalyzer,
         now: SimTime,
-        rng: SimRng,
     ) -> usize {
         let id_idx = job.0 as usize;
         if self.slot_of.len() <= id_idx {
@@ -183,7 +169,6 @@ impl JobStore {
             analyzer,
             started_at: now,
             speedup_memo: SpeedupMemo::new(),
-            rng,
         };
         let slot = match self.free.pop() {
             Some(s) => {
@@ -383,12 +368,6 @@ impl JobStore {
         self.cold[self.slot(job)].as_ref().expect("occupied slot")
     }
 
-    /// Mutable access to the job's private noise stream.
-    pub fn rng_mut(&mut self, job: JobId) -> &mut SimRng {
-        let s = self.slot(job);
-        &mut self.cold[s].as_mut().expect("occupied slot").rng
-    }
-
     // --- Runtime arithmetic (the former `RunningJob` methods) ---
 
     /// Advances progress (and the allocation integral) to `now` at the
@@ -529,7 +508,6 @@ mod tests {
             apsi(),
             SelfAnalyzer::new(SelfAnalyzerConfig::default()),
             t(10.0),
-            job_noise_rng(1, job, 0),
         );
         (store, job)
     }
@@ -591,13 +569,7 @@ mod tests {
     fn slots_recycle_and_order_tracks_arrivals() {
         let mut store = JobStore::new();
         for i in 0..3u32 {
-            store.start(
-                JobId(i),
-                apsi(),
-                SelfAnalyzer::default(),
-                t(0.0),
-                job_noise_rng(1, JobId(i), 0),
-            );
+            store.start(JobId(i), apsi(), SelfAnalyzer::default(), t(0.0));
         }
         assert_eq!(store.ids_in_order().collect::<Vec<_>>().len(), 3);
         store.remove(JobId(1));
@@ -606,13 +578,7 @@ mod tests {
             vec![0, 2]
         );
         // The freed slot is reused; arrival order puts the newcomer last.
-        store.start(
-            JobId(7),
-            apsi(),
-            SelfAnalyzer::default(),
-            t(5.0),
-            job_noise_rng(1, JobId(7), 0),
-        );
+        store.start(JobId(7), apsi(), SelfAnalyzer::default(), t(5.0));
         assert_eq!(
             store.ids_in_order().map(|j| j.0).collect::<Vec<_>>(),
             vec![0, 2, 7]
@@ -690,7 +656,6 @@ mod tests {
             apsi().with_phase_change(1, 2.0),
             SelfAnalyzer::default(),
             t(0.0),
-            job_noise_rng(1, job, 0),
         );
         last = assert_moved(&last, &store, "start");
         store.set_allocated(job, 2);
@@ -721,27 +686,9 @@ mod tests {
         assert!(reported, "the analyzer never produced a sample");
         store.reset_analyzer(job);
         last = assert_moved(&last, &store, "reset_analyzer");
-        store.start(
-            JobId(1),
-            apsi(),
-            SelfAnalyzer::default(),
-            t(2.0),
-            job_noise_rng(1, JobId(1), 0),
-        );
+        store.start(JobId(1), apsi(), SelfAnalyzer::default(), t(2.0));
         last = assert_moved(&last, &store, "a second start");
         store.remove(job);
         assert_moved(&last, &store, "remove");
-    }
-
-    #[test]
-    fn noise_rng_is_pure_and_decorrelated() {
-        let mut a = job_noise_rng(42, JobId(3), 0);
-        let mut b = job_noise_rng(42, JobId(3), 0);
-        assert_eq!(a.next_u64(), b.next_u64());
-        let mut c = job_noise_rng(42, JobId(4), 0);
-        let mut d = job_noise_rng(42, JobId(3), 1);
-        let base = job_noise_rng(42, JobId(3), 0).next_u64();
-        assert_ne!(base, c.next_u64());
-        assert_ne!(base, d.next_u64());
     }
 }

@@ -91,9 +91,9 @@ impl LearnedAlloc {
     }
 
     /// The deterministic exploration perturbation for one report: −1, 0 or
-    /// +1 processors. Pure in `(seed, job, reports)` — the same mixing
-    /// discipline as the engine's per-(seed, job, attempt) noise streams,
-    /// so decision streams are bit-identical at any shard count.
+    /// +1 processors. Pure in `(seed, job, reports)`: no draw is taken
+    /// from a shared stream, so the perturbation does not depend on how
+    /// other jobs' reports interleave with this one's.
     fn exploration(&self, job: JobId, reports: u64) -> f64 {
         let mix = 0x9E37_79B9_7F4A_7C15u64
             .wrapping_mul(u64::from(job.0) + 1)

@@ -4,7 +4,7 @@
 //! Both replace the old `PDPA_DEBUG_PROGRESS` env hack, which printed a
 //! progress line every million events and left the operator to notice a
 //! stuck clock by eye. The heartbeat formats the same signals (sim-clock,
-//! events/sec, queue depth, per-shard lag) on a wall-clock cadence; the
+//! events/sec, queue depth) on a wall-clock cadence; the
 //! watchdog counts consecutive processing steps during which the simulated
 //! clock fails to advance and trips once that count crosses a threshold, so
 //! a livelock (like the sub-ULP `time_to_iteration_end` bug PR 6 fixed)
@@ -34,17 +34,14 @@ impl Default for HeartbeatConfig {
 pub struct HealthSnapshot {
     /// Simulated clock, seconds.
     pub sim_clock_secs: f64,
-    /// Cumulative events popped from the event queue(s).
+    /// Cumulative events popped from the event queue.
     pub events_popped: u64,
-    /// Current event-queue backlog (summed across shards).
+    /// Current event-queue backlog.
     pub queue_len: usize,
     /// Jobs currently running.
     pub running: usize,
     /// Jobs waiting in the scheduler queue.
     pub waiting: usize,
-    /// Per-shard cumulative popped-event counts; empty on the classic
-    /// engine.
-    pub shard_events: Vec<u64>,
 }
 
 /// Emits a formatted health line at most once per configured interval.
@@ -70,8 +67,8 @@ impl Heartbeat {
         }
     }
 
-    /// Cheap due-check; call on an amortized cadence (the engines check
-    /// every 64k events / every round, not every event).
+    /// Cheap due-check; call on an amortized cadence (the engine checks
+    /// every 64k events, not every event).
     pub fn due(&self) -> bool {
         self.last_emit.elapsed() >= self.cfg.every
     }
@@ -102,13 +99,6 @@ impl Heartbeat {
             snap.running,
             snap.waiting,
         );
-        if let Some(imb) = crate::report::imbalance(&snap.shard_events) {
-            line.push_str(&format!(
-                " shards={} imbalance={:.3}",
-                snap.shard_events.len(),
-                imb
-            ));
-        }
         if let Some(kib) = memory_high_water_kib() {
             line.push_str(&format!(" hwm={}KiB", kib));
         }
@@ -116,9 +106,7 @@ impl Heartbeat {
     }
 }
 
-/// Zero-progress threshold. "Steps" are engine-defined: popped events on
-/// the classic loop, barrier rounds on the sharded one — hence the very
-/// different defaults.
+/// Zero-progress threshold, counted in popped events.
 #[derive(Clone, Copy, Debug)]
 pub struct WatchdogConfig {
     /// Consecutive steps without sim-clock progress before tripping.
@@ -126,22 +114,13 @@ pub struct WatchdogConfig {
 }
 
 impl WatchdogConfig {
-    /// Default for the classic per-event loop. Same-instant event bursts
+    /// Default for the per-event loop. Same-instant event bursts
     /// (batched arrivals, simultaneous completions) are legitimate, so the
     /// threshold is far above any honest burst while still tripping a true
     /// livelock within seconds of wall-clock time.
     pub fn classic() -> Self {
         WatchdogConfig {
             max_stalled: 5_000_000,
-        }
-    }
-
-    /// Default for the sharded barrier loop, counted in rounds. The barrier
-    /// normally advances every round; thousands of rounds at one instant
-    /// means the `next_up` guard failed.
-    pub fn sharded() -> Self {
-        WatchdogConfig {
-            max_stalled: 10_000,
         }
     }
 }
@@ -250,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_formats_shard_imbalance() {
+    fn heartbeat_formats_the_snapshot() {
         let mut hb = Heartbeat::new(HeartbeatConfig {
             every: Duration::ZERO,
         });
@@ -261,12 +240,11 @@ mod tests {
                 queue_len: 7,
                 running: 3,
                 waiting: 2,
-                shard_events: vec![300, 100],
             })
             .expect("zero interval is always due");
         assert!(line.contains("clock=42.0s"));
         assert!(line.contains("qlen=7"));
-        assert!(line.contains("shards=2 imbalance=0.500"));
+        assert!(line.contains("running=3 waiting=2"));
         assert_eq!(hb.beats(), 1);
     }
 }

@@ -1,21 +1,19 @@
-//! Runtime introspection for the PDPA replay engines.
+//! Runtime introspection for the PDPA replay engine.
 //!
 //! PDPA's thesis is allocation driven by *measured* performance; this crate
 //! turns the same discipline on the simulator itself. Three pillars:
 //!
 //! - [`span`] — a hierarchical wall-clock span profiler. The engine records
-//!   nested spans (replay → epoch round → barrier compute → shard advance →
-//!   merge → publish → policy decision → queue-op batches) into per-shard
-//!   [`Lane`] buffers that are safe to hand across `std::thread::scope`
-//!   boundaries. A disabled lane costs a single branch per span, so the
-//!   profiler-off path stays inside the same ≤2% overhead contract that
-//!   `NullObserver` is pinned to.
-//! - [`report`] — turns the collected lanes into a [`Profile`]: a Chrome
-//!   `trace_event` JSON document with one timeline lane per shard, and a
-//!   plain-text hot-path report aggregating time per span kind.
+//!   nested spans (replay → policy decision → queue-op batches) into one
+//!   coordinator [`Lane`]. A disabled lane costs a single branch per span,
+//!   so the profiler-off path stays inside the same ≤2% overhead contract
+//!   that `NullObserver` is pinned to.
+//! - [`report`] — turns the collected lane into a [`Profile`]: a Chrome
+//!   `trace_event` JSON document with one `coordinator` timeline lane, and
+//!   a plain-text hot-path report aggregating time per span kind.
 //! - [`health`] — live run health: periodic [`Heartbeat`] snapshots
-//!   (sim-clock, events/sec, queue depth, per-shard imbalance, memory
-//!   high-water) and a zero-progress [`Watchdog`] that promotes the old
+//!   (sim-clock, events/sec, queue depth, memory high-water) and a
+//!   zero-progress [`Watchdog`] that promotes the old
 //!   `PDPA_DEBUG_PROGRESS` env hack into a first-class detector which aborts
 //!   a stuck run with a structured diagnostic instead of hanging.
 //! - [`sink`] — typed delivery for those signals: [`HeartbeatSink`] (stderr,
@@ -36,6 +34,6 @@ pub mod span;
 pub use health::{
     memory_high_water_kib, HealthSnapshot, Heartbeat, HeartbeatConfig, Watchdog, WatchdogConfig,
 };
-pub use report::{LaneProfile, Profile};
+pub use report::Profile;
 pub use sink::{CaptureHeartbeat, HeartbeatSink, ProgressSink, StderrHeartbeat, TeeHeartbeat};
-pub use span::{Lane, Profiler, SpanKind, SpanRec, SpanStart};
+pub use span::{Lane, SpanKind, SpanRec, SpanStart};

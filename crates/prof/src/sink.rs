@@ -1,16 +1,14 @@
 //! Typed delivery paths for live health signals.
 //!
-//! PR 7 gave the engines heartbeats and a watchdog, but both engines
-//! delivered the heartbeat line with their own raw `eprintln!`. This module
-//! gives health lines exactly one typed path — a [`HeartbeatSink`] — with
+//! Health lines have exactly one typed path — a [`HeartbeatSink`] — with
 //! three standard implementations: stderr (the old behaviour), an in-memory
 //! capture for tests, and (in `pdpa-watch`, which sits above this crate) the
 //! live-tap mirror behind `pdpa replay --serve`.
 //!
 //! [`ProgressSink`] is the second half of the live path: a lock-light
-//! receiver for periodic [`HealthSnapshot`] updates that the engines feed on
-//! an amortized cadence (every 64k events / every few hundred rounds), not
-//! per event, so the disabled path stays inside the ≤2% overhead contract.
+//! receiver for periodic [`HealthSnapshot`] updates that the engine feeds on
+//! an amortized cadence (every 64k events), not per event, so the disabled
+//! path stays inside the ≤2% overhead contract.
 
 use std::sync::{Arc, Mutex};
 
@@ -18,7 +16,7 @@ use crate::health::HealthSnapshot;
 
 /// Receives formatted heartbeat lines together with the snapshot that
 /// produced them. Implementations must be cheap and non-blocking: the
-/// engines call [`HeartbeatSink::emit`] from the hot loop (amortized, but
+/// engine calls [`HeartbeatSink::emit`] from the hot loop (amortized, but
 /// still on the critical path).
 pub trait HeartbeatSink: Send + Sync {
     /// Delivers one formatted heartbeat line and its source snapshot.
@@ -135,7 +133,7 @@ mod tests {
     #[test]
     fn stderr_sink_is_constructible() {
         // Smoke: the unit struct exists and satisfies the trait object
-        // shape the engines store.
+        // shape the engine stores.
         let sink: Box<dyn HeartbeatSink> = Box::new(StderrHeartbeat);
         sink.emit("heartbeat t+0s: clock=0.0s", &HealthSnapshot::default());
     }

@@ -1,12 +1,10 @@
-//! Hierarchical wall-clock spans, recorded into per-lane buffers.
+//! Hierarchical wall-clock spans, recorded into the coordinator's lane.
 //!
-//! The design is shaped by two constraints. First, the sharded engine's
-//! parallel phase moves each shard into a scoped worker thread, so a lane
-//! must be an owned `&mut`-passable buffer rather than a handle into shared
-//! state — no locks, no atomics on the hot path. Second, the disabled path
-//! has to be effectively free: `begin`/`end` on a disabled lane are a single
-//! branch each and never allocate, which is what lets the profiler-off
-//! overhead bound ride the same test as `NullObserver`.
+//! A lane is an owned buffer the engine holds next to its state — no
+//! locks, no atomics on the hot path. The disabled path has to be
+//! effectively free: `begin`/`end` on a disabled lane are a single branch
+//! each and never allocate, which is what lets the profiler-off overhead
+//! bound ride the same test as `NullObserver`.
 //!
 //! Spans use an explicit begin/end token rather than an RAII guard because
 //! the instrumented engine code needs `&mut self` between the two points;
@@ -21,17 +19,7 @@ use std::time::Instant;
 pub enum SpanKind {
     /// The entire replay run, from first event to `into_result`.
     Replay,
-    /// One epoch round of the sharded engine (barrier to barrier).
-    Round,
-    /// Computing the next barrier `B = min(global, max(clock+epoch, iter end))`.
-    BarrierCompute,
-    /// One shard advancing its local queue up to the barrier (parallel phase).
-    ShardAdvance,
-    /// Merging per-shard item lists into the deterministic `(time, job)` order.
-    Merge,
-    /// Publishing merged items: pass A/globals/pass B on the coordinator.
-    Publish,
-    /// A single policy activation (allocation decision) on either engine.
+    /// A single policy activation (allocation decision).
     PolicyDecision,
     /// A batch of event-queue operations (arrival batches, reschedules).
     QueueOps,
@@ -39,13 +27,8 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in display order — used by the hot-path report.
-    pub const ALL: [SpanKind; 8] = [
+    pub const ALL: [SpanKind; 3] = [
         SpanKind::Replay,
-        SpanKind::Round,
-        SpanKind::BarrierCompute,
-        SpanKind::ShardAdvance,
-        SpanKind::Merge,
-        SpanKind::Publish,
         SpanKind::PolicyDecision,
         SpanKind::QueueOps,
     ];
@@ -54,11 +37,6 @@ impl SpanKind {
     pub fn label(self) -> &'static str {
         match self {
             SpanKind::Replay => "replay",
-            SpanKind::Round => "round",
-            SpanKind::BarrierCompute => "barrier_compute",
-            SpanKind::ShardAdvance => "shard_advance",
-            SpanKind::Merge => "merge",
-            SpanKind::Publish => "publish",
             SpanKind::PolicyDecision => "policy_decision",
             SpanKind::QueueOps => "queue_ops",
         }
@@ -88,12 +66,8 @@ pub struct SpanStart {
     at: Option<Instant>,
 }
 
-/// A per-thread (per-shard) span buffer.
-///
-/// The sharded engine owns one lane per shard plus one coordinator lane,
-/// all sharing a single epoch `Instant` so their spans line up on one
-/// Chrome-trace timeline. Lanes are plain owned data: the parallel phase
-/// hands `&mut Lane` into each scoped worker alongside its shard.
+/// The coordinator's span buffer: every span of a run, timed from one
+/// epoch `Instant`, plus a processed-event counter.
 #[derive(Debug)]
 pub struct Lane {
     enabled: bool,
@@ -157,8 +131,7 @@ impl Lane {
         }
     }
 
-    /// Bumps this lane's processed-event counter (used for the per-shard
-    /// imbalance figure in the hot-path report). Free when disabled.
+    /// Bumps this lane's processed-event counter. Free when disabled.
     #[inline]
     pub fn add_events(&mut self, n: u64) {
         if self.enabled {
@@ -166,99 +139,13 @@ impl Lane {
         }
     }
 
-    /// Closed spans recorded so far.
-    pub fn spans(&self) -> &[SpanRec] {
-        &self.spans
-    }
-
-    /// Events counted so far via [`Lane::add_events`].
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    pub(crate) fn take(&mut self) -> (Vec<SpanRec>, u64) {
-        (
-            std::mem::take(&mut self.spans),
-            std::mem::take(&mut self.events),
-        )
-    }
-}
-
-/// Owns the epoch and the set of lanes for one run.
-///
-/// Lane 0 is the coordinator (classic engine uses only this one); lanes
-/// `1..=N` belong to shards `0..N`. A disabled profiler still hands out
-/// lanes, so the engine code is identical either way — the lanes just
-/// record nothing.
-#[derive(Debug)]
-pub struct Profiler {
-    enabled: bool,
-    lanes: Vec<Lane>,
-}
-
-impl Profiler {
-    /// A recording profiler with `lanes` lanes sharing one epoch.
-    pub fn enabled(lanes: usize) -> Self {
-        let epoch = Instant::now();
-        Profiler {
-            enabled: true,
-            lanes: (0..lanes).map(|_| Lane::enabled(epoch)).collect(),
-        }
-    }
-
-    /// A profiler whose lanes all ignore everything.
-    pub fn disabled(lanes: usize) -> Self {
-        Profiler {
-            enabled: false,
-            lanes: (0..lanes).map(|_| Lane::disabled()).collect(),
-        }
-    }
-
-    /// Whether this profiler records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Mutable access to one lane.
-    pub fn lane(&mut self, i: usize) -> &mut Lane {
-        &mut self.lanes[i]
-    }
-
-    /// All lanes, for zipping with shards across a `thread::scope`.
-    pub fn lanes_mut(&mut self) -> &mut [Lane] {
-        &mut self.lanes
-    }
-
-    /// Drains the lanes into a finished [`crate::Profile`]. Returns `None`
-    /// when the profiler was disabled (nothing was recorded).
-    pub fn finish(mut self) -> Option<crate::Profile> {
-        if !self.enabled {
-            return None;
-        }
-        Some(crate::Profile::from_lanes(
-            self.lanes
-                .iter_mut()
-                .enumerate()
-                .map(|(i, lane)| {
-                    let (spans, events) = lane.take();
-                    let name = if i == 0 {
-                        "coordinator".to_string()
-                    } else {
-                        format!("shard-{}", i - 1)
-                    };
-                    crate::LaneProfile {
-                        name,
-                        spans,
-                        events,
-                    }
-                })
-                .collect(),
-        ))
+    /// Drains the lane into a finished [`crate::Profile`]. Returns `None`
+    /// when the lane was disabled (nothing was recorded).
+    pub fn finish(&mut self) -> Option<crate::Profile> {
+        self.enabled.then(|| crate::Profile {
+            spans: std::mem::take(&mut self.spans),
+            events: std::mem::take(&mut self.events),
+        })
     }
 }
 
@@ -269,44 +156,34 @@ mod tests {
     #[test]
     fn disabled_lane_records_nothing() {
         let mut lane = Lane::disabled();
-        let t = lane.begin(SpanKind::Round);
+        let t = lane.begin(SpanKind::QueueOps);
         lane.add_events(10);
         lane.end(t);
-        assert!(lane.spans().is_empty());
-        assert_eq!(lane.events(), 0);
+        assert!(lane.spans.is_empty());
+        assert_eq!(lane.events, 0);
+        assert!(lane.finish().is_none());
     }
 
     #[test]
     fn enabled_lane_records_nested_spans() {
-        let mut p = Profiler::enabled(2);
-        let outer = p.lane(0).begin(SpanKind::Replay);
-        let inner = p.lane(0).begin(SpanKind::Round);
-        p.lane(0).end(inner);
-        p.lane(0).end(outer);
-        p.lane(1).add_events(7);
-        let profile = p.finish().expect("enabled profiler yields a profile");
-        assert_eq!(profile.lanes.len(), 2);
-        let spans = &profile.lanes[0].spans;
+        let mut lane = Lane::enabled(Instant::now());
+        let outer = lane.begin(SpanKind::Replay);
+        let inner = lane.begin(SpanKind::PolicyDecision);
+        lane.end(inner);
+        lane.end(outer);
+        lane.add_events(7);
+        let profile = lane.finish().expect("enabled lane yields a profile");
+        let spans = &profile.spans;
         assert_eq!(spans.len(), 2);
         // Inner closed first, so it is recorded first; the outer span must
         // fully contain it on the shared timeline.
-        assert_eq!(spans[0].kind, SpanKind::Round);
+        assert_eq!(spans[0].kind, SpanKind::PolicyDecision);
         assert_eq!(spans[1].kind, SpanKind::Replay);
         assert!(spans[1].start_ns <= spans[0].start_ns);
         assert!(
             spans[1].start_ns + spans[1].dur_ns >= spans[0].start_ns + spans[0].dur_ns,
             "outer span must contain inner span"
         );
-        assert_eq!(profile.lanes[1].events, 7);
-        assert_eq!(profile.lanes[0].name, "coordinator");
-        assert_eq!(profile.lanes[1].name, "shard-0");
-    }
-
-    #[test]
-    fn disabled_profiler_finishes_to_none() {
-        let mut p = Profiler::disabled(3);
-        let t = p.lane(2).begin(SpanKind::Merge);
-        p.lane(2).end(t);
-        assert!(p.finish().is_none());
+        assert_eq!(profile.events, 7);
     }
 }

@@ -28,8 +28,8 @@ use std::collections::BinaryHeap;
 use crate::time::SimTime;
 
 /// A point-in-time snapshot of a queue's traffic counters, as returned by
-/// [`EventQueue::stats`]. Health monitors sample these per shard each
-/// heartbeat instead of calling four getters.
+/// [`EventQueue::stats`]. Health monitors sample these each heartbeat
+/// instead of calling four getters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Total events pushed over the queue's lifetime.

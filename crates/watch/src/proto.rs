@@ -66,7 +66,7 @@ pub enum RequestKind {
     Status,
     /// Counters for rendering a progress line: clock, events/sec, ETA.
     Progress,
-    /// Latest heartbeat/watchdog state and per-shard balance.
+    /// Latest heartbeat/watchdog state and memory high-water mark.
     Health,
     /// The metrics registry in Prometheus text exposition format.
     Metrics,
@@ -299,8 +299,6 @@ pub struct StatusBody {
     pub policy: String,
     /// The trace (or workload) being replayed.
     pub trace: String,
-    /// Shard count (1 = classic engine).
-    pub shards: u64,
     /// Jobs in the workload.
     pub jobs_total: u64,
     /// Jobs submitted so far.
@@ -350,10 +348,6 @@ pub struct HealthBody {
     pub heartbeat: Option<String>,
     /// The watchdog diagnostic, when the run aborted.
     pub watchdog: Option<String>,
-    /// Per-shard cumulative popped-event counts (empty on classic runs).
-    pub shard_events: Vec<u64>,
-    /// Max relative deviation from the mean shard load, when sharded.
-    pub imbalance: Option<f64>,
     /// Peak resident set size in KiB, when /proc is readable.
     pub memory_hwm_kib: Option<u64>,
 }
@@ -545,12 +539,13 @@ impl Response {
                 push_str_escaped(out, &s.policy);
                 out.push_str(",\"trace\":");
                 push_str_escaped(out, &s.trace);
+                // `shards` is a constant kept for older clients, which
+                // require the field.
                 let _ = write!(
                     out,
-                    ",\"shards\":{},\"jobs\":{{\"total\":{},\"submitted\":{},\
+                    ",\"shards\":1,\"jobs\":{{\"total\":{},\"submitted\":{},\
                      \"finished\":{},\"failed\":{}}},\"events_published\":{},\
                      \"elapsed_secs\":{}",
-                    s.shards,
                     s.jobs_total,
                     s.jobs_submitted,
                     s.jobs_finished,
@@ -582,17 +577,11 @@ impl Response {
                 out.push_str(",\"type\":\"health\"");
                 push_opt_str(out, "heartbeat", &h.heartbeat);
                 push_opt_str(out, "watchdog", &h.watchdog);
-                out.push_str(",\"shard_events\":[");
-                for (i, n) in h.shard_events.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{n}");
-                }
+                // `shard_events` and `imbalance` are constants kept for
+                // older clients, which require the fields.
                 let _ = write!(
                     out,
-                    "],\"imbalance\":{},\"memory_hwm_kib\":{}",
-                    h.imbalance.map_or("null".to_string(), fmt_f64),
+                    ",\"shard_events\":[],\"imbalance\":null,\"memory_hwm_kib\":{}",
                     h.memory_hwm_kib
                         .map_or("null".to_string(), |k| k.to_string()),
                 );
@@ -701,7 +690,6 @@ impl Response {
                     state: RunState::parse(&get_str("state")?)?,
                     policy: get_str("policy")?,
                     trace: get_str("trace")?,
-                    shards: get_u64("shards")?,
                     jobs_total: job("total")?,
                     jobs_submitted: job("submitted")?,
                     jobs_finished: job("finished")?,
@@ -723,22 +711,11 @@ impl Response {
                 eta_secs: doc.get("eta_secs").and_then(Json::as_f64),
                 elapsed_secs: get_f64("elapsed_secs")?,
             }),
-            Some("health") => {
-                let shard_events = doc
-                    .get("shard_events")
-                    .and_then(Json::as_arr)
-                    .ok_or("health missing 'shard_events'")?
-                    .iter()
-                    .map(|v| v.as_u64().ok_or("shard_events entry not a count"))
-                    .collect::<Result<Vec<_>, _>>()?;
-                ResponseBody::Health(HealthBody {
-                    heartbeat: get_opt_str("heartbeat"),
-                    watchdog: get_opt_str("watchdog"),
-                    shard_events,
-                    imbalance: doc.get("imbalance").and_then(Json::as_f64),
-                    memory_hwm_kib: doc.get("memory_hwm_kib").and_then(Json::as_u64),
-                })
-            }
+            Some("health") => ResponseBody::Health(HealthBody {
+                heartbeat: get_opt_str("heartbeat"),
+                watchdog: get_opt_str("watchdog"),
+                memory_hwm_kib: doc.get("memory_hwm_kib").and_then(Json::as_u64),
+            }),
             Some("metrics") => ResponseBody::Metrics {
                 format: get_str("format")?,
                 body: get_str("body")?,
@@ -944,6 +921,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn frames_from_a_sharded_server_still_parse() {
+        // Status and health frames as written before the sharded engine
+        // was retired: their shard fields carry live values, which the
+        // parser now ignores.
+        let status = "{\"id\":1,\"type\":\"status\",\"proto\":2,\"state\":\"running\",\
+                      \"policy\":\"PDPA\",\"trace\":\"big.swf\",\"shards\":4,\
+                      \"jobs\":{\"total\":10430,\"submitted\":900,\"finished\":890,\"failed\":1},\
+                      \"events_published\":123456,\"elapsed_secs\":2.75,\"watchdog\":null}";
+        match Response::parse_line(status).expect("status parses").body {
+            ResponseBody::Status(s) => {
+                assert_eq!(s.proto, 2);
+                assert_eq!(s.jobs_total, 10430);
+                assert_eq!(s.jobs_finished, 890);
+                assert_eq!(s.events_published, 123456);
+            }
+            other => panic!("expected status, got {other:?}"),
+        }
+        let health = "{\"id\":3,\"type\":\"health\",\
+                      \"heartbeat\":\"heartbeat t+5s: clock=9.1s\",\"watchdog\":null,\
+                      \"shard_events\":[100,120,90],\"imbalance\":0.161,\
+                      \"memory_hwm_kib\":65536}";
+        match Response::parse_line(health).expect("health parses").body {
+            ResponseBody::Health(h) => {
+                assert_eq!(h.heartbeat.as_deref(), Some("heartbeat t+5s: clock=9.1s"));
+                assert_eq!(h.watchdog, None);
+                assert_eq!(h.memory_hwm_kib, Some(65536));
+            }
+            other => panic!("expected health, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn written_frames_keep_the_shard_fields_as_constants() {
+        // Older clients require these fields, so they stay on the wire.
+        let responses = sample_responses();
+        let status = responses[0].to_line();
+        assert!(status.contains(",\"shards\":1,"), "{status}");
+        let health = responses[2].to_line();
+        assert!(
+            health.contains(",\"shard_events\":[],\"imbalance\":null,"),
+            "{health}"
+        );
+    }
+
     fn sample_responses() -> Vec<Response> {
         vec![
             Response {
@@ -953,7 +975,6 @@ mod tests {
                     state: RunState::Running,
                     policy: "PDPA".into(),
                     trace: "big.swf".into(),
-                    shards: 4,
                     jobs_total: 10430,
                     jobs_submitted: 900,
                     jobs_finished: 890,
@@ -983,8 +1004,6 @@ mod tests {
                 body: ResponseBody::Health(HealthBody {
                     heartbeat: Some("heartbeat t+5s: clock=9.1s".into()),
                     watchdog: Some("watchdog: no sim-clock progress".into()),
-                    shard_events: vec![100, 120, 90],
-                    imbalance: Some(0.161),
                     memory_hwm_kib: Some(65536),
                 }),
             },
@@ -1156,7 +1175,6 @@ mod tests {
                     state: [RunState::Running, RunState::Done, RunState::Aborted][pick % 3],
                     policy: s1.clone(),
                     trace: s2.clone(),
-                    shards: counts.len() as u64,
                     jobs_total: n as u64,
                     jobs_submitted: id % 1000,
                     jobs_finished: id % 999,
@@ -1180,8 +1198,6 @@ mod tests {
                 2 => ResponseBody::Health(HealthBody {
                     heartbeat: some.then(|| s1.clone()),
                     watchdog: (!some).then(|| s2.clone()),
-                    shard_events: counts.clone(),
-                    imbalance: some.then_some(f1),
                     memory_hwm_kib: some.then_some(id),
                 }),
                 3 => ResponseBody::Metrics { format: "prometheus".into(), body: s1.clone() },
@@ -1210,6 +1226,14 @@ mod tests {
             };
             let resp = Response { id, body };
             let line = resp.to_line();
+            // The retired engine's fields ride along as constants.
+            match &resp.body {
+                ResponseBody::Status(_) => prop_assert!(line.contains("\"shards\":1,")),
+                ResponseBody::Health(_) => prop_assert!(
+                    line.contains("\"shard_events\":[],\"imbalance\":null,")
+                ),
+                _ => {}
+            }
             prop_assert_eq!(Response::parse_line(&line).unwrap(), resp);
         }
     }

@@ -389,7 +389,6 @@ mod tests {
         let tap = LiveTap::new(RunMeta {
             policy: "PDPA".into(),
             trace: "t.swf".into(),
-            shards: 2,
             jobs_total: 10,
         });
         tap.observe(
@@ -626,7 +625,6 @@ mod tests {
         let tap = LiveTap::new(RunMeta {
             policy: "PDPA".into(),
             trace: "t.swf".into(),
-            shards: 1,
             jobs_total: 1,
         });
         let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&tap)).expect("binds");

@@ -9,8 +9,7 @@
 //! Three feeds, all cheap on the engine side:
 //!
 //! - **progress**: the engine pushes a [`HealthSnapshot`] on its amortized
-//!   instrumentation cadence (every 64k events on the classic loop, every
-//!   few hundred barrier rounds sharded) through the
+//!   instrumentation cadence (every 64k events) through the
 //!   [`ProgressSink`] impl; the tap stores the fields in atomics.
 //! - **heartbeat/watchdog**: the [`HeartbeatSink`] impl keeps the latest
 //!   formatted line; a tripped watchdog marks the run aborted.
@@ -36,8 +35,6 @@ pub struct RunMeta {
     pub policy: String,
     /// The trace (or workload) being replayed.
     pub trace: String,
-    /// Shard count (1 = classic engine).
-    pub shards: u64,
     /// Jobs in the workload.
     pub jobs_total: u64,
 }
@@ -65,7 +62,6 @@ pub struct LiveTap {
     queue_len: AtomicU64,
     running: AtomicU64,
     waiting: AtomicU64,
-    shard_events: Mutex<Vec<u64>>,
 
     // Health mirror.
     heartbeat_line: Mutex<Option<String>>,
@@ -100,7 +96,6 @@ impl LiveTap {
             queue_len: AtomicU64::new(0),
             running: AtomicU64::new(0),
             waiting: AtomicU64::new(0),
-            shard_events: Mutex::new(Vec::new()),
             heartbeat_line: Mutex::new(None),
             watchdog: Mutex::new(None),
             events_published: AtomicU64::new(0),
@@ -198,7 +193,6 @@ impl LiveTap {
             state: self.state(),
             policy: self.meta.policy.clone(),
             trace: self.meta.trace.clone(),
-            shards: self.meta.shards,
             jobs_total: self.jobs_total(),
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             jobs_finished: self.jobs_finished.load(Ordering::Relaxed),
@@ -239,12 +233,9 @@ impl LiveTap {
 
     /// The `health` view.
     pub fn health_body(&self) -> HealthBody {
-        let shard_events = self.shard_events.lock().unwrap().clone();
         HealthBody {
             heartbeat: self.heartbeat_line.lock().unwrap().clone(),
             watchdog: self.watchdog.lock().unwrap().clone(),
-            imbalance: pdpa_prof::report::imbalance(&shard_events),
-            shard_events,
             memory_hwm_kib: memory_high_water_kib(),
         }
     }
@@ -272,12 +263,6 @@ impl ProgressSink for LiveTap {
             .store(snapshot.running as u64, Ordering::Relaxed);
         self.waiting
             .store(snapshot.waiting as u64, Ordering::Relaxed);
-        if !snapshot.shard_events.is_empty() {
-            if let Ok(mut shard_events) = self.shard_events.try_lock() {
-                shard_events.clear();
-                shard_events.extend_from_slice(&snapshot.shard_events);
-            }
-        }
     }
 
     fn watchdog_fired(&self, diagnostic: &str) {
@@ -336,7 +321,6 @@ mod tests {
         RunMeta {
             policy: "PDPA".into(),
             trace: "w2".into(),
-            shards: 1,
             jobs_total: 4,
         }
     }
@@ -358,7 +342,6 @@ mod tests {
             queue_len: 3,
             running: 1,
             waiting: 2,
-            shard_events: vec![20, 22],
         });
 
         let status = tap.status_body();
@@ -372,10 +355,6 @@ mod tests {
         assert_eq!(progress.events_popped, 42);
         assert_eq!(progress.queue_len, 3);
         assert!(progress.eta_secs.is_some(), "one job finished of four");
-
-        let health = tap.health_body();
-        assert_eq!(health.shard_events, vec![20, 22]);
-        assert!(health.imbalance.is_some());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   bus, the metrics registry, the binary/text observer stream codecs, and
 //!   the Chrome-trace/CSV/JSON exporters;
 //! - [`prof`] (`pdpa-prof`) — engine self-profiling: hierarchical
-//!   wall-clock spans per shard lane, hot-path reports, heartbeat
+//!   wall-clock spans on one coordinator lane, hot-path reports, heartbeat
 //!   snapshots, and the zero-progress watchdog;
 //! - [`watch`] (`pdpa-watch`) — live run observability: the `LiveTap`
 //!   shared-state mirror, the line-delimited status/metrics query protocol

@@ -34,7 +34,6 @@ fn decision_stream_is_bit_identical_with_and_without_the_tap() {
     let tap = LiveTap::new(RunMeta {
         policy: "PDPA".into(),
         trace: "w2".into(),
-        shards: 1,
         jobs_total: jobs().len() as u64,
     });
     let mut tapped_rec = RecordingObserver::new();
@@ -94,7 +93,6 @@ fn status_server_over_a_real_run_reports_the_engine_totals() {
     let tap = LiveTap::new(RunMeta {
         policy: "PDPA".into(),
         trace: "w2".into(),
-        shards: 1,
         jobs_total: n_jobs,
     });
     let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&tap)).expect("binds");

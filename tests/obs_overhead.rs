@@ -4,9 +4,9 @@
 //! `run_observed`); this pins the contract that calling `run_observed`
 //! with a disabled observer costs the same as `run` — i.e. nobody later
 //! adds per-run setup (event buffers, allocation, clock reads) that taxes
-//! unobserved runs. The same ≤2% bound covers the sharded engine and the
-//! disabled `pdpa-prof` instrumentation path (`Instrumentation::none()`),
-//! whose touch points are one branch each. Paired, interleaved,
+//! unobserved runs. The same ≤2% bound covers the disabled `pdpa-prof`
+//! instrumentation path (`Instrumentation::none()`), whose touch points
+//! are one branch each. Paired, interleaved,
 //! median-of-N so machine noise cancels; a small absolute slack keeps
 //! sub-millisecond jitter from flaking CI.
 
@@ -88,47 +88,6 @@ fn disabled_instrumentation_costs_within_two_percent_of_plain_run() {
     );
 }
 
-#[test]
-fn sharded_disabled_observer_and_profiler_cost_within_two_percent() {
-    let engine = Engine::new(EngineConfig::default().with_seed(42));
-    let jobs = || Workload::W2.build(1.0, 42);
-    let policy = || Box::new(Pdpa::paper_default());
-    let shards = 2;
-    let epoch = pdpa_suite::engine::shard::DEFAULT_EPOCH_SECS;
-
-    let warm = engine.run_sharded(jobs(), policy(), shards);
-    assert!(warm.completed_all);
-
-    let rounds = 15;
-    let mut plain = Vec::with_capacity(rounds);
-    let mut instrumented = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let t = Instant::now();
-        let r = engine.run_sharded(jobs(), policy(), shards);
-        plain.push(t.elapsed().as_secs_f64());
-        assert!(r.completed_all);
-
-        let t = Instant::now();
-        let r = engine.run_sharded_instrumented(
-            jobs(),
-            policy(),
-            shards,
-            epoch,
-            &mut NullObserver,
-            Instrumentation::none(),
-        );
-        instrumented.push(t.elapsed().as_secs_f64());
-        assert!(r.completed_all && r.profile.is_none() && r.watchdog.is_none());
-    }
-
-    let (p, n) = (median(plain), median(instrumented));
-    assert!(
-        n <= p * 1.02 + 2e-3,
-        "sharded disabled-instrumentation run regressed: \
-         plain {p:.6}s vs Instrumentation::none() {n:.6}s"
-    );
-}
-
 /// The `--serve` bound: a recording run with the full live-observability
 /// stack attached (tap mirror, observer tee, bound TCP server with no
 /// clients) must stay within 2% of a plain recording run. This is the
@@ -157,7 +116,6 @@ fn live_tap_and_idle_server_cost_within_two_percent_of_recording_run() {
         let tap = LiveTap::new(RunMeta {
             policy: "PDPA".into(),
             trace: "w2".into(),
-            shards: 1,
             jobs_total: jobs().len() as u64,
         });
         let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&tap)).expect("binds");

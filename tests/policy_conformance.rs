@@ -6,9 +6,7 @@
 //!   injection;
 //! - no decision ever exceeds the job's request, and space-shared
 //!   allocations always fit in the currently-alive processor set;
-//! - a fixed seed produces a bit-identical decision-event stream;
-//! - for space-sharing policies, the shard count of the parallel engine
-//!   is invisible in the results.
+//! - a fixed seed produces a bit-identical decision-event stream.
 //!
 //! New policies get these guarantees by being added to [`roster`]; nothing
 //! else in the suite is policy-specific.
@@ -38,7 +36,7 @@ fn roster() -> Vec<(&'static str, PolicyFactory)> {
 }
 
 /// The space-sharing subset: the policies whose allocations partition the
-/// machine (and which the sharded engine accepts).
+/// machine.
 fn space_sharing() -> Vec<(&'static str, PolicyFactory)> {
     roster()
         .into_iter()
@@ -212,46 +210,5 @@ fn decision_streams_are_bit_identical_for_a_fixed_seed() {
             a, b,
             "{name}: decision stream differs between identical seeds"
         );
-    }
-}
-
-/// Space-sharing policies — the new literature entrants included — give
-/// identical results for every shard count of the parallel engine.
-#[test]
-fn shard_count_is_invisible_for_space_sharing_policies() {
-    fn digest(r: &RunResult) -> (usize, String, u64, u64) {
-        let mut ends: Vec<String> = r
-            .summary
-            .outcomes()
-            .iter()
-            .map(|o| {
-                format!(
-                    "{}:{:.9}:{:.9}",
-                    o.job.0,
-                    o.start.as_secs(),
-                    o.end.as_secs()
-                )
-            })
-            .collect();
-        ends.sort();
-        (
-            r.summary.outcomes().len(),
-            ends.join(","),
-            r.decisions_applied,
-            r.jobs_failed,
-        )
-    }
-    let engine = Engine::new(EngineConfig::default());
-    for (name, make) in space_sharing() {
-        let base = engine.run_sharded(Workload::W3.build(0.6, 7), make(), 1);
-        assert!(base.completed_all, "{name} wedged sharded");
-        for shards in [2usize, 4] {
-            let r = engine.run_sharded(Workload::W3.build(0.6, 7), make(), shards);
-            assert_eq!(
-                digest(&base),
-                digest(&r),
-                "{name} diverged at {shards} shards"
-            );
-        }
     }
 }

@@ -1,9 +1,8 @@
 //! Integration tests for the `pdpa-prof` instrumentation layer wired
-//! through both engines: span profiles, the zero-progress watchdog, and
-//! the contract that instrumentation never perturbs the decision stream.
+//! through the engine: span profiles, the zero-progress watchdog, and the
+//! contract that instrumentation never perturbs the decision stream.
 
 use pdpa_suite::core::Pdpa;
-use pdpa_suite::engine::shard::DEFAULT_EPOCH_SECS;
 use pdpa_suite::engine::{Engine, EngineConfig, Instrumentation};
 use pdpa_suite::obs::{read_stream, write_stream, write_text_stream, RecordingObserver};
 use pdpa_suite::prof::{SpanKind, WatchdogConfig};
@@ -12,61 +11,6 @@ use pdpa_suite::sim::SimTime;
 
 fn engine() -> Engine {
     Engine::new(EngineConfig::default().with_seed(42))
-}
-
-#[test]
-fn sharded_profile_has_one_lane_per_shard_plus_coordinator() {
-    let jobs = Workload::W3.build(0.6, 42);
-    let result = engine().run_sharded_instrumented(
-        jobs,
-        Box::new(Pdpa::paper_default()),
-        3,
-        DEFAULT_EPOCH_SECS,
-        &mut pdpa_suite::obs::NullObserver,
-        Instrumentation::none().with_profile(),
-    );
-    assert!(result.completed_all);
-    let profile = result.profile.expect("profiling was enabled");
-    let names: Vec<&str> = profile.lanes.iter().map(|l| l.name.as_str()).collect();
-    assert_eq!(names, ["coordinator", "shard-0", "shard-1", "shard-2"]);
-    // The coordinator owns the hierarchy: one replay span wrapping the
-    // rounds, barrier computes, merges, publishes, and policy decisions.
-    assert_eq!(
-        profile.lanes[0]
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Replay)
-            .count(),
-        1
-    );
-    for kind in [
-        SpanKind::Round,
-        SpanKind::BarrierCompute,
-        SpanKind::Merge,
-        SpanKind::Publish,
-        SpanKind::PolicyDecision,
-    ] {
-        assert!(
-            profile.total_ns(kind) > 0,
-            "no {:?} time on the coordinator lane",
-            kind
-        );
-    }
-    // Every shard lane advanced and counted its popped events.
-    for lane in &profile.lanes[1..] {
-        assert!(
-            lane.spans.iter().any(|s| s.kind == SpanKind::ShardAdvance),
-            "{} recorded no shard_advance spans",
-            lane.name
-        );
-        assert!(lane.events > 0, "{} counted no events", lane.name);
-    }
-    // The Chrome export names each lane and the report aggregates them.
-    let json = profile.chrome_json();
-    for lane in ["coordinator", "shard-0", "shard-1", "shard-2"] {
-        assert!(json.contains(lane), "missing {lane} in Chrome trace");
-    }
-    assert!(profile.hot_path_report().contains("per-shard events:"));
 }
 
 #[test]
@@ -80,9 +24,19 @@ fn classic_profile_records_the_coordinator_hierarchy() {
     );
     assert!(result.completed_all);
     let profile = result.profile.expect("profiling was enabled");
-    assert_eq!(profile.lanes.len(), 1);
-    assert_eq!(profile.lanes[0].name, "coordinator");
-    assert!(profile.lanes[0].events > 0);
+    assert!(profile.events > 0);
+    assert_eq!(
+        profile
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Replay)
+            .count(),
+        1
+    );
+    // The Chrome export names the one lane.
+    let json = profile.chrome_json();
+    assert!(json.contains("\"coordinator\""));
+    assert_eq!(json.matches("\"thread_name\"").count(), 1);
     for kind in [
         SpanKind::Replay,
         SpanKind::PolicyDecision,
@@ -124,25 +78,15 @@ fn watchdog_aborts_synthetic_zero_progress_with_a_diagnostic() {
 
 #[test]
 fn watchdog_stays_silent_on_healthy_runs() {
-    // Production thresholds on real workloads through both engines: the
-    // watchdog must never fire on a run that is actually progressing.
-    let jobs = Workload::W3.build(0.6, 42);
-    let classic = engine().run_instrumented(
-        jobs.clone(),
+    // The production threshold on a real workload: the watchdog must
+    // never fire on a run that is actually progressing.
+    let result = engine().run_instrumented(
+        Workload::W3.build(0.6, 42),
         Box::new(Pdpa::paper_default()),
         &mut pdpa_suite::obs::NullObserver,
         Instrumentation::none().with_watchdog(WatchdogConfig::classic()),
     );
-    assert!(classic.completed_all && classic.watchdog.is_none());
-    let sharded = engine().run_sharded_instrumented(
-        jobs,
-        Box::new(Pdpa::paper_default()),
-        2,
-        DEFAULT_EPOCH_SECS,
-        &mut pdpa_suite::obs::NullObserver,
-        Instrumentation::none().with_watchdog(WatchdogConfig::sharded()),
-    );
-    assert!(sharded.completed_all && sharded.watchdog.is_none());
+    assert!(result.completed_all && result.watchdog.is_none());
 }
 
 #[test]
@@ -151,26 +95,23 @@ fn profiling_leaves_the_decision_stream_bit_identical() {
     // must both be indistinguishable from the plain text-format run.
     let jobs = Workload::W3.build(0.6, 42);
     let mut plain_rec = RecordingObserver::new();
-    let plain = engine().run_sharded_instrumented(
+    let plain = engine().run_instrumented(
         jobs.clone(),
         Box::new(Pdpa::paper_default()),
-        2,
-        DEFAULT_EPOCH_SECS,
         &mut plain_rec,
         Instrumentation::none(),
     );
     let mut profiled_rec = RecordingObserver::new();
-    let profiled = engine().run_sharded_instrumented(
+    let profiled = engine().run_instrumented(
         jobs,
         Box::new(Pdpa::paper_default()),
-        2,
-        DEFAULT_EPOCH_SECS,
         &mut profiled_rec,
         Instrumentation::none()
             .with_profile()
-            .with_watchdog(WatchdogConfig::sharded()),
+            .with_watchdog(WatchdogConfig::classic()),
     );
     assert!(plain.completed_all && profiled.completed_all);
+    assert!(plain.profile.is_none() && profiled.profile.is_some());
     let plain_events = plain_rec.take_events();
     let profiled_events = profiled_rec.take_events();
     // Bit-identical text serializations, not just equal event counts.
@@ -186,7 +127,7 @@ fn profiling_leaves_the_decision_stream_bit_identical() {
         write_text_stream(&plain_events),
         "binary framing perturbed the decision stream"
     );
-    // Per-shard event accounting rode along on both results.
-    assert_eq!(plain.shard_events_popped.len(), 2);
-    assert_eq!(plain.shard_events_popped, profiled.shard_events_popped);
+    // The engine's own counters agree too.
+    assert_eq!(plain.events_popped, profiled.events_popped);
+    assert_eq!(plain.decisions_applied, profiled.decisions_applied);
 }
