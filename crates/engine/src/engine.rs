@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use pdpa_apps::{AppClass, NoiseModel};
 use pdpa_metrics::{JobOutcome, Summary};
-use pdpa_obs::metrics::{Histogram, Registry, RunCounters, Span};
+use pdpa_obs::metrics::{Registry, RunCounters, SampledTimer};
 use pdpa_obs::{DecisionTrigger, NullObserver, ObsEvent, Observer};
 use pdpa_perf::SelfAnalyzer;
 use pdpa_policies::{Decisions, JobView, PolicyCtx, SchedulingPolicy, SharingModel};
@@ -303,8 +303,8 @@ pub(crate) struct Sim<'a> {
     /// Speedup-memo stats harvested from completed jobs.
     memo_hits: u64,
     memo_misses: u64,
-    /// Wall-time histogram for policy activations (`decision_ns`).
-    decision_hist: Arc<Histogram>,
+    /// Sampled wall-time timer for policy activations (`decision_ns`).
+    decision_timer: SampledTimer,
     /// Span buffer for self-profiling; a disabled lane (the default) costs
     /// one branch per touch point.
     lane: Lane,
@@ -373,7 +373,7 @@ impl<'a> Sim<'a> {
             decisions_applied: 0,
             memo_hits: 0,
             memo_misses: 0,
-            decision_hist: Registry::global().histogram("decision_ns"),
+            decision_timer: SampledTimer::new(Registry::global().histogram("decision_ns")),
             lane,
             placement: QuantumPlacement::new(config.cpus),
             ml_series: vec![(0.0, 0)],
@@ -948,10 +948,9 @@ impl<'a> Sim<'a> {
                 next_request: self.next_request(),
             };
             let prof = self.lane.begin(SpanKind::PolicyDecision);
-            let decisions = {
-                let _span = Span::start(Arc::clone(&self.decision_hist));
-                policy.on_job_arrival(&ctx, job)
-            };
+            let decisions = self
+                .decision_timer
+                .time(|| policy.on_job_arrival(&ctx, job));
             self.lane.end(prof);
             self.apply_decisions(decisions, DecisionTrigger::Arrival);
             if self.is_time_shared() {
@@ -1038,10 +1037,9 @@ impl<'a> Sim<'a> {
                 next_request: self.next_request(),
             };
             let prof = self.lane.begin(SpanKind::PolicyDecision);
-            let decisions = {
-                let _span = Span::start(Arc::clone(&self.decision_hist));
-                policy.on_performance_report(&ctx, job, s)
-            };
+            let decisions = self
+                .decision_timer
+                .time(|| policy.on_performance_report(&ctx, job, s));
             self.lane.end(prof);
             self.apply_decisions(decisions, DecisionTrigger::Report);
             // A report can settle the system and unblock admission (PDPA's
@@ -1108,10 +1106,9 @@ impl<'a> Sim<'a> {
             next_request: self.next_request(),
         };
         let prof = self.lane.begin(SpanKind::PolicyDecision);
-        let decisions = {
-            let _span = Span::start(Arc::clone(&self.decision_hist));
-            policy.on_job_completion(&ctx, job)
-        };
+        let decisions = self
+            .decision_timer
+            .time(|| policy.on_job_completion(&ctx, job));
         self.lane.end(prof);
         self.apply_decisions(decisions, DecisionTrigger::Completion);
         if self.is_time_shared() {
@@ -1185,10 +1182,9 @@ impl<'a> Sim<'a> {
             next_request: self.next_request(),
         };
         let prof = self.lane.begin(SpanKind::PolicyDecision);
-        let decisions = {
-            let _span = Span::start(Arc::clone(&self.decision_hist));
-            policy.on_capacity_change(&ctx, changed)
-        };
+        let decisions = self
+            .decision_timer
+            .time(|| policy.on_capacity_change(&ctx, changed));
         self.lane.end(prof);
         self.apply_decisions(decisions, DecisionTrigger::Fault);
         if self.is_time_shared() {
@@ -1339,10 +1335,9 @@ impl<'a> Sim<'a> {
             next_request: self.next_request(),
         };
         let prof = self.lane.begin(SpanKind::PolicyDecision);
-        let decisions = {
-            let _span = Span::start(Arc::clone(&self.decision_hist));
-            policy.on_job_completion(&ctx, job)
-        };
+        let decisions = self
+            .decision_timer
+            .time(|| policy.on_job_completion(&ctx, job));
         self.lane.end(prof);
         self.apply_decisions(decisions, DecisionTrigger::Fault);
         if self.is_time_shared() {

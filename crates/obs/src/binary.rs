@@ -53,16 +53,26 @@ pub fn is_binary(bytes: &[u8]) -> bool {
 // Primitives
 // ---------------------------------------------------------------------------
 
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+/// Encodes `v` as a uvarint into `buf`, returning the length used. Ten
+/// bytes hold any `u64` (⌈64 / 7⌉).
+fn encode_uvarint(buf: &mut [u8; 10], mut v: u64) -> usize {
+    let mut n = 0;
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            out.push(byte);
-            return;
+            buf[n] = byte;
+            return n + 1;
         }
-        out.push(byte | 0x80);
+        buf[n] = byte | 0x80;
+        n += 1;
     }
+}
+
+fn put_uvarint(out: &mut Vec<u8>, v: u64) {
+    let mut buf = [0u8; 10];
+    let n = encode_uvarint(&mut buf, v);
+    out.extend_from_slice(&buf[..n]);
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -120,14 +130,13 @@ impl<'a> Cur<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(raw)))
     }
 
-    fn str(&mut self, what: &str) -> Result<String, String> {
+    fn str(&mut self, what: &str) -> Result<&'a str, String> {
         let len = self.uvarint(what)? as usize;
         if self.buf.len() - self.pos < len {
             return Err(format!("frame truncated reading {what}"));
         }
         let s = std::str::from_utf8(&self.buf[self.pos..self.pos + len])
-            .map_err(|_| format!("{what} is not valid UTF-8"))?
-            .to_string();
+            .map_err(|_| format!("{what} is not valid UTF-8"))?;
         self.pos += len;
         Ok(s)
     }
@@ -335,7 +344,7 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
                 1 => {
                     let from = cur.str("transition from")?;
                     let to = cur.str("transition to")?;
-                    Some((intern(&from), intern(&to)))
+                    Some((intern(from), intern(to)))
                 }
                 other => return Err(format!("bad option tag {other} for transition")),
             };
@@ -353,8 +362,8 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
             let to = cur.str("to state")?;
             ObsEvent::StateChanged {
                 job,
-                from: intern(&from),
-                to: intern(&to),
+                from: intern(from),
+                to: intern(to),
             }
         }
         7 => ObsEvent::MplChanged {
@@ -392,8 +401,8 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
             attempts: cur.uvarint("attempts")? as u32,
         },
         15 => ObsEvent::ExperimentFailed {
-            name: cur.str("name")?,
-            message: cur.str("message")?,
+            name: cur.str("name")?.to_string(),
+            message: cur.str("message")?.to_string(),
         },
         other => return Err(format!("unknown event kind code {other}")),
     };
@@ -439,9 +448,9 @@ impl<W: Write> BinaryWriter<W> {
     pub fn write(&mut self, ev: &TimedEvent) -> io::Result<()> {
         self.scratch.clear();
         encode_payload(ev, &mut self.scratch);
-        let mut len = Vec::with_capacity(2);
-        put_uvarint(&mut len, self.scratch.len() as u64);
-        self.out.write_all(&len)?;
+        let mut len = [0u8; 10];
+        let n = encode_uvarint(&mut len, self.scratch.len() as u64);
+        self.out.write_all(&len[..n])?;
         self.out.write_all(&self.scratch)?;
         self.frames += 1;
         Ok(())

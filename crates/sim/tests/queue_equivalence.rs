@@ -15,6 +15,9 @@ use proptest::prelude::*;
 
 use pdpa_sim::{EventQueue, SimTime};
 
+/// A model entry: `(time, seq, key and its generation at push, payload)`.
+type Entry = (SimTime, u64, Option<(u64, u64)>, u64);
+
 /// One scripted queue operation.
 #[derive(Clone, Debug)]
 enum Op {
@@ -64,8 +67,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// `(time, sequence)`, generations in a map, staleness decided at pop.
 #[derive(Default)]
 struct Model {
-    /// `(time, seq, key and its generation at push, payload)`.
-    pending: Vec<(SimTime, u64, Option<(u64, u64)>, u64)>,
+    pending: Vec<Entry>,
     generations: std::collections::HashMap<u64, u64>,
     next_seq: u64,
     pushed: u64,

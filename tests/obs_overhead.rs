@@ -8,9 +8,10 @@
 //! instrumentation path (`Instrumentation::none()`), whose touch points
 //! are one branch each. Paired, interleaved,
 //! median-of-N so machine noise cancels; a small absolute slack keeps
-//! sub-millisecond jitter from flaking CI.
+//! sub-millisecond jitter from flaking CI. The guards take [`TIMING`] so
+//! each timed pair runs alone rather than against the other guards.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use pdpa_suite::core::Pdpa;
@@ -19,6 +20,17 @@ use pdpa_suite::obs::{NullObserver, RecordingObserver};
 use pdpa_suite::qs::Workload;
 use pdpa_suite::watch::{LiveTap, RunMeta, StatusServer, TapObserver};
 
+/// Held for the whole of each guard: the test harness runs tests in
+/// parallel, and a guard timed against another guard's engine runs
+/// measures the contention, not the code.
+static TIMING: Mutex<()> = Mutex::new(());
+
+/// Takes [`TIMING`], ignoring poison so one failed guard does not fail
+/// the others.
+fn timing_alone() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     xs[xs.len() / 2]
@@ -26,6 +38,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 #[test]
 fn disabled_observer_costs_within_two_percent_of_plain_run() {
+    let _alone = timing_alone();
     let engine = Engine::new(EngineConfig::default().with_seed(42));
     let jobs = || Workload::W2.build(1.0, 42);
     let policy = || Box::new(Pdpa::paper_default());
@@ -58,6 +71,7 @@ fn disabled_observer_costs_within_two_percent_of_plain_run() {
 
 #[test]
 fn disabled_instrumentation_costs_within_two_percent_of_plain_run() {
+    let _alone = timing_alone();
     let engine = Engine::new(EngineConfig::default().with_seed(42));
     let jobs = || Workload::W2.build(1.0, 42);
     let policy = || Box::new(Pdpa::paper_default());
@@ -95,6 +109,7 @@ fn disabled_instrumentation_costs_within_two_percent_of_plain_run() {
 /// are the only per-event cost, and the server threads idle in accept().
 #[test]
 fn live_tap_and_idle_server_cost_within_two_percent_of_recording_run() {
+    let _alone = timing_alone();
     let engine = Engine::new(EngineConfig::default().with_seed(42));
     let jobs = || Workload::W2.build(1.0, 42);
     let policy = || Box::new(Pdpa::paper_default());
