@@ -5,7 +5,7 @@
 //! one (policy, load) point averaged over the paper's three seeds, and
 //! `run_figure` is the full 4-policy × 3-load grid behind Figs. 4/6/9/10.
 //! Comparing `seq` and `par` entries here shows the harness speedup
-//! without the per-experiment rendering noise of `expt-all --json`.
+//! without the per-experiment rendering noise of a full `expt-all` pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -4,7 +4,7 @@
 //! regenerates the full evaluation; `EXPERIMENTS.md` was produced from this
 //! output. Experiments run concurrently in-process (see
 //! `pdpa_bench::harness`); outputs print in deterministic registry order.
-//! Flags: `--json`, `--sequential`, `--only <name>`.
+//! Flags: `--only <name>` and the export flags of `pdpa_bench::harness`.
 
 use std::process::ExitCode;
 

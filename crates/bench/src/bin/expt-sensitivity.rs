@@ -1,5 +1,5 @@
 //! Thin wrapper over the in-process registry: `sensitivity` via the shared
-//! harness (flags: `--json`, `--sequential`).
+//! harness (export flags: see `pdpa_bench::harness`).
 
 use std::process::ExitCode;
 

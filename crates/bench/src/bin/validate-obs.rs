@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! validate-obs --trace trace.json --metrics metrics.json \
-//!              [--bench BENCH_pdpa.json] [--analyze analysis.json]
+//!              [--analyze analysis.json]
 //! ```
 //!
 //! Checks (any failure exits nonzero with a message):
@@ -13,9 +13,6 @@
 //!   same `(pid, tid)` lane;
 //! - the metrics document parses, carries the `pdpa-obs-metrics/v1`
 //!   schema, and shows nonzero engine runs, drained events, and decisions;
-//! - with `--bench`, the trajectory carries a `pdpa-bench/v2`-or-newer
-//!   schema, at least one mode embeds a metrics block, and (v3) the
-//!   `trajectory` array is non-empty;
 //! - with `--analyze`, the analysis document carries the `pdpa-analyze/v1`
 //!   schema and every run shows events, jobs, and decisions.
 
@@ -103,48 +100,6 @@ fn check_metrics(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-fn check_bench(doc: &Value) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("bench document has no schema")?;
-    if schema != "pdpa-bench/v2" && schema != "pdpa-bench/v3" {
-        return Err(format!("unexpected bench schema {schema:?}"));
-    }
-    let modes = doc.get("modes").ok_or("bench document has no modes")?;
-    let has_metrics = ["parallel", "sequential"]
-        .iter()
-        .filter_map(|m| modes.get(m))
-        .any(|m| m.get("metrics").is_some());
-    if !has_metrics {
-        return Err("no mode embeds a metrics block".into());
-    }
-    if schema == "pdpa-bench/v3" {
-        // v3 documents must carry history: a --json run that failed to
-        // append would silently starve the perf gate.
-        let entries = doc
-            .get("trajectory")
-            .and_then(Value::as_arr)
-            .ok_or("v3 bench document has no trajectory array")?;
-        if entries.is_empty() {
-            return Err("trajectory array is empty — the run did not append".into());
-        }
-        for e in entries {
-            for key in ["git_rev", "mode"] {
-                if e.get(key).and_then(Value::as_str).is_none() {
-                    return Err(format!("trajectory entry missing {key}"));
-                }
-            }
-            for key in ["threads", "wall_secs", "events_per_sec"] {
-                if e.get(key).and_then(Value::as_f64).is_none() {
-                    return Err(format!("trajectory entry missing {key}"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 fn check_analysis(doc: &Value) -> Result<usize, String> {
     let schema = doc
         .get("schema")
@@ -176,12 +131,11 @@ fn check_analysis(doc: &Value) -> Result<usize, String> {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let (mut trace, mut metrics, mut bench, mut analyze) = (None, None, None, None);
+    let (mut trace, mut metrics, mut analyze) = (None, None, None);
     while let Some(arg) = args.next() {
         let slot = match arg.as_str() {
             "--trace" => &mut trace,
             "--metrics" => &mut metrics,
-            "--bench" => &mut bench,
             "--analyze" => &mut analyze,
             other => return fail(&format!("unknown argument `{other}`")),
         };
@@ -190,8 +144,8 @@ fn main() -> ExitCode {
             None => return fail(&format!("{arg} requires a file path")),
         }
     }
-    if trace.is_none() && metrics.is_none() && bench.is_none() && analyze.is_none() {
-        return fail("nothing to validate (pass --trace, --metrics, --bench, or --analyze)");
+    if trace.is_none() && metrics.is_none() && analyze.is_none() {
+        return fail("nothing to validate (pass --trace, --metrics, or --analyze)");
     }
 
     if let Some(path) = trace {
@@ -203,12 +157,6 @@ fn main() -> ExitCode {
     if let Some(path) = metrics {
         match read(&path).and_then(|doc| check_metrics(&doc)) {
             Ok(()) => println!("validate-obs: {path}: OK (schema, nonzero counters)"),
-            Err(e) => return fail(&e),
-        }
-    }
-    if let Some(path) = bench {
-        match read(&path).and_then(|doc| check_bench(&doc)) {
-            Ok(()) => println!("validate-obs: {path}: OK (bench schema, metrics, trajectory)"),
             Err(e) => return fail(&e),
         }
     }

@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{average, stats, SEEDS};
+use crate::{average, SEEDS};
 use pdpa_apps::AppClass;
 use pdpa_core::{Pdpa, PdpaParams, TargetMode};
 use pdpa_engine::{Engine, EngineConfig, RunResult};
@@ -77,9 +77,7 @@ pub fn run() -> String {
     let runs = pdpa_parallel::par_map(&tasks, pdpa_parallel::num_threads(), |&(v, seed)| {
         let jobs = workload.build(1.0, seed);
         let config = EngineConfig::default().with_seed(seed ^ 0xA5A5);
-        let result = Engine::new(config).run(jobs, Box::new(Pdpa::new(variants[v].1)));
-        stats::record_run(&result);
-        result
+        Engine::new(config).run(jobs, Box::new(Pdpa::new(variants[v].1)))
     });
     let mut runs = runs.into_iter();
 

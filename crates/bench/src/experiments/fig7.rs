@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{average, stats, Cell, Metric, PolicyKind, PAPER_LOADS, SEEDS};
+use crate::{average, Cell, Metric, PolicyKind, PAPER_LOADS, SEEDS};
 use pdpa_engine::{Engine, EngineConfig, RunResult};
 use pdpa_qs::Workload;
 
@@ -23,9 +23,7 @@ const MLS: [usize; 3] = [2, 3, 4];
 fn run_one(workload: Workload, policy: PolicyKind, ml: usize, load: f64, seed: u64) -> RunResult {
     let jobs = workload.build(load, seed);
     let config = EngineConfig::default().with_seed(seed ^ 0xA5A5);
-    let result = Engine::new(config).run(jobs, policy.build_with_ml(ml));
-    stats::record_run(&result);
-    result
+    Engine::new(config).run(jobs, policy.build_with_ml(ml))
 }
 
 /// Renders the experiment.

@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{stats, PolicyKind, SEEDS};
+use crate::{PolicyKind, SEEDS};
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_policies::RigidFirstFit;
 use pdpa_qs::Workload;
@@ -36,7 +36,6 @@ fn run_variant(wl: Workload, which: &str) -> (f64, f64, usize) {
             config = config.with_backfill();
         }
         let r = Engine::new(config).run(jobs, policy);
-        stats::record_run(&r);
         assert!(r.completed_all, "{wl}/{which} wedged");
         makespan += r.summary.makespan_secs();
         resp += r.summary.overall_avg_response_secs();

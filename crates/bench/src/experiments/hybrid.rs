@@ -15,7 +15,6 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use crate::stats;
 use pdpa_apps::{Amdahl, AppClass, ApplicationSpec, SpeedupModel};
 use pdpa_core::Pdpa;
 use pdpa_engine::{Engine, EngineConfig};
@@ -90,7 +89,6 @@ pub fn run() -> String {
         ];
         let result =
             Engine::new(EngineConfig::default()).run(jobs, Box::new(Pdpa::paper_default()));
-        stats::record_run(&result);
         let _ = writeln!(
             out,
             "  {label:<10} makespan {:>6.1}s  avg alloc {:>5.1}  completed: {}",

@@ -32,7 +32,7 @@ pub mod tournament;
 /// One registered experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct Experiment {
-    /// Short name used by `--only` and the JSON trajectory (`fig3`, …).
+    /// Short name used by `--only` and the metrics scopes (`fig3`, …).
     pub name: &'static str,
     /// One-line description shown in usage output.
     pub title: &'static str,

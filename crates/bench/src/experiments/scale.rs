@@ -13,8 +13,8 @@
 //! scale (Berg et al. evaluate allocation policies on exactly such
 //! trace-driven streams), and the simulator's hot path — keyed
 //! event-queue invalidation, batched arrival insertion — is exercised on
-//! thousands of concurrent jobs, which is what `pdpa replay --json` gates
-//! in CI.
+//! thousands of concurrent jobs, which is what the replay workloads of
+//! the repository benchmark (`perfbench/`) time.
 
 use std::fmt::Write as _;
 
@@ -85,7 +85,6 @@ fn replay(trace: &pdpa_qs::SwfTrace, policy: PolicyKind) -> Row {
     let result = Engine::new(config).run_observed(jobs, policy.build(), &mut rec);
     let events = rec.take_events();
     assert!(result.completed_all, "{} wedged at scale", policy.label());
-    crate::stats::record_run(&result);
     if pdpa_obs::collector::is_recording() {
         let scope = pdpa_obs::scope::current().unwrap_or_default();
         pdpa_obs::collector::record_run(format!("{scope}/{key}"), events.clone());

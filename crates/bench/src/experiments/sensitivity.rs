@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{stats, PolicyKind, SEEDS};
+use crate::{PolicyKind, SEEDS};
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_qs::Workload;
 use pdpa_sim::{CostModel, SimDuration};
@@ -34,7 +34,6 @@ fn mean_response(policy: PolicyKind, config_of: impl Fn(u64) -> EngineConfig) ->
     for &seed in &SEEDS {
         let jobs = Workload::W1.build(1.0, seed);
         let r = Engine::new(config_of(seed)).run(jobs, policy.build());
-        stats::record_run(&r);
         assert!(r.completed_all);
         resp += r.summary.overall_avg_response_secs();
         reallocs += r.machine_stats.reallocations;

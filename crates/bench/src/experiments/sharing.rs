@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{stats, PolicyKind, SEEDS};
+use crate::{PolicyKind, SEEDS};
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_policies::{GangScheduler, SchedulingPolicy};
 use pdpa_qs::Workload;
@@ -42,7 +42,6 @@ fn run_cell(wl: Workload, label: &str) -> Row {
         let jobs = wl.build(1.0, 42);
         let config = EngineConfig::default().with_trace().with_seed(42);
         let r = Engine::new(config).run(jobs, build(label));
-        stats::record_run(&r);
         let migrations = r.total_migrations();
         let trace = r.trace.expect("traced");
         BurstStats::from_trace(&trace, migrations)
@@ -53,7 +52,6 @@ fn run_cell(wl: Workload, label: &str) -> Row {
         let jobs = wl.build(1.0, seed);
         let r =
             Engine::new(EngineConfig::default().with_seed(seed ^ 0xA5A5)).run(jobs, build(label));
-        stats::record_run(&r);
         assert!(r.completed_all, "{wl}/{label} wedged");
         makespan += r.summary.makespan_secs();
         resp += r.summary.overall_avg_response_secs();

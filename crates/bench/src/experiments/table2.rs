@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use crate::{stats, PolicyKind};
+use crate::PolicyKind;
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_qs::Workload;
 use pdpa_trace::BurstStats;
@@ -39,7 +39,6 @@ pub fn run() -> String {
         let jobs = Workload::W1.build(1.0, 42);
         let config = EngineConfig::default().with_trace().with_seed(42);
         let result = Engine::new(config).run(jobs, policy.build());
-        stats::record_run(&result);
         let migrations = result.total_migrations();
         let trace = result.trace.expect("trace collection enabled");
         let bursts = BurstStats::from_trace(&trace, migrations);

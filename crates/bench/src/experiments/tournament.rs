@@ -17,7 +17,7 @@
 //!
 //! Every run is traced, and the per-job slowdown distribution is computed
 //! by `pdpa-analyze` from the recorded decision-event stream — the same
-//! replay path the CI perf gate exercises. Entrants are ranked by p50,
+//! replay path `pdpa replay` uses. Entrants are ranked by p50,
 //! then p90, then p99 slowdown (label as the final tie-break), so the
 //! ranking is deterministic for a fixed seed; the `ranking(<leg>):` lines
 //! are the artifact the CI tournament-smoke job diffs across repeated
@@ -55,7 +55,7 @@ const SEED: u64 = 42;
 pub struct Entrant {
     /// Display label, as used in the paper's figures where applicable.
     pub label: &'static str,
-    /// Stable identifier for `tournament-<slug>` trajectory modes.
+    /// Stable identifier, the `tournament-<slug>-<leg>` run key.
     pub slug: &'static str,
     /// Builds a fresh policy instance.
     pub build: fn() -> Box<dyn SchedulingPolicy>,
@@ -142,7 +142,7 @@ impl Default for TournamentConfig {
 pub struct LegStats {
     /// Entrant display label.
     pub label: &'static str,
-    /// Entrant trajectory slug.
+    /// Entrant slug.
     pub slug: &'static str,
     /// Mean per-job slowdown (replayed from the event stream).
     pub avg_slowdown: f64,
@@ -160,7 +160,7 @@ pub struct LegStats {
     pub max_mpl: usize,
     /// Host wall-clock of the engine run, seconds (reported, never ranked).
     pub wall_secs: f64,
-    /// Simulation events drained (throughput accounting for `--json`).
+    /// Simulation events drained (reported, never ranked).
     pub events_popped: u64,
 }
 
@@ -218,7 +218,6 @@ fn race(
     let result = Engine::new(config).run_observed(jobs, (entrant.build)(), &mut rec);
     let wall_secs = started.elapsed().as_secs_f64();
     assert!(result.completed_all, "{} wedged on {key}", entrant.label);
-    crate::stats::record_run(&result);
     let events = rec.take_events();
     if pdpa_obs::collector::is_recording() {
         let scope = pdpa_obs::scope::current().unwrap_or_default();
@@ -310,9 +309,9 @@ pub fn run_tournament(config: &TournamentConfig) -> Tournament {
 
 impl Tournament {
     /// Renders the ranked report. Deterministic for a fixed seed: wall
-    /// clock is excluded (it lives in the JSON report and the `--json`
-    /// trajectory), and the `ranking(<leg>):` lines are the stable
-    /// artifact CI diffs across repeated runs.
+    /// clock is excluded (it lives in the JSON report), and the
+    /// `ranking(<leg>):` lines are the stable artifact CI diffs across
+    /// repeated runs.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# Tournament (extension): policy zoo on slowdown\n");

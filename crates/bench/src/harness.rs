@@ -9,12 +9,6 @@
 //!
 //! Flags (shared by `expt-all` and the single-experiment binaries):
 //!
-//! - `--json` — record this run in `BENCH_pdpa.json`: the mode block is
-//!   overwritten, and one entry is **appended** to the `trajectory` array
-//!   (see [`crate::trajectory`]), so the file accumulates per-invocation
-//!   history for `bench-compare` to gate on;
-//! - `--sequential` — one worker thread everywhere, including the
-//!   experiments' inner sweeps (the baseline mode for the trajectory);
 //! - `--only <name>` — run a single experiment from `expt-all`;
 //! - `--trace-out <file>` — record every engine run's decision-event
 //!   stream and export it as Chrome `trace_event` JSON (open in Perfetto);
@@ -25,15 +19,14 @@
 //! - `--analyze-out <file>` — run `pdpa-analyze` over every recorded
 //!   stream and write the `pdpa-analyze/v1` document (timelines,
 //!   time-in-state, migrations, CPU/MPL series) as JSON.
+//!
+//! `PDPA_THREADS=1` runs everything on one thread, the experiments' inner
+//! sweeps included (see `pdpa_parallel::num_threads`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use crate::experiments::{self, Experiment};
-use crate::json;
-use crate::stats;
-use crate::trajectory::{BenchReport, ExperimentTiming, ModeReport};
 use pdpa_obs::metrics::Registry;
 use pdpa_obs::{chrome_trace, collector, metrics_json, mpl_series_csv, scope};
 
@@ -41,17 +34,9 @@ use pdpa_obs::{chrome_trace, collector, metrics_json, mpl_series_csv, scope};
 /// subprocess-based `expt-all`).
 const SEPARATOR_WIDTH: usize = 78;
 
-/// File the `--json` trajectory is merged into, relative to the working
-/// directory (the repo root under `cargo run`).
-pub const BENCH_PATH: &str = "BENCH_pdpa.json";
-
 /// Parsed command-line flags.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Options {
-    /// Write the run's timings into [`BENCH_PATH`].
-    pub json: bool,
-    /// Force one worker thread everywhere.
-    pub sequential: bool,
     /// Restrict `expt-all` to one named experiment.
     pub only: Option<String>,
     /// Export the recorded event streams as Chrome trace JSON.
@@ -77,8 +62,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String>
     let mut opts = Options::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => opts.json = true,
-            "--sequential" => opts.sequential = true,
             "--only" => match args.next() {
                 Some(name) => opts.only = Some(name),
                 None => return Err("--only requires an experiment name".into()),
@@ -101,9 +84,8 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String>
             },
             other => {
                 return Err(format!(
-                    "unknown argument `{other}` (expected --json, --sequential, --only <name>, \
-                     --trace-out <file>, --metrics-out <file>, --mpl-csv <file>, \
-                     or --analyze-out <file>)"
+                    "unknown argument `{other}` (expected --only <name>, --trace-out <file>, \
+                     --metrics-out <file>, --mpl-csv <file>, or --analyze-out <file>)"
                 ))
             }
         }
@@ -152,19 +134,13 @@ fn usage_error(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// One guarded experiment execution.
-struct Outcome {
-    /// Rendered output, or the panic message.
-    output: Result<String, String>,
-    wall_secs: f64,
-}
-
-fn run_guarded(e: &Experiment) -> Outcome {
+/// Runs one experiment, returning its rendered output or the panic
+/// message.
+fn run_guarded(e: &Experiment) -> Result<String, String> {
     // Engine runs below are attributed to this experiment in the metrics
     // registry (and in recorded event-stream keys).
     let _scope = scope::enter(e.name);
-    let start = Instant::now();
-    let output = catch_unwind(AssertUnwindSafe(e.run)).map_err(|payload| {
+    catch_unwind(AssertUnwindSafe(e.run)).map_err(|payload| {
         let message = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -174,14 +150,8 @@ fn run_guarded(e: &Experiment) -> Outcome {
         // in the metrics export, not just on stderr.
         collector::record_failure(e.name, message.clone());
         message
-    });
-    Outcome {
-        output,
-        wall_secs: start.elapsed().as_secs_f64(),
-    }
+    })
 }
-
-use crate::trajectory::git_rev;
 
 /// Writes an export file, reporting the path on stderr like the CLI does.
 fn write_export(path: &str, what: &str, contents: &str) -> Result<(), ExitCode> {
@@ -193,35 +163,22 @@ fn write_export(path: &str, what: &str, contents: &str) -> Result<(), ExitCode> 
     Ok(())
 }
 
-/// Runs `list` (concurrently unless `--sequential`), prints the outputs in
-/// registry order, merges the trajectory under `--json`, and reports
-/// failures with a nonzero exit instead of a panic.
+/// Runs `list` concurrently, prints the outputs in registry order, writes
+/// the requested exports, and reports failures with a nonzero exit
+/// instead of a panic.
 fn run(list: &[Experiment], opts: &Options) -> ExitCode {
-    if opts.sequential {
-        // Push the choice down into the experiments' own par_map sweeps.
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-    }
-    let threads = if opts.sequential {
-        1
-    } else {
-        pdpa_parallel::num_threads()
-    };
     if opts.observing() {
         collector::set_recording(true);
     }
 
-    let before = stats::snapshot();
-    let start = Instant::now();
-    let outcomes = pdpa_parallel::par_map(list, threads, run_guarded);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let counters = stats::snapshot().since(&before);
+    let outcomes = pdpa_parallel::par_map(list, pdpa_parallel::num_threads(), run_guarded);
 
     let mut failures: Vec<&str> = Vec::new();
     for (e, outcome) in list.iter().zip(&outcomes) {
         if list.len() > 1 {
             println!("{}", "=".repeat(SEPARATOR_WIDTH));
         }
-        match &outcome.output {
+        match outcome {
             Ok(text) => print!("{text}"),
             Err(message) => {
                 eprintln!("{}: FAILED: {message}", e.name);
@@ -230,16 +187,14 @@ fn run(list: &[Experiment], opts: &Options) -> ExitCode {
         }
     }
 
-    // Drain the observability state once; every export below reads from
-    // these (deterministically ordered) drains.
+    // Drain the recorded streams once; every export below reads from this
+    // (deterministically ordered) drain.
     let recorded_runs = if opts.observing() {
         collector::set_recording(false);
         collector::take_runs()
     } else {
         Vec::new()
     };
-    let obs_failures = collector::take_failures();
-    let metrics_text = metrics_json(&Registry::global().snapshot(), &obs_failures);
 
     if let Some(path) = &opts.trace_out {
         if let Err(code) = write_export(path, "Chrome trace", &chrome_trace(&recorded_runs)) {
@@ -252,7 +207,8 @@ fn run(list: &[Experiment], opts: &Options) -> ExitCode {
         }
     }
     if let Some(path) = &opts.metrics_out {
-        if let Err(code) = write_export(path, "metrics JSON", &metrics_text) {
+        let doc = metrics_json(&Registry::global().snapshot(), &collector::take_failures());
+        if let Err(code) = write_export(path, "metrics JSON", &doc) {
             return code;
         }
     }
@@ -265,48 +221,6 @@ fn run(list: &[Experiment], opts: &Options) -> ExitCode {
         if let Err(code) = write_export(path, "run analysis JSON", &doc) {
             return code;
         }
-    }
-
-    if opts.json {
-        let report = ModeReport {
-            threads,
-            wall_secs,
-            counters,
-            // The same document `--metrics-out` writes, embedded as the
-            // mode's `metrics` block (pdpa-bench/v2).
-            metrics: json::parse(&metrics_text).ok(),
-            experiments: list
-                .iter()
-                .zip(&outcomes)
-                .map(|(e, o)| ExperimentTiming {
-                    name: e.name.to_string(),
-                    wall_secs: o.wall_secs,
-                    ok: o.output.is_ok(),
-                })
-                .collect(),
-        };
-        let events_per_sec = report.events_per_sec();
-        let existing = std::fs::read_to_string(BENCH_PATH).ok();
-        let merged =
-            BenchReport::merge_into(existing.as_deref(), opts.sequential, report, &git_rev());
-        if let Err(e) = std::fs::write(BENCH_PATH, merged) {
-            eprintln!("error: cannot write {BENCH_PATH}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[{}] {} mode: {} thread(s), {:.2}s wall, {:.0} events/sec, {} engine runs, {} cells",
-            BENCH_PATH,
-            if opts.sequential {
-                "sequential"
-            } else {
-                "parallel"
-            },
-            threads,
-            wall_secs,
-            events_per_sec,
-            counters.engine_runs,
-            counters.cells_run,
-        );
     }
 
     if failures.is_empty() {
@@ -333,8 +247,7 @@ mod tests {
     #[test]
     fn parses_all_flags() {
         assert_eq!(parse(&[]).unwrap(), Options::default());
-        let opts = parse(&["--json", "--sequential", "--only", "fig5"]).unwrap();
-        assert!(opts.json && opts.sequential);
+        let opts = parse(&["--only", "fig5"]).unwrap();
         assert_eq!(opts.only.as_deref(), Some("fig5"));
     }
 
@@ -374,17 +287,27 @@ mod tests {
     }
 
     #[test]
+    fn rejects_the_retired_trajectory_flags() {
+        // Retired flags are unknown arguments, not silently ignored.
+        for flag in ["--json", "--sequential"] {
+            let err = parse(&[flag]).unwrap_err();
+            assert!(
+                err.contains("unknown argument") && err.contains(flag),
+                "{flag}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn guarded_runs_catch_panics() {
         let boom = Experiment {
             name: "boom",
             title: "always panics",
             run: || panic!("exploded as designed"),
         };
-        let outcome = run_guarded(&boom);
         assert_eq!(
-            outcome.output.unwrap_err(),
+            run_guarded(&boom).unwrap_err(),
             "exploded as designed".to_string()
         );
-        assert!(outcome.wall_secs >= 0.0);
     }
 }

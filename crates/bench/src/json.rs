@@ -1,12 +1,15 @@
-//! Minimal JSON tree, writer, and parser for the bench trajectory.
+//! Minimal JSON tree, writer, and parser for the harness's validators.
 //!
 //! The build environment has no crates-registry access, so `serde_json`
 //! is unavailable; this module covers the subset the harness needs —
 //! objects (order-preserving), arrays, strings with escapes, finite
-//! numbers, booleans, and null — with a strict recursive-descent parser
-//! so `BENCH_pdpa.json` round-trips exactly.
+//! numbers, booleans, and null — with a strict recursive-descent parser,
+//! so `validate-obs` and `validate-prof` can check the exports and the
+//! tournament can write its `pdpa-tournament/v1` report.
 
 use std::fmt::Write as _;
+
+use pdpa_obs::json::push_str_escaped;
 
 /// A JSON value. Object keys keep insertion order so serialized reports
 /// are stable and diffable.
@@ -104,7 +107,7 @@ impl Value {
                     let _ = write!(out, "{n}");
                 }
             }
-            Value::Str(s) => write_escaped(out, s),
+            Value::Str(s) => push_str_escaped(out, s),
             Value::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -130,7 +133,7 @@ impl Value {
                 out.push_str("{\n");
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     out.push_str(&inner_pad);
-                    write_escaped(out, key);
+                    push_str_escaped(out, key);
                     out.push_str(": ");
                     value.write(out, indent + 1);
                     if i + 1 < pairs.len() {
@@ -143,24 +146,6 @@ impl Value {
             }
         }
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a JSON document. Trailing non-whitespace is an error.

@@ -37,9 +37,6 @@ use pdpa_qs::Workload;
 pub mod experiments;
 pub mod harness;
 pub mod json;
-pub mod regression;
-pub mod stats;
-pub mod trajectory;
 
 /// The paper's load points: 60 %, 80 %, 100 % of machine capacity.
 pub const PAPER_LOADS: [f64; 3] = [0.6, 0.8, 1.0];
@@ -125,10 +122,9 @@ pub struct Cell {
     pub completed_all: bool,
 }
 
-/// Runs one engine execution, records its harness [`stats`], and — when
-/// the process-wide [`pdpa_obs::collector`] is recording (`--trace-out`
-/// and friends) — captures the decision-event stream under
-/// `<scope>/<run_key>`.
+/// Runs one engine execution and — when the process-wide
+/// [`pdpa_obs::collector`] is recording (`--trace-out` and friends) —
+/// captures the decision-event stream under `<scope>/<run_key>`.
 ///
 /// The key is derived from the run's parameters, never from scheduling
 /// order, so the drained streams are identical between sequential and
@@ -139,7 +135,7 @@ pub fn run_engine_observed(
     jobs: Vec<pdpa_qs::JobSpec>,
     policy: Box<dyn SchedulingPolicy>,
 ) -> RunResult {
-    let result = if pdpa_obs::collector::is_recording() {
+    if pdpa_obs::collector::is_recording() {
         let mut rec = pdpa_obs::RecordingObserver::new();
         let r = engine.run_observed(jobs, policy, &mut rec);
         let scope = pdpa_obs::scope::current().unwrap_or_default();
@@ -147,15 +143,12 @@ pub fn run_engine_observed(
         r
     } else {
         engine.run(jobs, policy)
-    };
-    stats::record_run(&result);
-    result
+    }
 }
 
 /// Runs one engine execution of `(workload, policy, load)` at `seed`.
 ///
-/// This is the unit of work the parallel sweeps fan out; it also feeds the
-/// global [`stats`] counters that the `--json` trajectory reports.
+/// This is the unit of work the parallel sweeps fan out.
 pub fn run_single(
     workload: Workload,
     tuned: bool,
@@ -209,7 +202,6 @@ pub fn run_cell_seq(
 
 /// Averages a set of runs into a [`Cell`].
 pub fn average(runs: &[RunResult], workload: Workload) -> Cell {
-    stats::record_cell();
     let mut cell = Cell {
         completed_all: runs.iter().all(|r| r.completed_all),
         ..Cell::default()

@@ -48,9 +48,6 @@ pub struct ReplayOptions {
     pub window: Option<(f64, f64)>,
     /// Engine seed (timing noise).
     pub seed: u64,
-    /// Append a `replay-<policy>` entry to the `BENCH_pdpa.json`
-    /// trajectory.
-    pub json: bool,
     /// Print a decision-event summary after the metrics.
     pub obs: bool,
     /// Write a Chrome `trace_event` JSON of the decision-event stream here.
@@ -98,9 +95,6 @@ pub struct TournamentOptions {
     /// Submission window of the generated trace, seconds (only without a
     /// trace file).
     pub duration: Option<f64>,
-    /// Append one `tournament-<policy>` entry per entrant to the
-    /// `BENCH_pdpa.json` trajectory.
-    pub json: bool,
     /// Write the `pdpa-tournament/v1` JSON report here.
     pub out: Option<String>,
 }
@@ -113,7 +107,6 @@ impl Default for TournamentOptions {
             seed: 42,
             load: None,
             duration: None,
-            json: false,
             out: None,
         }
     }
@@ -149,7 +142,6 @@ impl Default for ReplayOptions {
             cpus: 60,
             window: None,
             seed: 42,
-            json: false,
             obs: false,
             trace_out: None,
             analyze_out: None,
@@ -343,7 +335,8 @@ impl PolicyChoice {
         }
     }
 
-    /// Short stable identifier used in `replay-<slug>` trajectory modes.
+    /// Short stable identifier: the `replay-<slug>` run key of the trace
+    /// and analysis exports, and the policy name in daemon snapshots.
     pub fn slug(self) -> &'static str {
         match self {
             PolicyChoice::Pdpa => "pdpa",
@@ -636,7 +629,6 @@ fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Resul
                     .parse::<u64>()
                     .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
             }
-            "--json" => opts.json = true,
             "--obs" => opts.obs = true,
             "--trace-out" => opts.trace_out = Some(value_of("--trace-out", it)?),
             "--analyze-out" => opts.analyze_out = Some(value_of("--analyze-out", it)?),
@@ -1009,7 +1001,6 @@ fn parse_tournament(
                 }
                 opts.duration = Some(secs);
             }
-            "--json" => opts.json = true,
             "--out" => opts.out = Some(value_of("--out", it)?),
             other if other.starts_with('-') => {
                 return Err(format!("unknown option {other:?}; try `pdpa help`"));
@@ -1196,7 +1187,7 @@ mod tests {
     fn replay_full_invocation() {
         let cmd = parse(&argv(
             "replay trace.swf --policy equip --load 0.9 --cpus 128 \
-             --window 100:5000 --seed 9 --json --obs --analyze-out a.json \
+             --window 100:5000 --seed 9 --obs --analyze-out a.json \
              --trace-out t.json",
         ))
         .unwrap();
@@ -1209,7 +1200,7 @@ mod tests {
         assert_eq!(o.cpus, 128);
         assert_eq!(o.window, Some((100.0, 5000.0)));
         assert_eq!(o.seed, 9);
-        assert!(o.json && o.obs);
+        assert!(o.obs);
         assert_eq!(o.analyze_out.as_deref(), Some("a.json"));
         assert_eq!(o.trace_out.as_deref(), Some("t.json"));
     }
@@ -1227,7 +1218,7 @@ mod tests {
         assert_eq!(o.cpus, 60);
         assert_eq!(o.window, None);
         assert_eq!(o.seed, 42);
-        assert!(!o.json && !o.obs);
+        assert!(!o.obs);
     }
 
     #[test]
@@ -1269,6 +1260,19 @@ mod tests {
             assert!(
                 err.contains("unknown option") && err.contains(flag),
                 "{flags}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_and_tournament_reject_the_retired_trajectory_flag() {
+        // The retired bench-trajectory flag is an unknown option, not
+        // silently ignored.
+        for cmd in ["replay t.swf --policy pdpa --json", "tournament --json"] {
+            let err = parse(&argv(cmd)).unwrap_err();
+            assert!(
+                err.contains("unknown option") && err.contains("--json"),
+                "{cmd}: {err}"
             );
         }
     }
@@ -1432,7 +1436,7 @@ mod tests {
         let cmd = parse(&argv("tournament")).unwrap();
         assert_eq!(cmd, Command::Tournament(TournamentOptions::default()));
         let cmd = parse(&argv(
-            "tournament big.swf --cpus 50 --seed 7 --load 0.9 --json --out r.json",
+            "tournament big.swf --cpus 50 --seed 7 --load 0.9 --out r.json",
         ))
         .unwrap();
         let Command::Tournament(o) = cmd else {
@@ -1442,7 +1446,6 @@ mod tests {
         assert_eq!(o.cpus, 50);
         assert_eq!(o.seed, 7);
         assert_eq!(o.load, Some(0.9));
-        assert!(o.json);
         assert_eq!(o.out.as_deref(), Some("r.json"));
         let cmd = parse(&argv("tournament --duration 600")).unwrap();
         let Command::Tournament(o) = cmd else {

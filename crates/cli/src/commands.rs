@@ -9,8 +9,6 @@ use std::time::Duration;
 use pdpa_analyze::{analysis_json, RunAnalysis, RunDiff};
 use pdpa_apps::{paper_app, AppClass};
 use pdpa_bench::experiments::tournament::{run_tournament, TournamentConfig};
-use pdpa_bench::harness::BENCH_PATH;
-use pdpa_bench::trajectory::{git_rev, BenchReport, TrajectoryEntry};
 use pdpa_core::Pdpa;
 use pdpa_engine::{Engine, EngineConfig, Instrumentation, RunResult};
 use pdpa_faults::FaultPlan;
@@ -423,8 +421,7 @@ fn event_kind_summary(events: &[pdpa_obs::TimedEvent]) -> String {
 
 /// `pdpa replay`: stream an SWF trace file through the shaping transforms
 /// and the engine, and report makespan, utilization, and the per-job
-/// slowdown distribution. `--json` appends a `replay-<policy>` entry to
-/// the bench trajectory so CI gates replay throughput.
+/// slowdown distribution.
 fn replay(opts: &ReplayOptions) -> Result<String, String> {
     let file = std::fs::File::open(&opts.trace_path)
         .map_err(|e| format!("cannot open {}: {e}", opts.trace_path))?;
@@ -505,7 +502,6 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     };
 
     let mut recorder = RecordingObserver::new();
-    let started = std::time::Instant::now();
     let result = {
         let _scope = scope::enter("cli-replay");
         let engine = Engine::new(config);
@@ -526,7 +522,6 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         }
         engine.run_instrumented(jobs, build_policy(opts.policy), observer, instr)
     };
-    let wall_secs = started.elapsed().as_secs_f64();
     // Publish the terminal state, give polling watchers a window to see
     // it, then tear the server down — on the abort path too, so a
     // `pdpa watch --follow` observes the failure instead of a dead socket.
@@ -603,7 +598,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         let _ = writeln!(out, "\nChrome trace written to {path}");
     }
     if let Some(path) = &opts.analyze_out {
-        std::fs::write(path, analysis_json(&[(key.clone(), analysis)]))
+        std::fs::write(path, analysis_json(&[(key, analysis)]))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nRun analysis JSON written to {path}");
     }
@@ -629,36 +624,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         let _ = writeln!(out, "\nprofile trace written to {path}\n");
         out.push_str(&profile.hot_path_report());
     }
-    if opts.json {
-        let entry = replay_entry(&key, wall_secs, result.events_popped);
-        let existing = std::fs::read_to_string(BENCH_PATH).ok();
-        std::fs::write(
-            BENCH_PATH,
-            BenchReport::append_entry(existing.as_deref(), entry),
-        )
-        .map_err(|e| format!("cannot write {BENCH_PATH}: {e}"))?;
-        let _ = writeln!(
-            out,
-            "\ntrajectory entry ({key}) appended to {BENCH_PATH} \
-             ({:.0} events/s over {wall_secs:.3} s)",
-            result.events_popped as f64 / wall_secs.max(1e-9),
-        );
-    }
     Ok(out)
-}
-
-/// The trajectory entry a `--json` replay appends (one `replay-<policy>`
-/// mode; tournaments append one `tournament-<entrant>` mode each), gated
-/// by `bench-compare` like the harness's own modes. The engine is
-/// sequential, so `threads` is always 1.
-fn replay_entry(mode: &str, wall_secs: f64, events_popped: u64) -> TrajectoryEntry {
-    TrajectoryEntry {
-        git_rev: git_rev(),
-        mode: mode.to_string(),
-        threads: 1,
-        wall_secs,
-        events_per_sec: events_popped as f64 / wall_secs.max(1e-9),
-    }
 }
 
 /// Sends `requests` down one connection to a `--serve` replay and returns
@@ -998,8 +964,7 @@ fn ctl(opts: &CtlOptions) -> Result<String, String> {
 /// and the fixed chaos plan, ranked by per-job slowdown quantiles. The
 /// replay leg uses a given trace file (remapped to `--cpus`, optionally
 /// rescaled by `--load`) or a generated shaped trace; `--out` writes the
-/// `pdpa-tournament/v1` JSON report and `--json` appends one
-/// `tournament-<policy>` entry per entrant to the bench trajectory.
+/// `pdpa-tournament/v1` JSON report.
 fn tournament(opts: &TournamentOptions) -> Result<String, String> {
     let mut config = TournamentConfig {
         cpus: opts.cpus,
@@ -1048,28 +1013,6 @@ fn tournament(opts: &TournamentOptions) -> Result<String, String> {
         std::fs::write(path, result.render_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\ntournament report written to {path}");
-    }
-    if opts.json {
-        let mut doc = std::fs::read_to_string(BENCH_PATH).ok();
-        for swf_leg in &result.swf {
-            let chaos_leg = result
-                .chaos
-                .iter()
-                .find(|c| c.slug == swf_leg.slug)
-                .expect("both legs share the roster");
-            let entry = replay_entry(
-                &format!("tournament-{}", swf_leg.slug),
-                swf_leg.wall_secs + chaos_leg.wall_secs,
-                swf_leg.events_popped + chaos_leg.events_popped,
-            );
-            doc = Some(BenchReport::append_entry(doc.as_deref(), entry));
-        }
-        std::fs::write(BENCH_PATH, doc.expect("at least one entrant"))
-            .map_err(|e| format!("cannot write {BENCH_PATH}: {e}"))?;
-        let _ = writeln!(
-            out,
-            "\ntrajectory entries (tournament-*) appended to {BENCH_PATH}"
-        );
     }
     Ok(out)
 }
@@ -1370,24 +1313,6 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("no jobs to replay"), "unhelpful error: {err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn replay_entries_match_the_gate_contract() {
-        // Single-threaded, bare policy mode.
-        let e = replay_entry("replay-equal-eff", 2.0, 1_000_000);
-        assert_eq!(e.mode, "replay-equal-eff");
-        assert_eq!(e.threads, 1);
-        assert!((e.events_per_sec - 500_000.0).abs() < 1e-9);
-        let p = replay_entry("replay-pdpa", 1.0, 1_000_000);
-        // Entries survive the append round-trip under their own mode.
-        let doc = BenchReport::append_entry(None, e);
-        let doc = BenchReport::append_entry(Some(&doc), p);
-        let report = BenchReport::from_json(&doc).unwrap();
-        assert_eq!(report.trajectory.len(), 2);
-        assert_eq!(report.trajectory[0].mode, "replay-equal-eff");
-        assert_eq!(report.trajectory[1].mode, "replay-pdpa");
-        assert_eq!(report.trajectory[1].threads, 1);
     }
 
     #[test]

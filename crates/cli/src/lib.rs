@@ -8,7 +8,7 @@
 //! pdpa analyze --workload w3 --policy pdpa [options]
 //! pdpa diff    --workload w3 --policy pdpa --policy-b equip [options]
 //! pdpa replay  trace.swf --policy pdpa [--load 1.0 --cpus 60 --window 0:45000]
-//! pdpa tournament [trace.swf] [--load 1.0 --cpus 60 --json --out report.json]
+//! pdpa tournament [trace.swf] [--load 1.0 --cpus 60 --out report.json]
 //! pdpa watch   127.0.0.1:7777 [--follow --json --tail 20]
 //! pdpa daemon  [--addr 127.0.0.1:7777 --policy pdpa --cpus 32 --time-scale 60]
 //! pdpa submit  127.0.0.1:7777 --class swim [--request 8 --work-secs 4000 --count 10]
@@ -57,12 +57,12 @@ USAGE:
   pdpa diff    --from-stream <file> --from-stream-b <file>
   pdpa replay  <trace.swf> --policy <name>
                [--load <frac>] [--cpus <n>] [--window <start:end>] [--seed <n>]
-               [--json] [--obs] [--trace-out <file>] [--analyze-out <file>]
+               [--obs] [--trace-out <file>] [--analyze-out <file>]
                [--obs-out <file>] [--obs-format <text|binary>] [--profile-out <file>]
                [--no-watchdog] [--heartbeat <secs>] [--faults <plan>]
                [--serve <addr>] [--obs-filter <kind,...>]
   pdpa tournament [<trace.swf>] [--cpus <n>] [--seed <n>] [--load <frac>]
-               [--duration <secs>] [--json] [--out <file>]
+               [--duration <secs>] [--out <file>]
   pdpa watch   <host:port> [--follow] [--json] [--tail <n>] [--interval <secs>]
   pdpa daemon  [--addr <host:port>] [--policy <name>] [--cpus <n>] [--seed <n>]
                [--backfill] [--max-queue <n>] [--time-scale <x>]
@@ -85,14 +85,12 @@ COMMANDS:
   replay    replay a Standard Workload Format trace file through the engine:
             shape it (--window slice, --cpus remap, --load rescale), run it
             under one policy, and print makespan, utilization, and the
-            per-job slowdown distribution; --json appends a replay-<policy>
-            events-per-second entry to BENCH_pdpa.json for the CI perf gate
+            per-job slowdown distribution
   tournament  race the whole policy zoo (PDPA, Equip, Equal_eff, Rigid,
             Gang, heSRPT, OptSplit, LearnedAlloc) over an SWF-replay leg
             (a given trace file, or a generated shaped one) and the fixed
             chaos fault plan, ranked by p50/p90/p99 per-job slowdown;
-            --out writes the pdpa-tournament/v1 JSON report, --json
-            appends tournament-<policy> entries to BENCH_pdpa.json
+            --out writes the pdpa-tournament/v1 JSON report
   watch     query a live `replay --serve` run over TCP: status, progress
             with events/s and ETA, health, and (with --tail) the newest
             observer events; --follow polls until the run finishes and
@@ -131,7 +129,6 @@ OPTIONS:
   --policy-b   diff only: the second run's policy (defaults to --policy)
   --seed-b     diff only: the second run's seed (defaults to --seed)
   --window     replay only: keep submissions inside [start, end) seconds
-  --json       replay only: append wall-clock + events/s to BENCH_pdpa.json
   --obs-out    replay only: write the decision-event stream to a file
   --obs-format replay only: --obs-out encoding, text (default) or the
                PDPAOBS1 length-prefixed binary framing

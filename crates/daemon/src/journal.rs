@@ -28,7 +28,8 @@
 
 use std::fmt::Write as _;
 
-use pdpa_watch::json::{fmt_f64, push_str_escaped, Json};
+use pdpa_obs::json::{fmt_f64, push_str_escaped};
+use pdpa_watch::json::Json;
 use pdpa_watch::PROTO_VERSION;
 
 /// Magic format tag; the first field of every snapshot file.

@@ -3,8 +3,8 @@
 //! The daemon stores the *slug* (not the policy object) in its snapshots,
 //! so a restore can rebuild the identical policy without serializing any
 //! policy state — journal replay regenerates it. The slugs here are the
-//! same stable identifiers `pdpa-cli` uses for `replay-<slug>` trajectory
-//! modes; a snapshot written today must restore under any future build,
+//! same stable identifiers `pdpa-cli` uses for its `replay-<slug>` run
+//! keys; a snapshot written today must restore under any future build,
 //! which is why both sides pin them with tests.
 
 use pdpa_core::Pdpa;

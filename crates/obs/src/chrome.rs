@@ -9,27 +9,8 @@
 //! timeline reads directly as simulated seconds.
 
 use crate::event::{ObsEvent, TimedEvent};
+use crate::json::push_str_escaped;
 use std::collections::BTreeMap;
-use std::fmt::Write;
-
-/// Escapes `s` as the inside of a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Simulated seconds → trace microseconds.
 fn us(secs: f64) -> f64 {
@@ -73,10 +54,11 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
     let mut w = EventWriter::new();
     for (pid0, (key, events)) in runs.iter().enumerate() {
         let pid = pid0 + 1;
+        let mut name = String::new();
+        push_str_escaped(&mut name, key);
         w.push(format!(
             "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}",
-            esc(key)
+             \"args\":{{\"name\":{name}}}"
         ));
         // Open B spans per tid, so every span gets a matching E even when
         // a run ends with jobs still in flight.
@@ -207,11 +189,13 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                     ));
                 }
                 ObsEvent::ExperimentFailed { name, message } => {
+                    let mut label = String::new();
+                    push_str_escaped(&mut label, &format!("FAILED {name}"));
+                    let mut text = String::new();
+                    push_str_escaped(&mut text, message);
                     w.push(format!(
-                        "\"name\":\"FAILED {}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\
-                         \"pid\":{pid},\"tid\":0,\"args\":{{\"message\":\"{}\"}}",
-                        esc(name),
-                        esc(message)
+                        "\"name\":{label},\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\
+                         \"pid\":{pid},\"tid\":0,\"args\":{{\"message\":{text}}}"
                     ));
                 }
                 // High-volume / low-value on a decision timeline: the CPU

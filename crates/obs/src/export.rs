@@ -3,37 +3,12 @@
 
 use crate::collector::ExperimentFailure;
 use crate::event::{ObsEvent, TimedEvent};
+use crate::json::{fmt_f64, push_str_escaped};
 use crate::metrics::{CounterSnapshot, MetricsSnapshot};
 use std::fmt::Write;
 
 /// Schema tag written into [`metrics_json`] documents.
 pub const METRICS_SCHEMA: &str = "pdpa-obs-metrics/v1";
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
 
 fn counters_obj(c: &CounterSnapshot, indent: &str) -> String {
     format!(
@@ -53,8 +28,7 @@ fn counters_obj(c: &CounterSnapshot, indent: &str) -> String {
 }
 
 /// Renders a metrics snapshot (plus any recorded experiment failures) as a
-/// standalone JSON document. The same object — minus the schema tag — is
-/// what the bench trajectory embeds as its `metrics` block.
+/// standalone JSON document (`--metrics-out`).
 pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -69,7 +43,9 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) 
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n    \"{}\": {}", esc(name), counters_obj(c, "    "));
+        out.push_str("\n    ");
+        push_str_escaped(&mut out, name);
+        let _ = write!(out, ": {}", counters_obj(c, "    "));
     }
     if snapshot.scopes.is_empty() {
         out.push_str("},\n");
@@ -81,11 +57,12 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) 
         if i > 0 {
             out.push(',');
         }
+        out.push_str("\n    ");
+        push_str_escaped(&mut out, name);
         let _ = write!(
             out,
-            "\n    \"{}\": {{\n      \"count\": {},\n      \"mean\": {},\n      \
+            ": {{\n      \"count\": {},\n      \"mean\": {},\n      \
              \"p50\": {},\n      \"p90\": {},\n      \"p99\": {},\n      \"max\": {}\n    }}",
-            esc(name),
             h.count,
             fmt_f64(h.mean),
             h.p50,
@@ -104,12 +81,11 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) 
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "\n    {{\"name\": \"{}\", \"message\": \"{}\"}}",
-            esc(&f.name),
-            esc(&f.message)
-        );
+        out.push_str("\n    {\"name\": ");
+        push_str_escaped(&mut out, &f.name);
+        out.push_str(", \"message\": ");
+        push_str_escaped(&mut out, &f.message);
+        out.push('}');
     }
     if failures.is_empty() {
         out.push_str("]\n");

@@ -38,6 +38,7 @@ pub mod chrome;
 pub mod collector;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod scope;

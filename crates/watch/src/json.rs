@@ -4,14 +4,21 @@
 //! JSON *output* only. The status protocol is the first place the suite
 //! must also *parse* JSON — requests on the server side, responses in the
 //! `pdpa watch` client — so this module adds the smallest complete reader:
-//! a recursive-descent parser into a [`Json`] value tree, plus the string
-//! escaping the writers share. Numbers are kept as `f64`, which is exact
-//! for every integer the protocol carries below 2^53; the few counters
-//! that could theoretically exceed that (cumulative event counts) degrade
-//! to the nearest representable integer rather than erroring, matching
-//! JSON's own number model.
+//! a recursive-descent parser into a [`Json`] value tree (the writers'
+//! escaping lives in `pdpa_obs::json`). Numbers are kept as `f64`, which
+//! is exact for every integer the protocol carries below 2^53; the few
+//! counters that could theoretically exceed that (cumulative event
+//! counts) degrade to the nearest representable integer rather than
+//! erroring, matching JSON's own number model.
+//!
+//! Nesting is capped at [`MAX_DEPTH`]: the parser recurses once per `[`
+//! or `{`, and a request line of a few kilobytes of brackets would
+//! otherwise overflow a connection thread's stack and abort the process.
 
-use std::fmt::Write as _;
+/// Deepest `[`/`{` nesting [`Json::parse`] accepts. Every wire frame and
+/// daemon snapshot the workspace writes nests at most three levels deep
+/// (the protocol proptest pins the frames).
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,10 +39,12 @@ pub enum Json {
 
 impl Json {
     /// Parses one JSON document, requiring it to span the whole input.
+    /// Nesting deeper than [`MAX_DEPTH`] is an error naming the offset of
+    /// the first bracket past the cap.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -96,12 +105,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open brackets.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at offset {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -134,7 +149,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number '{text}' at offset {start}"))
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -150,7 +165,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at offset {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -164,7 +179,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -173,7 +188,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -257,36 +272,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-/// Appends `s` to `out` as a quoted, escaped JSON string.
-pub fn push_str_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Formats a float as a JSON number. Rust's shortest round-trip `Display`
-/// is valid JSON for every finite value; non-finite values (which JSON
-/// cannot carry) degrade to 0.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,16 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips() {
-        for s in ["", "plain", "q\"b\\s\nnl\tt\r", "uni: ∞ λ", "\u{0001}ctl"] {
-            let mut out = String::new();
-            push_str_escaped(&mut out, s);
-            let back = Json::parse(&out).expect("escaped string parses");
-            assert_eq!(back.as_str(), Some(s));
-        }
-    }
-
-    #[test]
     fn unicode_escapes_decode() {
         let v = Json::parse(r#""é😀""#).expect("parses");
         assert_eq!(v.as_str(), Some("é😀"));
@@ -328,12 +303,36 @@ mod tests {
     }
 
     #[test]
-    fn fmt_f64_round_trips_finite_values() {
-        for v in [0.0, -0.0, 1.5, 1e300, 1.0 / 3.0, -2.25e-8] {
-            let s = fmt_f64(v);
-            assert_eq!(s.parse::<f64>().unwrap().to_bits(), v.to_bits());
-        }
-        assert_eq!(fmt_f64(f64::NAN), "0");
-        assert_eq!(fmt_f64(f64::INFINITY), "0");
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let obj = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&obj).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.contains(&format!("offset {MAX_DEPTH}")),
+            "error must name the offending offset: {err}"
+        );
+        let err = Json::parse(&format!("{{\"a\":{}}}", nest(MAX_DEPTH))).unwrap_err();
+        assert!(
+            err.contains(&format!("offset {}", 5 + MAX_DEPTH - 1)),
+            "{err}"
+        );
+    }
+
+    /// Without the cap, a request line of 60,000 `[` recurses once per
+    /// byte, overflows a connection thread's default 2 MiB stack and
+    /// aborts the whole process.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let line = "[".repeat(60_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&line))
+            .expect("spawns")
+            .join()
+            .expect("parser thread must not crash");
+        let err = result.unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 }

@@ -34,7 +34,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{fmt_f64, push_str_escaped, Json};
+use crate::json::Json;
+use pdpa_obs::json::{fmt_f64, push_str_escaped};
 
 /// The protocol generation this build speaks.
 ///
@@ -1157,7 +1158,9 @@ mod tests {
                     _ => RequestKind::Job { job: id },
                 },
             };
-            prop_assert_eq!(Request::parse_line(&req.to_line()).unwrap(), req);
+            let req_line = req.to_line();
+            prop_assert!(nesting(&req_line) <= 3, "{}", req_line);
+            prop_assert_eq!(Request::parse_line(&req_line).unwrap(), req);
 
             // Responses: every body shape, strings drawn from the full
             // printable class so quoting/escaping is exercised.
@@ -1234,7 +1237,33 @@ mod tests {
                 ),
                 _ => {}
             }
+            // Every written frame stays far inside the parser's nesting
+            // cap, so the cap can never reject a well-formed peer.
+            prop_assert!(nesting(&line) <= 3, "{}", line);
             prop_assert_eq!(Response::parse_line(&line).unwrap(), resp);
         }
+    }
+
+    /// Deepest `[`/`{` nesting of a JSON line, ignoring brackets inside
+    /// strings.
+    fn nesting(line: &str) -> usize {
+        let (mut depth, mut deepest) = (0usize, 0usize);
+        let (mut in_str, mut escaped) = (false, false);
+        for c in line.chars() {
+            match (in_str, escaped, c) {
+                (true, true, _) => escaped = false,
+                (true, false, '\\') => escaped = true,
+                (true, false, '"') => in_str = false,
+                (true, false, _) => {}
+                (false, _, '"') => in_str = true,
+                (false, _, '[' | '{') => {
+                    depth += 1;
+                    deepest = deepest.max(depth);
+                }
+                (false, _, ']' | '}') => depth -= 1,
+                _ => {}
+            }
+        }
+        deepest
     }
 }

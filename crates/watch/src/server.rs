@@ -548,6 +548,34 @@ mod tests {
         server.shutdown();
     }
 
+    /// Without the parser's nesting cap, this line overflows the
+    /// connection thread's stack and aborts the process.
+    #[test]
+    fn deeply_nested_line_gets_an_error_and_the_server_keeps_serving() {
+        let tap = LiveTap::new(RunMeta::default());
+        let server = StatusServer::bind("127.0.0.1:0", Arc::clone(&tap)).expect("binds");
+        let (mut stream, mut reader) = connect(server.local_addr());
+        let line = "[".repeat(60_000) + "\n";
+        stream.write_all(line.as_bytes()).expect("writes");
+        let reply = read_reply(&mut reader);
+        assert_eq!(reply.id, 0);
+        match &reply.body {
+            ResponseBody::Error { message } => assert!(message.contains("nesting"), "{message}"),
+            other => panic!("expected an error, got {other:?}"),
+        }
+        drop((stream, reader));
+
+        let (mut stream, mut reader) = connect(server.local_addr());
+        stream
+            .write_all(request(1, RequestKind::Hello).as_bytes())
+            .expect("writes");
+        assert!(matches!(
+            read_reply(&mut reader).body,
+            ResponseBody::Hello(_)
+        ));
+        server.shutdown();
+    }
+
     #[test]
     fn over_long_line_gets_an_error_then_eof() {
         let tap = LiveTap::new(RunMeta::default());
