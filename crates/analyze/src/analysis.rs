@@ -6,12 +6,13 @@
 //! the document is small and flat enough that a builder would cost more
 //! than it saves.
 
-use crate::series::{cpu_series, mpl_stats, CpuSeries, MplStats};
-use crate::stability::{migration_stats, MigrationStats};
-use crate::states::{time_in_state, StateBreakdown};
-use crate::timeline::{job_timelines, summarize, JobTimeline, TimelineStats};
+use crate::fold::{Fold, JobIndex};
+use crate::series::{machine_size, CpuFold, CpuSeries, MplFold, MplStats};
+use crate::stability::{MigrationFold, MigrationStats};
+use crate::states::{StateBreakdown, StateFold};
+use crate::timeline::{summarize, JobTimeline, TimelineFold, TimelineStats};
 use pdpa_obs::json::{fmt_f64, push_str_escaped};
-use pdpa_obs::{ObsEvent, TimedEvent};
+use pdpa_obs::{DecisionTrigger, ObsEvent, TimedEvent};
 use pdpa_sim::JobId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -56,38 +57,118 @@ pub struct RunAnalysis {
     pub decisions: DecisionStats,
 }
 
-impl RunAnalysis {
-    /// Replays a recorded stream into the full metric set.
-    pub fn from_events(events: &[TimedEvent]) -> Self {
-        let jobs = job_timelines(events);
-        let timeline = summarize(&jobs);
-        let mut decisions = DecisionStats::default();
-        for te in events {
-            match &te.event {
-                ObsEvent::Decision { trigger, .. } => {
-                    decisions.total += 1;
-                    *decisions.by_trigger.entry(trigger.label()).or_insert(0) += 1;
-                }
-                ObsEvent::ReallocCost { penalty_secs, .. } => {
-                    decisions.realloc_events += 1;
-                    decisions.realloc_penalty_secs += penalty_secs;
-                }
-                _ => {}
+/// Every analysis of [`RunAnalysis`] as one fold: push the events of a
+/// run in stream order, then [`finish`](Analyzer::finish).
+///
+/// Each event costs one job lookup, shared by the per-job folds
+/// (timelines, time in state, CPU holdings), and no event is kept. The
+/// result is bit-identical to each module's standalone function over the
+/// same stream, because both run the same component folds.
+#[derive(Debug)]
+pub struct Analyzer {
+    jobs: JobIndex,
+    timelines: TimelineFold,
+    states: StateFold,
+    migrations: MigrationFold,
+    cpus: CpuFold,
+    mpl: MplFold,
+    events: usize,
+    first: Option<f64>,
+    last: f64,
+    /// Decisions per trigger, by [`DecisionTrigger`] declaration order.
+    by_trigger: [u64; 4],
+    realloc_events: u64,
+    realloc_penalty_secs: f64,
+}
+
+/// Every trigger, in declaration order (the `by_trigger` index).
+const TRIGGERS: [DecisionTrigger; 4] = [
+    DecisionTrigger::Arrival,
+    DecisionTrigger::Report,
+    DecisionTrigger::Completion,
+    DecisionTrigger::Fault,
+];
+
+impl Analyzer {
+    /// An analyzer for a machine of `cpus` CPUs; [`machine_size`] takes
+    /// it from a recorded stream. With 0 CPUs the CPU series stays empty.
+    pub fn new(cpus: usize) -> Self {
+        Analyzer {
+            jobs: JobIndex::default(),
+            timelines: TimelineFold::default(),
+            states: StateFold::default(),
+            migrations: MigrationFold::default(),
+            cpus: CpuFold::new(cpus),
+            mpl: MplFold::default(),
+            events: 0,
+            first: None,
+            last: 0.0,
+            by_trigger: [0; 4],
+            realloc_events: 0,
+            realloc_penalty_secs: 0.0,
+        }
+    }
+
+    /// Folds in the next event of the stream.
+    pub fn push(&mut self, te: &TimedEvent) {
+        let now = te.at.as_secs();
+        self.first.get_or_insert(now);
+        self.last = now;
+        self.events += 1;
+        match &te.event {
+            ObsEvent::Decision { trigger, .. } => self.by_trigger[*trigger as usize] += 1,
+            ObsEvent::ReallocCost { penalty_secs, .. } => {
+                self.realloc_events += 1;
+                self.realloc_penalty_secs += penalty_secs;
+            }
+            _ => {}
+        }
+        let slot = self.jobs.slot_of(&te.event);
+        self.timelines.push(te, slot);
+        self.states.push(te, slot);
+        self.migrations.push(te, slot);
+        self.cpus.push(te, slot);
+        self.mpl.push(te, slot);
+    }
+
+    /// Closes every fold at the last event pushed.
+    pub fn finish(self) -> RunAnalysis {
+        let end = self.last;
+        let jobs = self.timelines.finish(&self.jobs, end);
+        let mut by_trigger = BTreeMap::new();
+        for (trigger, &n) in TRIGGERS.iter().zip(&self.by_trigger) {
+            if n > 0 {
+                by_trigger.insert(trigger.label(), n);
             }
         }
-        let first = events.first().map_or(0.0, |te| te.at.as_secs());
-        let last = events.last().map_or(0.0, |te| te.at.as_secs());
         RunAnalysis {
-            events: events.len(),
-            span_secs: (last - first).max(0.0),
-            timeline,
-            states: time_in_state(events),
-            migrations: migration_stats(events),
-            cpus: cpu_series(events),
-            mpl: mpl_stats(events),
-            decisions,
+            events: self.events,
+            span_secs: (self.last - self.first.unwrap_or(0.0)).max(0.0),
+            timeline: summarize(&jobs),
+            states: self.states.finish(&self.jobs, end),
+            migrations: self.migrations.finish(&self.jobs, end),
+            cpus: self.cpus.finish(&self.jobs, end),
+            mpl: self.mpl.finish(&self.jobs, end),
+            decisions: DecisionStats {
+                total: self.by_trigger.iter().sum(),
+                by_trigger,
+                realloc_events: self.realloc_events,
+                realloc_penalty_secs: self.realloc_penalty_secs,
+            },
             jobs,
         }
+    }
+}
+
+impl RunAnalysis {
+    /// Replays a recorded stream into the full metric set: the machine
+    /// size from a pre-scan, then one [`Analyzer`] pass.
+    pub fn from_events(events: &[TimedEvent]) -> Self {
+        let mut analyzer = Analyzer::new(machine_size(events));
+        for te in events {
+            analyzer.push(te);
+        }
+        analyzer.finish()
     }
 
     /// The analysis as one JSON object (no schema wrapper; see

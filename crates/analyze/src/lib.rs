@@ -23,17 +23,20 @@
 //!   recorded runs plus per-metric deltas, for policy comparisons and
 //!   regression hunts across commits.
 //!
-//! Everything funnels through [`RunAnalysis::from_events`]; the JSON
-//! document ([`analysis_json`]) carries the `pdpa-analyze/v1` schema.
+//! Everything funnels through one fold, [`Analyzer`], which computes all
+//! of the above in a single pass; [`RunAnalysis::from_events`] runs it
+//! over a recorded stream. The JSON document ([`analysis_json`]) carries
+//! the `pdpa-analyze/v1` schema.
 
 pub mod analysis;
 pub mod diff;
+mod fold;
 pub mod series;
 pub mod stability;
 pub mod states;
 pub mod timeline;
 
-pub use analysis::{analysis_json, DecisionStats, RunAnalysis, ANALYSIS_SCHEMA};
+pub use analysis::{analysis_json, Analyzer, DecisionStats, RunAnalysis, ANALYSIS_SCHEMA};
 pub use diff::{Divergence, RunDiff};
 pub use series::{CpuSeries, MplStats};
 pub use stability::MigrationStats;

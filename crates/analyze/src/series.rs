@@ -8,8 +8,8 @@
 //! capacity accumulated *while at least one job was waiting* in the
 //! queue.
 
+use crate::fold::{self, Fold, JobIndex};
 use pdpa_obs::{ObsEvent, TimedEvent};
-use pdpa_sim::JobId;
 
 /// Integrated CPU-occupancy series over one recorded run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -59,12 +59,18 @@ pub struct MplStats {
 /// queue pressure and `cpu_failed`/`cpu_recovered` capacity changes) into
 /// a [`CpuSeries`].
 pub fn cpu_series(events: &[TimedEvent]) -> CpuSeries {
-    let mut series = CpuSeries::default();
-    // Machine size first: prefer the engine's own capacity report.
+    fold::run(events, CpuFold::new(machine_size(events)))
+}
+
+/// The machine size a stream describes: the largest `DegradedCapacity`
+/// total when the engine published one, otherwise the highest CPU index
+/// seen plus one (0 for a stream without CPUs).
+pub fn machine_size(events: &[TimedEvent]) -> usize {
+    let mut total = 0;
     let mut max_cpu = None::<usize>;
     for te in events {
         match &te.event {
-            ObsEvent::DegradedCapacity { total, .. } => series.cpus = series.cpus.max(*total),
+            ObsEvent::DegradedCapacity { total: t, .. } => total = total.max(*t),
             ObsEvent::CpuAssigned { cpu, .. }
             | ObsEvent::CpuFailed { cpu }
             | ObsEvent::CpuRecovered { cpu } => {
@@ -73,103 +79,156 @@ pub fn cpu_series(events: &[TimedEvent]) -> CpuSeries {
             _ => {}
         }
     }
-    if series.cpus == 0 {
-        series.cpus = max_cpu.map_or(0, |m| m + 1);
+    if total == 0 {
+        total = max_cpu.map_or(0, |m| m + 1);
     }
-    if series.cpus == 0 {
-        return series;
-    }
+    total
+}
 
-    let mut occupant: Vec<Option<JobId>> = vec![None; series.cpus];
-    let mut busy = 0usize;
-    let mut dead = 0usize;
-    let mut waiting = 0i64;
-    let mut last = events.first().map_or(0.0, |te| te.at.as_secs());
-    for te in events {
+/// The fold behind [`cpu_series`], for a machine of known size.
+#[derive(Debug)]
+pub(crate) struct CpuFold {
+    series: CpuSeries,
+    /// Whether each CPU is occupied.
+    occupied: Vec<bool>,
+    busy: usize,
+    dead: usize,
+    waiting: i64,
+    /// The previous event's instant (`None` before the first).
+    last: Option<f64>,
+}
+
+impl CpuFold {
+    /// A fold over a `cpus`-CPU machine; with 0 CPUs it integrates
+    /// nothing.
+    pub(crate) fn new(cpus: usize) -> Self {
+        CpuFold {
+            series: CpuSeries {
+                cpus,
+                ..CpuSeries::default()
+            },
+            occupied: vec![false; cpus],
+            busy: 0,
+            dead: 0,
+            waiting: 0,
+            last: None,
+        }
+    }
+}
+
+impl Fold for CpuFold {
+    type Output = CpuSeries;
+
+    fn push(&mut self, te: &TimedEvent, _slot: Option<usize>) {
+        let series = &mut self.series;
+        if series.cpus == 0 {
+            return;
+        }
         let now = te.at.as_secs();
-        let dt = (now - last).max(0.0);
-        last = now;
-        let idle = series.cpus.saturating_sub(dead).saturating_sub(busy);
-        series.busy_cpu_secs += busy as f64 * dt;
+        let dt = (now - self.last.unwrap_or(now)).max(0.0);
+        self.last = Some(now);
+        let idle = series
+            .cpus
+            .saturating_sub(self.dead)
+            .saturating_sub(self.busy);
+        series.busy_cpu_secs += self.busy as f64 * dt;
         series.idle_cpu_secs += idle as f64 * dt;
-        if waiting > 0 {
+        if self.waiting > 0 {
             series.frag_cpu_secs += idle as f64 * dt;
         }
         match &te.event {
             ObsEvent::CpuAssigned { cpu, job } => {
-                let idx = cpu.index();
-                if idx < occupant.len() {
-                    match (occupant[idx], *job) {
-                        (None, Some(_)) => busy += 1,
-                        (Some(_), None) => busy -= 1,
+                if let Some(occupied) = self.occupied.get_mut(cpu.index()) {
+                    match (*occupied, job.is_some()) {
+                        (false, true) => self.busy += 1,
+                        (true, false) => self.busy -= 1,
                         _ => {}
                     }
-                    occupant[idx] = *job;
-                    series.peak_busy = series.peak_busy.max(busy);
+                    *occupied = job.is_some();
+                    series.peak_busy = series.peak_busy.max(self.busy);
                 }
             }
-            ObsEvent::CpuFailed { .. } => dead += 1,
-            ObsEvent::CpuRecovered { .. } => dead = dead.saturating_sub(1),
-            ObsEvent::JobSubmitted { .. } | ObsEvent::JobRetried { .. } => waiting += 1,
-            ObsEvent::JobDequeued { .. } => waiting -= 1,
+            ObsEvent::CpuFailed { .. } => self.dead += 1,
+            ObsEvent::CpuRecovered { .. } => self.dead = self.dead.saturating_sub(1),
+            ObsEvent::JobSubmitted { .. } | ObsEvent::JobRetried { .. } => self.waiting += 1,
+            ObsEvent::JobDequeued { .. } => self.waiting -= 1,
             _ => {}
         }
     }
-    series
+
+    fn finish(self, _jobs: &JobIndex, _end: f64) -> CpuSeries {
+        self.series
+    }
 }
 
 /// Summarizes the `mpl` sample stream into [`MplStats`]. Each sample's
 /// values are weighted by how long they held (until the next sample, or
 /// the end of the stream for the last one).
 pub fn mpl_stats(events: &[TimedEvent]) -> MplStats {
-    let mut stats = MplStats::default();
-    let end = events.last().map_or(0.0, |te| te.at.as_secs());
-    let mut open: Option<(f64, usize, usize)> = None;
-    let mut weighted_running = 0.0;
-    let mut weighted_alloc = 0.0;
-    let mut span = 0.0;
-    for te in events {
+    fold::run(events, MplFold::default())
+}
+
+/// The fold behind [`mpl_stats`].
+#[derive(Debug, Default)]
+pub(crate) struct MplFold {
+    stats: MplStats,
+    /// The sample in force: (since, running, allocated).
+    open: Option<(f64, usize, usize)>,
+    weighted_running: f64,
+    weighted_alloc: f64,
+    span: f64,
+}
+
+impl MplFold {
+    /// Weights the open sample by how long it held, up to `now`.
+    fn close(&mut self, now: f64) {
+        if let Some((since, r, a)) = self.open {
+            let dt = (now - since).max(0.0);
+            self.weighted_running += r as f64 * dt;
+            self.weighted_alloc += a as f64 * dt;
+            self.span += dt;
+        }
+    }
+}
+
+impl Fold for MplFold {
+    type Output = MplStats;
+
+    fn push(&mut self, te: &TimedEvent, _slot: Option<usize>) {
         if let ObsEvent::MplChanged {
             running,
             total_alloc,
         } = &te.event
         {
             let now = te.at.as_secs();
-            if let Some((since, r, a)) = open.take() {
-                let dt = (now - since).max(0.0);
-                weighted_running += r as f64 * dt;
-                weighted_alloc += a as f64 * dt;
-                span += dt;
-            }
+            self.close(now);
+            let stats = &mut self.stats;
             stats.samples += 1;
             stats.max_running = stats.max_running.max(*running);
             stats.max_allocated = stats.max_allocated.max(*total_alloc);
-            open = Some((now, *running, *total_alloc));
+            self.open = Some((now, *running, *total_alloc));
         }
     }
-    if let Some((since, r, a)) = open {
-        let dt = (end - since).max(0.0);
-        weighted_running += r as f64 * dt;
-        weighted_alloc += a as f64 * dt;
-        span += dt;
-    }
-    if span > 0.0 {
-        stats.mean_running = weighted_running / span;
-        stats.mean_allocated = weighted_alloc / span;
-    } else if stats.samples > 0 {
-        // All samples at one instant: fall back to the last values.
-        if let Some((_, r, a)) = open {
+
+    fn finish(mut self, _jobs: &JobIndex, end: f64) -> MplStats {
+        self.close(end);
+        let mut stats = self.stats;
+        if self.span > 0.0 {
+            stats.mean_running = self.weighted_running / self.span;
+            stats.mean_allocated = self.weighted_alloc / self.span;
+        } else if let Some((_, r, a)) = self.open {
+            // All samples at one instant: fall back to the last values.
             stats.mean_running = r as f64;
             stats.mean_allocated = a as f64;
         }
+        stats
     }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdpa_sim::{CpuId, SimTime};
+    use pdpa_sim::{CpuId, JobId, SimTime};
 
     fn te(at: f64, seq: u64, event: ObsEvent) -> TimedEvent {
         TimedEvent {

@@ -23,9 +23,8 @@
 //! execution model using exactly that signature: any direct hand-off
 //! means the run was time-shared.
 
+use crate::fold::{self, slot_mut, Fold, JobIndex};
 use pdpa_obs::{ObsEvent, TimedEvent};
-use pdpa_sim::JobId;
-use std::collections::BTreeMap;
 
 /// Migration, placement, and release counts of one recorded run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -58,26 +57,46 @@ impl MigrationStats {
 
 /// Replays the `cpu` occupancy stream into [`MigrationStats`].
 pub fn migration_stats(events: &[TimedEvent]) -> MigrationStats {
-    let mut stats = MigrationStats::default();
-    // Reconstructed machine state: occupant per CPU, CPUs held per job.
-    let mut occupant: Vec<Option<JobId>> = Vec::new();
-    let mut holdings: BTreeMap<JobId, u64> = BTreeMap::new();
-    // The open gain batch: (job, counts-as-migration), decided when the
-    // batch opened. Closed by any event that is not a further gain for
-    // the same job.
-    let mut batch: Option<(JobId, bool)> = None;
+    fold::run(events, MigrationFold::default())
+}
 
-    for te in events {
-        let ObsEvent::CpuAssigned { cpu, job } = &te.event else {
-            batch = None;
-            continue;
+/// The fold behind [`migration_stats`]. Jobs appear by slot number, which
+/// identifies a job as well as its id does.
+#[derive(Debug, Default)]
+pub(crate) struct MigrationFold {
+    stats: MigrationStats,
+    /// Reconstructed machine state: occupant slot per CPU.
+    occupant: Vec<Option<usize>>,
+    /// CPUs held per job slot.
+    held: Vec<u64>,
+    /// The open gain batch: (job slot, counts-as-migration), decided when
+    /// the batch opened. Closed by any event that is not a further gain
+    /// for the same job.
+    batch: Option<(usize, bool)>,
+}
+
+impl MigrationFold {
+    fn release(&mut self, slot: usize) {
+        let n = &mut self.held[slot];
+        *n = n.saturating_sub(1);
+    }
+}
+
+impl Fold for MigrationFold {
+    type Output = MigrationStats;
+
+    fn push(&mut self, te: &TimedEvent, slot: Option<usize>) {
+        let ObsEvent::CpuAssigned { cpu, .. } = &te.event else {
+            self.batch = None;
+            return;
         };
         let idx = cpu.index();
-        if idx >= occupant.len() {
-            occupant.resize(idx + 1, None);
+        if idx >= self.occupant.len() {
+            self.occupant.resize(idx + 1, None);
         }
-        let old = occupant[idx];
-        match (old, *job) {
+        // `slot` is the new occupant's: `JobIndex::slot_of` maps exactly
+        // the occupied grants.
+        match (self.occupant[idx], slot) {
             (old, new) if old == new => {
                 // Re-publication without a change (gang slots re-announce
                 // the whole machine every quantum): no state to update.
@@ -86,56 +105,51 @@ pub fn migration_stats(events: &[TimedEvent]) -> MigrationStats {
                 // A gain from a free CPU. Extend the open batch or open a
                 // new one, deciding migration-vs-placement from the
                 // holdings at the batch start.
-                let counts_as_migration = match batch {
+                let held = slot_mut(&mut self.held, j);
+                let counts_as_migration = match self.batch {
                     Some((bj, m)) if bj == j => m,
                     _ => {
-                        let was_running = holdings.get(&j).copied().unwrap_or(0) > 0;
-                        batch = Some((j, was_running));
+                        let was_running = *held > 0;
+                        self.batch = Some((j, was_running));
                         was_running
                     }
                 };
+                *held += 1;
                 if counts_as_migration {
-                    stats.space_migrations += 1;
+                    self.stats.space_migrations += 1;
                 } else {
-                    stats.initial_placements += 1;
+                    self.stats.initial_placements += 1;
                 }
-                *holdings.entry(j).or_insert(0) += 1;
-                occupant[idx] = Some(j);
+                self.occupant[idx] = Some(j);
             }
             (Some(k), Some(j)) => {
                 // A direct hand-off: only the time-shared quantum placement
                 // produces these.
-                stats.handoff_migrations += 1;
-                decrement(&mut holdings, k);
-                *holdings.entry(j).or_insert(0) += 1;
-                occupant[idx] = Some(j);
-                batch = None;
+                self.stats.handoff_migrations += 1;
+                self.release(k);
+                *slot_mut(&mut self.held, j) += 1;
+                self.occupant[idx] = Some(j);
+                self.batch = None;
             }
             (Some(k), None) => {
-                stats.releases += 1;
-                decrement(&mut holdings, k);
-                occupant[idx] = None;
-                batch = None;
+                self.stats.releases += 1;
+                self.release(k);
+                self.occupant[idx] = None;
+                self.batch = None;
             }
             (None, None) => unreachable!("old == new handled above"),
         }
     }
-    stats
-}
 
-fn decrement(holdings: &mut BTreeMap<JobId, u64>, job: JobId) {
-    if let Some(n) = holdings.get_mut(&job) {
-        *n = n.saturating_sub(1);
-        if *n == 0 {
-            holdings.remove(&job);
-        }
+    fn finish(self, _jobs: &JobIndex, _end: f64) -> MigrationStats {
+        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdpa_sim::{CpuId, SimTime};
+    use pdpa_sim::{CpuId, JobId, SimTime};
 
     fn cpu_ev(at: f64, seq: u64, cpu: u16, job: Option<u32>) -> TimedEvent {
         TimedEvent {

@@ -7,8 +7,8 @@
 //! long each application sat in every state — the time the policy spent
 //! searching (`NO_REF`/`INC`/`DEC`) versus settled (`STABLE`).
 
-use pdpa_obs::{ObsEvent, TimedEvent};
-use pdpa_sim::JobId;
+use crate::fold::{self, slot_mut, Fold, JobIndex};
+use pdpa_obs::{ObsEvent, StateName, TimedEvent};
 use std::collections::BTreeMap;
 
 /// Aggregate time-in-state over a run.
@@ -41,65 +41,98 @@ impl StateBreakdown {
 /// last move to the job's finish (or the end of the stream) to the final
 /// state.
 pub fn time_in_state(events: &[TimedEvent]) -> StateBreakdown {
-    let mut breakdown = StateBreakdown::default();
-    // Per job: (state we are currently in, since when). `None` state means
-    // the job started but has not moved yet — its span is attributed
-    // retroactively by the first move's `from` name.
-    let mut current: BTreeMap<JobId, (Option<&'static str>, f64)> = BTreeMap::new();
-    let end = events.last().map_or(0.0, |te| te.at.as_secs());
+    fold::run(events, StateFold::default())
+}
 
-    fn close(slot: Option<(Option<&'static str>, f64)>, now: f64, breakdown: &mut StateBreakdown) {
-        if let Some((Some(state), since)) = slot {
-            *breakdown.secs.entry(state).or_insert(0.0) += (now - since).max(0.0);
+/// A started job's open span: the state it is in (`None` until the first
+/// move names it, which attributes the span retroactively) and since when.
+type OpenSpan = Option<(Option<StateName>, f64)>;
+
+/// The fold behind [`time_in_state`].
+#[derive(Debug)]
+pub(crate) struct StateFold {
+    /// Seconds per state, by [`StateName::index`]; `None` until the state
+    /// is first charged, so the breakdown lists exactly the states seen.
+    secs: [Option<(StateName, f64)>; StateName::CAP],
+    transitions: u64,
+    /// Open span per job slot.
+    open: Vec<OpenSpan>,
+}
+
+impl Default for StateFold {
+    fn default() -> Self {
+        StateFold {
+            secs: [None; StateName::CAP],
+            transitions: 0,
+            open: Vec::new(),
         }
     }
+}
 
-    for te in events {
+impl StateFold {
+    fn charge(&mut self, state: StateName, secs: f64) {
+        self.secs[state.index()].get_or_insert((state, 0.0)).1 += secs;
+    }
+
+    fn moved(&mut self, slot: usize, now: f64, from: StateName, to: StateName) {
+        self.transitions += 1;
+        let span = slot_mut(&mut self.open, slot);
+        let (state, since) = span.take().unwrap_or((None, now));
+        *span = Some((Some(to), now));
+        // An unobserved stretch (job started, no move yet) belongs to the
+        // state the machine is now leaving.
+        self.charge(state.unwrap_or(from), (now - since).max(0.0));
+    }
+
+    fn close(&mut self, slot: usize, now: f64) {
+        if let Some(Some((Some(state), since))) = self.open.get_mut(slot).map(Option::take) {
+            self.charge(state, (now - since).max(0.0));
+        }
+    }
+}
+
+impl Fold for StateFold {
+    type Output = StateBreakdown;
+
+    fn push(&mut self, te: &TimedEvent, slot: Option<usize>) {
+        let Some(slot) = slot else { return };
         let now = te.at.as_secs();
         match &te.event {
-            ObsEvent::JobStarted { job, .. } => {
-                current.insert(*job, (None, now));
-            }
+            ObsEvent::JobStarted { .. } => *slot_mut(&mut self.open, slot) = Some((None, now)),
             ObsEvent::Decision {
-                job,
                 transition: Some((from, to)),
                 ..
-            } => {
-                breakdown.transitions += 1;
-                let (state, since) = current.remove(job).unwrap_or((None, now));
-                // An unobserved stretch (job started, no move yet) belongs
-                // to the state the machine is now leaving.
-                let leaving = state.unwrap_or(from);
-                *breakdown.secs.entry(leaving).or_insert(0.0) += (now - since).max(0.0);
-                current.insert(*job, (Some(to), now));
             }
-            ObsEvent::StateChanged { job, from, to } => {
-                breakdown.transitions += 1;
-                let (state, since) = current.remove(job).unwrap_or((None, now));
-                let leaving = state.unwrap_or(from);
-                *breakdown.secs.entry(leaving).or_insert(0.0) += (now - since).max(0.0);
-                current.insert(*job, (Some(to), now));
-            }
-            ObsEvent::JobFinished { job }
-            | ObsEvent::JobFailed { job, .. }
-            | ObsEvent::JobRetried { job, .. } => {
-                close(current.remove(job), now, &mut breakdown);
-            }
+            | ObsEvent::StateChanged { from, to, .. } => self.moved(slot, now, *from, *to),
+            ObsEvent::JobFinished { .. }
+            | ObsEvent::JobFailed { .. }
+            | ObsEvent::JobRetried { .. } => self.close(slot, now),
             _ => {}
         }
     }
-    // Jobs still in flight at the end of the stream.
-    for (_, slot) in std::mem::take(&mut current) {
-        close(Some(slot), end, &mut breakdown);
+
+    fn finish(mut self, jobs: &JobIndex, end: f64) -> StateBreakdown {
+        // Jobs still in flight at the end of the stream, in id order.
+        for (_, slot) in jobs.by_id() {
+            self.close(slot, end);
+        }
+        StateBreakdown {
+            secs: self
+                .secs
+                .iter()
+                .flatten()
+                .map(|&(state, secs)| (state.as_str(), secs))
+                .collect(),
+            transitions: self.transitions,
+        }
     }
-    breakdown
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdpa_obs::DecisionTrigger;
-    use pdpa_sim::SimTime;
+    use pdpa_sim::{JobId, SimTime};
 
     fn te(at: f64, seq: u64, event: ObsEvent) -> TimedEvent {
         TimedEvent {
@@ -130,7 +163,7 @@ mod tests {
                     job: j,
                     from_alloc: 16,
                     to_alloc: 12,
-                    transition: Some(("NO_REF", "DEC")),
+                    transition: Some((StateName::NO_REF, StateName::DEC)),
                 },
             ),
             // 5 s in DEC, then settle.
@@ -139,8 +172,8 @@ mod tests {
                 2,
                 ObsEvent::StateChanged {
                     job: j,
-                    from: "DEC",
-                    to: "STABLE",
+                    from: StateName::DEC,
+                    to: StateName::STABLE,
                 },
             ),
             // 20 s in STABLE until completion.
@@ -165,8 +198,8 @@ mod tests {
                 1,
                 ObsEvent::StateChanged {
                     job: j,
-                    from: "NO_REF",
-                    to: "STABLE",
+                    from: StateName::NO_REF,
+                    to: StateName::STABLE,
                 },
             ),
             te(

@@ -6,6 +6,7 @@
 //! hand-off event tells how long the *queue* (rather than the backoff)
 //! held it.
 
+use crate::fold::{self, slot_mut, Fold, JobIndex};
 use pdpa_obs::{ObsEvent, TimedEvent};
 use pdpa_sim::JobId;
 use std::collections::BTreeMap;
@@ -122,60 +123,95 @@ impl SlowdownDist {
 
 /// Replays a stream into per-job timelines.
 pub fn job_timelines(events: &[TimedEvent]) -> BTreeMap<JobId, JobTimeline> {
-    let mut jobs: BTreeMap<JobId, JobTimeline> = BTreeMap::new();
-    // Per-job open-interval state: when the current queue wait began, and
-    // when the current run span began.
-    let mut wait_from: BTreeMap<JobId, f64> = BTreeMap::new();
-    let mut running_since: BTreeMap<JobId, f64> = BTreeMap::new();
-    for te in events {
+    fold::run(events, TimelineFold::default())
+}
+
+/// One job's timeline plus its open intervals.
+#[derive(Debug, Default)]
+struct JobClock {
+    timeline: JobTimeline,
+    /// The job has a timeline: it was submitted, started, retried,
+    /// finished or failed (a job only ever seen in decisions or CPU
+    /// grants has none).
+    seen: bool,
+    /// When the current queue wait began.
+    wait_from: Option<f64>,
+    /// When the current run span began.
+    running_since: Option<f64>,
+}
+
+impl JobClock {
+    fn timeline(&mut self) -> &mut JobTimeline {
+        self.seen = true;
+        &mut self.timeline
+    }
+
+    /// Ends the open run span, if any, at `now`.
+    fn stop_running(&mut self, now: f64) {
+        if let Some(since) = self.running_since.take() {
+            self.timeline.run_secs += now - since;
+        }
+    }
+}
+
+/// The fold behind [`job_timelines`].
+#[derive(Debug, Default)]
+pub(crate) struct TimelineFold {
+    clocks: Vec<JobClock>,
+}
+
+impl Fold for TimelineFold {
+    type Output = BTreeMap<JobId, JobTimeline>;
+
+    fn push(&mut self, te: &TimedEvent, slot: Option<usize>) {
+        let Some(slot) = slot else { return };
         let now = te.at.as_secs();
+        let c = slot_mut(&mut self.clocks, slot);
         match &te.event {
-            ObsEvent::JobSubmitted { job } => {
-                jobs.entry(*job).or_default().submitted = Some(now);
-                wait_from.insert(*job, now);
+            ObsEvent::JobSubmitted { .. } => {
+                c.timeline().submitted = Some(now);
+                c.wait_from = Some(now);
             }
-            ObsEvent::JobDequeued { job } => {
-                if let Some(since) = wait_from.remove(job) {
-                    jobs.entry(*job).or_default().queue_wait_secs += (now - since).max(0.0);
+            ObsEvent::JobDequeued { .. } => {
+                if let Some(since) = c.wait_from.take() {
+                    c.timeline().queue_wait_secs += (now - since).max(0.0);
                 }
             }
-            ObsEvent::JobStarted { job, request } => {
-                let t = jobs.entry(*job).or_default();
+            ObsEvent::JobStarted { request, .. } => {
+                let t = c.timeline();
                 t.request.get_or_insert(*request);
                 t.starts.push(now);
-                running_since.insert(*job, now);
+                c.running_since = Some(now);
             }
-            ObsEvent::JobFinished { job } => {
-                let t = jobs.entry(*job).or_default();
-                t.finished = Some(now);
-                if let Some(since) = running_since.remove(job) {
-                    t.run_secs += now - since;
-                }
+            ObsEvent::JobFinished { .. } => {
+                c.timeline().finished = Some(now);
+                c.stop_running(now);
             }
-            ObsEvent::JobRetried {
-                job, backoff_secs, ..
-            } => {
-                let t = jobs.entry(*job).or_default();
-                t.retries += 1;
-                if let Some(since) = running_since.remove(job) {
-                    t.run_secs += now - since;
-                }
+            ObsEvent::JobRetried { backoff_secs, .. } => {
+                c.timeline().retries += 1;
+                c.stop_running(now);
                 // The job rejoins the queue once the backoff expires; queue
                 // wait restarts there, not at the crash.
-                wait_from.insert(*job, now + backoff_secs);
+                c.wait_from = Some(now + backoff_secs);
             }
-            ObsEvent::JobFailed { job, .. } => {
-                let t = jobs.entry(*job).or_default();
-                t.failed = Some(now);
-                if let Some(since) = running_since.remove(job) {
-                    t.run_secs += now - since;
-                }
-                wait_from.remove(job);
+            ObsEvent::JobFailed { .. } => {
+                c.timeline().failed = Some(now);
+                c.stop_running(now);
+                c.wait_from = None;
             }
             _ => {}
         }
     }
-    jobs
+
+    fn finish(mut self, jobs: &JobIndex, _end: f64) -> Self::Output {
+        jobs.by_id()
+            .into_iter()
+            .filter_map(|(job, slot)| {
+                let c = self.clocks.get_mut(slot).filter(|c| c.seen)?;
+                Some((job, std::mem::take(&mut c.timeline)))
+            })
+            .collect()
+    }
 }
 
 /// Summarizes timelines into run-level statistics.

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use pdpa_apps::{AppClass, NoiseModel};
 use pdpa_metrics::{JobOutcome, Summary};
 use pdpa_obs::metrics::{Registry, RunCounters, SampledTimer};
-use pdpa_obs::{DecisionTrigger, NullObserver, ObsEvent, Observer};
+use pdpa_obs::{DecisionTrigger, NullObserver, ObsEvent, Observer, StateName};
 use pdpa_perf::SelfAnalyzer;
 use pdpa_policies::{Decisions, JobView, PolicyCtx, SchedulingPolicy, SharingModel};
 use pdpa_prof::{HealthSnapshot, Heartbeat, Lane, SpanKind, StderrHeartbeat, Watchdog};
@@ -688,7 +688,7 @@ impl<'a> Sim<'a> {
                         .iter()
                         .position(|n| n.job == job)
                         .map(|i| transitions.remove(i))
-                        .map(|n| (n.from, n.to));
+                        .map(|n| (state_name(n.from), state_name(n.to)));
                     self.publish(ObsEvent::Decision {
                         trigger,
                         job,
@@ -705,8 +705,8 @@ impl<'a> Sim<'a> {
             for n in transitions {
                 self.publish(ObsEvent::StateChanged {
                     job: n.job,
-                    from: n.from,
-                    to: n.to,
+                    from: state_name(n.from),
+                    to: state_name(n.to),
                 });
             }
         }
@@ -1413,6 +1413,13 @@ impl<'a> Sim<'a> {
             profile: None,
         }
     }
+}
+
+/// Interns a policy-reported state name for publication. Policies draw
+/// their names from a small fixed vocabulary, so the table's cap is a
+/// programming error here, not an input error.
+fn state_name(name: &'static str) -> StateName {
+    StateName::intern(name).expect("policy state names fit the StateName table")
 }
 
 #[cfg(test)]

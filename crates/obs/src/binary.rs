@@ -37,11 +37,18 @@ use std::io::{self, Write};
 
 use pdpa_sim::{CpuId, JobId, SimTime};
 
-use crate::event::{intern, DecisionTrigger, ObsEvent, TimedEvent};
+use crate::collector::ExperimentFailure;
+use crate::event::{DecisionTrigger, ObsEvent, StateName, TimedEvent};
 
 /// The stream header: `PDPAOBS1` in ASCII. Doubles as the format version —
 /// an incompatible revision bumps the trailing digit.
 pub const MAGIC: [u8; 8] = *b"PDPAOBS1";
+
+/// The smallest legal frame, in bytes: a one-byte length prefix, the kind
+/// byte, the 8-byte timestamp, a one-byte `seq` and one one-byte field
+/// (`submit`, `cpu_failed`, …). A stream of `n` bytes after the magic
+/// therefore holds at most `n / 12` frames.
+const MIN_FRAME: usize = 12;
 
 /// True when `bytes` starts with the binary-stream magic. The text format
 /// can never collide: its first byte is an ASCII digit of the timestamp.
@@ -53,26 +60,13 @@ pub fn is_binary(bytes: &[u8]) -> bool {
 // Primitives
 // ---------------------------------------------------------------------------
 
-/// Encodes `v` as a uvarint into `buf`, returning the length used. Ten
-/// bytes hold any `u64` (⌈64 / 7⌉).
-fn encode_uvarint(buf: &mut [u8; 10], mut v: u64) -> usize {
-    let mut n = 0;
-    loop {
-        let byte = (v & 0x7f) as u8;
+/// Appends `v` as a uvarint (at most ten bytes, ⌈64 / 7⌉).
+fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf[n] = byte;
-            return n + 1;
-        }
-        buf[n] = byte | 0x80;
-        n += 1;
     }
-}
-
-fn put_uvarint(out: &mut Vec<u8>, v: u64) {
-    let mut buf = [0u8; 10];
-    let n = encode_uvarint(&mut buf, v);
-    out.extend_from_slice(&buf[..n]);
+    out.push(v as u8);
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
@@ -141,6 +135,23 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
+    fn u32(&mut self, what: &str) -> Result<u32, String> {
+        let v = self.uvarint(what)?;
+        u32::try_from(v).map_err(|_| format!("{what} {v} out of range"))
+    }
+
+    fn bool(&mut self, what: &str) -> Result<bool, String> {
+        match self.byte(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(format!("bad bool byte {other} for {what}")),
+        }
+    }
+
+    fn state(&mut self, what: &str) -> Result<StateName, String> {
+        StateName::intern(self.str(what)?).map_err(|e| format!("{what}: {e}"))
+    }
+
     fn usize(&mut self, what: &str) -> Result<usize, String> {
         usize::try_from(self.uvarint(what)?).map_err(|_| format!("{what} does not fit in usize"))
     }
@@ -168,27 +179,6 @@ impl<'a> Cur<'a> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn kind_code(event: &ObsEvent) -> u8 {
-    match event {
-        ObsEvent::JobSubmitted { .. } => 0,
-        ObsEvent::JobDequeued { .. } => 1,
-        ObsEvent::JobStarted { .. } => 2,
-        ObsEvent::JobFinished { .. } => 3,
-        ObsEvent::IterationMeasured { .. } => 4,
-        ObsEvent::Decision { .. } => 5,
-        ObsEvent::StateChanged { .. } => 6,
-        ObsEvent::MplChanged { .. } => 7,
-        ObsEvent::ReallocCost { .. } => 8,
-        ObsEvent::CpuAssigned { .. } => 9,
-        ObsEvent::CpuFailed { .. } => 10,
-        ObsEvent::CpuRecovered { .. } => 11,
-        ObsEvent::DegradedCapacity { .. } => 12,
-        ObsEvent::JobRetried { .. } => 13,
-        ObsEvent::JobFailed { .. } => 14,
-        ObsEvent::ExperimentFailed { .. } => 15,
-    }
-}
-
 fn trigger_code(t: DecisionTrigger) -> u8 {
     match t {
         DecisionTrigger::Arrival => 0,
@@ -199,7 +189,8 @@ fn trigger_code(t: DecisionTrigger) -> u8 {
 }
 
 fn encode_payload(ev: &TimedEvent, out: &mut Vec<u8>) {
-    out.push(kind_code(&ev.event));
+    // Kind codes are the declaration order, which `kind_index` is.
+    out.push(ev.event.kind_index() as u8);
     put_f64(out, ev.at.as_secs());
     put_uvarint(out, ev.seq);
     match &ev.event {
@@ -242,15 +233,15 @@ fn encode_payload(ev: &TimedEvent, out: &mut Vec<u8>) {
                 None => out.push(0),
                 Some((from, to)) => {
                     out.push(1);
-                    put_str(out, from);
-                    put_str(out, to);
+                    put_str(out, from.as_str());
+                    put_str(out, to.as_str());
                 }
             }
         }
         ObsEvent::StateChanged { job, from, to } => {
             put_uvarint(out, u64::from(job.0));
-            put_str(out, from);
-            put_str(out, to);
+            put_str(out, from.as_str());
+            put_str(out, to.as_str());
         }
         ObsEvent::MplChanged {
             running,
@@ -300,10 +291,28 @@ fn encode_payload(ev: &TimedEvent, out: &mut Vec<u8>) {
             put_uvarint(out, u64::from(job.0));
             put_uvarint(out, u64::from(*attempts));
         }
-        ObsEvent::ExperimentFailed { name, message } => {
-            put_str(out, name);
-            put_str(out, message);
+        ObsEvent::ExperimentFailed(failure) => {
+            put_str(out, &failure.name);
+            put_str(out, &failure.message);
         }
+    }
+}
+
+/// Appends one whole frame to `out`. The payload is encoded in place
+/// behind a one-byte length slot that is patched afterwards; the rare
+/// payload of 128 bytes or more (only `failed` frames carry text that
+/// long) widens the slot to its full varint.
+fn encode_frame(ev: &TimedEvent, out: &mut Vec<u8>) {
+    let slot = out.len();
+    out.push(0);
+    encode_payload(ev, out);
+    let len = out.len() - slot - 1;
+    if len < 0x80 {
+        out[slot] = len as u8;
+    } else {
+        let mut prefix = Vec::with_capacity(10);
+        put_uvarint(&mut prefix, len as u64);
+        out.splice(slot..=slot, prefix);
     }
 }
 
@@ -311,6 +320,9 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
     let mut cur = Cur::new(payload);
     let kind = cur.byte("event kind")?;
     let at = cur.f64("timestamp")?;
+    if !(at.is_finite() && at >= 0.0) {
+        return Err(format!("timestamp {at} out of range"));
+    }
     let seq = cur.uvarint("seq")?;
     let event = match kind {
         0 => ObsEvent::JobSubmitted { job: cur.job()? },
@@ -326,7 +338,7 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
             iter_secs: cur.f64("iter_secs")?,
             speedup: cur.f64("speedup")?,
             efficiency: cur.f64("efficiency")?,
-            estimated: cur.byte("estimated")? != 0,
+            estimated: cur.bool("estimated")?,
         },
         5 => {
             let trigger = match cur.byte("trigger")? {
@@ -341,11 +353,7 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
             let to_alloc = cur.usize("to_alloc")?;
             let transition = match cur.byte("transition tag")? {
                 0 => None,
-                1 => {
-                    let from = cur.str("transition from")?;
-                    let to = cur.str("transition to")?;
-                    Some((intern(from), intern(to)))
-                }
+                1 => Some((cur.state("transition from")?, cur.state("transition to")?)),
                 other => return Err(format!("bad option tag {other} for transition")),
             };
             ObsEvent::Decision {
@@ -356,16 +364,11 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
                 transition,
             }
         }
-        6 => {
-            let job = cur.job()?;
-            let from = cur.str("from state")?;
-            let to = cur.str("to state")?;
-            ObsEvent::StateChanged {
-                job,
-                from: intern(from),
-                to: intern(to),
-            }
-        }
+        6 => ObsEvent::StateChanged {
+            job: cur.job()?,
+            from: cur.state("from state")?,
+            to: cur.state("to state")?,
+        },
         7 => ObsEvent::MplChanged {
             running: cur.usize("running")?,
             total_alloc: cur.usize("total_alloc")?,
@@ -393,17 +396,17 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
         },
         13 => ObsEvent::JobRetried {
             job: cur.job()?,
-            attempt: cur.uvarint("attempt")? as u32,
+            attempt: cur.u32("attempt")?,
             backoff_secs: cur.f64("backoff_secs")?,
         },
         14 => ObsEvent::JobFailed {
             job: cur.job()?,
-            attempts: cur.uvarint("attempts")? as u32,
+            attempts: cur.u32("attempts")?,
         },
-        15 => ObsEvent::ExperimentFailed {
+        15 => ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
             name: cur.str("name")?.to_string(),
             message: cur.str("message")?.to_string(),
-        },
+        })),
         other => return Err(format!("unknown event kind code {other}")),
     };
     if !cur.done() {
@@ -429,7 +432,7 @@ fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
 /// protocol.
 pub struct BinaryWriter<W: Write> {
     out: W,
-    scratch: Vec<u8>,
+    frame: Vec<u8>,
     frames: u64,
 }
 
@@ -439,19 +442,16 @@ impl<W: Write> BinaryWriter<W> {
         out.write_all(&MAGIC)?;
         Ok(BinaryWriter {
             out,
-            scratch: Vec::with_capacity(64),
+            frame: Vec::with_capacity(64),
             frames: 0,
         })
     }
 
     /// Appends one event frame.
     pub fn write(&mut self, ev: &TimedEvent) -> io::Result<()> {
-        self.scratch.clear();
-        encode_payload(ev, &mut self.scratch);
-        let mut len = [0u8; 10];
-        let n = encode_uvarint(&mut len, self.scratch.len() as u64);
-        self.out.write_all(&len[..n])?;
-        self.out.write_all(&self.scratch)?;
+        self.frame.clear();
+        encode_frame(ev, &mut self.frame);
+        self.out.write_all(&self.frame)?;
         self.frames += 1;
         Ok(())
     }
@@ -468,13 +468,16 @@ impl<W: Write> BinaryWriter<W> {
     }
 }
 
-/// Encodes a whole stream into a buffer (magic + frames).
+/// Encodes a whole stream into a buffer (magic + frames). The buffer is
+/// sized for 32 bytes a frame up front (the mean frame is about 30), so a
+/// long stream is not copied through a chain of doublings.
 pub fn write_stream(events: &[TimedEvent]) -> Vec<u8> {
-    let mut w = BinaryWriter::new(Vec::new()).expect("Vec write cannot fail");
+    let mut out = Vec::with_capacity(MAGIC.len() + events.len() * 32);
+    out.extend_from_slice(&MAGIC);
     for ev in events {
-        w.write(ev).expect("Vec write cannot fail");
+        encode_frame(ev, &mut out);
     }
-    w.finish().expect("Vec flush cannot fail")
+    out
 }
 
 /// Decodes a binary stream (must start with [`MAGIC`]).
@@ -485,11 +488,15 @@ pub fn write_stream(events: &[TimedEvent]) -> Vec<u8> {
 /// the frame's start within the stream, and the offending field on
 /// malformed or truncated input — enough to seek straight to the first bad
 /// frame of a corrupt capture.
+///
+/// The result is allocated once, for the most frames the input can hold
+/// (one per 12 bytes, the smallest legal frame), so no length field can
+/// make the decoder allocate more than the input justifies.
 pub fn read_stream(bytes: &[u8]) -> Result<Vec<TimedEvent>, String> {
     if !is_binary(bytes) {
         return Err("not a PDPAOBS1 binary stream (bad magic)".to_string());
     }
-    let mut events = Vec::new();
+    let mut events = Vec::with_capacity((bytes.len() - MAGIC.len()) / MIN_FRAME);
     let mut rest = &bytes[MAGIC.len()..];
     while !rest.is_empty() {
         // Absolute offset of this frame's length prefix: everything already
@@ -581,7 +588,7 @@ mod tests {
                     job: JobId(3),
                     from_alloc: 30,
                     to_alloc: 26,
-                    transition: Some(("NO_REF", "DEC")),
+                    transition: Some((StateName::NO_REF, StateName::DEC)),
                 },
             ),
             te(
@@ -607,10 +614,10 @@ mod tests {
             te(
                 3.0,
                 4,
-                ObsEvent::ExperimentFailed {
+                ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
                     name: "table2".into(),
                     message: "panic: \"quoted\"\nwith newline".into(),
-                },
+                })),
             ),
         ]
     }
@@ -697,6 +704,140 @@ mod tests {
     fn bad_magic_is_rejected() {
         let err = read_stream(b"NOTMAGIC").expect_err("bad magic must error");
         assert!(err.contains("magic"), "got: {err}");
+    }
+
+    /// FNV-1a, enough to pin a byte stream in a constant.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// An `ExperimentFailed` frame whose payload is 13 bytes of header
+    /// (kind, time, seq, the name `x`) plus the message and its length.
+    fn failure_of(message_len: usize) -> TimedEvent {
+        let message = (0..message_len)
+            .map(|k| char::from(b'a' + (k % 26) as u8))
+            .collect();
+        te(
+            1.5,
+            0,
+            ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
+                name: "x".into(),
+                message,
+            })),
+        )
+    }
+
+    #[test]
+    fn long_payloads_widen_the_length_prefix() {
+        // (message bytes, payload bytes, expected prefix, FNV-1a of the
+        // one-frame stream as the earlier two-buffer encoder wrote it).
+        let cases: [(usize, usize, &[u8], u64); 4] = [
+            (114, 127, &[0x7f], 0xb7fa_9714_824f_2c4a),
+            (115, 128, &[0x80, 0x01], 0x9f8e_f733_9613_2f4a),
+            (186, 200, &[0xc8, 0x01], 0x3ae7_6739_07ac_3097),
+            (19_985, 20_000, &[0xa0, 0x9c, 0x01], 0xba55_9289_4fb4_941c),
+        ];
+        let mut all = Vec::new();
+        for (i, &(message_len, payload_len, prefix, digest)) in cases.iter().enumerate() {
+            let ev = failure_of(message_len);
+            let bytes = write_stream(std::slice::from_ref(&ev));
+            assert_eq!(bytes.len(), MAGIC.len() + prefix.len() + payload_len);
+            assert_eq!(&bytes[MAGIC.len()..MAGIC.len() + prefix.len()], prefix);
+            assert_eq!(fnv1a(&bytes), digest, "payload of {payload_len} bytes");
+            assert_eq!(read_stream(&bytes).expect("decodes"), vec![ev.clone()]);
+            all.push(ev);
+            all.push(te(
+                2.0,
+                i as u64 + 1,
+                ObsEvent::JobFinished { job: JobId(7) },
+            ));
+        }
+        // Frames after a widened prefix stay aligned, and the streaming
+        // writer produces the same bytes as the whole-buffer encoder.
+        let bytes = write_stream(&all);
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (20_519, 0x90b8_64d1_d339_c2f2)
+        );
+        let mut w = BinaryWriter::new(Vec::new()).expect("Vec write cannot fail");
+        for ev in &all {
+            w.write(ev).expect("Vec write cannot fail");
+        }
+        assert_eq!(w.frames(), all.len() as u64);
+        assert_eq!(w.finish().expect("Vec flush cannot fail"), bytes);
+        assert_eq!(read_stream(&bytes).expect("decodes"), all);
+    }
+
+    /// Builds a one-frame stream around a hand-made payload.
+    fn one_frame(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        put_uvarint(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn retry_counts_past_u32_are_rejected_not_truncated() {
+        for (kind, field) in [(13u8, "attempt"), (14, "attempts")] {
+            let mut payload = vec![kind];
+            put_f64(&mut payload, 1.0);
+            put_uvarint(&mut payload, 0); // seq
+            put_uvarint(&mut payload, 2); // job
+            put_uvarint(&mut payload, (1u64 << 32) + 1);
+            if kind == 13 {
+                put_f64(&mut payload, 30.0); // backoff_secs
+            }
+            let err = read_stream(&one_frame(&payload)).expect_err("2^32 + 1 must not decode");
+            assert!(err.contains("frame 0 at byte 8"), "got: {err}");
+            assert!(err.contains(field), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn estimated_must_be_zero_or_one() {
+        let ev = te(
+            1.0,
+            0,
+            ObsEvent::IterationMeasured {
+                job: JobId(1),
+                procs: 4,
+                iter_secs: 0.5,
+                speedup: 3.0,
+                efficiency: 0.75,
+                estimated: true,
+            },
+        );
+        let mut bytes = write_stream(&[ev]);
+        let last = bytes.len() - 1;
+        assert_eq!(bytes[last], 1, "estimated is the frame's last byte");
+        bytes[last] = 2;
+        let err = read_stream(&bytes).expect_err("a bool byte of 2 must not decode");
+        assert!(err.contains("frame 0 at byte 8"), "got: {err}");
+        assert!(err.contains("estimated"), "got: {err}");
+    }
+
+    #[test]
+    fn non_finite_or_negative_timestamps_are_rejected() {
+        for at in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut payload = vec![3u8]; // finish
+            put_f64(&mut payload, at);
+            put_uvarint(&mut payload, 0); // seq
+            put_uvarint(&mut payload, 1); // job
+            let err = read_stream(&one_frame(&payload)).expect_err("bad time must not decode");
+            assert!(err.contains("frame 0 at byte 8: timestamp"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn decoded_capacity_is_bounded_by_the_input() {
+        let bytes = write_stream(&sample_events());
+        let events = read_stream(&bytes).expect("decodes");
+        assert!(events.capacity() <= bytes.len() / MIN_FRAME);
+        // The smallest frame really is MIN_FRAME bytes.
+        let small = write_stream(&[te(0.0, 0, ObsEvent::CpuFailed { cpu: CpuId(1) })]);
+        assert_eq!(small.len(), MAGIC.len() + MIN_FRAME);
     }
 
     #[test]

@@ -188,11 +188,11 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                         job.0
                     ));
                 }
-                ObsEvent::ExperimentFailed { name, message } => {
+                ObsEvent::ExperimentFailed(failure) => {
                     let mut label = String::new();
-                    push_str_escaped(&mut label, &format!("FAILED {name}"));
+                    push_str_escaped(&mut label, &format!("FAILED {}", failure.name));
                     let mut text = String::new();
-                    push_str_escaped(&mut text, message);
+                    push_str_escaped(&mut text, &failure.message);
                     w.push(format!(
                         "\"name\":{label},\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\
                          \"pid\":{pid},\"tid\":0,\"args\":{{\"message\":{text}}}"
@@ -221,7 +221,8 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::DecisionTrigger;
+    use crate::collector::ExperimentFailure;
+    use crate::event::{DecisionTrigger, StateName};
     use pdpa_sim::{JobId, SimTime};
 
     fn te(at: f64, seq: u64, event: ObsEvent) -> TimedEvent {
@@ -252,7 +253,7 @@ mod tests {
                         job: JobId(0),
                         from_alloc: 32,
                         to_alloc: 28,
-                        transition: Some(("NO_REF", "DEC")),
+                        transition: Some((StateName::NO_REF, StateName::DEC)),
                     },
                 ),
                 te(
@@ -385,10 +386,10 @@ mod tests {
             vec![te(
                 0.0,
                 0,
-                ObsEvent::ExperimentFailed {
+                ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
                     name: "x".to_string(),
                     message: "panicked: \"oh no\"\nline2".to_string(),
-                },
+                })),
             )],
         )];
         let json = chrome_trace(&runs);

@@ -1,6 +1,11 @@
 //! The typed decision-event taxonomy published by the engine.
 
+use std::fmt;
+use std::sync::{Mutex, OnceLock};
+
 use pdpa_sim::{CpuId, JobId, SimTime};
+
+use crate::collector::ExperimentFailure;
 
 /// Which policy activation produced a decision (§4.1: the policy runs at
 /// arrival, completion, and each performance report).
@@ -25,6 +30,115 @@ impl DecisionTrigger {
             DecisionTrigger::Completion => "completion",
             DecisionTrigger::Fault => "fault",
         }
+    }
+}
+
+/// A policy state-machine state, interned: a one-byte index into one
+/// process-wide name table.
+///
+/// PDPA's four states ([`StateName::NO_REF`], [`StateName::INC`],
+/// [`StateName::DEC`], [`StateName::STABLE`]) hold indices 0–3. Any other
+/// name a policy reports or a decoded stream carries takes the next free
+/// index on first sight, up to [`StateName::CAP`] names per process; past
+/// the cap [`StateName::intern`] is an error, so a hostile stream cannot
+/// grow the table. Streams and exports always carry the name, never the
+/// index, so the index is free to differ between processes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StateName(u8);
+
+/// The four PDPA states, at their fixed indices.
+const FIXED_NAMES: [&str; 4] = ["NO_REF", "INC", "DEC", "STABLE"];
+
+/// Names past the fixed four, filled in order and never cleared.
+static EXTRA_NAMES: [OnceLock<Box<str>>; StateName::CAP - FIXED_NAMES.len()] =
+    [const { OnceLock::new() }; StateName::CAP - FIXED_NAMES.len()];
+
+/// Serializes insertions into [`EXTRA_NAMES`]; lookups never take it.
+static EXTRA_INSERT: Mutex<()> = Mutex::new(());
+
+impl StateName {
+    /// `NO_REF`: no reference measurement yet.
+    pub const NO_REF: StateName = StateName(0);
+    /// `INC`: growing the allocation.
+    pub const INC: StateName = StateName(1);
+    /// `DEC`: shrinking the allocation.
+    pub const DEC: StateName = StateName(2);
+    /// `STABLE`: settled.
+    pub const STABLE: StateName = StateName(3);
+    /// The most distinct names one process can intern.
+    pub const CAP: usize = 64;
+
+    /// The name's index for `name`, adding it to the table on first sight.
+    ///
+    /// # Errors
+    ///
+    /// Returns a diagnostic when `name` is new and the table already holds
+    /// [`StateName::CAP`] names.
+    pub fn intern(name: &str) -> Result<StateName, String> {
+        if let Some(i) = FIXED_NAMES.iter().position(|&n| n == name) {
+            return Ok(StateName(i as u8));
+        }
+        if let Some(found) = Self::find_extra(name) {
+            return Ok(found);
+        }
+        let _guard = EXTRA_INSERT.lock().unwrap_or_else(|e| e.into_inner());
+        // Another thread may have added it between the scan and the lock.
+        if let Some(found) = Self::find_extra(name) {
+            return Ok(found);
+        }
+        let free = EXTRA_NAMES
+            .iter()
+            .position(|slot| slot.get().is_none())
+            .ok_or_else(|| {
+                format!(
+                    "state name {name:?} would exceed the table of {} names",
+                    Self::CAP
+                )
+            })?;
+        // Cannot fail: the slot was empty and insertions hold the lock.
+        let _ = EXTRA_NAMES[free].set(name.into());
+        Ok(StateName((FIXED_NAMES.len() + free) as u8))
+    }
+
+    fn find_extra(name: &str) -> Option<StateName> {
+        for (i, slot) in EXTRA_NAMES.iter().enumerate() {
+            match slot.get() {
+                Some(known) if **known == *name => {
+                    return Some(StateName((FIXED_NAMES.len() + i) as u8))
+                }
+                Some(_) => {}
+                None => return None,
+            }
+        }
+        None
+    }
+
+    /// The name's index in the table, below [`StateName::CAP`].
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+
+    /// The name as text.
+    pub fn as_str(self) -> &'static str {
+        let i = self.index();
+        match FIXED_NAMES.get(i) {
+            Some(name) => name,
+            None => EXTRA_NAMES[i - FIXED_NAMES.len()]
+                .get()
+                .expect("a StateName is only built for a filled slot"),
+        }
+    }
+}
+
+impl fmt::Display for StateName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for StateName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -84,8 +198,8 @@ pub enum ObsEvent {
         /// Processors held after the change.
         to_alloc: usize,
         /// The PDPA state transition that caused the change, as
-        /// `(from_state, to_state)` names, when the policy reported one.
-        transition: Option<(&'static str, &'static str)>,
+        /// `(from_state, to_state)`, when the policy reported one.
+        transition: Option<(StateName, StateName)>,
     },
     /// A policy state machine moved without an allocation change (e.g.
     /// `NO_REF → STABLE` at the held allocation).
@@ -93,9 +207,9 @@ pub enum ObsEvent {
         /// The job whose state moved.
         job: JobId,
         /// State left.
-        from: &'static str,
+        from: StateName,
         /// State entered.
-        to: &'static str,
+        to: StateName,
     },
     /// The multiprogramming level changed (admission or completion).
     MplChanged {
@@ -162,12 +276,8 @@ pub enum ObsEvent {
     },
     /// A harness experiment panicked; the payload is preserved so failures
     /// are observable in the metrics export, not just a nonzero exit.
-    ExperimentFailed {
-        /// Registry name of the experiment.
-        name: String,
-        /// The panic payload.
-        message: String,
-    },
+    /// Boxed, so the rare failure does not widen every other event.
+    ExperimentFailed(Box<ExperimentFailure>),
 }
 
 impl ObsEvent {
@@ -211,7 +321,7 @@ impl ObsEvent {
             ObsEvent::DegradedCapacity { .. } => 12,
             ObsEvent::JobRetried { .. } => 13,
             ObsEvent::JobFailed { .. } => 14,
-            ObsEvent::ExperimentFailed { .. } => 15,
+            ObsEvent::ExperimentFailed(_) => 15,
         }
     }
 
@@ -318,8 +428,8 @@ impl TimedEvent {
             ObsEvent::JobFailed { job, attempts } => {
                 format!("job={} attempts={}", job.0, attempts)
             }
-            ObsEvent::ExperimentFailed { name, message } => {
-                format!("name={name} message={message:?}")
+            ObsEvent::ExperimentFailed(failure) => {
+                format!("name={} message={:?}", failure.name, failure.message)
             }
         };
         format!("{t} {seq} {} {body}", self.event.kind())
@@ -327,8 +437,8 @@ impl TimedEvent {
 
     /// Parses a line produced by [`TimedEvent::to_line`] back into the
     /// event. Together they form an exact round trip: floats re-parse to
-    /// the same bits (shortest formatting), and state names are interned
-    /// so `&'static str` fields compare equal.
+    /// the same bits (shortest formatting), and state names intern to the
+    /// same [`StateName`].
     ///
     /// # Errors
     ///
@@ -338,46 +448,11 @@ impl TimedEvent {
     }
 }
 
-pub(crate) use parse::intern;
-
 /// The [`TimedEvent::to_line`] inverse.
 mod parse {
-    use super::{DecisionTrigger, ObsEvent, TimedEvent};
+    use super::{DecisionTrigger, ObsEvent, StateName, TimedEvent};
+    use crate::collector::ExperimentFailure;
     use pdpa_sim::{CpuId, JobId, SimTime};
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-
-    /// Returns a `'static` copy of `s`. PDPA state names come from a tiny
-    /// fixed vocabulary, so the common case is a table hit; genuinely new
-    /// names are leaked once and reused from then on. Shared with the
-    /// binary decoder in `crate::binary`, which has the same need.
-    pub(crate) fn intern(s: &str) -> &'static str {
-        for known in [
-            "NO_REF",
-            "INC",
-            "DEC",
-            "STABLE",
-            "arrival",
-            "report",
-            "completion",
-            "fault",
-        ] {
-            if s == known {
-                return known;
-            }
-        }
-        static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-        let mut pool = POOL
-            .get_or_init(|| Mutex::new(BTreeSet::new()))
-            .lock()
-            .expect("intern pool poisoned");
-        if let Some(existing) = pool.get(s) {
-            return existing;
-        }
-        let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-        pool.insert(leaked);
-        leaked
-    }
 
     fn trigger(label: &str) -> Result<DecisionTrigger, String> {
         match label {
@@ -496,7 +571,7 @@ mod parse {
                         let (from, to) = v
                             .split_once("->")
                             .ok_or_else(|| format!("malformed transition {v:?}"))?;
-                        Some((intern(from), intern(to)))
+                        Some((StateName::intern(from)?, StateName::intern(to)?))
                     }
                 };
                 ObsEvent::Decision {
@@ -509,8 +584,8 @@ mod parse {
             }
             "state" => ObsEvent::StateChanged {
                 job: job(kv(tok.next(), "job")?)?,
-                from: intern(kv(tok.next(), "from")?),
-                to: intern(kv(tok.next(), "to")?),
+                from: StateName::intern(kv(tok.next(), "from")?)?,
+                to: StateName::intern(kv(tok.next(), "to")?)?,
             },
             "mpl" => ObsEvent::MplChanged {
                 running: num(kv(tok.next(), "running")?, "running")?,
@@ -563,10 +638,10 @@ mod parse {
                 return Ok(TimedEvent {
                     at: SimTime::from_secs(at),
                     seq,
-                    event: ObsEvent::ExperimentFailed {
+                    event: ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
                         name: kv(Some(name_part), "name")?.to_string(),
                         message: unquote(message_part)?,
-                    },
+                    })),
                 });
             }
             other => return Err(format!("unknown event kind {other:?}")),
@@ -606,7 +681,7 @@ mod tests {
                 job: JobId(3),
                 from_alloc: 30,
                 to_alloc: 26,
-                transition: Some(("NO_REF", "DEC")),
+                transition: Some((StateName::NO_REF, StateName::DEC)),
             },
         );
         assert_eq!(
@@ -665,6 +740,30 @@ mod tests {
     }
 
     #[test]
+    fn events_stay_small() {
+        assert_eq!(std::mem::size_of::<ObsEvent>(), 40);
+        assert_eq!(std::mem::size_of::<TimedEvent>(), 56);
+    }
+
+    #[test]
+    fn state_names_intern_to_one_index() {
+        for (name, fixed) in [
+            ("NO_REF", StateName::NO_REF),
+            ("INC", StateName::INC),
+            ("DEC", StateName::DEC),
+            ("STABLE", StateName::STABLE),
+        ] {
+            assert_eq!(StateName::intern(name), Ok(fixed));
+            assert_eq!(fixed.as_str(), name);
+        }
+        let custom = StateName::intern("EVENT_UNIT_TEST_STATE").expect("fits the table");
+        assert!(custom.index() >= 4 && custom.index() < StateName::CAP);
+        assert_eq!(StateName::intern("EVENT_UNIT_TEST_STATE"), Ok(custom));
+        assert_eq!(custom.to_string(), "EVENT_UNIT_TEST_STATE");
+        assert_eq!(format!("{custom:?}"), "\"EVENT_UNIT_TEST_STATE\"");
+    }
+
+    #[test]
     fn every_kind_has_a_label() {
         let kinds = [
             ObsEvent::JobSubmitted { job: JobId(0) }.kind(),
@@ -673,10 +772,10 @@ mod tests {
                 total_alloc: 2,
             }
             .kind(),
-            ObsEvent::ExperimentFailed {
+            ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
                 name: "x".into(),
                 message: "y".into(),
-            }
+            }))
             .kind(),
         ];
         assert_eq!(kinds, ["submit", "mpl", "failed"]);

@@ -48,7 +48,7 @@ pub use binary::{
 };
 pub use chrome::chrome_trace;
 pub use collector::ExperimentFailure;
-pub use event::{DecisionTrigger, ObsEvent, TimedEvent};
+pub use event::{DecisionTrigger, ObsEvent, StateName, TimedEvent};
 pub use export::{metrics_json, mpl_series_csv};
 pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry, RunCounters};
 pub use observer::{FilterObserver, KindFilter, NullObserver, Observer, RecordingObserver};

@@ -20,8 +20,8 @@
 use proptest::prelude::*;
 
 use pdpa_suite::obs::{
-    parse_stream, read_stream, write_stream, write_text_stream, DecisionTrigger, Histogram,
-    ObsEvent, TimedEvent,
+    parse_stream, read_stream, write_stream, write_text_stream, DecisionTrigger, ExperimentFailure,
+    Histogram, ObsEvent, StateName, TimedEvent,
 };
 use pdpa_suite::sim::{CpuId, JobId, SimTime};
 
@@ -42,16 +42,23 @@ fn arb_trigger() -> impl Strategy<Value = DecisionTrigger> {
     ]
 }
 
-/// The PDPA state vocabulary plus a leaked ad-hoc name, exercising both
-/// the intern table's fast path and its fallback pool.
-fn arb_state() -> impl Strategy<Value = &'static str> {
+/// The PDPA state vocabulary plus an ad-hoc name, exercising both the
+/// name table's fixed entries and one added on first sight.
+fn arb_state() -> impl Strategy<Value = StateName> {
     prop_oneof![
-        Just("NO_REF"),
-        Just("INC"),
-        Just("DEC"),
-        Just("STABLE"),
-        Just("CUSTOM_STATE"),
+        Just(StateName::NO_REF),
+        Just(StateName::INC),
+        Just(StateName::DEC),
+        Just(StateName::STABLE),
+        Just(StateName::intern("CUSTOM_STATE").expect("one extra name fits")),
     ]
+}
+
+fn failed(name: impl Into<String>, message: impl Into<String>) -> ObsEvent {
+    ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
+        name: name.into(),
+        message: message.into(),
+    }))
 }
 
 /// One strategy per event kind; `prop_oneof!` unions all sixteen.
@@ -129,8 +136,7 @@ fn arb_event() -> BoxedStrategy<ObsEvent> {
         // The name is a single key=value token; the message is
         // debug-quoted, so any printable ASCII (backslashes and quotes
         // included) must survive the escape/unescape pair.
-        ("[a-z0-9_]{1,16}", "[ -~]{0,60}")
-            .prop_map(|(name, message)| { ObsEvent::ExperimentFailed { name, message } }),
+        ("[a-z0-9_]{1,16}", "[ -~]{0,60}").prop_map(|(name, message)| failed(name, message)),
     ]
     .boxed()
 }
@@ -244,10 +250,7 @@ fn round_trip_edge_cases() {
         TimedEvent {
             at: SimTime::ZERO,
             seq: u64::MAX,
-            event: ObsEvent::ExperimentFailed {
-                name: "x".into(),
-                message: String::new(),
-            },
+            event: failed("x", ""),
         },
         TimedEvent {
             at: SimTime::from_secs(0.1 + 0.2), // a classically non-exact float
@@ -260,10 +263,7 @@ fn round_trip_edge_cases() {
         TimedEvent {
             at: SimTime::from_secs(1e9),
             seq: 1,
-            event: ObsEvent::ExperimentFailed {
-                name: "quoting".into(),
-                message: "tab\t quote\" backslash\\ newline\n done".into(),
-            },
+            event: failed("quoting", "tab\t quote\" backslash\\ newline\n done"),
         },
     ];
     for ev in cases {
