@@ -209,7 +209,8 @@ impl RunAnalysis {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", state, fmt_f64(*secs));
+            push_str_escaped(&mut out, state);
+            let _ = write!(out, ":{}", fmt_f64(*secs));
         }
         out.push_str("},");
         push_num(
@@ -240,7 +241,8 @@ impl RunAnalysis {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{}", trigger, n);
+            push_str_escaped(&mut out, trigger);
+            let _ = write!(out, ":{n}");
         }
         out.push_str("},");
         push_num(

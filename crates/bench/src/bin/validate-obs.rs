@@ -19,22 +19,22 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use pdpa_bench::json::{parse, Value};
+use pdpa_obs::json::Json;
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("validate-obs: FAILED: {message}");
     ExitCode::FAILURE
 }
 
-fn read(path: &str) -> Result<Value, String> {
+fn read(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("{path}: {e}"))
+    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn check_trace(doc: &Value) -> Result<usize, String> {
+fn check_trace(doc: &Json) -> Result<usize, String> {
     let events = doc
         .get("traceEvents")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("trace has no traceEvents array")?;
     if events.is_empty() {
         return Err("traceEvents is empty".into());
@@ -45,11 +45,11 @@ fn check_trace(doc: &Value) -> Result<usize, String> {
     for ev in events {
         let phase = ev
             .get("ph")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or("event without ph")?;
         let lane = (
-            ev.get("pid").and_then(Value::as_u64).unwrap_or(0),
-            ev.get("tid").and_then(Value::as_u64).unwrap_or(0),
+            ev.get("pid").and_then(Json::as_u64).unwrap_or(0),
+            ev.get("tid").and_then(Json::as_u64).unwrap_or(0),
         );
         match phase {
             "B" => *open.entry(lane).or_insert(0) += 1,
@@ -72,10 +72,10 @@ fn check_trace(doc: &Value) -> Result<usize, String> {
     Ok(events.len())
 }
 
-fn check_metrics(doc: &Value) -> Result<(), String> {
+fn check_metrics(doc: &Json) -> Result<(), String> {
     let schema = doc
         .get("schema")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("metrics document has no schema")?;
     if schema != "pdpa-obs-metrics/v1" {
         return Err(format!("unexpected metrics schema {schema:?}"));
@@ -84,7 +84,7 @@ fn check_metrics(doc: &Value) -> Result<(), String> {
     for key in ["runs", "events_popped", "decisions"] {
         let n = engine
             .get(key)
-            .and_then(Value::as_u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("engine.{key} missing"))?;
         if n == 0 {
             return Err(format!("engine.{key} is zero — nothing was observed"));
@@ -92,7 +92,7 @@ fn check_metrics(doc: &Value) -> Result<(), String> {
     }
     let failures = doc
         .get("failures")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("metrics has no failures array")?;
     if !failures.is_empty() {
         return Err(format!("{} experiment failure(s) recorded", failures.len()));
@@ -100,16 +100,16 @@ fn check_metrics(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-fn check_analysis(doc: &Value) -> Result<usize, String> {
+fn check_analysis(doc: &Json) -> Result<usize, String> {
     let schema = doc
         .get("schema")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("analysis document has no schema")?;
     if schema != "pdpa-analyze/v1" {
         return Err(format!("unexpected analysis schema {schema:?}"));
     }
     let runs = doc.get("runs").ok_or("analysis document has no runs")?;
-    let Value::Obj(pairs) = runs else {
+    let Json::Obj(pairs) = runs else {
         return Err("runs is not an object".into());
     };
     if pairs.is_empty() {
@@ -119,7 +119,7 @@ fn check_analysis(doc: &Value) -> Result<usize, String> {
         for field in ["events", "jobs", "decisions"] {
             let n = run
                 .get(field)
-                .and_then(Value::as_f64)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| format!("run {key:?} missing {field}"))?;
             if n <= 0.0 {
                 return Err(format!("run {key:?} has zero {field}"));

@@ -19,23 +19,23 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
-use pdpa_bench::json::{parse, Value};
+use pdpa_obs::json::Json;
 
 fn fail(message: &str) -> ExitCode {
     eprintln!("validate-prof: FAILED: {message}");
     ExitCode::FAILURE
 }
 
-fn read(path: &str) -> Result<Value, String> {
+fn read(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("{path}: {e}"))
+    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Validates the profiler's Chrome trace and returns its span count.
-fn check_profile(doc: &Value) -> Result<usize, String> {
+fn check_profile(doc: &Json) -> Result<usize, String> {
     let events = doc
         .get("traceEvents")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("profile has no traceEvents array")?;
     if events.is_empty() {
         return Err("traceEvents is empty".into());
@@ -47,28 +47,28 @@ fn check_profile(doc: &Value) -> Result<usize, String> {
     for ev in events {
         let phase = ev
             .get("ph")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or("event without ph")?;
         let name = ev
             .get("name")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or("event without name")?;
-        let tid = ev.get("tid").and_then(Value::as_u64).unwrap_or(0);
+        let tid = ev.get("tid").and_then(Json::as_u64).unwrap_or(0);
         match phase {
             "M" => {
                 if name == "thread_name" {
                     let lane = ev
                         .get("args")
                         .and_then(|a| a.get("name"))
-                        .and_then(Value::as_str)
+                        .and_then(Json::as_str)
                         .ok_or("thread_name record without args.name")?;
                     lanes.insert(lane.to_string());
                     lane_tids.insert(tid);
                 }
             }
             "X" => {
-                if ev.get("ts").and_then(Value::as_f64).is_none()
-                    || ev.get("dur").and_then(Value::as_f64).is_none()
+                if ev.get("ts").and_then(Json::as_f64).is_none()
+                    || ev.get("dur").and_then(Json::as_f64).is_none()
                 {
                     return Err(format!("X span {name:?} lacks ts/dur"));
                 }

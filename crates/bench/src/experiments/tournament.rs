@@ -29,10 +29,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::experiments::chaos;
-use crate::json::Value;
 use pdpa_analyze::{RunAnalysis, SlowdownDist};
 use pdpa_core::Pdpa;
 use pdpa_engine::{Engine, EngineConfig};
+use pdpa_obs::json::Json;
 use pdpa_obs::RecordingObserver;
 use pdpa_policies::{
     EqualEfficiency, Equipartition, GangScheduler, HeSrpt, LearnedAlloc, OptSplit, RigidFirstFit,
@@ -373,38 +373,38 @@ impl Tournament {
 
     /// The `pdpa-tournament/v1` JSON report.
     pub fn render_json(&self) -> String {
-        fn leg_json(rows: &[LegStats]) -> Value {
-            Value::Arr(
+        fn leg_json(rows: &[LegStats]) -> Json {
+            Json::Arr(
                 rows.iter()
                     .enumerate()
                     .map(|(i, r)| {
-                        Value::Obj(vec![
-                            ("rank".into(), Value::Num((i + 1) as f64)),
-                            ("policy".into(), Value::Str(r.label.into())),
-                            ("slug".into(), Value::Str(r.slug.into())),
-                            ("p50".into(), Value::Num(r.dist.p50)),
-                            ("p90".into(), Value::Num(r.dist.p90)),
-                            ("p99".into(), Value::Num(r.dist.p99)),
-                            ("max".into(), Value::Num(r.dist.max)),
-                            ("avg_slowdown".into(), Value::Num(r.avg_slowdown)),
-                            ("makespan_secs".into(), Value::Num(r.makespan)),
-                            ("utilization".into(), Value::Num(r.utilization)),
-                            ("migrations".into(), Value::Num(r.migrations as f64)),
-                            ("mean_mpl".into(), Value::Num(r.mean_mpl)),
-                            ("max_mpl".into(), Value::Num(r.max_mpl as f64)),
-                            ("wall_secs".into(), Value::Num(r.wall_secs)),
-                            ("events_popped".into(), Value::Num(r.events_popped as f64)),
+                        Json::Obj(vec![
+                            ("rank".into(), Json::Num((i + 1) as f64)),
+                            ("policy".into(), Json::Str(r.label.into())),
+                            ("slug".into(), Json::Str(r.slug.into())),
+                            ("p50".into(), Json::Num(r.dist.p50)),
+                            ("p90".into(), Json::Num(r.dist.p90)),
+                            ("p99".into(), Json::Num(r.dist.p99)),
+                            ("max".into(), Json::Num(r.dist.max)),
+                            ("avg_slowdown".into(), Json::Num(r.avg_slowdown)),
+                            ("makespan_secs".into(), Json::Num(r.makespan)),
+                            ("utilization".into(), Json::Num(r.utilization)),
+                            ("migrations".into(), Json::Num(r.migrations as f64)),
+                            ("mean_mpl".into(), Json::Num(r.mean_mpl)),
+                            ("max_mpl".into(), Json::Num(r.max_mpl as f64)),
+                            ("wall_secs".into(), Json::Num(r.wall_secs)),
+                            ("events_popped".into(), Json::Num(r.events_popped as f64)),
                         ])
                     })
                     .collect(),
             )
         }
-        Value::Obj(vec![
-            ("schema".into(), Value::Str("pdpa-tournament/v1".into())),
-            ("cpus".into(), Value::Num(self.cpus as f64)),
-            ("seed".into(), Value::Num(self.seed as f64)),
-            ("swf_jobs".into(), Value::Num(self.swf_jobs as f64)),
-            ("swf_span_secs".into(), Value::Num(self.swf_span_secs)),
+        Json::Obj(vec![
+            ("schema".into(), Json::Str("pdpa-tournament/v1".into())),
+            ("cpus".into(), Json::Num(self.cpus as f64)),
+            ("seed".into(), Json::Num(self.seed as f64)),
+            ("swf_jobs".into(), Json::Num(self.swf_jobs as f64)),
+            ("swf_span_secs".into(), Json::Num(self.swf_span_secs)),
             ("swf".into(), leg_json(&self.swf)),
             ("chaos".into(), leg_json(&self.chaos)),
         ])
@@ -479,7 +479,7 @@ mod tests {
             ..TournamentConfig::default()
         };
         let t = run_tournament(&config);
-        let doc = crate::json::parse(&t.render_json()).expect("own JSON parses");
+        let doc = Json::parse(&t.render_json()).expect("own JSON parses");
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),
             Some("pdpa-tournament/v1")

@@ -36,7 +36,6 @@ use pdpa_qs::Workload;
 
 pub mod experiments;
 pub mod harness;
-pub mod json;
 
 /// The paper's load points: 60 %, 80 %, 100 % of machine capacity.
 pub const PAPER_LOADS: [f64; 3] = [0.6, 0.8, 1.0];

@@ -14,8 +14,8 @@ use pdpa_engine::{Engine, EngineConfig, Instrumentation, RunResult};
 use pdpa_faults::FaultPlan;
 use pdpa_obs::metrics::Registry;
 use pdpa_obs::{
-    chrome_trace, metrics_json, mpl_series_csv, scope, FilterObserver, KindFilter, NullObserver,
-    Observer, RecordingObserver,
+    chrome_trace, metrics_json, mpl_series_csv, scope, span_trace, FilterObserver, KindFilter,
+    NullObserver, Observer, RecordingObserver,
 };
 use pdpa_policies::{
     EqualEfficiency, Equipartition, GangScheduler, HeSrpt, IrixLike, LearnedAlloc, OptSplit,
@@ -619,8 +619,15 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             .profile
             .as_ref()
             .expect("--profile-out enables the profiler");
-        std::fs::write(path, profile.chrome_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let spans = profile
+            .spans
+            .iter()
+            .map(|s| (s.kind.label(), s.start_ns, s.dur_ns));
+        std::fs::write(
+            path,
+            span_trace("pdpa replay profile", "coordinator", spans),
+        )
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nprofile trace written to {path}\n");
         out.push_str(&profile.hot_path_report());
     }

@@ -22,14 +22,13 @@
 //!
 //! The format is a single JSON document (one per file), written with the
 //! workspace's hand-rolled escaping and parsed with
-//! [`pdpa_watch::json::Json`]. Like the wire protocol it evolves
+//! [`pdpa_obs::json::Json`]. Like the wire protocol it evolves
 //! additively: readers ignore unknown fields, and `format`/`proto`
 //! mismatches fail loudly instead of guessing.
 
 use std::fmt::Write as _;
 
-use pdpa_obs::json::{fmt_f64, push_str_escaped};
-use pdpa_watch::json::Json;
+use pdpa_obs::json::{fmt_f64, push_str_escaped, Json};
 use pdpa_watch::PROTO_VERSION;
 
 /// Magic format tag; the first field of every snapshot file.
@@ -98,10 +97,7 @@ impl Op {
             .get("op")
             .and_then(Json::as_str)
             .ok_or("op entry missing 'op'")?;
-        let at_secs = doc
-            .get("at_secs")
-            .and_then(Json::as_f64)
-            .ok_or("op entry missing 'at_secs'")?;
+        let at_secs = time_secs(doc, "at_secs", "op entry")?;
         match kind {
             "submit" => Ok(Op::Submit {
                 at_secs,
@@ -122,6 +118,22 @@ impl Op {
             }),
             other => Err(format!("unknown op kind '{other}'")),
         }
+    }
+}
+
+/// Reads the instant `key` of `doc`; `what` names `doc` in errors. The
+/// session can only be driven to a finite, non-negative instant.
+fn time_secs(doc: &Json, key: &str, what: &str) -> Result<f64, String> {
+    let secs = doc
+        .get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{what} missing '{key}'"))?;
+    if secs.is_finite() && secs >= 0.0 {
+        Ok(secs)
+    } else {
+        Err(format!(
+            "{what} '{key}' must be finite and non-negative, got {secs}"
+        ))
     }
 }
 
@@ -274,16 +286,14 @@ impl Snapshot {
                 .and_then(Json::as_f64)
                 .ok_or("config missing 'max_sim_secs'")?,
         };
-        let barrier_secs = doc
-            .get("barrier_secs")
-            .and_then(Json::as_f64)
-            .ok_or("snapshot missing 'barrier_secs'")?;
+        let barrier_secs = time_secs(&doc, "barrier_secs", "snapshot")?;
         let ops = doc
             .get("ops")
             .and_then(Json::as_arr)
             .ok_or("snapshot missing 'ops'")?
             .iter()
-            .map(Op::parse)
+            .enumerate()
+            .map(|(i, op)| Op::parse(op).map_err(|e| format!("op {i}: {e}")))
             .collect::<Result<Vec<_>, _>>()?;
         let chk = doc.get("check").ok_or("snapshot missing 'check'")?;
         let count = |key: &str| -> Result<u64, String> {
@@ -400,6 +410,34 @@ mod tests {
         ] {
             let text = sample().to_json().replace(needle, replacement);
             assert!(Snapshot::parse(&text).is_err(), "accepted: {replacement}");
+        }
+    }
+
+    /// A time the session cannot be driven to is refused at parse time;
+    /// restoring one used to panic in `SimTime::from_secs`.
+    #[test]
+    fn bad_time_fields_are_errors() {
+        for (needle, replacement, expect) in [
+            (
+                "\"at_secs\":10.25",
+                "\"at_secs\":-1",
+                "op 1: op entry 'at_secs'",
+            ),
+            (
+                "\"at_secs\":50",
+                "\"at_secs\":1e999",
+                "out of range at offset",
+            ),
+            (
+                "\"barrier_secs\":1234.5",
+                "\"barrier_secs\":-3",
+                "'barrier_secs'",
+            ),
+        ] {
+            let text = sample().to_json().replace(needle, replacement);
+            assert_ne!(text, sample().to_json());
+            let err = Snapshot::parse(&text).expect_err(replacement);
+            assert!(err.contains(expect), "{replacement}: {err}");
         }
     }
 }

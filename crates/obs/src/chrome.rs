@@ -1,20 +1,33 @@
-//! Chrome `trace_event` JSON exporter.
+//! Chrome `trace_event` JSON: the workspace's one `traceEvents` writer.
 //!
 //! Produces the JSON-object format (`{"traceEvents": [...]}`) understood
-//! by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
-//! *process* per recorded run, one *track* (thread) per job, `B`/`E` span
-//! pairs for job lifetimes, instant events for decisions / state changes /
-//! reallocation charges, and a counter track for the multiprogramming
-//! level. Timestamps are simulated time in microseconds — the viewer's
-//! timeline reads directly as simulated seconds.
+//! by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev), one
+//! event per line. Two documents share the framing:
+//!
+//! - [`chrome_trace`], the decision stream: one *process* per recorded
+//!   run, one *track* (thread) per job, `B`/`E` span pairs for job
+//!   lifetimes, instant events for decisions / state changes /
+//!   reallocation charges, and a counter track for the multiprogramming
+//!   level. Timestamps are simulated time in microseconds, so the
+//!   viewer's timeline reads directly as simulated seconds.
+//! - [`span_trace`], wall-clock spans (the self-profiler's export):
+//!   complete (`"ph":"X"`) events, each carrying its own duration, on one
+//!   named thread lane.
 
 use crate::event::{ObsEvent, TimedEvent};
-use crate::json::push_str_escaped;
+use crate::json::{fmt_f64, push_str_escaped};
 use std::collections::BTreeMap;
 
 /// Simulated seconds → trace microseconds.
 fn us(secs: f64) -> f64 {
     secs * 1e6
+}
+
+/// `s` as a quoted, escaped JSON string.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_str_escaped(&mut out, s);
+    out
 }
 
 struct EventWriter {
@@ -41,10 +54,43 @@ impl EventWriter {
         self.out.push('}');
     }
 
+    /// Appends a `process_name` or `thread_name` metadata record.
+    fn name_record(&mut self, record: &str, pid: usize, tid: u64, name: &str) {
+        self.push(format!(
+            "\"name\":\"{record}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
+             \"args\":{{\"name\":{}}}",
+            quoted(name)
+        ));
+    }
+
     fn finish(mut self) -> String {
         self.out.push_str("\n]}\n");
         self.out
     }
+}
+
+/// Renders wall-clock spans as a Chrome trace: process `process` (pid 1)
+/// with one thread lane `lane` (tid 0), and one complete (`"ph":"X"`)
+/// event per `(name, start_ns, dur_ns)` span, in the order given.
+/// Timestamps and durations are microseconds.
+pub fn span_trace<'a>(
+    process: &str,
+    lane: &str,
+    spans: impl IntoIterator<Item = (&'a str, u64, u64)>,
+) -> String {
+    let ns_to_us = |ns: u64| fmt_f64(ns as f64 / 1e3);
+    let mut w = EventWriter::new();
+    w.name_record("process_name", 1, 0, process);
+    w.name_record("thread_name", 1, 0, lane);
+    for (name, start_ns, dur_ns) in spans {
+        w.push(format!(
+            "\"name\":{},\"cat\":\"prof\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":0",
+            quoted(name),
+            ns_to_us(start_ns),
+            ns_to_us(dur_ns),
+        ));
+    }
+    w.finish()
 }
 
 /// Renders recorded runs as a Chrome trace. `runs` holds `(run key,
@@ -54,12 +100,7 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
     let mut w = EventWriter::new();
     for (pid0, (key, events)) in runs.iter().enumerate() {
         let pid = pid0 + 1;
-        let mut name = String::new();
-        push_str_escaped(&mut name, key);
-        w.push(format!(
-            "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":{name}}}"
-        ));
+        w.name_record("process_name", pid, 0, key);
         // Open B spans per tid, so every span gets a matching E even when
         // a run ends with jobs still in flight.
         let mut open: BTreeMap<u64, ()> = BTreeMap::new();
@@ -94,7 +135,9 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                 } => {
                     let tid = job.0 as u64 + 1;
                     let tr = match transition {
-                        Some((from, to)) => format!(",\"transition\":\"{from}->{to}\""),
+                        Some((from, to)) => {
+                            format!(",\"transition\":{}", quoted(&format!("{from}->{to}")))
+                        }
                         None => String::new(),
                     };
                     w.push(format!(
@@ -109,8 +152,11 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                 ObsEvent::StateChanged { job, from, to } => {
                     let tid = job.0 as u64 + 1;
                     w.push(format!(
-                        "\"name\":\"state {from}->{to}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
-                         \"pid\":{pid},\"tid\":{tid},\"args\":{{\"from\":\"{from}\",\"to\":\"{to}\"}}"
+                        "\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
+                         \"pid\":{pid},\"tid\":{tid},\"args\":{{\"from\":{},\"to\":{}}}",
+                        quoted(&format!("state {from}->{to}")),
+                        quoted(from.as_str()),
+                        quoted(to.as_str()),
                     ));
                 }
                 ObsEvent::ReallocCost {
@@ -189,13 +235,11 @@ pub fn chrome_trace(runs: &[(String, Vec<TimedEvent>)]) -> String {
                     ));
                 }
                 ObsEvent::ExperimentFailed(failure) => {
-                    let mut label = String::new();
-                    push_str_escaped(&mut label, &format!("FAILED {}", failure.name));
-                    let mut text = String::new();
-                    push_str_escaped(&mut text, &failure.message);
                     w.push(format!(
-                        "\"name\":{label},\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\
-                         \"pid\":{pid},\"tid\":0,\"args\":{{\"message\":{text}}}"
+                        "\"name\":{},\"ph\":\"i\",\"s\":\"g\",\"ts\":{ts},\
+                         \"pid\":{pid},\"tid\":0,\"args\":{{\"message\":{}}}",
+                        quoted(&format!("FAILED {}", failure.name)),
+                        quoted(&failure.message),
                     ));
                 }
                 // High-volume / low-value on a decision timeline: the CPU
@@ -223,6 +267,7 @@ mod tests {
     use super::*;
     use crate::collector::ExperimentFailure;
     use crate::event::{DecisionTrigger, StateName};
+    use crate::json::Json;
     use pdpa_sim::{JobId, SimTime};
 
     fn te(at: f64, seq: u64, event: ObsEvent) -> TimedEvent {
@@ -290,30 +335,31 @@ mod tests {
     #[test]
     fn output_is_structurally_sound_json() {
         let json = chrome_trace(&sample_runs());
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.trim_end().ends_with("]}"));
-        // Brace/bracket balance outside string literals.
-        let (mut depth, mut in_str, mut escaped) = (0i64, false, false);
-        for c in json.chars() {
-            if in_str {
-                match (escaped, c) {
-                    (true, _) => escaped = false,
-                    (false, '\\') => escaped = true,
-                    (false, '"') => in_str = false,
-                    _ => {}
-                }
-            } else {
-                match c {
-                    '"' => in_str = true,
-                    '{' | '[' => depth += 1,
-                    '}' | ']' => depth -= 1,
-                    _ => {}
-                }
-                assert!(depth >= 0);
-            }
-        }
-        assert_eq!(depth, 0);
-        assert!(!in_str);
+        let doc = Json::parse(&json).expect("the trace parses");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        // One line per event between the opening and closing lines.
+        assert_eq!(json.lines().count(), events.len() + 2);
+        assert_eq!(json.lines().next(), Some("{\"traceEvents\":["));
+        assert_eq!(json.lines().last(), Some("]}"));
+    }
+
+    #[test]
+    fn span_trace_names_its_one_lane() {
+        let spans = [("policy_decision", 100, 4_000), ("replay", 0, 10_000)];
+        let json = span_trace("pdpa replay profile", "coordinator", spans);
+        let doc = Json::parse(&json).expect("the trace parses");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), 4);
+        assert_eq!(json.lines().count(), events.len() + 2);
+        assert_eq!(json.matches("\"thread_name\"").count(), 1);
+        assert!(json.contains("\"args\":{\"name\":\"coordinator\"}"));
+        assert_eq!(
+            events[2].get("name").and_then(Json::as_str),
+            Some("policy_decision")
+        );
+        assert_eq!(events[2].get("ph").and_then(Json::as_str), Some("X"));
+        assert_eq!(events[2].get("ts").and_then(Json::as_f64), Some(0.1));
+        assert_eq!(events[2].get("dur").and_then(Json::as_f64), Some(4.0));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod scope;
 pub use binary::{
     is_binary, parse_stream, read_stream, write_stream, write_text_stream, BinaryWriter,
 };
-pub use chrome::chrome_trace;
+pub use chrome::{chrome_trace, span_trace};
 pub use collector::ExperimentFailure;
 pub use event::{DecisionTrigger, ObsEvent, StateName, TimedEvent};
 pub use export::{metrics_json, mpl_series_csv};

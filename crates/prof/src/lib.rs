@@ -8,9 +8,10 @@
 //!   coordinator [`Lane`]. A disabled lane costs a single branch per span,
 //!   so the profiler-off path stays inside the same ≤2% overhead contract
 //!   that `NullObserver` is pinned to.
-//! - [`report`] — turns the collected lane into a [`Profile`]: a Chrome
-//!   `trace_event` JSON document with one `coordinator` timeline lane, and
-//!   a plain-text hot-path report aggregating time per span kind.
+//! - [`report`] — turns the collected lane into a [`Profile`]: its spans
+//!   (which `pdpa_obs::chrome::span_trace` renders as one `coordinator`
+//!   timeline lane) and a plain-text hot-path report aggregating time per
+//!   span kind.
 //! - [`health`] — live run health: periodic [`Heartbeat`] snapshots
 //!   (sim-clock, events/sec, queue depth, memory high-water) and a
 //!   zero-progress [`Watchdog`] that promotes the old

@@ -1,12 +1,9 @@
-//! Finished-profile exports: Chrome `trace_event` JSON and a text
-//! hot-path report.
+//! Finished profiles and their text hot-path report.
 //!
-//! The Chrome export mirrors the idiom of `pdpa-obs`'s decision-stream
-//! exporter: a single JSON object `{"traceEvents":[...]}` that Perfetto and
-//! `chrome://tracing` load directly. Profiler spans are emitted as complete
-//! (`"ph":"X"`) events — each carries its own duration, so no begin/end
-//! pairing is needed — on one thread lane, named `coordinator` via a
-//! thread_name metadata record.
+//! The Chrome `trace_event` export of a profile is written by
+//! `pdpa_obs::chrome::span_trace`, the workspace's one trace writer, from
+//! each span's `(kind.label(), start_ns, dur_ns)`; this crate keeps no
+//! dependencies.
 
 use crate::span::{SpanKind, SpanRec};
 
@@ -32,30 +29,6 @@ impl Profile {
             .filter(|s| s.kind == kind)
             .map(|s| s.dur_ns)
             .sum()
-    }
-
-    /// Chrome `trace_event` JSON with the spans on one `coordinator` lane.
-    pub fn chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"pdpa replay profile\"}}",
-        );
-        out.push_str(
-            ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"coordinator\"}}",
-        );
-        for s in &self.spans {
-            out.push_str(&format!(
-                ",{{\"name\":\"{}\",\"cat\":\"prof\",\"ph\":\"X\",\
-                 \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":0}}",
-                s.kind.label(),
-                us(s.start_ns),
-                us(s.dur_ns),
-            ));
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Plain-text hot-path report: per-kind count / total / share / mean,
@@ -92,10 +65,6 @@ impl Profile {
     }
 }
 
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1e3
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,17 +85,6 @@ mod tests {
             ],
             events: 30,
         }
-    }
-
-    #[test]
-    fn chrome_json_has_the_coordinator_lane() {
-        let json = sample().chrome_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"name\":\"coordinator\""));
-        assert_eq!(json.matches("\"thread_name\"").count(), 1);
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"policy_decision\""));
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! - [`prom`] — [`prometheus_text`], the Prometheus text-exposition
 //!   renderer for the `pdpa-obs` registry (counters and log₂ histograms
 //!   as cumulative buckets).
-//! - [`json`] — the minimal JSON reader the protocol parsers use (the
-//!   workspace is offline; there is no serde).
 //!
 //! The crate sits between `pdpa-prof`/`pdpa-obs` and `pdpa-engine`: the
 //! engine only knows the sink traits from `pdpa-prof`, the CLI wires a
@@ -37,7 +35,6 @@
 
 #![deny(missing_docs)]
 
-pub mod json;
 pub mod prom;
 pub mod proto;
 pub mod server;

@@ -34,8 +34,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::Json;
-use pdpa_obs::json::{fmt_f64, push_str_escaped};
+use pdpa_obs::json::{fmt_f64, push_str_escaped, Json};
 
 /// The protocol generation this build speaks.
 ///

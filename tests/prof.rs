@@ -4,7 +4,9 @@
 
 use pdpa_suite::core::Pdpa;
 use pdpa_suite::engine::{Engine, EngineConfig, Instrumentation};
-use pdpa_suite::obs::{read_stream, write_stream, write_text_stream, RecordingObserver};
+use pdpa_suite::obs::{
+    read_stream, span_trace, write_stream, write_text_stream, RecordingObserver,
+};
 use pdpa_suite::prof::{SpanKind, WatchdogConfig};
 use pdpa_suite::qs::{JobSpec, Workload};
 use pdpa_suite::sim::SimTime;
@@ -34,7 +36,11 @@ fn classic_profile_records_the_coordinator_hierarchy() {
         1
     );
     // The Chrome export names the one lane.
-    let json = profile.chrome_json();
+    let spans = profile
+        .spans
+        .iter()
+        .map(|s| (s.kind.label(), s.start_ns, s.dur_ns));
+    let json = span_trace("pdpa replay profile", "coordinator", spans);
     assert!(json.contains("\"coordinator\""));
     assert_eq!(json.matches("\"thread_name\"").count(), 1);
     for kind in [
