@@ -13,6 +13,9 @@
 //!   `coordinator`;
 //! - with `--report`, the text hot-path report is non-empty and carries
 //!   the table header plus the top-level `replay` span row;
+//! - with both, the profile holds one `X` span per timed call: the
+//!   `replay` span plus one per sample the report counts, so the span
+//!   count is 1 + the sum of the report's `samples` column;
 //! - with `--stream`, the file starts with the `PDPAOBS1` magic and every
 //!   frame decodes back to a `TimedEvent` (non-empty).
 
@@ -90,18 +93,36 @@ fn check_profile(doc: &Json) -> Result<usize, String> {
     Ok(spans)
 }
 
-fn check_report(path: &str) -> Result<(), String> {
+/// Validates the hot-path report and returns the sum of its `samples`
+/// column (the `replay` row, timed once and not sampled, shows `-`).
+fn check_report(path: &str) -> Result<u64, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if !text.contains("hot-path report") {
         return Err(format!("{path}: no hot-path report header"));
     }
-    if !text.contains("total ms") {
-        return Err(format!("{path}: no span table header"));
+    let mut lines = text.lines().skip_while(|l| !l.contains("total ms"));
+    let header = lines
+        .next()
+        .ok_or_else(|| format!("{path}: no span table header"))?;
+    if header.split_whitespace().nth(2) != Some("samples") {
+        return Err(format!("{path}: no samples column in {header:?}"));
     }
-    if !text.lines().any(|l| l.starts_with("replay ")) {
+    // Table rows: span, count, samples, total ms, %, mean us.
+    let rows: Vec<Vec<&str>> = lines
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .take_while(|cells| cells.len() == 6 && cells[4].ends_with('%'))
+        .collect();
+    if !rows.iter().any(|cells| cells[0] == "replay") {
         return Err(format!("{path}: no top-level replay span row"));
     }
-    Ok(())
+    rows.iter()
+        .filter(|cells| cells[2] != "-")
+        .map(|cells| {
+            cells[2]
+                .parse::<u64>()
+                .map_err(|_| format!("{path}: bad samples cell in row {cells:?}"))
+        })
+        .sum()
 }
 
 fn check_stream(path: &str) -> Result<usize, String> {
@@ -134,17 +155,26 @@ fn main() -> ExitCode {
         return fail("nothing to validate (pass --profile, --report, or --stream)");
     }
 
-    if let Some(path) = profile {
-        match read(&path).and_then(|doc| check_profile(&doc)) {
-            Ok(spans) => {
-                println!("validate-prof: {path}: OK ({spans} spans on the coordinator lane)");
+    let mut spans = None;
+    if let Some(path) = &profile {
+        match read(path).and_then(|doc| check_profile(&doc)) {
+            Ok(n) => {
+                println!("validate-prof: {path}: OK ({n} spans on the coordinator lane)");
+                spans = Some(n);
             }
             Err(e) => return fail(&e),
         }
     }
-    if let Some(path) = report {
-        match check_report(&path) {
-            Ok(()) => println!("validate-prof: {path}: OK (hot-path report)"),
+    if let Some(path) = &report {
+        match check_report(path) {
+            Ok(samples) => {
+                println!("validate-prof: {path}: OK (hot-path report, {samples} samples)");
+                if let Some(n) = spans.filter(|&n| n as u64 != 1 + samples) {
+                    return fail(&format!(
+                        "{n} X spans, but the report counts 1 replay span + {samples} samples"
+                    ));
+                }
+            }
             Err(e) => return fail(&e),
         }
     }

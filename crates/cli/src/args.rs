@@ -1,5 +1,7 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
+use std::time::Duration;
+
 use pdpa_qs::Workload;
 
 /// A parsed CLI invocation.
@@ -68,8 +70,8 @@ pub struct ReplayOptions {
     /// advancing (default on for replay; `--no-watchdog` disables).
     pub watchdog: bool,
     /// Emit periodic health snapshots to stderr at this wall-clock cadence
-    /// in seconds (`--heartbeat SECS`; off when omitted).
-    pub heartbeat: Option<f64>,
+    /// (`--heartbeat SECS`; off when omitted).
+    pub heartbeat: Option<Duration>,
     /// Serve live status/metrics queries on this TCP address while the
     /// replay runs (`--serve ADDR`; `127.0.0.1:0` picks an ephemeral port,
     /// printed to stderr at bind time).
@@ -170,8 +172,8 @@ pub struct WatchOptions {
     pub json: bool,
     /// Also fetch the newest N observer events.
     pub tail: Option<usize>,
-    /// Poll cadence for `--follow`, in seconds.
-    pub interval: f64,
+    /// Poll cadence for `--follow` (`--interval SECS`).
+    pub interval: Duration,
 }
 
 impl Default for WatchOptions {
@@ -181,7 +183,7 @@ impl Default for WatchOptions {
             follow: false,
             json: false,
             tail: None,
-            interval: 1.0,
+            interval: Duration::from_secs(1),
         }
     }
 }
@@ -644,15 +646,7 @@ fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Resul
             "--no-watchdog" => opts.watchdog = false,
             "--heartbeat" => {
                 let v = value_of("--heartbeat", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--heartbeat expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!(
-                        "--heartbeat {v} must be a positive number of seconds"
-                    ));
-                }
-                opts.heartbeat = Some(secs);
+                opts.heartbeat = Some(parse_secs("--heartbeat", &v)?);
             }
             "--serve" => opts.serve = Some(value_of("--serve", it)?),
             "--obs-filter" => {
@@ -712,15 +706,7 @@ fn parse_watch(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result
             }
             "--interval" => {
                 let v = value_of("--interval", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--interval expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!(
-                        "--interval {v} must be a positive number of seconds"
-                    ));
-                }
-                opts.interval = secs;
+                opts.interval = parse_secs("--interval", &v)?;
             }
             other if other.starts_with('-') => {
                 return Err(format!("unknown option {other:?}; try `pdpa help`"));
@@ -1023,6 +1009,19 @@ fn parse_tournament(
 }
 
 /// Parses a `--window A:B` value into a `[start, end)` pair of seconds.
+/// Parses the value `v` of `flag`, a positive number of seconds, into the
+/// `Duration` it names.
+fn parse_secs(flag: &str, v: &str) -> Result<Duration, String> {
+    let secs = v
+        .parse::<f64>()
+        .map_err(|_| format!("{flag} expects seconds, got {v:?}"))?;
+    if !(secs > 0.0 && secs.is_finite()) {
+        return Err(format!("{flag} {v} must be a positive number of seconds"));
+    }
+    Duration::try_from_secs_f64(secs)
+        .map_err(|_| format!("{flag} {v} is out of range (more seconds than a duration holds)"))
+}
+
 fn parse_window(s: &str) -> Result<(f64, f64), String> {
     let (a, b) = s
         .split_once(':')
@@ -1290,7 +1289,7 @@ mod tests {
         assert_eq!(o.profile_out.as_deref(), Some("p.json"));
         assert_eq!(o.obs_out.as_deref(), Some("s.bin"));
         assert_eq!(o.obs_format, ObsFormat::Binary);
-        assert_eq!(o.heartbeat, Some(2.5));
+        assert_eq!(o.heartbeat, Some(Duration::from_millis(2500)));
         assert!(o.watchdog, "watchdog must default on for replay");
         // The default encoding is text, and `bin` is accepted as an alias.
         assert_eq!(ReplayOptions::default().obs_format, ObsFormat::Text);
@@ -1308,6 +1307,10 @@ mod tests {
         assert!(parse(&argv("replay t.swf --policy pdpa --heartbeat -3"))
             .unwrap_err()
             .contains("positive"));
+        // Finite but past what a Duration holds: rejected, not a panic.
+        assert!(parse(&argv("replay t.swf --policy pdpa --heartbeat 1e30"))
+            .unwrap_err()
+            .contains("--heartbeat 1e30"));
         assert!(parse(&argv("replay t.swf --policy pdpa --obs-format xml"))
             .unwrap_err()
             .contains("--obs-format"));
@@ -1350,12 +1353,12 @@ mod tests {
         assert_eq!(o.addr, "127.0.0.1:7777");
         assert!(o.follow && o.json);
         assert_eq!(o.tail, Some(5));
-        assert_eq!(o.interval, 0.5);
+        assert_eq!(o.interval, Duration::from_millis(500));
         let Command::Watch(o) = parse(&argv("watch localhost:9")).unwrap() else {
             panic!("expected Watch")
         };
         assert!(!o.follow && !o.json && o.tail.is_none());
-        assert_eq!(o.interval, 1.0);
+        assert_eq!(o.interval, Duration::from_secs(1));
     }
 
     #[test]
@@ -1370,6 +1373,9 @@ mod tests {
         assert!(parse(&argv("watch a:1 --interval -2"))
             .unwrap_err()
             .contains("positive"));
+        assert!(parse(&argv("watch a:1 --interval 1e30"))
+            .unwrap_err()
+            .contains("--interval 1e30"));
         assert!(parse(&argv("watch a:1 --bogus"))
             .unwrap_err()
             .contains("--bogus"));

@@ -21,7 +21,7 @@ use pdpa_policies::{
     EqualEfficiency, Equipartition, GangScheduler, HeSrpt, IrixLike, LearnedAlloc, OptSplit,
     RigidFirstFit, SchedulingPolicy,
 };
-use pdpa_prof::{HealthSnapshot, HeartbeatConfig, HeartbeatSink, StderrHeartbeat, WatchdogConfig};
+use pdpa_prof::{HeartbeatConfig, WatchdogConfig};
 use pdpa_qs::{shape, swf};
 use pdpa_trace::{render_ascii, to_paraver, RenderOptions};
 use pdpa_watch::{
@@ -54,20 +54,6 @@ pub fn dispatch(command: Command) -> Result<String, String> {
         Command::Daemon(opts) => daemon(&opts),
         Command::Submit(opts) => submit(&opts),
         Command::Ctl(opts) => ctl(&opts),
-    }
-}
-
-/// Routes heartbeat lines to stderr (the classic behaviour) *and* the live
-/// tap, so `--heartbeat` plus `--serve` keeps its console output while the
-/// `health` query reports the latest line.
-struct TeeHeartbeat {
-    tap: Arc<LiveTap>,
-}
-
-impl HeartbeatSink for TeeHeartbeat {
-    fn emit(&self, line: &str, snapshot: &HealthSnapshot) {
-        StderrHeartbeat.emit(line, snapshot);
-        self.tap.emit(line, snapshot);
     }
 }
 
@@ -473,10 +459,8 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     if opts.watchdog {
         instr = instr.with_watchdog(WatchdogConfig::classic());
     }
-    if let Some(secs) = opts.heartbeat {
-        instr = instr.with_heartbeat(HeartbeatConfig {
-            every: std::time::Duration::from_secs_f64(secs),
-        });
+    if let Some(every) = opts.heartbeat {
+        instr = instr.with_heartbeat(HeartbeatConfig { every });
     }
 
     // `--serve ADDR`: bind the status server before the run starts so a
@@ -493,9 +477,6 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
                 .map_err(|e| format!("--serve {addr}: {e}"))?;
             eprintln!("serve: listening on {}", server.local_addr());
             instr = instr.with_tap(Arc::clone(&tap) as _);
-            instr = instr.with_heartbeat_sink(Arc::new(TeeHeartbeat {
-                tap: Arc::clone(&tap),
-            }));
             Some((tap, server))
         }
         None => None,
@@ -619,13 +600,9 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             .profile
             .as_ref()
             .expect("--profile-out enables the profiler");
-        let spans = profile
-            .spans
-            .iter()
-            .map(|s| (s.kind.label(), s.start_ns, s.dur_ns));
         std::fs::write(
             path,
-            span_trace("pdpa replay profile", "coordinator", spans),
+            span_trace("pdpa replay profile", "coordinator", profile.spans()),
         )
         .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nprofile trace written to {path}\n");
@@ -872,7 +849,7 @@ fn watch(opts: &WatchOptions) -> Result<String, String> {
             println!("--");
         }
         let _ = std::io::stdout().flush();
-        std::thread::sleep(Duration::from_secs_f64(opts.interval));
+        std::thread::sleep(opts.interval);
     }
 }
 

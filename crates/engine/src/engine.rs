@@ -2,14 +2,15 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use pdpa_apps::{AppClass, NoiseModel};
 use pdpa_metrics::{JobOutcome, Summary};
-use pdpa_obs::metrics::{Registry, RunCounters, SampledTimer};
+use pdpa_obs::metrics::{Histogram, Registry, RunCounters, SampledTimer, SAMPLE_EVERY};
 use pdpa_obs::{DecisionTrigger, NullObserver, ObsEvent, Observer, StateName};
 use pdpa_perf::SelfAnalyzer;
 use pdpa_policies::{Decisions, JobView, PolicyCtx, SchedulingPolicy, SharingModel};
-use pdpa_prof::{HealthSnapshot, Heartbeat, Lane, SpanKind, StderrHeartbeat, Watchdog};
+use pdpa_prof::{HealthSnapshot, Heartbeat, KindProfile, Profile, SpanKind, Watchdog};
 use pdpa_qs::{JobSpec, QueueSystem};
 use pdpa_sim::{CpuId, EventQueue, JobId, Machine, QueueStats, SimRng, SimTime};
 use pdpa_trace::TraceObserver;
@@ -149,30 +150,23 @@ impl Engine {
         observer: &mut dyn Observer,
         instr: Instrumentation,
     ) -> RunResult {
-        let lane = if instr.profile {
-            Lane::enabled(std::time::Instant::now())
-        } else {
-            Lane::disabled()
-        };
         let mut watchdog = instr.watchdog.map(Watchdog::new);
         let mut heartbeat = instr.heartbeat.map(Heartbeat::new);
-        // Heartbeat lines take exactly one typed path; stderr is just the
-        // default sink.
-        let heartbeat_sink = instr
-            .heartbeat_sink
-            .clone()
-            .unwrap_or_else(|| Arc::new(StderrHeartbeat));
-        let tap = instr.tap.clone();
+        let tap = instr.tap.as_deref();
         let mut watchdog_diag = None;
         let mut sim = Sim::new(
             &self.config,
             jobs,
             policy.sharing(),
             ObsSink::Borrowed(observer),
-            lane,
         );
         sim.schedule_plan();
-        let replay = sim.lane.begin(SpanKind::Replay);
+        // The replay span's one clock read, which is also the epoch every
+        // sampled span starts from.
+        let replay = instr.profile.then(Instant::now);
+        if let Some(epoch) = replay {
+            sim.profile_from(epoch);
+        }
         let mut steps: u64 = 0;
         // Stale iteration events (their job rescheduled, completed, or
         // crashed) are invalidated by key and discarded inside the queue,
@@ -193,7 +187,7 @@ impl Engine {
                         stats.len,
                         stats.stale_drops,
                     ));
-                    if let Some(tap) = tap.as_deref() {
+                    if let Some(tap) = tap {
                         tap.watchdog_fired(&diag);
                     }
                     watchdog_diag = Some(diag);
@@ -205,40 +199,27 @@ impl Engine {
             if steps & 0xFFFF == 0 && (heartbeat.is_some() || tap.is_some()) {
                 let hb_due = heartbeat.as_ref().is_some_and(Heartbeat::due);
                 if hb_due || tap.is_some() {
-                    let stats = sim.queue_stats();
-                    let snap = HealthSnapshot {
-                        sim_clock_secs: t.as_secs(),
-                        events_popped: stats.popped,
-                        queue_len: stats.len,
-                        running: sim.store.len(),
-                        waiting: sim.qs.waiting_count(),
-                    };
-                    if let Some(tap) = tap.as_deref() {
+                    let snap = sim.health_snapshot();
+                    if let Some(tap) = tap {
                         tap.progress(&snap);
                     }
                     if hb_due {
                         if let Some(line) = heartbeat.as_mut().and_then(|hb| hb.tick(&snap)) {
-                            heartbeat_sink.emit(&line, &snap);
+                            eprintln!("{line}");
+                            if let Some(tap) = tap {
+                                tap.heartbeat(&line);
+                            }
                         }
                     }
                 }
             }
             sim.dispatch(ev, policy.as_mut());
         }
-        sim.lane.add_events(steps);
-        sim.lane.end(replay);
-        if let Some(tap) = tap.as_deref() {
+        let profile = replay.map(|started| sim.take_profile(started));
+        if let Some(tap) = tap {
             // Final refresh so the mirror's counters reflect the whole run.
-            let stats = sim.queue_stats();
-            tap.progress(&HealthSnapshot {
-                sim_clock_secs: sim.clock.as_secs(),
-                events_popped: stats.popped,
-                queue_len: stats.len,
-                running: sim.store.len(),
-                waiting: sim.qs.waiting_count(),
-            });
+            tap.progress(&sim.health_snapshot());
         }
-        let profile = sim.lane.finish();
         let mut result = sim.into_result(policy.name());
         result.watchdog = watchdog_diag;
         result.profile = profile;
@@ -303,11 +284,13 @@ pub(crate) struct Sim<'a> {
     /// Speedup-memo stats harvested from completed jobs.
     memo_hits: u64,
     memo_misses: u64,
-    /// Sampled wall-time timer for policy activations (`decision_ns`).
+    /// Sampled wall-time timer for policy activations (`decision_ns`);
+    /// the `policy_decision` kind of a profiled run.
     decision_timer: SampledTimer,
-    /// Span buffer for self-profiling; a disabled lane (the default) costs
-    /// one branch per touch point.
-    lane: Lane,
+    /// Sampled wall-time timer for reschedules, the `queue_ops` kind of a
+    /// profiled run; `None` (no clock read) otherwise. It records into a
+    /// private histogram, not the registry.
+    queue_timer: Option<SampledTimer>,
     placement: QuantumPlacement,
     ml_series: Vec<(f64, usize)>,
     max_ml: usize,
@@ -336,7 +319,6 @@ impl<'a> Sim<'a> {
         jobs: Vec<JobSpec>,
         sharing: SharingModel,
         obs: ObsSink<'a>,
-        lane: Lane,
     ) -> Self {
         let trace_obs = if config.collect_trace {
             TraceObserver::new(config.cpus)
@@ -374,7 +356,7 @@ impl<'a> Sim<'a> {
             memo_hits: 0,
             memo_misses: 0,
             decision_timer: SampledTimer::new(Registry::global().histogram("decision_ns")),
-            lane,
+            queue_timer: None,
             placement: QuantumPlacement::new(config.cpus),
             ml_series: vec![(0.0, 0)],
             max_ml: 0,
@@ -484,6 +466,53 @@ impl<'a> Sim<'a> {
             stale_drops: heap.stale_drops,
             len: heap.len + (submitted - self.arrived),
         }
+    }
+
+    /// The run's health right now: what heartbeats format and live taps
+    /// mirror, for the batch loop and `EngineSession` alike.
+    pub(crate) fn health_snapshot(&self) -> HealthSnapshot {
+        let stats = self.queue_stats();
+        HealthSnapshot {
+            sim_clock_secs: self.clock.as_secs(),
+            events_popped: stats.popped,
+            queue_len: stats.len,
+            running: self.store.len(),
+            waiting: self.qs.waiting_count(),
+        }
+    }
+
+    /// Profiles the timed layers from here on: both sampled timers keep
+    /// their spans, measured from `epoch`, and reschedules get a timer of
+    /// their own.
+    fn profile_from(&mut self, epoch: Instant) {
+        self.decision_timer.keep_spans(epoch);
+        let mut queue_timer = SampledTimer::new(Arc::new(Histogram::new()));
+        queue_timer.keep_spans(epoch);
+        self.queue_timer = Some(queue_timer);
+    }
+
+    /// The profile of a run whose `replay` span started at `replay`, the
+    /// epoch given to `profile_from`.
+    fn take_profile(&mut self, replay: Instant) -> Profile {
+        let replay_ns = u64::try_from(replay.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let mut profile = Profile::new(SAMPLE_EVERY);
+        profile.set(
+            SpanKind::Replay,
+            KindProfile {
+                calls: 1,
+                samples: 1,
+                sampled_ns: replay_ns,
+                spans: vec![(0, replay_ns)],
+            },
+        );
+        profile.set(
+            SpanKind::PolicyDecision,
+            kind_profile(&mut self.decision_timer),
+        );
+        if let Some(timer) = &mut self.queue_timer {
+            profile.set(SpanKind::QueueOps, kind_profile(timer));
+        }
+        profile
     }
 
     /// Refills the reusable snapshot of the running jobs for a policy call,
@@ -610,23 +639,29 @@ impl<'a> Sim<'a> {
     /// iteration event), an immediate event is scheduled so the completion
     /// path still runs.
     fn reschedule(&mut self, job: JobId) {
-        let prof = self.lane.begin(SpanKind::QueueOps);
-        let key = u64::from(job.0);
-        self.events.invalidate_key(key);
-        if self.store.is_complete(job) {
-            self.events.push_keyed(self.clock, key, Ev::IterEnd { job });
-        } else if let Some(dt) = self.store.time_to_iteration_end(job) {
-            // `dt` is positive but can be sub-ULP at a large clock, making
-            // `clock + dt` round back onto `clock` — the event would then
-            // advance nothing and reschedule itself forever. The next
-            // representable instant still covers the true boundary.
-            let mut at = self.clock + dt;
-            if at == self.clock {
-                at = self.clock.next_up();
+        let (events, store, clock) = (&mut self.events, &self.store, self.clock);
+        let mut push = || {
+            let key = u64::from(job.0);
+            events.invalidate_key(key);
+            if store.is_complete(job) {
+                events.push_keyed(clock, key, Ev::IterEnd { job });
+            } else if let Some(dt) = store.time_to_iteration_end(job) {
+                // `dt` is positive but can be sub-ULP at a large clock,
+                // making `clock + dt` round back onto `clock` — the event
+                // would then advance nothing and reschedule itself
+                // forever. The next representable instant still covers the
+                // true boundary.
+                let mut at = clock + dt;
+                if at == clock {
+                    at = clock.next_up();
+                }
+                events.push_keyed(at, key, Ev::IterEnd { job });
             }
-            self.events.push_keyed(at, key, Ev::IterEnd { job });
+        };
+        match self.queue_timer.as_mut() {
+            Some(timer) => timer.time(push),
+            None => push(),
         }
-        self.lane.end(prof);
     }
 
     /// Recomputes every running job's rate (time-shared: any membership or
@@ -821,7 +856,6 @@ impl<'a> Sim<'a> {
             steps += 1;
             self.dispatch(ev, policy);
         }
-        self.lane.add_events(steps);
         steps
     }
 
@@ -947,11 +981,9 @@ impl<'a> Sim<'a> {
                 queued_jobs: self.qs.waiting_count(),
                 next_request: self.next_request(),
             };
-            let prof = self.lane.begin(SpanKind::PolicyDecision);
             let decisions = self
                 .decision_timer
                 .time(|| policy.on_job_arrival(&ctx, job));
-            self.lane.end(prof);
             self.apply_decisions(decisions, DecisionTrigger::Arrival);
             if self.is_time_shared() {
                 self.recompute_all_rates();
@@ -1036,11 +1068,9 @@ impl<'a> Sim<'a> {
                 queued_jobs: self.qs.waiting_count(),
                 next_request: self.next_request(),
             };
-            let prof = self.lane.begin(SpanKind::PolicyDecision);
             let decisions = self
                 .decision_timer
                 .time(|| policy.on_performance_report(&ctx, job, s));
-            self.lane.end(prof);
             self.apply_decisions(decisions, DecisionTrigger::Report);
             // A report can settle the system and unblock admission (PDPA's
             // coordination path).
@@ -1105,11 +1135,9 @@ impl<'a> Sim<'a> {
             queued_jobs: self.qs.waiting_count(),
             next_request: self.next_request(),
         };
-        let prof = self.lane.begin(SpanKind::PolicyDecision);
         let decisions = self
             .decision_timer
             .time(|| policy.on_job_completion(&ctx, job));
-        self.lane.end(prof);
         self.apply_decisions(decisions, DecisionTrigger::Completion);
         if self.is_time_shared() {
             self.recompute_all_rates();
@@ -1181,11 +1209,9 @@ impl<'a> Sim<'a> {
             queued_jobs: self.qs.waiting_count(),
             next_request: self.next_request(),
         };
-        let prof = self.lane.begin(SpanKind::PolicyDecision);
         let decisions = self
             .decision_timer
             .time(|| policy.on_capacity_change(&ctx, changed));
-        self.lane.end(prof);
         self.apply_decisions(decisions, DecisionTrigger::Fault);
         if self.is_time_shared() {
             self.recompute_all_rates();
@@ -1334,11 +1360,9 @@ impl<'a> Sim<'a> {
             queued_jobs: self.qs.waiting_count(),
             next_request: self.next_request(),
         };
-        let prof = self.lane.begin(SpanKind::PolicyDecision);
         let decisions = self
             .decision_timer
             .time(|| policy.on_job_completion(&ctx, job));
-        self.lane.end(prof);
         self.apply_decisions(decisions, DecisionTrigger::Fault);
         if self.is_time_shared() {
             self.recompute_all_rates();
@@ -1412,6 +1436,16 @@ impl<'a> Sim<'a> {
             watchdog: None,
             profile: None,
         }
+    }
+}
+
+/// What a sampled timer recorded, drained into its profile kind.
+fn kind_profile(timer: &mut SampledTimer) -> KindProfile {
+    KindProfile {
+        calls: timer.calls(),
+        samples: timer.samples(),
+        sampled_ns: timer.sampled_ns(),
+        spans: timer.take_spans(),
     }
 }
 
@@ -2157,7 +2191,6 @@ mod tie_tests {
             jobs(),
             policy.sharing(),
             ObsSink::Borrowed(&mut stepped),
-            Lane::disabled(),
         );
         sim.schedule_plan();
         for barrier in [TIE / 2.0, TIE, config.max_sim_secs] {
@@ -2238,7 +2271,6 @@ mod tie_tests {
             Vec::new(),
             policy.sharing(),
             ObsSink::Borrowed(&mut rec),
-            Lane::disabled(),
         );
         let tie = SimTime::from_secs(TIE);
         let running = sim.submit_at(SimTime::ZERO, bt_a(), policy.as_mut());

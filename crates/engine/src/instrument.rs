@@ -1,38 +1,42 @@
 //! Optional runtime instrumentation for engine runs.
 //!
 //! [`Instrumentation`] bundles the health/introspection knobs from
-//! `pdpa-prof` — span profiling, the zero-progress watchdog, periodic
-//! heartbeat snapshots, and the live-observability sinks behind
-//! `pdpa replay --serve` — behind one parameter so the engine needs a
-//! single entry point, [`Engine::run_instrumented`](crate::Engine::run_instrumented). The default is everything
-//! off, which is what [`Engine::run_observed`](crate::Engine::run_observed)
-//! and friends pass: those paths stay inside the same ≤2% overhead bound
-//! as `NullObserver`, because disabled lanes and absent monitors cost one
-//! branch per touch point.
+//! `pdpa-prof` — the self-profile, the zero-progress watchdog, periodic
+//! heartbeat lines, and the live tap behind `pdpa replay --serve` —
+//! behind one parameter so the engine needs a single entry point,
+//! [`Engine::run_instrumented`](crate::Engine::run_instrumented). The
+//! default is everything off, which is what
+//! [`Engine::run_observed`](crate::Engine::run_observed) and friends
+//! pass: those paths stay inside the same ≤2% overhead bound as
+//! `NullObserver`. An unprofiled run reads the clock only for its
+//! sampled `decision_ns` timer, and absent monitors cost one branch per
+//! touch point.
+//!
+//! Heartbeat lines take one path: the engine writes each to stderr and,
+//! when a tap is attached, hands it to [`ProgressSink::heartbeat`].
 
 use std::fmt;
 use std::sync::Arc;
 
-use pdpa_prof::{HeartbeatConfig, HeartbeatSink, ProgressSink, WatchdogConfig};
+use pdpa_prof::{HeartbeatConfig, ProgressSink, WatchdogConfig};
 
 /// What to measure and guard during one run. All off by default.
 #[derive(Clone, Default)]
 pub struct Instrumentation {
-    /// Record hierarchical wall-clock spans; the result lands in
-    /// `RunResult::profile`.
+    /// Profile the engine's timed layers from their sampled timers; the
+    /// result lands in `RunResult::profile`.
     pub profile: bool,
     /// Abort the run with a structured diagnostic (in
     /// `RunResult::watchdog`) when the simulated clock stops advancing
     /// for this many consecutive steps.
     pub watchdog: Option<WatchdogConfig>,
-    /// Emit periodic health snapshots during the run.
+    /// Write periodic heartbeat lines to stderr (and to the tap, if one
+    /// is attached).
     pub heartbeat: Option<HeartbeatConfig>,
-    /// Where heartbeat lines go. `None` with a heartbeat configured means
-    /// stderr (the classic behaviour).
-    pub heartbeat_sink: Option<Arc<dyn HeartbeatSink>>,
     /// A live-progress mirror (e.g. `pdpa_watch::LiveTap`), fed a
     /// `HealthSnapshot` on the amortized instrumentation cadence whether
-    /// or not a heartbeat is due, and notified when the watchdog trips.
+    /// or not a heartbeat is due, every heartbeat line, and the watchdog
+    /// diagnostic when it trips.
     pub tap: Option<Arc<dyn ProgressSink>>,
 }
 
@@ -42,7 +46,6 @@ impl fmt::Debug for Instrumentation {
             .field("profile", &self.profile)
             .field("watchdog", &self.watchdog)
             .field("heartbeat", &self.heartbeat)
-            .field("heartbeat_sink", &self.heartbeat_sink.is_some())
             .field("tap", &self.tap.is_some())
             .finish()
     }
@@ -54,7 +57,7 @@ impl Instrumentation {
         Self::default()
     }
 
-    /// Enables span profiling.
+    /// Enables the self-profile.
     pub fn with_profile(mut self) -> Self {
         self.profile = true;
         self
@@ -66,15 +69,9 @@ impl Instrumentation {
         self
     }
 
-    /// Enables heartbeat snapshots at the given cadence.
+    /// Enables heartbeat lines at the given cadence.
     pub fn with_heartbeat(mut self, cfg: HeartbeatConfig) -> Self {
         self.heartbeat = Some(cfg);
-        self
-    }
-
-    /// Routes heartbeat lines to `sink` instead of stderr.
-    pub fn with_heartbeat_sink(mut self, sink: Arc<dyn HeartbeatSink>) -> Self {
-        self.heartbeat_sink = Some(sink);
         self
     }
 

@@ -36,7 +36,7 @@
 use pdpa_apps::ApplicationSpec;
 use pdpa_obs::Observer;
 use pdpa_policies::SchedulingPolicy;
-use pdpa_prof::{HealthSnapshot, Lane};
+use pdpa_prof::HealthSnapshot;
 use pdpa_sim::{JobId, QueueStats, SimTime};
 
 use crate::config::EngineConfig;
@@ -88,13 +88,7 @@ impl EngineSession {
         }
         let sharing = policy.sharing();
         let policy_name = policy.name().to_string();
-        let sim = Sim::new(
-            &config,
-            Vec::new(),
-            sharing,
-            ObsSink::Owned(observer),
-            Lane::disabled(),
-        );
+        let sim = Sim::new(&config, Vec::new(), sharing, ObsSink::Owned(observer));
         Ok(EngineSession {
             sim,
             policy,
@@ -203,14 +197,7 @@ impl EngineSession {
     /// A health snapshot in the same shape the batch engine feeds to
     /// heartbeats and live taps.
     pub fn health_snapshot(&self) -> HealthSnapshot {
-        let stats = self.queue_stats();
-        HealthSnapshot {
-            sim_clock_secs: self.clock().as_secs(),
-            events_popped: stats.popped,
-            queue_len: stats.len,
-            running: self.running_count(),
-            waiting: self.waiting_count(),
-        }
+        self.sim.health_snapshot()
     }
 
     /// Closes the session and returns the run result over everything

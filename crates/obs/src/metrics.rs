@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A monotonic, saturating counter.
 ///
@@ -435,18 +435,38 @@ pub const SAMPLE_EVERY: u64 = 64;
 /// increment and a branch: no clock read and no atomic.
 ///
 /// Over `n` calls the histogram gains exactly `ceil(n / SAMPLE_EVERY)`
-/// samples, so its count reports samples, not calls. The call counter is
-/// private to the timer and never feeds back into what it times.
+/// samples, so its count reports samples, not calls. The timer also
+/// keeps its own exact [`calls`](Self::calls), [`samples`](Self::samples)
+/// and [`sampled_ns`](Self::sampled_ns), and, once told to
+/// [`keep_spans`](Self::keep_spans), each sample's start and duration.
+/// None of it ever feeds back into what it times.
 #[derive(Debug)]
 pub struct SampledTimer {
     hist: Arc<Histogram>,
     calls: u64,
+    samples: u64,
+    sampled_ns: u64,
+    /// The epoch span starts are measured from, and each sample's
+    /// `(start_ns, dur_ns)`; `None` until `keep_spans`.
+    spans: Option<(Instant, Vec<(u64, u64)>)>,
 }
 
 impl SampledTimer {
     /// A timer recording into `hist`.
     pub fn new(hist: Arc<Histogram>) -> Self {
-        Self { hist, calls: 0 }
+        Self {
+            hist,
+            calls: 0,
+            samples: 0,
+            sampled_ns: 0,
+            spans: None,
+        }
+    }
+
+    /// From now on, also keeps every sample as a `(start_ns, dur_ns)`
+    /// span, with the start measured from `epoch`.
+    pub fn keep_spans(&mut self, epoch: Instant) {
+        self.spans = Some((epoch, Vec::new()));
     }
 
     /// Runs `f`, timing it if this call is a sampled one.
@@ -459,10 +479,44 @@ impl SampledTimer {
         }
         let started = Instant::now();
         let out = f();
-        let ns = started.elapsed().as_nanos();
-        self.hist.record(ns.min(u64::MAX as u128) as u64);
+        let ns = nanos(started.elapsed());
+        self.hist.record(ns);
+        self.samples += 1;
+        self.sampled_ns = self.sampled_ns.saturating_add(ns);
+        if let Some((epoch, spans)) = &mut self.spans {
+            spans.push((nanos(started.duration_since(*epoch)), ns));
+        }
         out
     }
+
+    /// Calls made through [`time`](Self::time), sampled or not.
+    pub fn calls(&self) -> u64 {
+        self.calls
+    }
+
+    /// Calls that were timed: `ceil(calls / SAMPLE_EVERY)`.
+    pub fn samples(&self) -> u64 {
+        self.samples
+    }
+
+    /// Nanoseconds summed over the timed calls.
+    pub fn sampled_ns(&self) -> u64 {
+        self.sampled_ns
+    }
+
+    /// Takes the `(start_ns, dur_ns)` spans kept so far; empty unless the
+    /// timer was told to [`keep_spans`](Self::keep_spans).
+    pub fn take_spans(&mut self) -> Vec<(u64, u64)> {
+        self.spans
+            .as_mut()
+            .map(|(_, spans)| std::mem::take(spans))
+            .unwrap_or_default()
+    }
+}
+
+/// A duration in whole nanoseconds, saturating at `u64::MAX`.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
@@ -531,6 +585,28 @@ mod tests {
             timer.time(|| ());
         }
         assert_eq!(h.count(), 3, "calls 0, 64 and 128 of 130");
+        assert_eq!(timer.calls(), 130);
+        assert_eq!(timer.samples(), 3);
+        assert_eq!(timer.sampled_ns(), h.sum());
+        assert!(timer.take_spans().is_empty(), "spans are kept on request");
+
+        let mut timer = SampledTimer::new(Arc::new(Histogram::new()));
+        timer.keep_spans(Instant::now());
+        for _ in 0..130 {
+            timer.time(|| std::hint::black_box(0u64));
+        }
+        let spans = timer.take_spans();
+        assert_eq!(spans.len() as u64, timer.samples());
+        assert_eq!(spans.len(), 3);
+        assert_eq!(
+            spans.iter().map(|&(_, dur)| dur).sum::<u64>(),
+            timer.sampled_ns()
+        );
+        assert!(
+            spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
+            "samples are kept in call order and do not overlap: {spans:?}"
+        );
+        assert!(timer.take_spans().is_empty(), "taking drains the spans");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! - [`tap`] — the [`LiveTap`], a lock-light shared-state mirror the
 //!   engine feeds without perturbing determinism or the ≤2% overhead
-//!   bound: atomic progress counters (via `pdpa_prof::ProgressSink`), the
-//!   latest heartbeat/watchdog state (via `pdpa_prof::HeartbeatSink`), and
+//!   bound: atomic progress counters and the latest heartbeat/watchdog
+//!   state (both via `pdpa_prof::ProgressSink`), and
 //!   a bounded ring of recent observer events with honest drop accounting
 //!   (via [`TapObserver`], which tees the stream unchanged to the real
 //!   recorder).

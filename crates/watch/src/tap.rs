@@ -11,8 +11,9 @@
 //! - **progress**: the engine pushes a [`HealthSnapshot`] on its amortized
 //!   instrumentation cadence (every 64k events) through the
 //!   [`ProgressSink`] impl; the tap stores the fields in atomics.
-//! - **heartbeat/watchdog**: the [`HeartbeatSink`] impl keeps the latest
-//!   formatted line; a tripped watchdog marks the run aborted.
+//! - **heartbeat/watchdog**: the same impl keeps the latest heartbeat
+//!   line the engine wrote to stderr; a tripped watchdog marks the run
+//!   aborted.
 //! - **events**: a [`TapObserver`] tees the observer stream into a bounded
 //!   ring with honest drop accounting — under lock contention the tap
 //!   *drops* (and counts) rather than ever blocking the engine.
@@ -23,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pdpa_obs::{ObsEvent, Observer, TimedEvent};
-use pdpa_prof::{memory_high_water_kib, HealthSnapshot, HeartbeatSink, ProgressSink};
+use pdpa_prof::{memory_high_water_kib, HealthSnapshot, ProgressSink};
 use pdpa_sim::SimTime;
 
 use crate::proto::{HealthBody, ProgressBody, RunState, StatusBody, TailBody, PROTO_VERSION};
@@ -265,15 +266,12 @@ impl ProgressSink for LiveTap {
             .store(snapshot.waiting as u64, Ordering::Relaxed);
     }
 
+    fn heartbeat(&self, line: &str) {
+        *self.heartbeat_line.lock().unwrap() = Some(line.to_string());
+    }
+
     fn watchdog_fired(&self, diagnostic: &str) {
         self.mark_aborted(diagnostic);
-    }
-}
-
-impl HeartbeatSink for LiveTap {
-    fn emit(&self, line: &str, snapshot: &HealthSnapshot) {
-        *self.heartbeat_line.lock().unwrap() = Some(line.to_string());
-        self.progress(snapshot);
     }
 }
 
@@ -395,11 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_sink_stores_latest_line() {
+    fn heartbeat_stores_latest_line() {
         let tap = LiveTap::new(meta());
         assert!(tap.health_body().heartbeat.is_none());
-        tap.emit("heartbeat t+5s: clock=1.0s", &HealthSnapshot::default());
-        tap.emit("heartbeat t+10s: clock=2.0s", &HealthSnapshot::default());
+        tap.heartbeat("heartbeat t+5s: clock=1.0s");
+        tap.heartbeat("heartbeat t+10s: clock=2.0s");
         assert_eq!(
             tap.health_body().heartbeat.as_deref(),
             Some("heartbeat t+10s: clock=2.0s")

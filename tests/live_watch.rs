@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 use pdpa_suite::core::Pdpa;
 use pdpa_suite::engine::{Engine, EngineConfig, Instrumentation};
 use pdpa_suite::obs::{write_text_stream, RecordingObserver};
-use pdpa_suite::qs::Workload;
+use pdpa_suite::prof::HeartbeatConfig;
+use pdpa_suite::qs::{generate, GeneratorConfig, Workload};
 use pdpa_suite::watch::{
     LiveTap, Request, RequestKind, Response, ResponseBody, RunMeta, RunState, StatusServer,
     TapObserver,
@@ -24,7 +25,16 @@ use pdpa_suite::watch::{
 #[test]
 fn decision_stream_is_bit_identical_with_and_without_the_tap() {
     let engine = Engine::new(EngineConfig::default().with_seed(42));
-    let jobs = || Workload::W2.build(1.0, 42);
+    // The w2 mix at full demand over 9,000 s, thirty times the paper's
+    // window: long enough to reach a heartbeat check.
+    let config = GeneratorConfig {
+        composition: Workload::W2.composition(),
+        load: 1.0,
+        cpus: 60,
+        duration_secs: 9_000.0,
+        tuned: true,
+    };
+    let jobs = || generate(&config, 42);
     let policy = || Box::new(Pdpa::paper_default());
 
     let mut plain_rec = RecordingObserver::new();
@@ -43,10 +53,26 @@ fn decision_stream_is_bit_identical_with_and_without_the_tap() {
             jobs(),
             policy(),
             &mut observer,
-            Instrumentation::none().with_tap(Arc::clone(&tap) as _),
+            Instrumentation::none()
+                .with_tap(Arc::clone(&tap) as _)
+                .with_heartbeat(HeartbeatConfig {
+                    every: Duration::ZERO,
+                }),
         )
     };
     assert!(tapped.completed_all);
+    // The engine checks for a due heartbeat every 65,536 events; a zero
+    // interval makes the first check emit, to stderr and to the tap.
+    assert!(
+        tapped.events_popped >= 65_536,
+        "too short to reach a heartbeat check: {} events",
+        tapped.events_popped
+    );
+    let line = tap
+        .health_body()
+        .heartbeat
+        .expect("a heartbeat reached the tap");
+    assert!(line.starts_with("heartbeat t+"), "{line}");
 
     let plain_stream = write_text_stream(&plain_rec.take_events());
     let tapped_stream = write_text_stream(&tapped_rec.take_events());

@@ -25,30 +25,19 @@ fn classic_profile_records_the_coordinator_hierarchy() {
         Instrumentation::none().with_profile(),
     );
     assert!(result.completed_all);
+    assert!(result.events_popped > 0);
     let profile = result.profile.expect("profiling was enabled");
-    assert!(profile.events > 0);
-    assert_eq!(
-        profile
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Replay)
-            .count(),
-        1
-    );
+    let replay = profile.kind(SpanKind::Replay);
+    assert_eq!((replay.calls, replay.spans.len()), (1, 1));
     // The Chrome export names the one lane.
-    let spans = profile
-        .spans
-        .iter()
-        .map(|s| (s.kind.label(), s.start_ns, s.dur_ns));
-    let json = span_trace("pdpa replay profile", "coordinator", spans);
+    let json = span_trace("pdpa replay profile", "coordinator", profile.spans());
     assert!(json.contains("\"coordinator\""));
     assert_eq!(json.matches("\"thread_name\"").count(), 1);
-    for kind in [
-        SpanKind::Replay,
-        SpanKind::PolicyDecision,
-        SpanKind::QueueOps,
-    ] {
-        assert!(profile.total_ns(kind) > 0, "no {:?} time recorded", kind);
+    for kind in SpanKind::ALL {
+        let k = profile.kind(kind);
+        assert!(k.total_ns() > 0.0, "no {kind:?} time recorded");
+        // Every timed call is exported, and only those.
+        assert_eq!(k.spans.len() as u64, k.samples, "{kind:?}");
     }
 }
 
