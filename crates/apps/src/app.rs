@@ -100,6 +100,7 @@ impl ApplicationSpec {
 
     /// Sequential time of iteration `iter` (0-based), accounting for a
     /// phase change.
+    #[inline]
     pub fn seq_iter_time_at(&self, iter: u32) -> SimDuration {
         match self.phase_change {
             Some(pc) if iter >= pc.at_iteration => self.seq_iter_time * pc.factor,
@@ -239,6 +240,7 @@ impl Progress {
 
     /// Adds reallocation penalty time that must elapse before further
     /// progress.
+    #[inline]
     pub fn add_debt(&mut self, penalty: SimDuration) {
         self.debt += penalty;
     }
@@ -246,6 +248,7 @@ impl Progress {
     /// Time until the current iteration completes at `rate` iterations per
     /// second, including outstanding debt. `None` if the application cannot
     /// progress (`rate` is 0) or is already complete.
+    #[inline]
     pub fn time_to_iteration_end(&self, rate: f64) -> Option<SimDuration> {
         if self.is_complete() || rate <= 0.0 {
             return None;
@@ -258,6 +261,7 @@ impl Progress {
     ///
     /// Returns the number of iteration boundaries crossed. Debt is consumed
     /// before any progress is made.
+    #[inline]
     pub fn advance(&mut self, dt: SimDuration, rate: f64) -> u32 {
         if self.is_complete() {
             return 0;

@@ -352,6 +352,7 @@ impl SpeedupMemo {
     /// `pdpa_engine::timeshare::fractional_speedup`). Fractional counts
     /// past the model's last defined point are clamped to it rather than
     /// interpolated into extrapolated territory.
+    #[inline]
     pub fn fractional(&mut self, model: &dyn SpeedupModel, procs: f64) -> f64 {
         if procs <= 0.0 {
             return 0.0;

@@ -8,23 +8,18 @@
 //! queuing system".
 //!
 //! The decision itself is a pure function, [`ml_allows_start`], driven by a
-//! snapshot of the running jobs' states.
+//! snapshot of the system and, only when the cheaper tests leave the answer
+//! open, by the settledness of the running jobs.
 
 use crate::params::PdpaParams;
 
-/// What the admission decision needs to know about the system.
+/// What the admission decision needs to know about the system up front.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MlSnapshot {
     /// Jobs currently running.
     pub running: usize,
     /// Processors not allocated to any job.
     pub free_cpus: usize,
-    /// True when every running job's allocation is settled (it is `STABLE`,
-    /// `DEC`, or already holds its full request).
-    pub all_settled: bool,
-    /// True when some running job shows bad performance (`DEC`): its
-    /// processors are on their way back to the system.
-    pub any_bad: bool,
 }
 
 /// Decides whether the queuing system may start one more job (§4.3 plus the
@@ -41,7 +36,15 @@ pub struct MlSnapshot {
 /// Jobs still searching upward (`NO_REF`, `INC`) block admission: the free
 /// processors they are waiting for must not be stolen by newcomers — that is
 /// precisely the coordination the paper adds over uncontrolled admission.
-pub fn ml_allows_start(params: &PdpaParams, snap: &MlSnapshot) -> bool {
+///
+/// `all_settled` reports whether every running job's allocation is settled.
+/// It scans the running set, so it is called only when every other test
+/// has passed.
+pub fn ml_allows_start(
+    params: &PdpaParams,
+    snap: &MlSnapshot,
+    all_settled: impl FnOnce() -> bool,
+) -> bool {
     if snap.free_cpus == 0 {
         // Run-to-completion requires at least one processor for the
         // newcomer; nothing can start on a full machine.
@@ -57,49 +60,48 @@ pub fn ml_allows_start(params: &PdpaParams, snap: &MlSnapshot) -> bool {
     // processors: starting a parallel application on a one-processor scrap
     // only adds churn, and the first allocation doubles as the search's
     // starting point.
-    snap.all_settled && snap.free_cpus >= params.step
+    snap.free_cpus >= params.step && all_settled()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn snap(running: usize, free: usize, all_settled: bool, any_bad: bool) -> MlSnapshot {
-        MlSnapshot {
+    fn allows(p: &PdpaParams, running: usize, free: usize, all_settled: bool) -> bool {
+        let snap = MlSnapshot {
             running,
             free_cpus: free,
-            all_settled,
-            any_bad,
-        }
+        };
+        ml_allows_start(p, &snap, || all_settled)
     }
 
     #[test]
     fn full_machine_admits_nobody() {
         let p = PdpaParams::default();
-        assert!(!ml_allows_start(&p, &snap(1, 0, true, false)));
+        assert!(!allows(&p, 1, 0, true));
     }
 
     #[test]
     fn below_base_ml_admits_freely() {
         let p = PdpaParams::default(); // base_ml 4
-        assert!(ml_allows_start(&p, &snap(0, 60, true, false)));
-        assert!(ml_allows_start(&p, &snap(3, 1, false, false)));
+        assert!(allows(&p, 0, 60, true));
+        assert!(allows(&p, 3, 1, false));
     }
 
     #[test]
     fn above_base_ml_requires_stability() {
         let p = PdpaParams::default();
-        assert!(!ml_allows_start(&p, &snap(4, 10, false, false)));
-        assert!(ml_allows_start(&p, &snap(4, 10, true, false)));
+        assert!(!allows(&p, 4, 10, false));
+        assert!(allows(&p, 4, 10, true));
     }
 
     #[test]
     fn bad_performance_alone_does_not_bypass_searchers() {
-        // A DEC job marks `any_bad`, but another job still searching upward
-        // (`all_settled` false) keeps the door closed: the searcher gets
-        // first claim on freed processors.
+        // A DEC job counts as settled, but another job still searching
+        // upward (`all_settled` false) keeps the door closed: the searcher
+        // gets first claim on freed processors.
         let p = PdpaParams::default();
-        assert!(!ml_allows_start(&p, &snap(6, 4, false, true)));
+        assert!(!allows(&p, 6, 4, false));
     }
 
     #[test]
@@ -107,7 +109,7 @@ mod tests {
         // Every running job is DEC (settled downward): their processors are
         // on the way back, so a newcomer may start.
         let p = PdpaParams::default();
-        assert!(ml_allows_start(&p, &snap(6, 4, true, true)));
+        assert!(allows(&p, 6, 4, true));
     }
 
     #[test]
@@ -115,10 +117,10 @@ mod tests {
         // Workload 3 reached a multiprogramming level of 34: admission only
         // depends on stability and free processors, not on a cap.
         let p = PdpaParams::default();
-        assert!(ml_allows_start(&p, &snap(33, 4, true, false)));
+        assert!(allows(&p, 33, 4, true));
         // But above the default level a newcomer needs at least `step` free
         // processors to be worth starting.
-        assert!(!ml_allows_start(&p, &snap(33, 2, true, false)));
+        assert!(!allows(&p, 33, 2, true));
     }
 
     #[test]
@@ -127,7 +129,75 @@ mod tests {
             coordinate_ml: false,
             ..PdpaParams::default()
         };
-        assert!(!ml_allows_start(&p, &snap(4, 30, true, false)));
-        assert!(ml_allows_start(&p, &snap(3, 30, false, false)));
+        assert!(!allows(&p, 4, 30, true));
+        assert!(allows(&p, 3, 30, false));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::state::AppState;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    /// Reference rule: every input, the scan's result included, computed
+    /// before the decision.
+    fn eager_rule(params: &PdpaParams, running: usize, free: usize, all_settled: bool) -> bool {
+        if free == 0 {
+            return false;
+        }
+        if running < params.base_ml {
+            return true;
+        }
+        if !params.coordinate_ml {
+            return false;
+        }
+        all_settled && free >= params.step
+    }
+
+    fn arb_state() -> impl Strategy<Value = AppState> {
+        prop_oneof![
+            Just(AppState::NoRef),
+            Just(AppState::Inc),
+            Just(AppState::Dec),
+            Just(AppState::Stable),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The lazy rule decides exactly as the eager one, and scans the
+        /// running set only when the cheaper tests leave the answer open.
+        #[test]
+        fn lazy_rule_equals_the_eager_rule(
+            jobs in proptest::collection::vec((arb_state(), 0usize..=8, 1usize..=8), 0..12),
+            free in 0usize..=12,
+            base_ml in 1usize..=6,
+            step in 1usize..=6,
+            coordinate_ml in proptest::bool::ANY,
+        ) {
+            let params = PdpaParams {
+                base_ml,
+                step,
+                coordinate_ml,
+                ..PdpaParams::default()
+            };
+            let settled = |&(state, alloc, request): &(AppState, usize, usize)| {
+                state.is_settled() || alloc >= request
+            };
+            let all_settled = jobs.iter().all(settled);
+            let running = jobs.len();
+            let scans = Cell::new(0);
+            let snap = MlSnapshot { running, free_cpus: free };
+            let lazy = ml_allows_start(&params, &snap, || {
+                scans.set(scans.get() + 1);
+                jobs.iter().all(settled)
+            });
+            prop_assert_eq!(lazy, eager_rule(&params, running, free, all_settled));
+            let open = free > 0 && running >= base_ml && coordinate_ml && free >= step;
+            prop_assert_eq!(scans.get(), usize::from(open));
+        }
     }
 }

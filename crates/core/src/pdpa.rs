@@ -4,13 +4,9 @@
 //! multiprogramming-level policy ([`crate::mlevel`]) into an implementation
 //! of [`SchedulingPolicy`] that the execution engine can drive.
 
-use std::collections::HashMap;
-
 use pdpa_perf::{PerfHistory, PerfSample};
 use pdpa_policies::{Decisions, PolicyCtx, SchedulingPolicy};
-use pdpa_sim::JobId;
-
-use pdpa_sim::SimDuration;
+use pdpa_sim::{JobId, JobMap, SimDuration};
 
 use crate::mlevel::{ml_allows_start, MlSnapshot};
 use crate::params::PdpaParams;
@@ -93,7 +89,7 @@ impl JobRecord {
 #[derive(Clone, Debug)]
 pub struct Pdpa {
     params: PdpaParams,
-    jobs: HashMap<JobId, JobRecord>,
+    jobs: JobMap<JobRecord>,
 }
 
 impl Pdpa {
@@ -106,7 +102,7 @@ impl Pdpa {
         params.validate().expect("invalid PDPA parameters");
         Pdpa {
             params,
-            jobs: HashMap::new(),
+            jobs: JobMap::default(),
         }
     }
 
@@ -145,36 +141,17 @@ impl Pdpa {
         self.jobs.get(&job).map(|r| r.state)
     }
 
-    /// True when a job's allocation is settled (used by the admission
-    /// snapshot): the job is `STABLE`, `DEC`, or already holds its full
+    /// True when every running job's allocation is settled (the admission
+    /// rule's scan): each job is `STABLE`, `DEC`, or already holds its full
     /// request.
-    fn is_settled(&self, view_alloc: usize, view_request: usize, state: AppState) -> bool {
-        state.is_settled() || view_alloc >= view_request
-    }
-
-    /// Builds the admission snapshot from the policy context.
-    fn snapshot(&self, ctx: &PolicyCtx) -> MlSnapshot {
-        let mut all_settled = true;
-        let mut any_bad = false;
-        for view in ctx.jobs {
-            let state = self
-                .jobs
-                .get(&view.id)
-                .map(|r| r.state)
-                .unwrap_or(AppState::NoRef);
-            if !self.is_settled(view.allocated, view.request, state) {
-                all_settled = false;
-            }
-            if state == AppState::Dec {
-                any_bad = true;
-            }
-        }
-        MlSnapshot {
-            running: ctx.running(),
-            free_cpus: ctx.free_cpus,
-            all_settled,
-            any_bad,
-        }
+    fn all_settled(&self, ctx: &PolicyCtx) -> bool {
+        ctx.jobs.iter().all(|view| {
+            view.allocated >= view.request
+                || self
+                    .jobs
+                    .get(&view.id)
+                    .is_some_and(|r| r.state.is_settled())
+        })
     }
 }
 
@@ -301,7 +278,11 @@ impl SchedulingPolicy for Pdpa {
     }
 
     fn may_start_new_job(&self, ctx: &PolicyCtx) -> bool {
-        ml_allows_start(&self.params, &self.snapshot(ctx))
+        let snap = MlSnapshot {
+            running: ctx.running(),
+            free_cpus: ctx.free_cpus,
+        };
+        ml_allows_start(&self.params, &snap, || self.all_settled(ctx))
     }
 }
 

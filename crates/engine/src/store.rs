@@ -692,3 +692,102 @@ mod tests {
         assert_moved(&last, &store, "remove");
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use pdpa_apps::paper::{apsi, hydro2d};
+    use proptest::prelude::*;
+
+    /// One random store mutation, addressed to job `job % 6`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Start { job: u32, phased: bool },
+        Advance { job: u32, dt: f64 },
+        Resize { job: u32, alloc: usize },
+        Sample { job: u32, secs: f64 },
+        Reset { job: u32 },
+        Remove { job: u32 },
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u32..6, proptest::bool::ANY).prop_map(|(job, phased)| Op::Start { job, phased }),
+            (0u32..6, 0.0f64..400.0).prop_map(|(job, dt)| Op::Advance { job, dt }),
+            (0u32..6, 0usize..12).prop_map(|(job, alloc)| Op::Resize { job, alloc }),
+            (0u32..6, 1.0f64..50.0).prop_map(|(job, secs)| Op::Sample { job, secs }),
+            (0u32..6).prop_map(|job| Op::Reset { job }),
+            (0u32..6).prop_map(|job| Op::Remove { job }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After any sequence of starts, advances, resizes, samples,
+        /// resets and removes, a snapshot refilled only when the version
+        /// moved (as the engine does) equals a fresh `fill_views`.
+        #[test]
+        fn version_gated_views_equal_a_fresh_fill(
+            steps in proptest::collection::vec((arb_op(), proptest::bool::ANY), 1..60),
+        ) {
+            let mut store = JobStore::new();
+            let mut cache = Vec::new();
+            let mut cached_at = None;
+            let mut now = 0.0;
+            for (op, refresh) in steps {
+                match op {
+                    Op::Start { job, phased } => {
+                        if !store.contains(JobId(job)) {
+                            let spec = if phased {
+                                hydro2d().with_phase_change(2, 1.5)
+                            } else {
+                                apsi()
+                            };
+                            let analyzer = SelfAnalyzer::default();
+                            store.start(JobId(job), spec, analyzer, SimTime::from_secs(now));
+                        }
+                    }
+                    Op::Advance { job, dt } => {
+                        now += dt;
+                        if store.contains(JobId(job)) {
+                            store.advance_to(JobId(job), SimTime::from_secs(now));
+                        }
+                    }
+                    Op::Resize { job, alloc } => {
+                        if store.contains(JobId(job)) {
+                            store.set_allocated(JobId(job), alloc);
+                            store.set_rate_from(JobId(job), alloc as f64, 1.0);
+                        }
+                    }
+                    Op::Sample { job, secs } => {
+                        if store.contains(JobId(job)) {
+                            let procs = store.allocated(JobId(job));
+                            let measured = SimDuration::from_secs(secs);
+                            store.record_iteration(JobId(job), procs, measured);
+                        }
+                    }
+                    Op::Reset { job } => {
+                        if store.contains(JobId(job)) {
+                            store.reset_analyzer(JobId(job));
+                        }
+                    }
+                    Op::Remove { job } => {
+                        if store.contains(JobId(job)) {
+                            store.remove(JobId(job));
+                        }
+                    }
+                }
+                if refresh {
+                    if cached_at != Some(store.version()) {
+                        store.fill_views(&mut cache);
+                        cached_at = Some(store.version());
+                    }
+                    let mut fresh = Vec::new();
+                    store.fill_views(&mut fresh);
+                    prop_assert_eq!(format!("{cache:?}"), format!("{fresh:?}"));
+                }
+            }
+        }
+    }
+}

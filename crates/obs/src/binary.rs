@@ -34,6 +34,7 @@
 //! OBSERVABILITY.md.
 
 use std::io::{self, Write};
+use std::ops::Range;
 
 use pdpa_sim::{CpuId, JobId, SimTime};
 
@@ -489,44 +490,63 @@ pub fn write_stream(events: &[TimedEvent]) -> Vec<u8> {
 /// malformed or truncated input — enough to seek straight to the first bad
 /// frame of a corrupt capture.
 ///
-/// The result is allocated once, for the most frames the input can hold
-/// (one per 12 bytes, the smallest legal frame), so no length field can
-/// make the decoder allocate more than the input justifies.
+/// A first pass walks the length prefixes to count the frames, so the
+/// result is allocated once at its exact size. The capacity never exceeds
+/// one event per 12 bytes (the smallest legal frame), so no length field
+/// can make the decoder allocate more than the input justifies.
 pub fn read_stream(bytes: &[u8]) -> Result<Vec<TimedEvent>, String> {
     if !is_binary(bytes) {
         return Err("not a PDPAOBS1 binary stream (bad magic)".to_string());
     }
-    let mut events = Vec::with_capacity((bytes.len() - MAGIC.len()) / MIN_FRAME);
-    let mut rest = &bytes[MAGIC.len()..];
-    while !rest.is_empty() {
-        // Absolute offset of this frame's length prefix: everything already
-        // consumed, magic included.
-        let frame_at = bytes.len() - rest.len();
-        let mut cur = Cur::new(rest);
-        let len = cur
-            .uvarint("frame length")
-            .map_err(|e| format!("frame {} at byte {frame_at}: {e}", events.len()))?;
-        let start = cur.pos;
-        let len = usize::try_from(len).map_err(|_| {
-            format!(
-                "frame {} at byte {frame_at}: length {len} does not fit in memory",
-                events.len()
-            )
-        })?;
-        if rest.len() - start < len {
-            return Err(format!(
-                "frame {} at byte {frame_at}: stream truncated \
-                 ({} payload bytes present, {len} declared)",
-                events.len(),
-                rest.len() - start
-            ));
+    // Count the frames up to the first framing error, which is reported
+    // only if every frame before it decodes.
+    let mut frames = 0;
+    let mut at = MAGIC.len();
+    let mut framing = Ok(());
+    while at < bytes.len() {
+        match frame_payload(bytes, at, frames) {
+            Ok(payload) => {
+                frames += 1;
+                at = payload.end;
+            }
+            Err(e) => {
+                framing = Err(e);
+                break;
+            }
         }
-        let ev = decode_payload(&rest[start..start + len])
-            .map_err(|e| format!("frame {} at byte {frame_at}: {e}", events.len()))?;
-        events.push(ev);
-        rest = &rest[start + len..];
     }
-    Ok(events)
+    let most = (bytes.len() - MAGIC.len()) / MIN_FRAME;
+    let mut events = Vec::with_capacity(frames.min(most));
+    let mut at = MAGIC.len();
+    for index in 0..frames {
+        let payload = frame_payload(bytes, at, index)?;
+        let ev = decode_payload(&bytes[payload.clone()])
+            .map_err(|e| format!("frame {index} at byte {at}: {e}"))?;
+        events.push(ev);
+        at = payload.end;
+    }
+    framing.map(|()| events)
+}
+
+/// The payload range of frame `index`, whose length prefix starts at
+/// absolute offset `at` of `bytes`.
+fn frame_payload(bytes: &[u8], at: usize, index: usize) -> Result<Range<usize>, String> {
+    let rest = &bytes[at..];
+    let mut cur = Cur::new(rest);
+    let len = cur
+        .uvarint("frame length")
+        .map_err(|e| format!("frame {index} at byte {at}: {e}"))?;
+    let start = cur.pos;
+    let len = usize::try_from(len)
+        .map_err(|_| format!("frame {index} at byte {at}: length {len} does not fit in memory"))?;
+    if rest.len() - start < len {
+        return Err(format!(
+            "frame {index} at byte {at}: stream truncated \
+             ({} payload bytes present, {len} declared)",
+            rest.len() - start
+        ));
+    }
+    Ok(at + start..at + start + len)
 }
 
 /// Serializes a stream in the text format: one [`TimedEvent::to_line`]
@@ -834,6 +854,7 @@ mod tests {
     fn decoded_capacity_is_bounded_by_the_input() {
         let bytes = write_stream(&sample_events());
         let events = read_stream(&bytes).expect("decodes");
+        assert_eq!(events.capacity(), events.len(), "sized exactly");
         assert!(events.capacity() <= bytes.len() / MIN_FRAME);
         // The smallest frame really is MIN_FRAME bytes.
         let small = write_stream(&[te(0.0, 0, ObsEvent::CpuFailed { cpu: CpuId(1) })]);

@@ -76,16 +76,16 @@ impl RecordingObserver {
 
     /// Consumes the recorder, returning the stream sorted by
     /// `(sim_time, seq)`. Publication order is already nondecreasing in
-    /// sim time and `seq` is monotonic, so the stable sort is a no-op
-    /// normalization — it exists to make the ordering contract explicit
+    /// sim time and `seq` is monotonic, so one linear pass normally
+    /// confirms the order; the stable sort runs only for a stream
+    /// published out of order, which keeps the ordering contract explicit
     /// and deterministic regardless of how the stream was produced.
     pub fn take_events(self) -> Vec<TimedEvent> {
         let mut events = self.events;
-        events.sort_by(|a, b| {
-            a.at.partial_cmp(&b.at)
-                .expect("sim times are finite")
-                .then(a.seq.cmp(&b.seq))
-        });
+        let order = |a: &TimedEvent, b: &TimedEvent| a.at.cmp(&b.at).then(a.seq.cmp(&b.seq));
+        if !events.is_sorted_by(|a, b| order(a, b).is_le()) {
+            events.sort_by(order);
+        }
         events
     }
 }
@@ -282,5 +282,19 @@ mod tests {
             vec![0, 1, 2]
         );
         assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    #[test]
+    fn recorder_sorts_a_stream_published_out_of_order() {
+        let mut rec = RecordingObserver::new();
+        for (at, job) in [(3.0, 0), (1.0, 1), (2.0, 2), (1.0, 3)] {
+            rec.on_event(
+                SimTime::from_secs(at),
+                &ObsEvent::JobSubmitted { job: JobId(job) },
+            );
+        }
+        let events = rec.take_events();
+        let order: Vec<(f64, u64)> = events.iter().map(|e| (e.at.as_secs(), e.seq)).collect();
+        assert_eq!(order, [(1.0, 1), (1.0, 3), (2.0, 2), (3.0, 0)]);
     }
 }

@@ -135,6 +135,7 @@ impl SelfAnalyzer {
     /// How many processors the application should actually use when the
     /// scheduler has allocated `allocated`: during the baseline phase the
     /// runtime restrains itself to the baseline processors.
+    #[inline]
     pub fn effective_procs(&self, allocated: usize) -> usize {
         if self.in_baseline_phase() {
             allocated.min(self.config.baseline_procs)

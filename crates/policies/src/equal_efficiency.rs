@@ -17,10 +17,8 @@
 //!    the paper measured), because each instance's fit depends on its own
 //!    noise realization.
 
-use std::collections::HashMap;
-
 use pdpa_perf::{EfficiencyEstimator, PerfSample};
-use pdpa_sim::JobId;
+use pdpa_sim::{JobId, JobMap};
 
 use crate::alloc_math::marginal_fill;
 use crate::policy::{Decisions, PolicyCtx, SchedulingPolicy};
@@ -31,7 +29,7 @@ pub struct EqualEfficiency {
     /// Fixed multiprogramming level (the paper uses 4).
     multiprogramming_level: usize,
     /// Per-job Amdahl-fit extrapolators.
-    estimators: HashMap<JobId, EfficiencyEstimator>,
+    estimators: JobMap<EfficiencyEstimator>,
 }
 
 impl EqualEfficiency {
@@ -44,7 +42,7 @@ impl EqualEfficiency {
         assert!(multiprogramming_level > 0, "ML must be at least 1");
         EqualEfficiency {
             multiprogramming_level,
-            estimators: HashMap::new(),
+            estimators: JobMap::default(),
         }
     }
 

@@ -19,10 +19,8 @@
 //! shares), so the learning refines a fair baseline instead of trusting
 //! cold-start guesses.
 
-use std::collections::HashMap;
-
 use pdpa_perf::PerfSample;
-use pdpa_sim::{JobId, SimRng};
+use pdpa_sim::{JobId, JobMap, SimRng};
 
 use crate::alloc_math::equal_shares;
 use crate::policy::{Decisions, PolicyCtx, SchedulingPolicy};
@@ -66,7 +64,7 @@ pub struct LearnedAlloc {
     /// Seed of the exploration streams (mixable per job and report).
     seed: u64,
     /// Per-job learning state.
-    states: HashMap<JobId, LearnState>,
+    states: JobMap<LearnState>,
 }
 
 impl LearnedAlloc {
@@ -81,7 +79,7 @@ impl LearnedAlloc {
         LearnedAlloc {
             multiprogramming_level,
             seed,
-            states: HashMap::new(),
+            states: JobMap::default(),
         }
     }
 

@@ -15,10 +15,8 @@
 //! that has hours left, so the greedy fill drains small jobs first while
 //! still refusing processors that a saturated speedup curve would waste.
 
-use std::collections::HashMap;
-
 use pdpa_perf::{EfficiencyEstimator, PerfSample};
-use pdpa_sim::JobId;
+use pdpa_sim::{JobId, JobMap};
 
 use crate::alloc_math::marginal_fill;
 use crate::policy::{Decisions, PolicyCtx, SchedulingPolicy};
@@ -38,7 +36,7 @@ pub struct OptSplit {
     /// Fixed multiprogramming level (matched to the paper baselines' 4).
     multiprogramming_level: usize,
     /// Per-job Amdahl-fit extrapolators (the Equal_efficiency machinery).
-    estimators: HashMap<JobId, EfficiencyEstimator>,
+    estimators: JobMap<EfficiencyEstimator>,
 }
 
 impl OptSplit {
@@ -51,7 +49,7 @@ impl OptSplit {
         assert!(multiprogramming_level > 0, "ML must be at least 1");
         OptSplit {
             multiprogramming_level,
-            estimators: HashMap::new(),
+            estimators: JobMap::default(),
         }
     }
 

@@ -129,6 +129,7 @@ pub struct PolicyCtx<'a> {
 
 impl PolicyCtx<'_> {
     /// Looks up a running job by id.
+    #[inline]
     pub fn job(&self, id: JobId) -> Option<&JobView> {
         self.jobs.iter().find(|j| j.id == id)
     }

@@ -96,6 +96,7 @@ impl QueueSystem {
 
     /// A job has arrived (its submission instant passed): it joins the FCFS
     /// queue.
+    #[inline]
     pub fn arrive(&mut self, job: JobId) {
         debug_assert!(!self.waiting.contains(&job), "double arrival of {job}");
         self.waiting.push_back(job);
@@ -115,12 +116,14 @@ impl QueueSystem {
     }
 
     /// The waiting jobs in FCFS order (for backfilling scans).
+    #[inline]
     pub fn waiting(&self) -> impl Iterator<Item = JobId> + '_ {
         self.waiting.iter().copied()
     }
 
     /// Starts a specific waiting job out of order (backfilling). Returns
     /// false if the job is not waiting.
+    #[inline]
     pub fn start_specific(&mut self, job: JobId) -> bool {
         match self.waiting.iter().position(|&j| j == job) {
             Some(pos) => {

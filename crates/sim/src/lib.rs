@@ -32,7 +32,7 @@ pub mod time;
 
 pub use cost::CostModel;
 pub use event::{EventQueue, QueueStats};
-pub use ids::{CpuId, JobId};
+pub use ids::{CpuId, JobId, JobIdHasher, JobMap};
 pub use machine::{CpuSet, Machine, MachineStats};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

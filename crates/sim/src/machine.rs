@@ -16,9 +16,7 @@
 //! per-application search) a few tens, and the time-shared IRIX model — which
 //! bypasses cpusets entirely — orders of magnitude more.
 
-use std::collections::HashMap;
-
-use crate::ids::{CpuId, JobId};
+use crate::ids::{CpuId, JobId, JobMap};
 
 /// An ordered set of CPUs owned by one job.
 ///
@@ -141,7 +139,7 @@ pub struct Machine {
     /// CPUs per NUMA node (2 on the Origin 2000).
     cpus_per_node: usize,
     /// Cpuset of each running job.
-    owned: HashMap<JobId, CpuSet>,
+    owned: JobMap<CpuSet>,
     /// Alive, unowned CPUs — kept in step with `owner`/`alive` so the
     /// supply every policy context reads is O(1), not a topology scan.
     n_free: usize,
@@ -173,7 +171,7 @@ impl Machine {
             owner: vec![None; n_cpus],
             alive: vec![true; n_cpus],
             cpus_per_node,
-            owned: HashMap::new(),
+            owned: JobMap::default(),
             n_free: n_cpus,
             n_alive: n_cpus,
             stats: MachineStats::default(),
@@ -343,42 +341,52 @@ impl Machine {
     }
 
     /// Chooses up to `want` free CPUs for `job`, best-affinity first.
+    ///
+    /// Free CPUs fall in three classes: on a node where the job already has
+    /// CPUs (best), on an entirely free node (good: leaves partially used
+    /// nodes for their owners), other (last). One pass over the nodes per
+    /// class, each in CPU-id order, so placement is deterministic; the
+    /// passes stop as soon as `want` CPUs are picked.
     fn pick_free_cpus(&self, job: JobId, want: usize) -> Vec<CpuId> {
-        // Nodes where the job already has CPUs.
-        let my_nodes: Vec<usize> = self
-            .owned
-            .get(&job)
-            .map(|set| set.iter().map(|c| self.node_of(c)).collect())
-            .unwrap_or_default();
-
-        // Score each free CPU: same node as the job (best), entirely free
-        // node (good: leaves partially used nodes for their owners), other
-        // (last). Stable sort keeps CPU-id order within a class so placement
-        // is deterministic.
-        let mut free: Vec<CpuId> = (0..self.n_cpus() as u16)
-            .map(CpuId)
-            .filter(|c| self.owner[c.index()].is_none() && self.alive[c.index()])
-            .collect();
-        let score = |cpu: &CpuId| -> u8 {
-            let node = self.node_of(*cpu);
-            if my_nodes.contains(&node) {
-                0
-            } else if self.node_is_free(node) {
-                1
-            } else {
-                2
-            }
+        const SAME_NODE: u8 = 0;
+        const FREE_NODE: u8 = 1;
+        const OTHER: u8 = 2;
+        let mut picks = Vec::with_capacity(want.min(self.n_free));
+        if picks.capacity() == 0 {
+            return picks;
+        }
+        let first = if self.owned.contains_key(&job) {
+            SAME_NODE
+        } else {
+            FREE_NODE
         };
-        free.sort_by_key(score);
-        free.truncate(want);
-        free
-    }
-
-    /// True if every CPU of `node` is alive and free.
-    fn node_is_free(&self, node: usize) -> bool {
-        let start = node * self.cpus_per_node;
-        let end = (start + self.cpus_per_node).min(self.n_cpus());
-        (start..end).all(|i| self.owner[i].is_none() && self.alive[i])
+        let nodes = self
+            .owner
+            .chunks(self.cpus_per_node)
+            .zip(self.alive.chunks(self.cpus_per_node));
+        for class in first..=OTHER {
+            for (node, (owners, alive)) in nodes.clone().enumerate() {
+                let is_free = |i: usize| owners[i].is_none() && alive[i];
+                let node_class = if owners.contains(&Some(job)) {
+                    SAME_NODE
+                } else if (0..owners.len()).all(is_free) {
+                    FREE_NODE
+                } else {
+                    OTHER
+                };
+                if node_class != class {
+                    continue;
+                }
+                let base = node * self.cpus_per_node;
+                for i in (0..owners.len()).filter(|&i| is_free(i)) {
+                    picks.push(CpuId((base + i) as u16));
+                    if picks.len() == want {
+                        return picks;
+                    }
+                }
+            }
+        }
+        picks
     }
 
     /// Internal consistency check used by tests and debug assertions:
@@ -655,6 +663,37 @@ mod proptests {
         Recover { cpu: u16 },
     }
 
+    /// Reference placement: collect every free CPU, then stable-sort by
+    /// class (same node, free node, other).
+    fn sorted_placement(m: &Machine, job: JobId, want: usize) -> Vec<CpuId> {
+        let my_nodes: Vec<usize> = m
+            .owned
+            .get(&job)
+            .map(|set| set.iter().map(|c| m.node_of(c)).collect())
+            .unwrap_or_default();
+        let node_is_free = |node: usize| {
+            let start = node * m.cpus_per_node;
+            let end = (start + m.cpus_per_node).min(m.n_cpus());
+            (start..end).all(|i| m.owner[i].is_none() && m.alive[i])
+        };
+        let mut free: Vec<CpuId> = (0..m.n_cpus() as u16)
+            .map(CpuId)
+            .filter(|c| m.owner[c.index()].is_none() && m.alive[c.index()])
+            .collect();
+        free.sort_by_key(|cpu| {
+            let node = m.node_of(*cpu);
+            if my_nodes.contains(&node) {
+                0
+            } else if node_is_free(node) {
+                1
+            } else {
+                2
+            }
+        });
+        free.truncate(want);
+        free
+    }
+
     fn arb_action() -> impl Strategy<Value = Action> {
         prop_oneof![
             (0u32..8, 0usize..70).prop_map(|(job, target)| Action::Resize { job, target }),
@@ -758,6 +797,39 @@ mod proptests {
                 prop_assert_eq!(m.free_cpus(), alive - owned);
                 prop_assert_eq!(m.used_cpus(), owned);
             }
+        }
+
+        /// The pass-based placement picks the same CPUs, in the same order,
+        /// as the collect-and-stable-sort reference, over random
+        /// occupancy, dead CPUs and node sizes.
+        #[test]
+        fn placement_matches_the_sorting_oracle(
+            cpus_per_node in 1usize..=4,
+            actions in proptest::collection::vec(arb_action(), 0..40),
+            job in 0u32..9,
+            want in 0usize..24,
+        ) {
+            let mut m = Machine::with_topology(21, cpus_per_node);
+            for action in actions {
+                match action {
+                    Action::Resize { job, target } => {
+                        m.resize(JobId(job), target % 12);
+                    }
+                    Action::Release { job } => {
+                        m.release(JobId(job));
+                    }
+                    Action::Fail { cpu } => {
+                        m.fail_cpu(CpuId(cpu % 21));
+                    }
+                    Action::Recover { cpu } => {
+                        m.recover_cpu(CpuId(cpu % 21));
+                    }
+                }
+            }
+            prop_assert_eq!(
+                m.pick_free_cpus(JobId(job), want),
+                sorted_placement(&m, JobId(job), want)
+            );
         }
 
         /// Growth is exact whenever supply suffices.

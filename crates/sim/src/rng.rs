@@ -89,6 +89,7 @@ impl SimRng {
     }
 
     /// Normal draw with the given mean and standard deviation.
+    #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "standard deviation must be non-negative");
         mean + std_dev * self.standard_normal()

@@ -35,6 +35,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `seconds` is NaN or negative.
+    #[inline]
     pub fn from_secs(seconds: f64) -> Self {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
@@ -53,6 +54,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is after `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -103,6 +105,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `seconds` is NaN, infinite, or negative.
+    #[inline]
     pub fn from_secs(seconds: f64) -> Self {
         assert!(
             seconds.is_finite() && seconds >= 0.0,
@@ -135,6 +138,7 @@ impl SimDuration {
 impl Eq for SimTime {}
 
 impl Ord for SimTime {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Values are asserted finite at construction, so this never fails.
         self.0.partial_cmp(&other.0).expect("SimTime is never NaN")
@@ -142,6 +146,7 @@ impl Ord for SimTime {
 }
 
 impl PartialOrd for SimTime {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -150,6 +155,7 @@ impl PartialOrd for SimTime {
 impl Eq for SimDuration {}
 
 impl Ord for SimDuration {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.0
             .partial_cmp(&other.0)
@@ -158,6 +164,7 @@ impl Ord for SimDuration {
 }
 
 impl PartialOrd for SimDuration {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -166,12 +173,14 @@ impl PartialOrd for SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime::from_secs(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -188,12 +197,14 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration::from_secs(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -208,6 +219,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -216,6 +228,7 @@ impl SubAssign for SimDuration {
 impl Mul<f64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn mul(self, rhs: f64) -> SimDuration {
         SimDuration::from_secs(self.0 * rhs)
     }
@@ -224,6 +237,7 @@ impl Mul<f64> for SimDuration {
 impl Div<f64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn div(self, rhs: f64) -> SimDuration {
         SimDuration::from_secs(self.0 / rhs)
     }
