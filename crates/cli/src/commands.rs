@@ -1511,8 +1511,8 @@ mod tests {
 
     #[test]
     fn daemon_submit_and_ctl_round_trip_through_the_cli() {
-        // The daemon's serve loop runs on this thread (its session is not
-        // Send); the CLI client verbs drive it from a spawned thread.
+        // The daemon's serve loop runs on this thread; the CLI client
+        // verbs drive it from a spawned thread.
         let daemon = pdpa_daemon::bind_daemon(
             pdpa_daemon::DaemonConfig {
                 time_scale: 0.0,

@@ -1,20 +1,22 @@
-//! [`DaemonCore`]: the single-threaded state machine behind `pdpad`.
+//! [`DaemonCore`]: the state machine behind `pdpad`.
 //!
 //! The core owns the [`EngineSession`] and is the only place mutations
-//! happen; the TCP layer in [`crate::serve`] feeds it one control op at a
-//! time through a bounded channel, so every admission decision, journal
-//! append, and snapshot happens at a quiescent point between ops. That is
-//! what makes the persistence story honest: a snapshot taken "mid-run" is
-//! always taken between two ops, and the decision-stream file is flushed
-//! at the same boundary, so killing the process immediately after leaves
-//! exactly the state the snapshot describes.
+//! happen; the TCP layer in [`crate::serve`] keeps it behind one lock and
+//! applies one control op at a time on the connection thread holding it,
+//! so every admission decision, journal append, and snapshot happens at a
+//! quiescent point between ops. That is what makes the persistence story
+//! honest: a snapshot taken "mid-run" is always taken between two ops,
+//! and the decision-stream file is flushed at the same boundary, so
+//! killing the process immediately after leaves exactly the state the
+//! snapshot describes.
 //!
 //! Admission control is deterministic and simulation-level: a submission
 //! is rejected with `queue_full` when the engine's *waiting* count has
 //! reached the configured bound. Rejected submissions are not journaled —
 //! they never touched the simulation. (The TCP layer adds a second,
-//! wall-clock-level `busy` rejection when the op channel itself is full;
-//! that one is about the daemon process, not the simulated machine.)
+//! wall-clock-level `busy` rejection when too many ops already wait for
+//! the core; that one is about the daemon process, not the simulated
+//! machine.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -88,6 +90,13 @@ pub struct DaemonCore {
     journal: Vec<Op>,
     draining: bool,
 }
+
+// The serve layer moves the core behind a lock shared by connection
+// threads, so a field that is not `Send` must fail the build here.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<DaemonCore>();
+};
 
 impl std::fmt::Debug for DaemonCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

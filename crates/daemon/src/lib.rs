@@ -8,8 +8,8 @@
 //! over TCP, and can be killed and restarted mid-workload without losing
 //! (or perturbing) a single decision event. Four layers:
 //!
-//! - [`core`] — the [`DaemonCore`]: the single-threaded heart that applies
-//!   control operations (`submit`, `cancel`, `drain`, `snapshot`,
+//! - [`core`] — the [`DaemonCore`]: the heart that applies, one at a
+//!   time, the control operations (`submit`, `cancel`, `drain`, `snapshot`,
 //!   `shutdown`) to the session, enforces the admission bound
 //!   (`queue_full` backpressure), journals every accepted mutation, and
 //!   writes/restores snapshots.
@@ -22,12 +22,13 @@
 //!   per-job noise derives positionally from `(seed, job, attempt)`.
 //! - [`registry`] — the per-job run registry behind the `jobs`/`job`
 //!   queries: class, request, lifecycle state, submit/finish instants.
-//! - [`serve`] — the TCP front: a [`Daemon`] couples the core to a
-//!   `pdpa_watch::StatusServer` through a bounded op channel. Query
-//!   traffic (`status`, `progress`, `health`, `metrics`, `tail`) is
+//! - [`serve`] — the TCP front: a [`Daemon`] puts the core behind one
+//!   lock shared by the `pdpa_watch::StatusServer` connection threads.
+//!   Query traffic (`status`, `progress`, `health`, `metrics`, `tail`) is
 //!   answered from the [`LiveTap`](pdpa_watch::LiveTap) without touching
-//!   the core; control traffic does a round-trip through the channel and
-//!   gets explicit `busy` backpressure when the daemon cannot keep up.
+//!   the core; a control op runs on its connection thread under the lock
+//!   and gets explicit `busy` backpressure when too many ops already wait
+//!   for the core.
 //!
 //! The wire protocol is `pdpa_watch::proto` v2; `DAEMON.md` at the repo
 //! root documents every frame, error code, and the snapshot format.

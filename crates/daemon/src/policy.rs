@@ -15,7 +15,7 @@ use pdpa_policies::{
 
 /// Builds the policy named by `slug` (the CLI's stable identifiers, plus
 /// the common long-form aliases). Returns `None` for unknown names.
-pub fn policy_from_slug(slug: &str) -> Option<Box<dyn SchedulingPolicy>> {
+pub fn policy_from_slug(slug: &str) -> Option<Box<dyn SchedulingPolicy + Send>> {
     Some(match slug.to_ascii_lowercase().as_str() {
         "pdpa" => Box::new(Pdpa::paper_default()),
         "equip" | "equipartition" => Box::new(Equipartition::default()),

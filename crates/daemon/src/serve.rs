@@ -1,5 +1,5 @@
-//! The TCP front of `pdpad`: a [`Daemon`] couples the single-threaded
-//! [`DaemonCore`] to the multi-threaded `pdpa_watch::StatusServer`.
+//! The TCP front of `pdpad`: a [`Daemon`] couples the [`DaemonCore`],
+//! behind one lock, to the multi-threaded `pdpa_watch::StatusServer`.
 //!
 //! Split of responsibilities:
 //!
@@ -8,21 +8,25 @@
 //!   unmodified v1 vocabulary, so an old `pdpa watch` works against a
 //!   daemon without knowing it is one.
 //! - **Control** (`hello`, `submit`, `cancel`, `drain`, `snapshot`,
-//!   `shutdown`, `jobs`, `job`) goes through a bounded op channel into
-//!   the core's loop thread and waits for the reply. `hello` is the one
-//!   exception: it is answered directly on the connection thread so
-//!   liveness probes keep working even while the core is deep inside a
-//!   long `drain`.
+//!   `shutdown`, `jobs`, `job`) runs on the connection thread that read
+//!   it: it takes the core's lock, applies the op, paces the clock and
+//!   replies, with no hand-off to another thread. `hello` is the one
+//!   exception: it never takes the lock, so liveness probes keep working
+//!   even while the core is deep inside a long `drain`.
+//! - **Pacing** between ops is [`Daemon::run`]'s job: it wakes every
+//!   `TICK`, advances simulated time under the lock, and ends the serve
+//!   once a `shutdown` is acked.
 //!
-//! The channel bound is the daemon's second backpressure layer: when ops
-//! arrive faster than the core retires them, `try_send` fails and the
-//! client gets an explicit `busy` rejection with a retry hint — the
-//! daemon never buffers unboundedly and never blocks a connection thread
-//! on another client's work. (The first layer, `queue_full`, is about the
-//! *simulated* machine and lives in the core.)
+//! The lock's waiting room is the daemon's second backpressure layer: at
+//! most `MAX_WAITING` ops wait for the core at once, and one more gets an
+//! explicit `busy` rejection with a retry hint before it touches anything
+//! — the daemon never queues unboundedly, and an op is either rejected
+//! before it runs or runs and gets its real reply. (The first layer,
+//! `queue_full`, is about the *simulated* machine and lives in the core.)
+//! The journal order is the order in which ops take the lock.
 
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pdpa_watch::{
@@ -32,22 +36,26 @@ use pdpa_watch::{
 
 use crate::core::{DaemonConfig, DaemonCore};
 
-/// Ops the channel buffers before clients see `busy`.
-const OP_CHANNEL_BOUND: usize = 64;
-/// How long a connection thread waits for the core's reply.
-const CONTROL_TIMEOUT: Duration = Duration::from_secs(30);
-/// Core loop tick between ops: pacing and progress cadence.
+/// Ops that may wait for the core at once before clients see `busy`.
+const MAX_WAITING: usize = 64;
+/// Pacer tick between ops: pacing and progress cadence.
 const TICK: Duration = Duration::from_millis(20);
 
-struct ControlMsg {
-    kind: RequestKind,
-    reply: std::sync::mpsc::Sender<ResponseBody>,
+/// The core and whether it has acked a `shutdown`, behind one lock.
+struct Locked {
+    core: DaemonCore,
+    stopped: bool,
 }
 
-/// The [`ControlHandler`] installed into the status server: forwards
-/// control ops to the core loop, with channel-level backpressure.
-struct DaemonControl {
-    ops: SyncSender<ControlMsg>,
+/// What the connection threads and the pacer share; installed into the
+/// status server as its [`ControlHandler`].
+struct Service {
+    locked: Mutex<Locked>,
+    /// Connection threads that asked for the lock and do not hold it yet.
+    waiting: AtomicUsize,
+    /// Wakes the pacer once a `shutdown` is acked.
+    stop: Condvar,
+    started: Instant,
 }
 
 fn reject(reason: &str, retry_after_secs: Option<f64>) -> ResponseBody {
@@ -57,7 +65,51 @@ fn reject(reason: &str, retry_after_secs: Option<f64>) -> ResponseBody {
     })
 }
 
-impl ControlHandler for DaemonControl {
+impl Service {
+    fn new(core: DaemonCore) -> Service {
+        Service {
+            locked: Mutex::new(Locked {
+                core,
+                stopped: false,
+            }),
+            waiting: AtomicUsize::new(0),
+            stop: Condvar::new(),
+            started: Instant::now(),
+        }
+    }
+
+    fn wall(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+
+    /// Takes the lock as one of at most `MAX_WAITING` waiters; `None`
+    /// when the waiting room is full. The count publishes no other data
+    /// (the lock orders the ops), so its accesses are `Relaxed`.
+    fn lock_as_waiter(&self) -> Option<LockResult<MutexGuard<'_, Locked>>> {
+        self.waiting
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < MAX_WAITING).then_some(n + 1)
+            })
+            .ok()?;
+        let guard = self.locked.lock();
+        self.waiting.fetch_sub(1, Ordering::Relaxed);
+        Some(guard)
+    }
+
+    /// The pacer: advances the clock every `TICK` until a `shutdown` is
+    /// acked, and returns the lock still held. `None` if the lock was
+    /// poisoned.
+    fn pace_until_stopped(&self) -> Option<MutexGuard<'_, Locked>> {
+        let mut locked = self.locked.lock().ok()?;
+        while !locked.stopped {
+            locked.core.pace(self.wall());
+            locked = self.stop.wait_timeout(locked, TICK).ok()?.0;
+        }
+        Some(locked)
+    }
+}
+
+impl ControlHandler for Service {
     fn control(&self, kind: &RequestKind, tap: &LiveTap) -> ResponseBody {
         if matches!(kind, RequestKind::Hello) {
             return ResponseBody::Hello(HelloBody {
@@ -67,56 +119,64 @@ impl ControlHandler for DaemonControl {
                 state: tap.state(),
             });
         }
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        match self.ops.try_send(ControlMsg {
-            kind: kind.clone(),
-            reply: reply_tx,
-        }) {
-            Ok(()) => match reply_rx.recv_timeout(CONTROL_TIMEOUT) {
-                Ok(body) => body,
-                Err(_) => reject("busy", Some(1.0)),
-            },
-            Err(TrySendError::Full(_)) => reject("busy", Some(0.5)),
-            Err(TrySendError::Disconnected(_)) => reject("shutting_down", None),
+        let Some(locked) = self.lock_as_waiter() else {
+            return reject("busy", Some(0.5));
+        };
+        // A poisoned lock means the core panicked mid-op and the pacer is
+        // ending the serve with an error.
+        let Ok(mut locked) = locked else {
+            return reject("shutting_down", None);
+        };
+        if locked.stopped {
+            return reject("shutting_down", None);
         }
+        let body = locked.core.handle(kind, self.wall());
+        if matches!(kind, RequestKind::Shutdown { .. }) && !matches!(body, ResponseBody::Reject(_))
+        {
+            locked.stopped = true;
+            self.stop.notify_one();
+        } else {
+            locked.core.pace(self.wall());
+        }
+        body
     }
 }
 
 /// A bound, running `pdpad` instance: call [`Daemon::run`] to serve.
 pub struct Daemon {
-    core: DaemonCore,
+    service: Arc<Service>,
     server: StatusServer,
-    ops: Receiver<ControlMsg>,
-    started: Instant,
+    tap: Arc<LiveTap>,
 }
 
 impl std::fmt::Debug for Daemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Daemon")
             .field("addr", &self.server.local_addr())
-            .field("core", &self.core)
             .finish_non_exhaustive()
     }
 }
 
 impl Daemon {
-    /// Binds the daemon's TCP socket and wires the control channel; the
-    /// daemon is reachable (queries *and* control) from the moment this
-    /// returns, but ops only retire once [`run`](Daemon::run) starts.
+    /// Binds the daemon's TCP socket and installs the core behind its
+    /// lock. The daemon is fully serving from the moment this returns:
+    /// queries are answered and control ops retire on their connection
+    /// threads. [`run`](Daemon::run) adds the pacing between ops and waits
+    /// for `shutdown`.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
     pub fn bind(core: DaemonCore, addr: &str) -> Result<Daemon, String> {
-        let (ops_tx, ops_rx) = sync_channel(OP_CHANNEL_BOUND);
-        let handler = Arc::new(DaemonControl { ops: ops_tx });
-        let server = StatusServer::bind_with_handler(addr, core.tap(), handler)
+        let tap = core.tap();
+        let service = Arc::new(Service::new(core));
+        let handler: Arc<dyn ControlHandler> = service.clone();
+        let server = StatusServer::bind_with_handler(addr, Arc::clone(&tap), handler)
             .map_err(|e| format!("pdpad: cannot bind {addr}: {e}"))?;
         Ok(Daemon {
-            core,
+            service,
             server,
-            ops: ops_rx,
-            started: Instant::now(),
+            tap,
         })
     }
 
@@ -125,45 +185,40 @@ impl Daemon {
         self.server.local_addr().to_string()
     }
 
-    /// Serves until a `shutdown` request is acknowledged. Returns a
-    /// one-paragraph closing summary.
-    pub fn run(mut self) -> Result<String, String> {
-        loop {
-            match self.ops.recv_timeout(TICK) {
-                Ok(msg) => {
-                    let is_shutdown = matches!(msg.kind, RequestKind::Shutdown { .. });
-                    let wall = self.started.elapsed().as_secs_f64();
-                    let body = self.core.handle(&msg.kind, wall);
-                    let accepted = !matches!(body, ResponseBody::Reject(_));
-                    let _ = msg.reply.send(body);
-                    if is_shutdown && accepted {
-                        break;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            self.core.pace(self.started.elapsed().as_secs_f64());
-        }
-        self.core.flush_stream();
-        let tap = self.core.tap();
-        tap.mark_done();
+    /// Paces the simulated clock every `TICK` until a `shutdown` request
+    /// is acknowledged. Returns a one-paragraph closing summary.
+    ///
+    /// # Errors
+    ///
+    /// A panic inside the core (a poisoned lock) ends the serve with an
+    /// error; connections still open get `shutting_down` from then on.
+    pub fn run(self) -> Result<String, String> {
+        let Some(mut locked) = self.service.pace_until_stopped() else {
+            let message = "pdpad: the core panicked while applying an op";
+            self.tap.mark_aborted(message);
+            self.server.shutdown();
+            return Err(message.to_string());
+        };
+        locked.core.flush_stream();
+        let session = locked.core.session();
+        let outcome = format!(
+            "{} jobs ({} done, {} failed), sim clock {:.1}s, {} journal ops",
+            session.total_jobs(),
+            session.completed_count(),
+            session.failed_count(),
+            session.clock().as_secs(),
+            locked.core.journal().len(),
+        );
+        drop(locked);
+        self.tap.mark_done();
         // Give a polling watcher one window to observe the terminal
         // state before the socket goes away.
         self.server.wait_for_final_query(Duration::from_secs(1));
         let connections = self.server.connections();
         self.server.shutdown();
-        let session = self.core.session();
         Ok(format!(
-            "pdpad: shut down after {:.1}s — {} connections, {} jobs ({} done, {} failed), \
-             sim clock {:.1}s, {} journal ops",
-            self.started.elapsed().as_secs_f64(),
-            connections,
-            session.total_jobs(),
-            session.completed_count(),
-            session.failed_count(),
-            session.clock().as_secs(),
-            self.core.journal().len(),
+            "pdpad: shut down after {:.1}s — {connections} connections, {outcome}",
+            self.service.wall(),
         ))
     }
 }
@@ -184,4 +239,116 @@ pub fn bind_daemon(
         None => DaemonCore::new(config)?,
     };
     Daemon::bind(core, addr)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::Op;
+
+    fn quiet_core() -> DaemonCore {
+        DaemonCore::new(DaemonConfig {
+            time_scale: 0.0,
+            max_queue: 1 << 20,
+            ..DaemonConfig::default()
+        })
+        .expect("core")
+    }
+
+    fn submit() -> RequestKind {
+        RequestKind::Submit {
+            class: "swim".to_string(),
+            request: None,
+            work_secs: None,
+        }
+    }
+
+    fn reason(body: &ResponseBody) -> (&str, Option<f64>) {
+        match body {
+            ResponseBody::Reject(r) => (r.reason.as_str(), r.retry_after_secs),
+            other => panic!("expected a reject, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_op_rejected_busy_is_never_applied() {
+        let core = quiet_core();
+        let tap = core.tap();
+        let service = Arc::new(Service::new(core));
+        let held = service.locked.lock().unwrap();
+        let callers: Vec<_> = (0..MAX_WAITING)
+            .map(|_| {
+                let service = Arc::clone(&service);
+                let tap = Arc::clone(&tap);
+                std::thread::spawn(move || service.control(&submit(), &tap))
+            })
+            .collect();
+        while service.waiting.load(Ordering::Relaxed) < MAX_WAITING {
+            std::thread::yield_now();
+        }
+        // The 65th caller runs on a thread of its own too, so a broken
+        // bound fails the test here rather than deadlocking on `held`.
+        let (late_tx, late_rx) = std::sync::mpsc::channel();
+        let late_caller = {
+            let service = Arc::clone(&service);
+            let tap = Arc::clone(&tap);
+            std::thread::spawn(move || late_tx.send(service.control(&submit(), &tap)).is_ok())
+        };
+        let late = late_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the caller past the bound is answered without the lock");
+        assert_eq!(reason(&late), ("busy", Some(0.5)));
+        assert!(late_caller.join().expect("late caller"));
+        drop(held);
+        for caller in callers {
+            let body = caller.join().expect("caller");
+            assert!(matches!(body, ResponseBody::Ack(_)), "got {body:?}");
+        }
+        let locked = service.locked.lock().unwrap();
+        let journal = locked.core.journal();
+        assert_eq!(journal.len(), MAX_WAITING);
+        assert!(journal.iter().all(|op| matches!(op, Op::Submit { .. })));
+        assert_eq!(tap.jobs_total(), MAX_WAITING as u64);
+    }
+
+    #[test]
+    fn an_op_after_an_acked_shutdown_is_not_applied() {
+        let daemon = Daemon::bind(quiet_core(), "127.0.0.1:0").expect("bind");
+        let service = Arc::clone(&daemon.service);
+        let tap = Arc::clone(&daemon.tap);
+        assert!(matches!(
+            service.control(&submit(), &tap),
+            ResponseBody::Ack(_)
+        ));
+        let shutdown = RequestKind::Shutdown { snapshot: None };
+        assert!(matches!(
+            service.control(&shutdown, &tap),
+            ResponseBody::Ack(_)
+        ));
+        let late = service.control(&submit(), &tap);
+        assert_eq!(reason(&late), ("shutting_down", None));
+        assert_eq!(service.locked.lock().unwrap().core.journal().len(), 1);
+        let summary = daemon.run().expect("summary");
+        assert!(
+            summary.contains("1 jobs") && summary.contains("1 journal ops"),
+            "{summary}"
+        );
+    }
+
+    #[test]
+    fn a_panic_in_the_core_ends_run_with_an_error() {
+        let daemon = Daemon::bind(quiet_core(), "127.0.0.1:0").expect("bind");
+        let service = Arc::clone(&daemon.service);
+        let tap = Arc::clone(&daemon.tap);
+        let poisoner = Arc::clone(&service);
+        let panicked = std::thread::spawn(move || {
+            let _locked = poisoner.locked.lock().unwrap();
+            panic!("a panic inside the core");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let body = service.control(&submit(), &tap);
+        assert_eq!(reason(&body), ("shutting_down", None));
+        assert!(daemon.run().is_err());
+    }
 }

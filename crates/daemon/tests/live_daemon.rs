@@ -6,10 +6,8 @@
 //! v2 control cycle over TCP: hello, submit, jobs/job, cancel, drain,
 //! shutdown.
 //!
-//! The daemon's session is not `Send` (policies and observers are plain
-//! single-threaded trait objects), so like the CLI these tests run the
-//! serve loop on the current thread and drive the client from a spawned
-//! one.
+//! Like the CLI, these tests run the serve loop on the current thread and
+//! drive the client from a spawned one.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -298,9 +296,9 @@ fn pipelined_submits_are_acked_in_order() {
 
 #[test]
 fn hello_answers_even_without_a_serve_loop() {
-    // `hello` is answered on the connection thread, not by the core, so
-    // liveness probes work even while the core is busy (here: not
-    // running at all).
+    // `hello` is answered on the connection thread without the core's
+    // lock, so liveness probes work even while the core is busy (here:
+    // with no serve loop running at all).
     let daemon = bind_daemon(quiet(), None, "127.0.0.1:0").expect("bind");
     let addr = daemon.local_addr();
     let mut client = Client::connect(&addr);

@@ -1,6 +1,7 @@
 //! The event loop: executes a workload under a scheduling policy.
 
 use std::collections::HashMap;
+use std::ops::DerefMut;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,42 +21,6 @@ use crate::instrument::Instrumentation;
 use crate::result::RunResult;
 use crate::store::JobStore;
 use crate::timeshare::{effective_procs, throughput_factor, QuantumPlacement};
-
-/// The observer slot of a [`Sim`]: a run borrows the caller's observer
-/// for the duration of `run_instrumented`, while a long-lived
-/// [`EngineSession`](crate::session::EngineSession) owns its sink outright
-/// so the simulation state can outlive any one call stack.
-pub(crate) enum ObsSink<'a> {
-    /// The classic batch path: the observer outlives the run.
-    Borrowed(&'a mut dyn Observer),
-    /// The session path: the simulation owns its sink (`Sim<'static>`).
-    Owned(Box<dyn Observer>),
-}
-
-impl ObsSink<'_> {
-    fn is_enabled(&self) -> bool {
-        match self {
-            ObsSink::Borrowed(o) => o.is_enabled(),
-            ObsSink::Owned(o) => o.is_enabled(),
-        }
-    }
-
-    fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
-        match self {
-            ObsSink::Borrowed(o) => o.on_event(at, event),
-            ObsSink::Owned(o) => o.on_event(at, event),
-        }
-    }
-}
-
-impl std::fmt::Debug for ObsSink<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ObsSink::Borrowed(_) => f.write_str("ObsSink::Borrowed(..)"),
-            ObsSink::Owned(_) => f.write_str("ObsSink::Owned(..)"),
-        }
-    }
-}
 
 /// What a cancellation request (`Sim::cancel_at`, surfaced through
 /// [`crate::EngineSession::cancel`]) found.
@@ -154,12 +119,7 @@ impl Engine {
         let mut heartbeat = instr.heartbeat.map(Heartbeat::new);
         let tap = instr.tap.as_deref();
         let mut watchdog_diag = None;
-        let mut sim = Sim::new(
-            &self.config,
-            jobs,
-            policy.sharing(),
-            ObsSink::Borrowed(observer),
-        );
+        let mut sim = Sim::new(&self.config, jobs, policy.sharing(), observer);
         sim.schedule_plan();
         // The replay span's one clock read, which is also the epoch every
         // sampled span starts from.
@@ -229,11 +189,12 @@ impl Engine {
 
 /// All mutable state of one run.
 ///
-/// `Sim<'a>` borrows its observer on the classic batch path; with an
-/// [`ObsSink::Owned`] sink it is `Sim<'static>` — a fully self-owned
-/// simulation that a long-running [`EngineSession`](crate::session)
-/// drives incrementally.
-pub(crate) struct Sim<'a> {
+/// `O` is the observer slot: the classic batch path borrows the caller's
+/// observer for one `run_instrumented` call (`&mut dyn Observer`), while a
+/// long-running [`EngineSession`](crate::session) owns its sink outright
+/// (`Box<dyn Observer + Send>`), so the simulation state can outlive any
+/// one call stack and move between threads.
+pub(crate) struct Sim<O> {
     config: EngineConfig,
     sharing: SharingModel,
     qs: QueueSystem,
@@ -272,7 +233,7 @@ pub(crate) struct Sim<'a> {
     /// `config.collect_trace`, cached where the publish sites branch on it.
     trace_on: bool,
     /// The external event sink, when one is attached.
-    obs: ObsSink<'a>,
+    obs: O,
     /// `obs.is_enabled()`, cached at run start: publish sites skip event
     /// construction entirely when false.
     obs_on: bool,
@@ -313,12 +274,12 @@ pub(crate) struct Sim<'a> {
     jobs_failed: u64,
 }
 
-impl<'a> Sim<'a> {
+impl<O: DerefMut<Target: Observer>> Sim<O> {
     pub(crate) fn new(
         config: &EngineConfig,
         jobs: Vec<JobSpec>,
         sharing: SharingModel,
-        obs: ObsSink<'a>,
+        obs: O,
     ) -> Self {
         let trace_obs = if config.collect_trace {
             TraceObserver::new(config.cpus)
@@ -2186,12 +2147,7 @@ mod tie_tests {
         Engine::new(config.clone()).run_observed(jobs(), policy(), &mut batch);
         let mut stepped = RecordingObserver::new();
         let mut policy = policy();
-        let mut sim = Sim::new(
-            config,
-            jobs(),
-            policy.sharing(),
-            ObsSink::Borrowed(&mut stepped),
-        );
+        let mut sim = Sim::new(config, jobs(), policy.sharing(), &mut stepped);
         sim.schedule_plan();
         for barrier in [TIE / 2.0, TIE, config.max_sim_secs] {
             sim.run_due(SimTime::from_secs(barrier), policy.as_mut());
@@ -2266,12 +2222,7 @@ mod tie_tests {
         // a cancel at the same instant must find it already arrived.
         let mut rec = RecordingObserver::new();
         let mut policy: Box<dyn SchedulingPolicy> = Box::new(Equipartition::new(1));
-        let mut sim = Sim::new(
-            &quiet(),
-            Vec::new(),
-            policy.sharing(),
-            ObsSink::Borrowed(&mut rec),
-        );
+        let mut sim = Sim::new(&quiet(), Vec::new(), policy.sharing(), &mut rec);
         let tie = SimTime::from_secs(TIE);
         let running = sim.submit_at(SimTime::ZERO, bt_a(), policy.as_mut());
         let queued = sim.submit_at(tie, apsi(), policy.as_mut());

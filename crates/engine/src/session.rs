@@ -5,8 +5,7 @@
 //! an engine that *stays alive*, admits jobs as they arrive over the
 //! wire, and advances simulated time in slices paced against the wall
 //! clock. [`EngineSession`] is that shape: it owns the full simulation
-//! state (`Sim<'static>` with an owned observer), and exposes three
-//! primitives:
+//! state, observer included, and exposes three primitives:
 //!
 //! - [`submit`](EngineSession::submit) — admit a job at instant `at`;
 //! - [`cancel`](EngineSession::cancel) — remove a queued or running job;
@@ -40,17 +39,19 @@ use pdpa_prof::HealthSnapshot;
 use pdpa_sim::{JobId, QueueStats, SimTime};
 
 use crate::config::EngineConfig;
-use crate::engine::{ObsSink, Sim};
+use crate::engine::Sim;
 use crate::result::RunResult;
 
 pub use crate::engine::CancelOutcome;
 
 /// A long-lived, incrementally driven engine run.
 ///
-/// See the [module docs](self) for the determinism contract.
+/// See the [module docs](self) for the determinism contract. A session
+/// is `Send`: its policy and observer are, so a daemon can drive it from
+/// whichever thread holds it.
 pub struct EngineSession {
-    sim: Sim<'static>,
-    policy: Box<dyn SchedulingPolicy>,
+    sim: Sim<Box<dyn Observer + Send>>,
+    policy: Box<dyn SchedulingPolicy + Send>,
     policy_name: String,
     /// The furthest instant the session has been driven to — op instants
     /// and `run_until` barriers are clamped up to it, so session time
@@ -76,8 +77,8 @@ impl EngineSession {
     /// Rejects invalid configurations, fault plans, and trace collection.
     pub fn new(
         config: EngineConfig,
-        policy: Box<dyn SchedulingPolicy>,
-        observer: Box<dyn Observer>,
+        policy: Box<dyn SchedulingPolicy + Send>,
+        observer: Box<dyn Observer + Send>,
     ) -> Result<EngineSession, String> {
         config.validate()?;
         if !config.faults.is_empty() || config.faults.retry.is_some() {
@@ -88,7 +89,7 @@ impl EngineSession {
         }
         let sharing = policy.sharing();
         let policy_name = policy.name().to_string();
-        let sim = Sim::new(&config, Vec::new(), sharing, ObsSink::Owned(observer));
+        let sim = Sim::new(&config, Vec::new(), sharing, observer);
         Ok(EngineSession {
             sim,
             policy,

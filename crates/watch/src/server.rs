@@ -5,8 +5,8 @@
 //! the line-delimited protocol of [`proto`](crate::proto): one response
 //! line per request line, in request order, until the client hangs up.
 //! All answers come from the [`LiveTap`] mirror, the global metrics
-//! registry, or the [`ControlHandler`]; server threads never touch engine
-//! state, so a slow or misbehaving client cannot perturb the run.
+//! registry, or the [`ControlHandler`]; queries never touch engine state,
+//! so a slow or misbehaving client cannot perturb the run.
 //!
 //! Connections:
 //!
@@ -61,9 +61,10 @@ const LINGER: Duration = Duration::from_secs(1);
 /// `snapshot`, `shutdown`, `jobs`, `job`, and the `hello` identity
 /// exchange). The read-only replay server uses [`ReadOnlyControl`], which
 /// answers `hello` and rejects everything else with `not_a_daemon`; the
-/// `pdpad` daemon installs a handler that round-trips ops to the engine
-/// loop. Handlers run on connection threads, so they must be thread-safe
-/// and must never block on the engine.
+/// `pdpad` daemon installs a handler that applies each op to its core
+/// under one lock. Handlers run on connection threads, so they must be
+/// thread-safe, and one that waits (as `pdpad`'s does for its lock) must
+/// bound how many connection threads wait at once.
 pub trait ControlHandler: Send + Sync {
     /// Answers one control request. Query kinds never reach the handler.
     fn control(&self, kind: &RequestKind, tap: &LiveTap) -> ResponseBody;
