@@ -213,12 +213,12 @@ pub(crate) struct Sim<O> {
     /// Running jobs in struct-of-arrays layout (hot fields dense, arrival
     /// order preserved for policy context ordering).
     store: JobStore,
-    /// Reused buffer for policy-call snapshots — refilled by
+    /// Reused buffer for policy-call snapshots — kept current by
     /// `refresh_views` instead of allocating a fresh `Vec` per policy call.
     views_scratch: Vec<JobView>,
-    /// The store version `views_scratch` was filled at (`None` before the
-    /// first fill).
-    views_version: Option<u64>,
+    /// The store version `views_scratch` was last brought up to date at
+    /// (0, the empty store's version, before the first refresh).
+    views_version: u64,
     outcomes: Vec<JobOutcome>,
     /// `(class, average allocation)` of completed jobs.
     completed_allocs: Vec<(AppClass, f64)>,
@@ -303,7 +303,7 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
             clock: SimTime::ZERO,
             store: JobStore::new(),
             views_scratch: Vec::new(),
-            views_version: None,
+            views_version: 0,
             outcomes: Vec::new(),
             completed_allocs: Vec::new(),
             completed_alloc_by_job: HashMap::new(),
@@ -476,13 +476,16 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
         profile
     }
 
-    /// Refills the reusable snapshot of the running jobs for a policy call,
-    /// unless nothing a view shows has changed since the last refill.
-    /// Read the result via `self.views_scratch`.
+    /// Brings the reusable snapshot of the running jobs up to date for a
+    /// policy call: nothing to do while the store version stands still,
+    /// else only the positions that changed are rewritten. Read the result
+    /// via `self.views_scratch`.
     fn refresh_views(&mut self) {
-        if self.views_version != Some(self.store.version()) {
-            self.store.fill_views(&mut self.views_scratch);
-            self.views_version = Some(self.store.version());
+        let version = self.store.version();
+        if self.views_version != version {
+            self.store
+                .refresh_views(&mut self.views_scratch, self.views_version);
+            self.views_version = version;
         }
     }
 

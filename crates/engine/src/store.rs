@@ -58,6 +58,10 @@ pub struct JobStore {
     ///
     /// [`fill_views`]: JobStore::fill_views
     version: u64,
+    /// The version at each slot's last view-affecting mutation, so
+    /// [`refresh_views`](JobStore::refresh_views) rewrites only the
+    /// positions that changed.
+    stamp: Vec<u64>,
     /// `JobId → slot` (job ids are dense submission ranks, so a vector
     /// beats a hash map); `VACANT` marks a job that is not running.
     slot_of: Vec<u32>,
@@ -201,12 +205,13 @@ impl JobStore {
                 self.last_sample.push(None);
                 self.seq_iter_secs.push(first_iter_secs);
                 self.cold.push(Some(cold));
+                self.stamp.push(0);
                 s
             }
         };
         self.slot_of[id_idx] = slot;
         self.order.push(slot);
-        self.version += 1;
+        self.touch(slot as usize);
         slot as usize
     }
 
@@ -252,24 +257,7 @@ impl JobStore {
         remaining_iters * self.seq_iter_secs[i]
     }
 
-    /// Refills `out` with the policy-view snapshot, in arrival order.
-    pub fn fill_views(&self, out: &mut Vec<JobView>) {
-        out.clear();
-        out.extend(self.order.iter().map(|&s| {
-            let i = s as usize;
-            JobView {
-                id: self.ids[i],
-                request: self.request[i],
-                allocated: self.allocated[i],
-                last_sample: self.last_sample[i],
-                remaining_secs: self.remaining_secs_slot(i),
-            }
-        }));
-    }
-
-    /// The policy-view snapshot of one job.
-    pub fn view_of(&self, job: JobId) -> JobView {
-        let i = self.slot(job);
+    fn view_slot(&self, i: usize) -> JobView {
         JobView {
             id: self.ids[i],
             request: self.request[i],
@@ -277,6 +265,42 @@ impl JobStore {
             last_sample: self.last_sample[i],
             remaining_secs: self.remaining_secs_slot(i),
         }
+    }
+
+    /// Bumps the version and stamps slot `i` with it.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        self.version += 1;
+        self.stamp[i] = self.version;
+    }
+
+    /// Refills `out` with the policy-view snapshot, in arrival order.
+    pub fn fill_views(&self, out: &mut Vec<JobView>) {
+        out.clear();
+        out.extend(self.order.iter().map(|&s| self.view_slot(s as usize)));
+    }
+
+    /// Brings `out`, a snapshot that equalled [`fill_views`] at version
+    /// `filled_at`, up to date: rewrites only the positions whose job
+    /// moved or whose slot was stamped after `filled_at`. An empty `out`
+    /// with `filled_at` 0 is a valid starting point.
+    ///
+    /// [`fill_views`]: Self::fill_views
+    pub fn refresh_views(&self, out: &mut Vec<JobView>, filled_at: u64) {
+        out.truncate(self.order.len());
+        let (kept, added) = self.order.split_at(out.len());
+        for (view, &s) in out.iter_mut().zip(kept) {
+            let i = s as usize;
+            if self.stamp[i] > filled_at || view.id != self.ids[i] {
+                *view = self.view_slot(i);
+            }
+        }
+        out.extend(added.iter().map(|&s| self.view_slot(s as usize)));
+    }
+
+    /// The policy-view snapshot of one job.
+    pub fn view_of(&self, job: JobId) -> JobView {
+        self.view_slot(self.slot(job))
     }
 
     /// Sum of current allocations over all running jobs.
@@ -304,7 +328,7 @@ impl JobStore {
     pub fn set_allocated(&mut self, job: JobId, alloc: usize) {
         let s = self.slot(job);
         self.allocated[s] = alloc;
-        self.version += 1;
+        self.touch(s);
     }
 
     /// Requested processors.
@@ -380,7 +404,7 @@ impl JobStore {
         let dt = now.since(self.advanced_to[s]);
         self.cpu_seconds[s] += self.allocated[s] as f64 * dt.as_secs();
         self.advanced_to[s] = now;
-        self.version += 1;
+        self.touch(s);
         self.progress[s].advance(dt, self.rate[s])
     }
 
@@ -442,7 +466,7 @@ impl JobStore {
             .record_iteration(procs, measured);
         if let Some(sample) = sample {
             self.last_sample[s] = Some(sample);
-            self.version += 1;
+            self.touch(s);
         }
         sample
     }
@@ -457,7 +481,7 @@ impl JobStore {
             .analyzer
             .reset();
         self.last_sample[s] = None;
-        self.version += 1;
+        self.touch(s);
     }
 
     /// Recomputes the job's progress rate from `eff` effective
@@ -480,7 +504,7 @@ impl JobStore {
         // per-iteration time, and every such move passes through here.
         if self.seq_iter_secs[s] != iter_secs {
             self.seq_iter_secs[s] = iter_secs;
-            self.version += 1;
+            self.touch(s);
         }
         self.rate[s] = if speedup > 0.0 {
             speedup * factor / iter_secs
@@ -708,6 +732,7 @@ mod proptests {
         Sample { job: u32, secs: f64 },
         Reset { job: u32 },
         Remove { job: u32 },
+        Recycle,
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
@@ -718,6 +743,9 @@ mod proptests {
             (0u32..6, 1.0f64..50.0).prop_map(|(job, secs)| Op::Sample { job, secs }),
             (0u32..6).prop_map(|job| Op::Reset { job }),
             (0u32..6).prop_map(|job| Op::Remove { job }),
+            // The newest running job is replaced by a never-seen one,
+            // which takes over its slot and its arrival-order position.
+            Just(Op::Recycle),
         ]
     }
 
@@ -725,15 +753,17 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// After any sequence of starts, advances, resizes, samples,
-        /// resets and removes, a snapshot refilled only when the version
-        /// moved (as the engine does) equals a fresh `fill_views`.
+        /// resets, removes and recycled slots, a snapshot refreshed only
+        /// when the version moved, and then only at the stamped or moved
+        /// positions (as the engine does), equals a fresh `fill_views`.
         #[test]
         fn version_gated_views_equal_a_fresh_fill(
             steps in proptest::collection::vec((arb_op(), proptest::bool::ANY), 1..60),
         ) {
             let mut store = JobStore::new();
             let mut cache = Vec::new();
-            let mut cached_at = None;
+            let mut cached_at = 0;
+            let mut next_job = 6;
             let mut now = 0.0;
             for (op, refresh) in steps {
                 match op {
@@ -777,11 +807,23 @@ mod proptests {
                             store.remove(JobId(job));
                         }
                     }
+                    Op::Recycle => {
+                        if !store.is_empty() {
+                            let newest = store.id_at(store.len() - 1);
+                            let slot = store.slot(newest);
+                            store.remove(newest);
+                            let at = SimTime::from_secs(now);
+                            let reused =
+                                store.start(JobId(next_job), apsi(), SelfAnalyzer::default(), at);
+                            prop_assert_eq!(reused, slot);
+                            next_job += 1;
+                        }
+                    }
                 }
                 if refresh {
-                    if cached_at != Some(store.version()) {
-                        store.fill_views(&mut cache);
-                        cached_at = Some(store.version());
+                    if cached_at != store.version() {
+                        store.refresh_views(&mut cache, cached_at);
+                        cached_at = store.version();
                     }
                     let mut fresh = Vec::new();
                     store.fill_views(&mut fresh);

@@ -79,27 +79,67 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// A cursor over one frame payload with diagnostic-bearing reads.
-struct Cur<'a> {
+/// A cursor over one frame payload with diagnostic-bearing reads. The
+/// reads are inlined and take one-byte (and, for varints, two- and
+/// three-byte) fast paths; every error and the general varint loop are
+/// out of line. `FAST = false` decodes every varint through that loop
+/// alone, which is the reference the fast paths are tested against.
+struct Cur<'a, const FAST: bool> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cur<'a> {
+#[cold]
+#[inline(never)]
+fn truncated(what: &str) -> String {
+    format!("frame truncated reading {what}")
+}
+
+impl<'a, const FAST: bool> Cur<'a, FAST> {
     fn new(buf: &'a [u8]) -> Self {
         Cur { buf, pos: 0 }
     }
 
+    #[inline]
     fn byte(&mut self, what: &str) -> Result<u8, String> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| format!("frame truncated reading {what}"))?;
-        self.pos += 1;
-        Ok(b)
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(truncated(what)),
+        }
     }
 
+    #[inline]
     fn uvarint(&mut self, what: &str) -> Result<u64, String> {
+        if FAST {
+            // Each arm is reached only when every earlier byte has its
+            // continuation bit set; values below 2^21 cannot overflow.
+            match self.buf[self.pos..] {
+                [b0, ..] if b0 < 0x80 => {
+                    self.pos += 1;
+                    return Ok(u64::from(b0));
+                }
+                [b0, b1, ..] if b1 < 0x80 => {
+                    self.pos += 2;
+                    return Ok(u64::from(b0 & 0x7f) | u64::from(b1) << 7);
+                }
+                [b0, b1, b2, ..] if b2 < 0x80 => {
+                    self.pos += 3;
+                    return Ok(u64::from(b0 & 0x7f)
+                        | u64::from(b1 & 0x7f) << 7
+                        | u64::from(b2) << 14);
+                }
+                _ => {}
+            }
+        }
+        self.uvarint_loop(what)
+    }
+
+    /// The general LEB128 loop: long values, truncation and overflow.
+    #[inline(never)]
+    fn uvarint_loop(&mut self, what: &str) -> Result<u64, String> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -115,20 +155,22 @@ impl<'a> Cur<'a> {
         }
     }
 
+    #[inline]
     fn f64(&mut self, what: &str) -> Result<f64, String> {
-        if self.buf.len() - self.pos < 8 {
-            return Err(format!("frame truncated reading {what}"));
+        match self.buf.get(self.pos..self.pos + 8) {
+            Some(raw) => {
+                self.pos += 8;
+                let raw: [u8; 8] = raw.try_into().expect("an 8-byte slice");
+                Ok(f64::from_bits(u64::from_le_bytes(raw)))
+            }
+            None => Err(truncated(what)),
         }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
     }
 
     fn str(&mut self, what: &str) -> Result<&'a str, String> {
         let len = self.uvarint(what)? as usize;
         if self.buf.len() - self.pos < len {
-            return Err(format!("frame truncated reading {what}"));
+            return Err(truncated(what));
         }
         let s = std::str::from_utf8(&self.buf[self.pos..self.pos + len])
             .map_err(|_| format!("{what} is not valid UTF-8"))?;
@@ -136,11 +178,13 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
+    #[inline]
     fn u32(&mut self, what: &str) -> Result<u32, String> {
         let v = self.uvarint(what)?;
         u32::try_from(v).map_err(|_| format!("{what} {v} out of range"))
     }
 
+    #[inline]
     fn bool(&mut self, what: &str) -> Result<bool, String> {
         match self.byte(what)? {
             0 => Ok(false),
@@ -153,10 +197,12 @@ impl<'a> Cur<'a> {
         StateName::intern(self.str(what)?).map_err(|e| format!("{what}: {e}"))
     }
 
+    #[inline]
     fn usize(&mut self, what: &str) -> Result<usize, String> {
         usize::try_from(self.uvarint(what)?).map_err(|_| format!("{what} does not fit in usize"))
     }
 
+    #[inline]
     fn job(&mut self) -> Result<JobId, String> {
         let v = self.uvarint("job")?;
         Ok(JobId(
@@ -164,6 +210,7 @@ impl<'a> Cur<'a> {
         ))
     }
 
+    #[inline]
     fn cpu(&mut self) -> Result<CpuId, String> {
         let v = self.uvarint("cpu")?;
         Ok(CpuId(
@@ -317,8 +364,8 @@ fn encode_frame(ev: &TimedEvent, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<TimedEvent, String> {
-    let mut cur = Cur::new(payload);
+fn decode_payload<const FAST: bool>(payload: &[u8]) -> Result<TimedEvent, String> {
+    let mut cur = Cur::<FAST>::new(payload);
     let kind = cur.byte("event kind")?;
     let at = cur.f64("timestamp")?;
     if !(at.is_finite() && at >= 0.0) {
@@ -520,7 +567,7 @@ pub fn read_stream(bytes: &[u8]) -> Result<Vec<TimedEvent>, String> {
     let mut at = MAGIC.len();
     for index in 0..frames {
         let payload = frame_payload(bytes, at, index)?;
-        let ev = decode_payload(&bytes[payload.clone()])
+        let ev = decode_payload::<true>(&bytes[payload.clone()])
             .map_err(|e| format!("frame {index} at byte {at}: {e}"))?;
         events.push(ev);
         at = payload.end;
@@ -529,10 +576,25 @@ pub fn read_stream(bytes: &[u8]) -> Result<Vec<TimedEvent>, String> {
 }
 
 /// The payload range of frame `index`, whose length prefix starts at
-/// absolute offset `at` of `bytes`.
+/// absolute offset `at` of `bytes`. Every frame but a long `failed` one
+/// has a one-byte length prefix.
+#[inline]
 fn frame_payload(bytes: &[u8], at: usize, index: usize) -> Result<Range<usize>, String> {
+    if let Some(&len) = bytes.get(at) {
+        let end = at + 1 + usize::from(len);
+        if len < 0x80 && end <= bytes.len() {
+            return Ok(at + 1..end);
+        }
+    }
+    frame_payload_loop(bytes, at, index)
+}
+
+/// [`frame_payload`] for a multi-byte length prefix, and every framing
+/// error.
+#[inline(never)]
+fn frame_payload_loop(bytes: &[u8], at: usize, index: usize) -> Result<Range<usize>, String> {
     let rest = &bytes[at..];
-    let mut cur = Cur::new(rest);
+    let mut cur = Cur::<false>::new(rest);
     let len = cur
         .uvarint("frame length")
         .map_err(|e| format!("frame {index} at byte {at}: {e}"))?;
@@ -677,7 +739,7 @@ mod tests {
         // payload bytes.
         let mut offset = MAGIC.len();
         for _ in 0..2 {
-            let mut cur = Cur::new(&bytes[offset..]);
+            let mut cur = Cur::<true>::new(&bytes[offset..]);
             let len = cur.uvarint("len").expect("valid stream") as usize;
             offset += cur.pos + len;
         }
@@ -864,12 +926,43 @@ mod tests {
     #[test]
     fn varints_span_the_u64_range() {
         let mut buf = Vec::new();
-        for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+        let widths = [7, 14, 21, 28].map(|bits| (1u64 << bits) - 1);
+        let edges = widths.into_iter().flat_map(|v| [v, v + 1]);
+        for v in [0u64, 1, 300, u64::from(u32::MAX), u64::MAX]
+            .into_iter()
+            .chain(edges)
+        {
             buf.clear();
             put_uvarint(&mut buf, v);
-            let mut cur = Cur::new(&buf);
-            assert_eq!(cur.uvarint("v").expect("decodes"), v);
-            assert!(cur.done());
+            let mut fast = Cur::<true>::new(&buf);
+            assert_eq!(fast.uvarint("v").expect("decodes"), v);
+            assert!(fast.done());
+            let mut reference = Cur::<false>::new(&buf);
+            assert_eq!(reference.uvarint("v").expect("decodes"), v);
+            // Every strict prefix is a truncation on both paths.
+            for cut in 0..buf.len() {
+                let fast = Cur::<true>::new(&buf[..cut]).uvarint("v");
+                let reference = Cur::<false>::new(&buf[..cut]).uvarint("v");
+                assert_eq!(fast, reference);
+                assert_eq!(fast, Err("frame truncated reading v".to_string()));
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_and_overlong_varints_match_the_loop() {
+        let cases: [&[u8]; 6] = [
+            &[0x80, 0x00],
+            &[0xff, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x00],
+            &[0xff; 10],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+        ];
+        for bytes in cases {
+            let fast = Cur::<true>::new(bytes).uvarint("v");
+            let reference = Cur::<false>::new(bytes).uvarint("v");
+            assert_eq!(fast, reference, "{bytes:02x?}");
         }
     }
 
@@ -878,8 +971,243 @@ mod tests {
         for v in [0.0, -0.0, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300, 0.1 + 0.2] {
             let mut buf = Vec::new();
             put_f64(&mut buf, v);
-            let mut cur = Cur::new(&buf);
+            let mut cur = Cur::<true>::new(&buf);
             assert_eq!(cur.f64("v").expect("decodes").to_bits(), v.to_bits());
+        }
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The decoder without the fast paths: every length prefix and every
+    /// varint field through the per-byte loop, with the counting pass in
+    /// front. The fast paths must agree with it on every input.
+    fn reference_read_stream(bytes: &[u8]) -> Result<Vec<TimedEvent>, String> {
+        if !is_binary(bytes) {
+            return Err("not a PDPAOBS1 binary stream (bad magic)".to_string());
+        }
+        let mut frames = 0;
+        let mut at = MAGIC.len();
+        let mut framing = Ok(());
+        while at < bytes.len() {
+            match frame_payload_loop(bytes, at, frames) {
+                Ok(payload) => {
+                    frames += 1;
+                    at = payload.end;
+                }
+                Err(e) => {
+                    framing = Err(e);
+                    break;
+                }
+            }
+        }
+        let mut events = Vec::with_capacity(frames);
+        let mut at = MAGIC.len();
+        for index in 0..frames {
+            let payload = frame_payload_loop(bytes, at, index)?;
+            let ev = decode_payload::<false>(&bytes[payload.clone()])
+                .map_err(|e| format!("frame {index} at byte {at}: {e}"))?;
+            events.push(ev);
+            at = payload.end;
+        }
+        framing.map(|()| events)
+    }
+
+    /// Both decoders' results, rendered (`Debug` prints a NaN the same
+    /// way twice, where `==` would not match it).
+    fn both(bytes: &[u8]) -> (String, String) {
+        (
+            format!("{:?}", read_stream(bytes)),
+            format!("{:?}", reference_read_stream(bytes)),
+        )
+    }
+
+    /// A value next to a varint width boundary (2^7, 2^14, 2^21, 2^28)
+    /// or at either end of the range, capped at `max`.
+    fn straddle(max: u64) -> impl Strategy<Value = u64> {
+        (0usize..6, 0u64..3).prop_map(move |(k, d)| {
+            let base = [0, 1 << 7, 1 << 14, 1 << 21, 1 << 28, u64::MAX][k];
+            base.saturating_sub(1).saturating_add(d).min(max)
+        })
+    }
+
+    const STATES: [StateName; 4] = [
+        StateName::NO_REF,
+        StateName::INC,
+        StateName::DEC,
+        StateName::STABLE,
+    ];
+
+    /// One event of kind `kind % 16` built from straddling values. State
+    /// names are the fixed four, so decoding interns nothing.
+    fn event(kind: u8, v: [u64; 3], text_len: usize) -> ObsEvent {
+        let [a, b, c] = v;
+        let job = JobId(a.min(u64::from(u32::MAX)) as u32);
+        let cpu = CpuId(b.min(u64::from(u16::MAX)) as u16);
+        let (b, c) = (b as usize, c as usize);
+        let x = a as f64 / 7.0;
+        match kind % 16 {
+            0 => ObsEvent::JobSubmitted { job },
+            1 => ObsEvent::JobDequeued { job },
+            2 => ObsEvent::JobStarted { job, request: b },
+            3 => ObsEvent::JobFinished { job },
+            4 => ObsEvent::IterationMeasured {
+                job,
+                procs: b,
+                iter_secs: x,
+                speedup: -x,
+                efficiency: f64::NAN,
+                estimated: c % 2 == 0,
+            },
+            5 => ObsEvent::Decision {
+                trigger: DecisionTrigger::Fault,
+                job,
+                from_alloc: b,
+                to_alloc: c,
+                transition: (c % 3 != 0).then(|| (STATES[b % 4], STATES[c % 4])),
+            },
+            6 => ObsEvent::StateChanged {
+                job,
+                from: STATES[b % 4],
+                to: STATES[c % 4],
+            },
+            7 => ObsEvent::MplChanged {
+                running: b,
+                total_alloc: c,
+            },
+            8 => ObsEvent::ReallocCost {
+                job,
+                penalty_secs: x,
+                gained: b,
+                lost: c,
+            },
+            9 => ObsEvent::CpuAssigned {
+                cpu,
+                job: (c % 2 == 0).then_some(job),
+            },
+            10 => ObsEvent::CpuFailed { cpu },
+            11 => ObsEvent::CpuRecovered { cpu },
+            12 => ObsEvent::DegradedCapacity { alive: b, total: c },
+            13 => ObsEvent::JobRetried {
+                job,
+                attempt: c.min(u32::MAX as usize) as u32,
+                backoff_secs: x,
+            },
+            14 => ObsEvent::JobFailed {
+                job,
+                attempts: c.min(u32::MAX as usize) as u32,
+            },
+            _ => ObsEvent::ExperimentFailed(Box::new(ExperimentFailure {
+                name: "x".repeat(text_len % 7),
+                message: "m".repeat(115 + text_len),
+            })),
+        }
+    }
+
+    /// A valid stream of 1–24 events drawn from `kinds`; `failed` frames
+    /// carry payloads of 128 bytes or more.
+    fn arb_stream(kinds: &'static [u8]) -> impl Strategy<Value = Vec<TimedEvent>> {
+        let spec = (
+            0..kinds.len(),
+            straddle(u64::MAX),
+            straddle(u64::from(u32::MAX)),
+            straddle(u64::MAX),
+            straddle(u64::MAX),
+            0usize..300,
+        );
+        proptest::collection::vec(spec, 1..24).prop_map(move |specs| {
+            specs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (k, seq, a, b, c, text_len))| TimedEvent {
+                    at: SimTime::from_secs(i as f64 * 0.5),
+                    seq,
+                    event: event(kinds[k], [a, b, c], text_len),
+                })
+                .collect()
+        })
+    }
+
+    const ALL_KINDS: &[u8] = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+    /// Every kind without a state-name field: a mutated name would be
+    /// interned in the process-wide table other tests here rely on.
+    const NAMELESS_KINDS: &[u8] = &[0, 1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+
+    /// True when a frame that decoding reaches has kind 5 or 6, whose
+    /// (possibly mutated) name fields would be interned.
+    fn reaches_a_named_kind(bytes: &[u8]) -> bool {
+        let mut at = MAGIC.len();
+        let mut index = 0;
+        while let Ok(payload) = frame_payload_loop(bytes, at, index) {
+            if matches!(bytes.get(payload.start), Some(5 | 6)) {
+                return true;
+            }
+            at = payload.end;
+            index += 1;
+        }
+        false
+    }
+
+    #[derive(Clone, Debug)]
+    enum Mutation {
+        Truncate(f64),
+        Flip(f64, u8),
+        Insert(f64, u8),
+    }
+
+    fn arb_mutation() -> impl Strategy<Value = Mutation> {
+        prop_oneof![
+            (0.0f64..1.0).prop_map(Mutation::Truncate),
+            (0.0f64..1.0, 1u8..=255).prop_map(|(at, mask)| Mutation::Flip(at, mask)),
+            (0.0f64..1.0, 0u8..=255).prop_map(|(at, byte)| Mutation::Insert(at, byte)),
+        ]
+    }
+
+    fn apply(bytes: &mut Vec<u8>, mutation: &Mutation) {
+        let body = bytes.len() - MAGIC.len();
+        let pos = |at: f64| MAGIC.len() + ((at * body as f64) as usize).min(body);
+        match *mutation {
+            Mutation::Truncate(at) => bytes.truncate(pos(at)),
+            Mutation::Flip(at, mask) => {
+                let i = pos(at);
+                if let Some(b) = bytes.get_mut(i) {
+                    *b ^= mask;
+                }
+            }
+            Mutation::Insert(at, byte) => bytes.insert(pos(at), byte),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Valid streams whose varints sit at every width boundary decode
+        /// to themselves, and to what the per-byte loop decodes.
+        #[test]
+        fn fast_paths_decode_valid_streams_like_the_loop(events in arb_stream(ALL_KINDS)) {
+            let bytes = write_stream(&events);
+            let (fast, reference) = both(&bytes);
+            prop_assert_eq!(&fast, &reference);
+            prop_assert_eq!(fast, format!("{:?}", Ok::<_, String>(events)));
+        }
+
+        /// Truncated, flipped and padded streams decode to the same
+        /// events or fail with the same diagnostic on both paths.
+        #[test]
+        fn fast_paths_match_the_loop_on_mutated_streams(
+            events in arb_stream(NAMELESS_KINDS),
+            mutations in proptest::collection::vec(arb_mutation(), 1..4),
+        ) {
+            let mut bytes = write_stream(&events);
+            for m in &mutations {
+                apply(&mut bytes, m);
+            }
+            prop_assume!(!reaches_a_named_kind(&bytes));
+            let (fast, reference) = both(&bytes);
+            prop_assert_eq!(fast, reference);
         }
     }
 }

@@ -62,8 +62,10 @@ pub fn equal_shares(total: usize, requests: &[usize], min_each: usize) -> Vec<us
 /// highest, subject to per-job `requests` caps and a `min_each` floor.
 ///
 /// `gain` is called with the job index and its current allocation and must
-/// return the benefit of the *next* processor. Ties break toward the
-/// earliest job. This is the allocation engine of Equal_efficiency.
+/// return the benefit of the *next* processor. It must depend on those two
+/// arguments alone: each job's gain is computed once and recomputed only
+/// after that job wins a processor. Ties break toward the latest job. This
+/// is the allocation engine of Equal_efficiency and OptSplit.
 pub fn marginal_fill<G>(
     total: usize,
     requests: &[usize],
@@ -86,15 +88,30 @@ where
         remaining -= floor;
     }
 
+    // The gain of each job's next processor; a capped job's entry is
+    // never read.
+    let mut gains: Vec<f64> = (0..n)
+        .map(|i| {
+            if alloc[i] < requests[i] {
+                gain(i, alloc[i])
+            } else {
+                0.0
+            }
+        })
+        .collect();
     while remaining > 0 {
-        let best = (0..n)
-            .filter(|&i| alloc[i] < requests[i])
-            .map(|i| (i, gain(i, alloc[i])))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains must not be NaN"));
+        let best = (0..n).filter(|&i| alloc[i] < requests[i]).max_by(|&a, &b| {
+            gains[a]
+                .partial_cmp(&gains[b])
+                .expect("gains must not be NaN")
+        });
         match best {
-            Some((i, g)) if g > 0.0 => {
+            Some(i) if gains[i] > 0.0 => {
                 alloc[i] += 1;
                 remaining -= 1;
+                if alloc[i] < requests[i] {
+                    gains[i] = gain(i, alloc[i]);
+                }
             }
             // No job benefits from another processor: stop handing them out.
             _ => break,
@@ -256,6 +273,13 @@ mod tests {
     }
 
     #[test]
+    fn marginal_fill_ties_go_to_the_latest_job() {
+        // Equal gains: each processor goes to the last job still below
+        // its request.
+        assert_eq!(marginal_fill(3, &[2, 2], 0, |_, _| 1.0), vec![1, 2]);
+    }
+
+    #[test]
     fn marginal_fill_diminishing_returns_balances() {
         // Identical concave gains: allocations should come out near equal.
         let alloc = marginal_fill(12, &[30, 30, 30], 1, |_, a| 1.0 / (a + 1) as f64);
@@ -270,6 +294,51 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `marginal_fill` as it was first written: every processor handed
+    /// out re-evaluates every uncapped job's gain.
+    fn reference_marginal_fill<G>(
+        total: usize,
+        requests: &[usize],
+        min_each: usize,
+        mut gain: G,
+    ) -> Vec<usize>
+    where
+        G: FnMut(usize, usize) -> f64,
+    {
+        let n = requests.len();
+        let mut alloc = vec![0usize; n];
+        let mut remaining = total;
+        for (a, &req) in alloc.iter_mut().zip(requests) {
+            let floor = min_each.min(req).min(remaining);
+            *a = floor;
+            remaining -= floor;
+        }
+        while remaining > 0 {
+            let best = (0..n)
+                .filter(|&i| alloc[i] < requests[i])
+                .map(|i| (i, gain(i, alloc[i])))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("gains must not be NaN"));
+            match best {
+                Some((i, g)) if g > 0.0 => {
+                    alloc[i] += 1;
+                    remaining -= 1;
+                }
+                _ => break,
+            }
+        }
+        alloc
+    }
+
+    /// A per-job gain curve: `scale / (alloc + 1)^power`, zero from
+    /// `cutoff` processors on. Coarse scales make ties common.
+    fn curve(scale: u8, power: u8, cutoff: usize, alloc: usize) -> f64 {
+        if alloc >= cutoff {
+            0.0
+        } else {
+            f64::from(scale) / ((alloc + 1) as f64).powi(i32::from(power))
+        }
+    }
 
     proptest! {
         #[test]
@@ -307,6 +376,26 @@ mod proptests {
             let max = *alloc.iter().max().unwrap();
             let min = *alloc.iter().min().unwrap();
             prop_assert!(max - min <= 1, "equal jobs differ by at most one: {:?}", alloc);
+        }
+
+        /// Recomputing only the winner's gain hands out exactly what
+        /// re-evaluating every job's gain per processor does, ties and
+        /// zero-gain stops included.
+        #[test]
+        fn marginal_fill_matches_the_full_rescan(
+            total in 0usize..80,
+            jobs in proptest::collection::vec((1usize..40, 0u8..4, 0u8..3, 0usize..50), 0..10),
+            min_each in 0usize..3,
+        ) {
+            let requests: Vec<usize> = jobs.iter().map(|j| j.0).collect();
+            let gain = |i: usize, a: usize| {
+                let (_, scale, power, cutoff) = jobs[i];
+                curve(scale, power, cutoff, a)
+            };
+            prop_assert_eq!(
+                marginal_fill(total, &requests, min_each, gain),
+                reference_marginal_fill(total, &requests, min_each, gain)
+            );
         }
 
         #[test]

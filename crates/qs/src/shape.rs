@@ -95,7 +95,8 @@ pub fn demand(records: &[SwfRecord], cpus: usize) -> f64 {
 /// Stretches or compresses every interarrival gap by one constant factor
 /// so the trace's demand on a `cpus`-processor machine becomes
 /// `target_load`. Job work is untouched — only submission instants move.
-/// Traces whose demand cannot be computed (empty, single-instant) are
+/// Traces whose demand cannot be computed (empty, single-instant, or work
+/// that overflows) and traces whose last instant would overflow are
 /// returned unchanged.
 pub fn rescale_load(records: &[SwfRecord], target_load: f64, cpus: usize) -> Vec<SwfRecord> {
     let current = demand(records, cpus);
@@ -109,6 +110,13 @@ pub fn rescale_load(records: &[SwfRecord], target_load: f64, cpus: usize) -> Vec
         .iter()
         .map(|r| r.submit_secs)
         .fold(f64::INFINITY, f64::min);
+    let last = records
+        .iter()
+        .map(|r| r.submit_secs)
+        .fold(f64::NEG_INFINITY, f64::max);
+    if !(origin + (last - origin) * factor).is_finite() {
+        return records.to_vec();
+    }
     records
         .iter()
         .map(|r| {
@@ -227,6 +235,19 @@ mod tests {
         // Same-size remap only clamps oversized requests.
         let clamped = remap_machine(&[rec(1, 0.0, 500, 1)], 60, 60);
         assert_eq!(clamped[0].requested_procs, 60);
+    }
+
+    #[test]
+    fn load_rescaling_that_would_overflow_leaves_the_trace() {
+        // Demand 0.7 rescaled to 1e-307 would stretch the span past
+        // f64::MAX; an infinite demand has no finite factor at all.
+        let records = vec![rec(1, 0.0, 30, 2), rec(2, 100.0, 30, 2)];
+        assert_eq!(rescale_load(&records, 1e-307, 60), records);
+        let mut huge = records.clone();
+        huge[0].run_secs = f64::MAX;
+        huge[0].allocated_procs = 2.0;
+        assert!(demand(&huge, 60).is_infinite());
+        assert_eq!(rescale_load(&huge, 1.0, 60), huge);
     }
 
     #[test]

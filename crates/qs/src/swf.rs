@@ -77,6 +77,13 @@ pub enum SwfError {
         /// 1-based SWF field number.
         field: usize,
     },
+    /// A numeric field parsed as infinite or NaN (`inf`, `nan`, `1e999`).
+    NonFinite {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based SWF field number.
+        field: usize,
+    },
     /// The executable number does not map to a known application class.
     UnknownExecutable {
         /// 1-based line number.
@@ -106,6 +113,9 @@ impl fmt::Display for SwfError {
             }
             SwfError::BadNumber { line, field } => {
                 write!(f, "line {line}: field {field} is not a number")
+            }
+            SwfError::NonFinite { line, field } => {
+                write!(f, "line {line}: field {field} is not a finite number")
             }
             SwfError::UnknownExecutable { line, executable } => {
                 write!(f, "line {line}: unknown executable number {executable}")
@@ -173,8 +183,8 @@ impl SwfRecord {
     ///
     /// # Errors
     ///
-    /// [`SwfError::TooFewFields`] or [`SwfError::BadNumber`] with the
-    /// offending line and field.
+    /// [`SwfError::TooFewFields`], [`SwfError::BadNumber`] or
+    /// [`SwfError::NonFinite`] with the offending line and field.
     pub fn parse_line(line: &str, line_no: usize) -> Result<SwfRecord, SwfError> {
         let mut cur = FieldCursor {
             fields: line.split_whitespace(),
@@ -244,10 +254,17 @@ impl FieldCursor<'_> {
             got: self.got,
         })?;
         self.got += 1;
-        raw.parse::<f64>().map_err(|_| SwfError::BadNumber {
+        let v = raw.parse::<f64>().map_err(|_| SwfError::BadNumber {
             line: self.line,
             field,
-        })
+        })?;
+        if !v.is_finite() {
+            return Err(SwfError::NonFinite {
+                line: self.line,
+                field,
+            });
+        }
+        Ok(v)
     }
 
     /// Integer fields tolerate float spellings ("2.0") — some published
@@ -509,6 +526,27 @@ mod tests {
         let text = "1 zero -1 -1 -1 -1 -1 2 -1 -1 -1 -1 -1 4 -1 -1 -1 -1\n";
         let err = parse_swf(text).unwrap_err();
         assert_eq!(err, SwfError::BadNumber { line: 1, field: 2 });
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for (field, bad) in [
+            (2, "inf"),
+            (2, "1e999"),
+            (2, "nan"),
+            (4, "-inf"),
+            (14, "NaN"),
+        ] {
+            let mut fields = vec!["1", "0.0", "-1", "-1", "-1", "-1", "-1", "2", "-1"];
+            fields.extend(["-1", "-1", "-1", "-1", "4", "-1", "-1", "-1", "-1"]);
+            fields[field - 1] = bad;
+            let err = read_swf(fields.join(" ").as_bytes()).unwrap_err();
+            assert_eq!(err, SwfError::NonFinite { line: 1, field });
+            assert_eq!(
+                err.to_string(),
+                format!("line 1: field {field} is not a finite number")
+            );
+        }
     }
 
     #[test]
