@@ -10,7 +10,7 @@ use pdpa_metrics::{JobOutcome, Summary};
 use pdpa_obs::metrics::{Histogram, Registry, RunCounters, SampledTimer, SAMPLE_EVERY};
 use pdpa_obs::{DecisionTrigger, NullObserver, ObsEvent, Observer, StateName};
 use pdpa_perf::SelfAnalyzer;
-use pdpa_policies::{Decisions, JobView, PolicyCtx, SchedulingPolicy, SharingModel};
+use pdpa_policies::{Decisions, PolicyCtx, SchedulingPolicy, SharingModel};
 use pdpa_prof::{HealthSnapshot, Heartbeat, KindProfile, Profile, SpanKind, Watchdog};
 use pdpa_qs::{JobSpec, QueueSystem};
 use pdpa_sim::{CpuId, EventQueue, JobId, Machine, QueueStats, SimRng, SimTime};
@@ -60,6 +60,10 @@ enum Ev {
     /// A crashed job's backoff elapsed: it rejoins the queue.
     JobRetry(JobId),
 }
+
+// Every pending event is one 32-byte heap entry: the order key, the key
+// word and this 8-byte payload.
+const _: () = assert!(EventQueue::<Ev>::ENTRY_BYTES == 32);
 
 /// Executes workloads under a [`SchedulingPolicy`].
 #[derive(Clone, Debug)]
@@ -213,12 +217,6 @@ pub(crate) struct Sim<O> {
     /// Running jobs in struct-of-arrays layout (hot fields dense, arrival
     /// order preserved for policy context ordering).
     store: JobStore,
-    /// Reused buffer for policy-call snapshots — kept current by
-    /// `refresh_views` instead of allocating a fresh `Vec` per policy call.
-    views_scratch: Vec<JobView>,
-    /// The store version `views_scratch` was last brought up to date at
-    /// (0, the empty store's version, before the first refresh).
-    views_version: u64,
     outcomes: Vec<JobOutcome>,
     /// `(class, average allocation)` of completed jobs.
     completed_allocs: Vec<(AppClass, f64)>,
@@ -302,8 +300,6 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
             },
             clock: SimTime::ZERO,
             store: JobStore::new(),
-            views_scratch: Vec::new(),
-            views_version: 0,
             outcomes: Vec::new(),
             completed_allocs: Vec::new(),
             completed_alloc_by_job: HashMap::new(),
@@ -474,19 +470,6 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
             profile.set(SpanKind::QueueOps, kind_profile(timer));
         }
         profile
-    }
-
-    /// Brings the reusable snapshot of the running jobs up to date for a
-    /// policy call: nothing to do while the store version stands still,
-    /// else only the positions that changed are rewritten. Read the result
-    /// via `self.views_scratch`.
-    fn refresh_views(&mut self) {
-        let version = self.store.version();
-        if self.views_version != version {
-            self.store
-                .refresh_views(&mut self.views_scratch, self.views_version);
-            self.views_version = version;
-        }
     }
 
     /// Operational processors right now (total minus injected failures) —
@@ -898,7 +881,7 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
 
     /// Picks the job to admit: the FCFS head, or — with backfilling — the
     /// first waiting job the policy accepts.
-    fn pick_admissible(&self, policy: &dyn SchedulingPolicy, views: &[JobView]) -> Option<JobId> {
+    fn pick_admissible(&self, policy: &dyn SchedulingPolicy) -> Option<JobId> {
         let scan = if self.config.backfill {
             self.qs.waiting_count()
         } else {
@@ -909,7 +892,7 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
                 now: self.clock,
                 total_cpus: self.alive_cpus(),
                 free_cpus: self.free_cpus(),
-                jobs: views,
+                jobs: self.store.views(),
                 queued_jobs: self.qs.waiting_count(),
                 next_request: Some(self.qs.spec(job).app.request),
             })
@@ -918,8 +901,7 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
 
     fn try_admit(&mut self, policy: &mut dyn SchedulingPolicy) {
         loop {
-            self.refresh_views();
-            let Some(job) = self.pick_admissible(policy, &self.views_scratch) else {
+            let Some(job) = self.pick_admissible(policy) else {
                 return;
             };
             assert!(self.qs.start_specific(job), "picked job is waiting");
@@ -936,12 +918,11 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
                 self.publish(ObsEvent::JobStarted { job, request });
             }
             self.record_ml();
-            self.refresh_views();
             let ctx = PolicyCtx {
                 now: self.clock,
                 total_cpus: self.alive_cpus(),
                 free_cpus: self.free_cpus(),
-                jobs: &self.views_scratch,
+                jobs: self.store.views(),
                 queued_jobs: self.qs.waiting_count(),
                 next_request: self.next_request(),
             };
@@ -956,8 +937,8 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
     }
 
     fn on_iter_end(&mut self, job: JobId, policy: &mut dyn SchedulingPolicy) {
-        // Stale events (completed job, bumped generation) never reach here:
-        // the queue discards invalidated keys inside `pop`.
+        // Stale events (completed or rescheduled job) never reach here: the
+        // queue discards invalidated keys inside `pop`.
         let crossed = self.store.advance_to(job, self.clock);
         let mut sample = None;
         // `(procs, measured_secs)` of a clean iteration, kept for the
@@ -1023,12 +1004,11 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
         }
 
         if let Some(s) = sample {
-            self.refresh_views();
             let ctx = PolicyCtx {
                 now: self.clock,
                 total_cpus: self.alive_cpus(),
                 free_cpus: self.free_cpus(),
-                jobs: &self.views_scratch,
+                jobs: self.store.views(),
                 queued_jobs: self.qs.waiting_count(),
                 next_request: self.next_request(),
             };
@@ -1090,12 +1070,11 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
         self.qs.complete(job);
         self.record_ml();
 
-        self.refresh_views();
         let ctx = PolicyCtx {
             now: self.clock,
             total_cpus: self.alive_cpus(),
             free_cpus: self.free_cpus(),
-            jobs: &self.views_scratch,
+            jobs: self.store.views(),
             queued_jobs: self.qs.waiting_count(),
             next_request: self.next_request(),
         };
@@ -1164,12 +1143,11 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
                 total: self.config.cpus,
             });
         }
-        self.refresh_views();
         let ctx = PolicyCtx {
             now: self.clock,
             total_cpus: self.alive_cpus(),
             free_cpus: self.free_cpus(),
-            jobs: &self.views_scratch,
+            jobs: self.store.views(),
             queued_jobs: self.qs.waiting_count(),
             next_request: self.next_request(),
         };
@@ -1284,8 +1262,9 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
         self.memo_hits += memo.hits;
         self.memo_misses += memo.misses;
         // Invalidate the crashed incarnation's pending iteration event by
-        // key: a retried job reuses its id, and generations never reset, so
-        // the old prediction can never be mistaken for the new one.
+        // key: a retried job reuses its id, but an invalidation covers every
+        // entry pushed before it, so the old prediction can never be
+        // mistaken for the new one.
         self.events.invalidate_key(u64::from(job.0));
         self.record_ml();
 
@@ -1315,12 +1294,11 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
 
         // The job departed: let the policy redistribute, then refill the
         // multiprogramming slot it vacated.
-        self.refresh_views();
         let ctx = PolicyCtx {
             now: self.clock,
             total_cpus: self.alive_cpus(),
             free_cpus: self.free_cpus(),
-            jobs: &self.views_scratch,
+            jobs: self.store.views(),
             queued_jobs: self.qs.waiting_count(),
             next_request: self.next_request(),
         };

@@ -1,29 +1,35 @@
-//! Struct-of-arrays storage for the running-job set.
+//! Struct-of-arrays storage for the running-job set, and the policy
+//! snapshot it keeps in place.
 //!
-//! The engine's hot loops — snapshotting `JobView`s for every policy
-//! activation, summing allocations, recomputing every rate after a
+//! The engine's hot loops — handing every policy activation a `JobView`
+//! per running job, summing allocations, recomputing every rate after a
 //! capacity change — scan all running jobs but touch only a few small
-//! fields each. The old `HashMap<JobId, RunningJob>` paid a pointer
-//! chase and a ~200-byte cache line per job for every one of those
-//! scans. [`JobStore`] instead keeps each hot field (remaining work,
-//! allocation, progress rate, iteration deadline bookkeeping) in its own
-//! dense vector, indexed by a *slot* assigned at admission; a slot map
-//! translates [`JobId`]s, and `order` lists live slots in arrival order,
-//! which is both the policy-context ordering and the cache-friendly scan
-//! order. Cold state (the application spec, the SelfAnalyzer, the
-//! speedup memo, the per-job noise stream) lives in a parallel vector of
+//! fields each. [`JobStore`] keeps each hot field (remaining work,
+//! progress rate, iteration deadline bookkeeping) in its own dense vector,
+//! indexed by the job's *position* in arrival order, which is both the
+//! policy-context ordering and the cache-friendly scan order; a map
+//! translates [`JobId`]s to positions. Cold state (the application spec,
+//! the SelfAnalyzer, the speedup memo) lives in a parallel vector of
 //! [`JobCold`] records that only the per-iteration paths touch.
 //!
-//! Slots are recycled through a free list, so long replays with a
-//! bounded multiprogramming level run in O(peak ML) memory regardless of
-//! trace length.
+//! The store owns the policy snapshot: [`views`](JobStore::views) is one
+//! [`JobView`] per running job, in the same order, and every mutator
+//! writes the view field it changes as it changes it — the allocation,
+//! the last estimate, and the remaining work after progress or the
+//! per-iteration time moves. A policy call reads the slice as it stands,
+//! with no refresh pass; [`fill_views`](JobStore::fill_views) rebuilds the
+//! snapshot from the lanes and is the tests' oracle for it.
+//!
+//! A start appends to every vector and a removal shifts the later
+//! positions down, so the store holds only the running jobs and long
+//! replays run in O(peak ML) memory regardless of trace length.
 
 use pdpa_apps::{ApplicationSpec, PhaseChange, Progress, SpeedupMemo};
 use pdpa_perf::{PerfSample, SelfAnalyzer};
 use pdpa_policies::JobView;
 use pdpa_sim::{JobId, SimDuration, SimTime};
 
-/// Sentinel in the slot map for "not running".
+/// Sentinel in the position map for "not running".
 const VACANT: u32 = u32::MAX;
 
 /// Cold per-job state: touched once per iteration end, never in the
@@ -49,34 +55,18 @@ pub struct MemoStats {
     pub misses: u64,
 }
 
-/// The running-job set in struct-of-arrays layout.
+/// The running-job set in struct-of-arrays layout, every vector indexed by
+/// arrival-order position.
 #[derive(Clone, Debug, Default)]
 pub struct JobStore {
-    /// Bumped by every mutation that can change what [`fill_views`]
-    /// produces, so a caller holding a filled snapshot can tell whether it
-    /// is still current.
-    ///
-    /// [`fill_views`]: JobStore::fill_views
-    version: u64,
-    /// The version at each slot's last view-affecting mutation, so
-    /// [`refresh_views`](JobStore::refresh_views) rewrites only the
-    /// positions that changed.
-    stamp: Vec<u64>,
-    /// `JobId → slot` (job ids are dense submission ranks, so a vector
+    /// `JobId → position` (job ids are dense submission ranks, so a vector
     /// beats a hash map); `VACANT` marks a job that is not running.
-    slot_of: Vec<u32>,
-    /// Live slots in arrival order — the scan and policy-view order.
-    order: Vec<u32>,
-    /// Recycled slots.
-    free: Vec<u32>,
+    pos_of: Vec<u32>,
+    /// The policy snapshot: id, request, allocation, last estimate and
+    /// remaining work of each running job, kept current by the mutators.
+    views: Vec<JobView>,
 
-    // --- Hot fields, one dense vector each, indexed by slot ---
-    /// Job id occupying each slot.
-    ids: Vec<JobId>,
-    /// Current allocation (processors or threads).
-    allocated: Vec<usize>,
-    /// Requested processors (`spec.request`, mirrored hot for views).
-    request: Vec<usize>,
+    // --- Hot fields, one dense vector each ---
     /// Progress rate in iterations per second (0 while stalled).
     rate: Vec<f64>,
     /// Remaining work: progress through the iterative region.
@@ -89,15 +79,25 @@ pub struct JobStore {
     iter_started_at: Vec<SimTime>,
     /// True when the in-flight iteration mixes two allocations.
     iter_polluted: Vec<bool>,
-    /// The job's most recent performance estimate.
-    last_sample: Vec<Option<PerfSample>>,
     /// Sequential seconds of the job's *current* iteration, overhead
     /// included — a hot mirror of `spec.seq_iter_time_at(done)` refreshed
-    /// on every rate change so view snapshots never touch cold state.
+    /// on every rate change, so the remaining-work estimate never touches
+    /// cold state.
     seq_iter_secs: Vec<f64>,
 
-    /// Cold remainder, indexed by slot (`None` for free slots).
-    cold: Vec<Option<JobCold>>,
+    /// Cold remainder.
+    cold: Vec<JobCold>,
+}
+
+/// Estimated sequential seconds remaining: outstanding iterations (partial
+/// current one included) times the current per-iteration sequential time.
+#[inline]
+fn remaining_secs(progress: &Progress, seq_iter_secs: f64) -> f64 {
+    let whole = progress
+        .iterations_total()
+        .saturating_sub(progress.iterations_done()) as f64;
+    let remaining_iters = (whole - progress.current_fraction()).max(0.0);
+    remaining_iters * seq_iter_secs
 }
 
 impl JobStore {
@@ -106,48 +106,50 @@ impl JobStore {
         JobStore::default()
     }
 
-    /// The view version: equal versions guarantee equal
-    /// [`fill_views`](Self::fill_views) output.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Number of running jobs.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.views.len()
     }
 
     /// True when no jobs are running.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.views.is_empty()
     }
 
     /// True when `job` is running.
     pub fn contains(&self, job: JobId) -> bool {
-        self.slot_of
+        self.pos_of
             .get(job.0 as usize)
-            .is_some_and(|&s| s != VACANT)
+            .is_some_and(|&p| p != VACANT)
     }
 
     #[inline]
-    fn slot(&self, job: JobId) -> usize {
-        let s = self.slot_of[job.0 as usize];
-        debug_assert!(s != VACANT, "job {} is not running", job.0);
-        s as usize
+    fn pos(&self, job: JobId) -> usize {
+        let p = self.pos_of[job.0 as usize];
+        debug_assert!(p != VACANT, "job {} is not running", job.0);
+        p as usize
     }
 
-    /// The job occupying arrival-order position `i`.
+    /// The job at arrival-order position `i`.
     pub fn id_at(&self, i: usize) -> JobId {
-        self.ids[self.order[i] as usize]
+        self.views[i].id
     }
 
     /// Running job ids in arrival order.
     pub fn ids_in_order(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.order.iter().map(|&s| self.ids[s as usize])
+        self.views.iter().map(|v| v.id)
     }
 
-    /// Admits a job: assigns a slot (recycling freed ones) and
-    /// initializes its runtime state exactly as a fresh start at `now`.
+    /// The policy snapshot of the running jobs, in arrival order. Always
+    /// current: it equals what [`fill_views`](Self::fill_views) builds.
+    #[inline]
+    pub fn views(&self) -> &[JobView] {
+        &self.views
+    }
+
+    /// Admits a job at the end of the arrival order, with its runtime
+    /// state initialized exactly as a fresh start at `now`; returns its
+    /// position.
     pub fn start(
         &mut self,
         job: JobId,
@@ -156,75 +158,56 @@ impl JobStore {
         now: SimTime,
     ) -> usize {
         let id_idx = job.0 as usize;
-        if self.slot_of.len() <= id_idx {
-            self.slot_of.resize(id_idx + 1, VACANT);
+        if self.pos_of.len() <= id_idx {
+            self.pos_of.resize(id_idx + 1, VACANT);
         }
-        assert_eq!(
-            self.slot_of[id_idx], VACANT,
-            "job {} already running",
-            job.0
-        );
-        let iterations = spec.iterations;
-        let request = spec.request;
-        let first_iter_secs =
-            spec.seq_iter_time_at(0).as_secs() * (1.0 + spec.measurement_overhead);
-        let cold = JobCold {
+        assert_eq!(self.pos_of[id_idx], VACANT, "job {} already running", job.0);
+        let p = self.views.len();
+        let progress = Progress::new(spec.iterations);
+        let seq_iter_secs = spec.seq_iter_time_at(0).as_secs() * (1.0 + spec.measurement_overhead);
+        self.views.push(JobView {
+            id: job,
+            request: spec.request,
+            allocated: 0,
+            last_sample: None,
+            remaining_secs: remaining_secs(&progress, seq_iter_secs),
+        });
+        self.rate.push(0.0);
+        self.progress.push(progress);
+        self.advanced_to.push(now);
+        self.cpu_seconds.push(0.0);
+        self.iter_started_at.push(now);
+        self.iter_polluted.push(false);
+        self.seq_iter_secs.push(seq_iter_secs);
+        self.cold.push(JobCold {
             spec,
             analyzer,
             started_at: now,
             speedup_memo: SpeedupMemo::new(),
-        };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let i = s as usize;
-                self.ids[i] = job;
-                self.allocated[i] = 0;
-                self.request[i] = request;
-                self.rate[i] = 0.0;
-                self.progress[i] = Progress::new(iterations);
-                self.advanced_to[i] = now;
-                self.cpu_seconds[i] = 0.0;
-                self.iter_started_at[i] = now;
-                self.iter_polluted[i] = false;
-                self.last_sample[i] = None;
-                self.seq_iter_secs[i] = first_iter_secs;
-                self.cold[i] = Some(cold);
-                s
-            }
-            None => {
-                let s = self.ids.len() as u32;
-                self.ids.push(job);
-                self.allocated.push(0);
-                self.request.push(request);
-                self.rate.push(0.0);
-                self.progress.push(Progress::new(iterations));
-                self.advanced_to.push(now);
-                self.cpu_seconds.push(0.0);
-                self.iter_started_at.push(now);
-                self.iter_polluted.push(false);
-                self.last_sample.push(None);
-                self.seq_iter_secs.push(first_iter_secs);
-                self.cold.push(Some(cold));
-                self.stamp.push(0);
-                s
-            }
-        };
-        self.slot_of[id_idx] = slot;
-        self.order.push(slot);
-        self.touch(slot as usize);
-        slot as usize
+        });
+        self.pos_of[id_idx] = p as u32;
+        p
     }
 
-    /// Removes a job (completion, crash), freeing its slot and returning
-    /// the harvested speedup-memo statistics.
+    /// Removes a job (completion, crash), shifting the later positions
+    /// down, and returns the harvested speedup-memo statistics.
     pub fn remove(&mut self, job: JobId) -> MemoStats {
-        let slot = self.slot_of[job.0 as usize];
-        assert!(slot != VACANT, "job {} is not running", job.0);
-        self.slot_of[job.0 as usize] = VACANT;
-        self.order.retain(|&s| s != slot);
-        self.version += 1;
-        let cold = self.cold[slot as usize].take().expect("occupied slot");
-        self.free.push(slot);
+        let p = self.pos_of[job.0 as usize];
+        assert!(p != VACANT, "job {} is not running", job.0);
+        self.pos_of[job.0 as usize] = VACANT;
+        let p = p as usize;
+        self.views.remove(p);
+        for view in &self.views[p..] {
+            self.pos_of[view.id.0 as usize] -= 1;
+        }
+        self.rate.remove(p);
+        self.progress.remove(p);
+        self.advanced_to.remove(p);
+        self.cpu_seconds.remove(p);
+        self.iter_started_at.remove(p);
+        self.iter_polluted.remove(p);
+        self.seq_iter_secs.remove(p);
+        let cold = self.cold.remove(p);
         let (hits, misses) = cold.speedup_memo.stats();
         MemoStats { hits, misses }
     }
@@ -233,12 +216,8 @@ impl JobStore {
     /// at the simulation bound).
     pub fn remaining_memo_stats(&self) -> MemoStats {
         let mut out = MemoStats::default();
-        for &s in &self.order {
-            let (h, m) = self.cold[s as usize]
-                .as_ref()
-                .expect("occupied")
-                .speedup_memo
-                .stats();
+        for cold in &self.cold {
+            let (h, m) = cold.speedup_memo.stats();
             out.hits += h;
             out.misses += m;
         }
@@ -247,98 +226,57 @@ impl JobStore {
 
     // --- Dense scans ---
 
-    /// Estimated sequential seconds remaining for the slot: outstanding
-    /// iterations (partial current one included) times the current
-    /// per-iteration sequential time. Hot lanes only.
-    fn remaining_secs_slot(&self, i: usize) -> f64 {
-        let p = &self.progress[i];
-        let whole = p.iterations_total().saturating_sub(p.iterations_done()) as f64;
-        let remaining_iters = (whole - p.current_fraction()).max(0.0);
-        remaining_iters * self.seq_iter_secs[i]
-    }
-
-    fn view_slot(&self, i: usize) -> JobView {
-        JobView {
-            id: self.ids[i],
-            request: self.request[i],
-            allocated: self.allocated[i],
-            last_sample: self.last_sample[i],
-            remaining_secs: self.remaining_secs_slot(i),
-        }
-    }
-
-    /// Bumps the version and stamps slot `i` with it.
-    #[inline]
-    fn touch(&mut self, i: usize) {
-        self.version += 1;
-        self.stamp[i] = self.version;
-    }
-
-    /// Refills `out` with the policy-view snapshot, in arrival order.
+    /// Rebuilds the policy snapshot into `out`, in arrival order, with the
+    /// request taken from the spec and the remaining work recomputed from
+    /// the lanes — what [`views`](Self::views) must always equal. The
+    /// allocation and the last estimate are stored only in the views and
+    /// are copied.
     pub fn fill_views(&self, out: &mut Vec<JobView>) {
         out.clear();
-        out.extend(self.order.iter().map(|&s| self.view_slot(s as usize)));
-    }
-
-    /// Brings `out`, a snapshot that equalled [`fill_views`] at version
-    /// `filled_at`, up to date: rewrites only the positions whose job
-    /// moved or whose slot was stamped after `filled_at`. An empty `out`
-    /// with `filled_at` 0 is a valid starting point.
-    ///
-    /// [`fill_views`]: Self::fill_views
-    pub fn refresh_views(&self, out: &mut Vec<JobView>, filled_at: u64) {
-        out.truncate(self.order.len());
-        let (kept, added) = self.order.split_at(out.len());
-        for (view, &s) in out.iter_mut().zip(kept) {
-            let i = s as usize;
-            if self.stamp[i] > filled_at || view.id != self.ids[i] {
-                *view = self.view_slot(i);
-            }
-        }
-        out.extend(added.iter().map(|&s| self.view_slot(s as usize)));
+        out.extend(self.views.iter().enumerate().map(|(p, view)| JobView {
+            request: self.cold[p].spec.request,
+            remaining_secs: remaining_secs(&self.progress[p], self.seq_iter_secs[p]),
+            ..*view
+        }));
     }
 
     /// The policy-view snapshot of one job.
     pub fn view_of(&self, job: JobId) -> JobView {
-        self.view_slot(self.slot(job))
+        self.views[self.pos(job)].clone()
     }
 
     /// Sum of current allocations over all running jobs.
     pub fn total_allocated(&self) -> usize {
-        self.order.iter().map(|&s| self.allocated[s as usize]).sum()
+        self.views.iter().map(|v| v.allocated).sum()
     }
 
     /// Sum of effective processors over all running jobs (time-shared
     /// rate model).
     pub fn total_effective_procs(&self) -> usize {
-        self.order
-            .iter()
-            .map(|&s| self.effective_procs_slot(s as usize))
-            .sum()
+        (0..self.len()).map(|p| self.effective_procs_at(p)).sum()
     }
 
     // --- Per-job accessors ---
 
     /// Current allocation.
     pub fn allocated(&self, job: JobId) -> usize {
-        self.allocated[self.slot(job)]
+        self.views[self.pos(job)].allocated
     }
 
     /// Sets the allocation (the caller handles machine/placement state).
     pub fn set_allocated(&mut self, job: JobId, alloc: usize) {
-        let s = self.slot(job);
-        self.allocated[s] = alloc;
-        self.touch(s);
+        let p = self.pos(job);
+        self.views[p].allocated = alloc;
     }
 
     /// Requested processors.
     pub fn request(&self, job: JobId) -> usize {
-        self.request[self.slot(job)]
+        self.views[self.pos(job)].request
     }
 
     /// Current progress rate (iterations per second).
     pub fn rate(&self, job: JobId) -> f64 {
-        self.rate[self.slot(job)]
+        self.rate[self.pos(job)]
     }
 
     /// The job's application class (cold read).
@@ -358,38 +296,38 @@ impl JobStore {
 
     /// Iterations fully completed so far.
     pub fn iterations_done(&self, job: JobId) -> u32 {
-        self.progress[self.slot(job)].iterations_done()
+        self.progress[self.pos(job)].iterations_done()
     }
 
     /// True when the job has crossed its final iteration boundary.
     pub fn is_complete(&self, job: JobId) -> bool {
-        self.progress[self.slot(job)].is_complete()
+        self.progress[self.pos(job)].is_complete()
     }
 
     /// Measurement-window start of the in-flight iteration.
     pub fn iter_started_at(&self, job: JobId) -> SimTime {
-        self.iter_started_at[self.slot(job)]
+        self.iter_started_at[self.pos(job)]
     }
 
     /// Restarts the measurement window at `now`.
     pub fn set_iter_started_at(&mut self, job: JobId, now: SimTime) {
-        let s = self.slot(job);
-        self.iter_started_at[s] = now;
+        let p = self.pos(job);
+        self.iter_started_at[p] = now;
     }
 
     /// True when the in-flight iteration mixes two allocations.
     pub fn iter_polluted(&self, job: JobId) -> bool {
-        self.iter_polluted[self.slot(job)]
+        self.iter_polluted[self.pos(job)]
     }
 
     /// Marks/clears the mixed-allocation flag.
     pub fn set_iter_polluted(&mut self, job: JobId, polluted: bool) {
-        let s = self.slot(job);
-        self.iter_polluted[s] = polluted;
+        let p = self.pos(job);
+        self.iter_polluted[p] = polluted;
     }
 
     fn cold_ref(&self, job: JobId) -> &JobCold {
-        self.cold[self.slot(job)].as_ref().expect("occupied slot")
+        &self.cold[self.pos(job)]
     }
 
     // --- Runtime arithmetic (the former `RunningJob` methods) ---
@@ -397,76 +335,70 @@ impl JobStore {
     /// Advances progress (and the allocation integral) to `now` at the
     /// current rate. Returns the number of iteration boundaries crossed.
     pub fn advance_to(&mut self, job: JobId, now: SimTime) -> u32 {
-        let s = self.slot(job);
-        if now <= self.advanced_to[s] {
+        let p = self.pos(job);
+        if now <= self.advanced_to[p] {
             return 0;
         }
-        let dt = now.since(self.advanced_to[s]);
-        self.cpu_seconds[s] += self.allocated[s] as f64 * dt.as_secs();
-        self.advanced_to[s] = now;
-        self.touch(s);
-        self.progress[s].advance(dt, self.rate[s])
+        let dt = now.since(self.advanced_to[p]);
+        let view = &mut self.views[p];
+        self.cpu_seconds[p] += view.allocated as f64 * dt.as_secs();
+        self.advanced_to[p] = now;
+        let crossed = self.progress[p].advance(dt, self.rate[p]);
+        view.remaining_secs = remaining_secs(&self.progress[p], self.seq_iter_secs[p]);
+        crossed
     }
 
     /// The processors the application actually uses right now (the
     /// SelfAnalyzer restrains to the baseline processors during the
     /// baseline phase, §3.1).
     pub fn effective_procs(&self, job: JobId) -> usize {
-        self.effective_procs_slot(self.slot(job))
+        self.effective_procs_at(self.pos(job))
     }
 
-    fn effective_procs_slot(&self, s: usize) -> usize {
-        self.cold[s]
-            .as_ref()
-            .expect("occupied slot")
+    fn effective_procs_at(&self, p: usize) -> usize {
+        self.cold[p]
             .analyzer
-            .effective_procs(self.allocated[s])
+            .effective_procs(self.views[p].allocated)
     }
 
-    /// Charges a reallocation penalty as progress debt. Debt is not part
-    /// of a view, so the version stays.
+    /// Charges a reallocation penalty as progress debt. Debt does not move
+    /// the remaining work until progress is advanced, so the view stays.
     pub fn charge(&mut self, job: JobId, penalty: SimDuration) {
-        let s = self.slot(job);
-        self.progress[s].add_debt(penalty);
+        let p = self.pos(job);
+        self.progress[p].add_debt(penalty);
     }
 
     /// Time until the current iteration ends at the current rate.
     pub fn time_to_iteration_end(&self, job: JobId) -> Option<SimDuration> {
-        let s = self.slot(job);
-        self.progress[s].time_to_iteration_end(self.rate[s])
+        let p = self.pos(job);
+        self.progress[p].time_to_iteration_end(self.rate[p])
     }
 
     /// Average processors held over the job's lifetime so far.
     pub fn average_allocation(&self, job: JobId, now: SimTime) -> f64 {
-        let s = self.slot(job);
-        let lifetime = now
-            .since(self.cold[s].as_ref().expect("occupied").started_at)
-            .as_secs();
+        let p = self.pos(job);
+        let allocated = self.views[p].allocated as f64;
+        let lifetime = now.since(self.cold[p].started_at).as_secs();
         if lifetime <= 0.0 {
-            return self.allocated[s] as f64;
+            return allocated;
         }
         // Include the un-integrated tail at the current allocation.
-        let tail = now.since(self.advanced_to[s]).as_secs();
-        (self.cpu_seconds[s] + self.allocated[s] as f64 * tail) / lifetime
+        let tail = now.since(self.advanced_to[p]).as_secs();
+        (self.cpu_seconds[p] + allocated * tail) / lifetime
     }
 
     /// Feeds a measured iteration to the job's SelfAnalyzer, updating
-    /// `last_sample` when an estimate comes back.
+    /// the view's last estimate when one comes back.
     pub fn record_iteration(
         &mut self,
         job: JobId,
         procs: usize,
         measured: SimDuration,
     ) -> Option<PerfSample> {
-        let s = self.slot(job);
-        let sample = self.cold[s]
-            .as_mut()
-            .expect("occupied slot")
-            .analyzer
-            .record_iteration(procs, measured);
-        if let Some(sample) = sample {
-            self.last_sample[s] = Some(sample);
-            self.touch(s);
+        let p = self.pos(job);
+        let sample = self.cold[p].analyzer.record_iteration(procs, measured);
+        if sample.is_some() {
+            self.views[p].last_sample = sample;
         }
         sample
     }
@@ -474,14 +406,9 @@ impl JobStore {
     /// Resets the job's SelfAnalyzer (working-set phase change, §3.1)
     /// and clears its last estimate.
     pub fn reset_analyzer(&mut self, job: JobId) {
-        let s = self.slot(job);
-        self.cold[s]
-            .as_mut()
-            .expect("occupied slot")
-            .analyzer
-            .reset();
-        self.last_sample[s] = None;
-        self.touch(s);
+        let p = self.pos(job);
+        self.cold[p].analyzer.reset();
+        self.views[p].last_sample = None;
     }
 
     /// Recomputes the job's progress rate from `eff` effective
@@ -490,23 +417,23 @@ impl JobStore {
     /// memo; the current iteration's sequential time honours working-set
     /// phase changes.
     pub fn set_rate_from(&mut self, job: JobId, eff: f64, factor: f64) {
-        let s = self.slot(job);
-        let cold = self.cold[s].as_mut().expect("occupied slot");
+        let p = self.pos(job);
+        let cold = &mut self.cold[p];
         let speedup = cold
             .speedup_memo
             .fractional(cold.spec.speedup.as_ref(), eff);
         let iter_secs = cold
             .spec
-            .seq_iter_time_at(self.progress[s].iterations_done())
+            .seq_iter_time_at(self.progress[p].iterations_done())
             .as_secs()
             * (1.0 + cold.spec.measurement_overhead);
         // Keep the hot mirror current: working-set phase changes move the
         // per-iteration time, and every such move passes through here.
-        if self.seq_iter_secs[s] != iter_secs {
-            self.seq_iter_secs[s] = iter_secs;
-            self.touch(s);
+        if self.seq_iter_secs[p] != iter_secs {
+            self.seq_iter_secs[p] = iter_secs;
+            self.views[p].remaining_secs = remaining_secs(&self.progress[p], iter_secs);
         }
-        self.rate[s] = if speedup > 0.0 {
+        self.rate[p] = if speedup > 0.0 {
             speedup * factor / iter_secs
         } else {
             0.0
@@ -551,7 +478,7 @@ mod tests {
         store.set_allocated(job, 4);
         store.set_rate_from(job, 4.0, 1.0);
         // Pin the rate for arithmetic clarity.
-        let s = store.slot(job);
+        let s = store.pos(job);
         store.rate[s] = 0.5;
         assert_eq!(store.advance_to(job, t(12.0)), 1);
         assert_eq!(store.cpu_seconds[s], 8.0);
@@ -582,7 +509,7 @@ mod tests {
     fn charge_adds_debt() {
         let (mut store, job) = store_with_job();
         store.set_allocated(job, 2);
-        let s = store.slot(job);
+        let s = store.pos(job);
         store.rate[s] = 1.0;
         store.charge(job, SimDuration::from_secs(3.0));
         let eta = store.time_to_iteration_end(job).unwrap();
@@ -590,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn slots_recycle_and_order_tracks_arrivals() {
+    fn removal_shifts_positions_and_order_tracks_arrivals() {
         let mut store = JobStore::new();
         for i in 0..3u32 {
             store.start(JobId(i), apsi(), SelfAnalyzer::default(), t(0.0));
@@ -601,8 +528,12 @@ mod tests {
             store.ids_in_order().map(|j| j.0).collect::<Vec<_>>(),
             vec![0, 2]
         );
-        // The freed slot is reused; arrival order puts the newcomer last.
-        store.start(JobId(7), apsi(), SelfAnalyzer::default(), t(5.0));
+        assert_eq!(store.pos(JobId(2)), 1, "the later job moved down");
+        // Arrival order puts the newcomer last.
+        assert_eq!(
+            store.start(JobId(7), apsi(), SelfAnalyzer::default(), t(5.0)),
+            2
+        );
         assert_eq!(
             store.ids_in_order().map(|j| j.0).collect::<Vec<_>>(),
             vec![0, 2, 7]
@@ -648,30 +579,31 @@ mod tests {
         assert_eq!(views[0].remaining_secs, v1.remaining_secs);
     }
 
-    /// The version and the rendered views of `store`.
-    fn snapshot(store: &JobStore) -> (u64, String) {
-        let mut views = Vec::new();
-        store.fill_views(&mut views);
-        (store.version(), format!("{views:?}"))
+    /// The rendered views of `store`, checked against a fresh fill.
+    fn snapshot(store: &JobStore) -> String {
+        let mut fresh = Vec::new();
+        store.fill_views(&mut fresh);
+        let views = format!("{:?}", store.views());
+        assert_eq!(
+            views,
+            format!("{fresh:?}"),
+            "views drifted from a fresh fill"
+        );
+        views
     }
 
-    /// Asserts that the views moved since `before` and the version with
-    /// them; returns the new snapshot.
-    fn assert_moved(before: &(u64, String), store: &JobStore, what: &str) -> (u64, String) {
+    /// Asserts that the views moved since `before`; returns the new
+    /// rendering.
+    fn assert_moved(before: &str, store: &JobStore, what: &str) -> String {
         let after = snapshot(store);
-        assert_ne!(after.1, before.1, "{what} should change the views");
-        assert_ne!(
-            after.0, before.0,
-            "{what} changed the views, not the version"
-        );
+        assert_ne!(after, before, "{what} should change the views");
         after
     }
 
     #[test]
-    fn every_view_affecting_mutator_bumps_the_version() {
-        // The engine skips a view refill while the version stands still,
-        // so every mutator that changes what `fill_views` produces must
-        // bump it.
+    fn every_view_affecting_mutator_writes_the_view() {
+        // Policies read the store's views as they stand, so every mutator
+        // that changes what `fill_views` produces must write the view.
         let mut store = JobStore::new();
         let job = JobId(0);
         let mut last = snapshot(&store);
@@ -685,7 +617,7 @@ mod tests {
         store.set_allocated(job, 2);
         last = assert_moved(&last, &store, "set_allocated");
         store.set_rate_from(job, 2.0, 1.0);
-        assert_eq!(snapshot(&store).1, last.1, "same iteration time, same view");
+        assert_eq!(snapshot(&store), last, "same iteration time, same view");
         let eta = store.time_to_iteration_end(job).unwrap();
         store.advance_to(job, t(eta.as_secs()));
         last = assert_moved(&last, &store, "advance_to");
@@ -696,7 +628,7 @@ mod tests {
         store.set_iter_polluted(job, true);
         store.set_iter_started_at(job, t(1.0));
         store.charge(job, SimDuration::from_secs(1.0));
-        assert_eq!(snapshot(&store).1, last.1);
+        assert_eq!(snapshot(&store), last);
         let mut reported = false;
         for _ in 0..10 {
             let sample = store.record_iteration(job, 2, SimDuration::from_secs(5.0));
@@ -705,7 +637,7 @@ mod tests {
                 reported = true;
                 break;
             }
-            assert_eq!(snapshot(&store).1, last.1, "no sample, same view");
+            assert_eq!(snapshot(&store), last, "no sample, same view");
         }
         assert!(reported, "the analyzer never produced a sample");
         store.reset_analyzer(job);
@@ -723,15 +655,36 @@ mod proptests {
     use pdpa_apps::paper::{apsi, hydro2d};
     use proptest::prelude::*;
 
-    /// One random store mutation, addressed to job `job % 6`.
+    /// One random store mutation, addressed to job `job`.
     #[derive(Clone, Debug)]
     enum Op {
-        Start { job: u32, phased: bool },
-        Advance { job: u32, dt: f64 },
-        Resize { job: u32, alloc: usize },
-        Sample { job: u32, secs: f64 },
-        Reset { job: u32 },
-        Remove { job: u32 },
+        Start {
+            job: u32,
+            phased: bool,
+        },
+        Advance {
+            job: u32,
+            dt: f64,
+        },
+        Resize {
+            job: u32,
+            alloc: usize,
+        },
+        /// The engine's rate update: at the current allocation, after an
+        /// advance that may have crossed a working-set phase change.
+        Rate {
+            job: u32,
+        },
+        Sample {
+            job: u32,
+            secs: f64,
+        },
+        Reset {
+            job: u32,
+        },
+        Remove {
+            job: u32,
+        },
         Recycle,
     }
 
@@ -740,94 +693,113 @@ mod proptests {
             (0u32..6, proptest::bool::ANY).prop_map(|(job, phased)| Op::Start { job, phased }),
             (0u32..6, 0.0f64..400.0).prop_map(|(job, dt)| Op::Advance { job, dt }),
             (0u32..6, 0usize..12).prop_map(|(job, alloc)| Op::Resize { job, alloc }),
+            (0u32..6).prop_map(|job| Op::Rate { job }),
             (0u32..6, 1.0f64..50.0).prop_map(|(job, secs)| Op::Sample { job, secs }),
             (0u32..6).prop_map(|job| Op::Reset { job }),
             (0u32..6).prop_map(|job| Op::Remove { job }),
-            // The newest running job is replaced by a never-seen one,
-            // which takes over its slot and its arrival-order position.
+            // The newest running job leaves and a never-seen one starts,
+            // taking over its arrival-order position.
             Just(Op::Recycle),
         ]
     }
 
+    /// What the views must say of one job, tracked outside the store:
+    /// `(id, request, allocation, last estimate)`.
+    type Expected = (JobId, usize, usize, Option<PerfSample>);
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// After any sequence of starts, advances, resizes, samples,
-        /// resets, removes and recycled slots, a snapshot refreshed only
-        /// when the version moved, and then only at the stamped or moved
-        /// positions (as the engine does), equals a fresh `fill_views`.
+        /// After every op of any sequence of starts, advances, resizes,
+        /// rate updates across phase changes, samples, resets, removals
+        /// and recycled positions, the store's views equal a fresh
+        /// `fill_views`, and their ids, requests, allocations and
+        /// estimates equal a model kept by the test.
         #[test]
-        fn version_gated_views_equal_a_fresh_fill(
-            steps in proptest::collection::vec((arb_op(), proptest::bool::ANY), 1..60),
+        fn views_equal_a_fresh_fill_after_every_op(
+            ops in proptest::collection::vec(arb_op(), 1..80),
         ) {
             let mut store = JobStore::new();
-            let mut cache = Vec::new();
-            let mut cached_at = 0;
+            let mut model: Vec<Expected> = Vec::new();
             let mut next_job = 6;
             let mut now = 0.0;
-            for (op, refresh) in steps {
+            for op in ops {
+                let at = |job: u32, model: &[Expected]| {
+                    model.iter().position(|e| e.0 == JobId(job))
+                };
                 match op {
                     Op::Start { job, phased } => {
-                        if !store.contains(JobId(job)) {
+                        if at(job, &model).is_none() {
                             let spec = if phased {
                                 hydro2d().with_phase_change(2, 1.5)
                             } else {
                                 apsi()
                             };
-                            let analyzer = SelfAnalyzer::default();
-                            store.start(JobId(job), spec, analyzer, SimTime::from_secs(now));
+                            model.push((JobId(job), spec.request, 0, None));
+                            let when = SimTime::from_secs(now);
+                            store.start(JobId(job), spec, SelfAnalyzer::default(), when);
                         }
                     }
                     Op::Advance { job, dt } => {
                         now += dt;
-                        if store.contains(JobId(job)) {
+                        if at(job, &model).is_some() {
                             store.advance_to(JobId(job), SimTime::from_secs(now));
                         }
                     }
                     Op::Resize { job, alloc } => {
-                        if store.contains(JobId(job)) {
+                        if let Some(i) = at(job, &model) {
                             store.set_allocated(JobId(job), alloc);
-                            store.set_rate_from(JobId(job), alloc as f64, 1.0);
+                            model[i].2 = alloc;
+                        }
+                    }
+                    Op::Rate { job } => {
+                        if let Some(i) = at(job, &model) {
+                            store.set_rate_from(JobId(job), model[i].2 as f64, 1.0);
                         }
                     }
                     Op::Sample { job, secs } => {
-                        if store.contains(JobId(job)) {
-                            let procs = store.allocated(JobId(job));
+                        if let Some(i) = at(job, &model) {
                             let measured = SimDuration::from_secs(secs);
-                            store.record_iteration(JobId(job), procs, measured);
+                            if let Some(s) = store.record_iteration(JobId(job), model[i].2, measured) {
+                                model[i].3 = Some(s);
+                            }
                         }
                     }
                     Op::Reset { job } => {
-                        if store.contains(JobId(job)) {
+                        if let Some(i) = at(job, &model) {
                             store.reset_analyzer(JobId(job));
+                            model[i].3 = None;
                         }
                     }
                     Op::Remove { job } => {
-                        if store.contains(JobId(job)) {
+                        if let Some(i) = at(job, &model) {
                             store.remove(JobId(job));
+                            model.remove(i);
                         }
                     }
                     Op::Recycle => {
-                        if !store.is_empty() {
-                            let newest = store.id_at(store.len() - 1);
-                            let slot = store.slot(newest);
+                        if let Some(&(newest, ..)) = model.last() {
                             store.remove(newest);
-                            let at = SimTime::from_secs(now);
-                            let reused =
-                                store.start(JobId(next_job), apsi(), SelfAnalyzer::default(), at);
-                            prop_assert_eq!(reused, slot);
+                            model.pop();
+                            let when = SimTime::from_secs(now);
+                            let p = store.start(JobId(next_job), apsi(), SelfAnalyzer::default(), when);
+                            prop_assert_eq!(p, model.len());
+                            model.push((JobId(next_job), apsi().request, 0, None));
                             next_job += 1;
                         }
                     }
                 }
-                if refresh {
-                    if cached_at != store.version() {
-                        store.refresh_views(&mut cache, cached_at);
-                        cached_at = store.version();
-                    }
-                    let mut fresh = Vec::new();
-                    store.fill_views(&mut fresh);
-                    prop_assert_eq!(format!("{cache:?}"), format!("{fresh:?}"));
+                let mut fresh = Vec::new();
+                store.fill_views(&mut fresh);
+                prop_assert_eq!(format!("{:?}", store.views()), format!("{fresh:?}"));
+                let seen: Vec<Expected> = store
+                    .views()
+                    .iter()
+                    .map(|v| (v.id, v.request, v.allocated, v.last_sample))
+                    .collect();
+                prop_assert_eq!(&seen, &model);
+                for (i, e) in model.iter().enumerate() {
+                    prop_assert_eq!(store.pos(e.0), i);
                 }
             }
         }

@@ -30,8 +30,17 @@
 //! ```
 //!
 //! Example: `cpu3@100:recover@400;job2@250;retry=2,backoff=30`.
+//!
+//! A parsed plan holds at most [`MAX_PLAN_CPU_FAULTS`] CPU faults: an
+//! `mtbf=` element that would sample more is rejected before it is
+//! sampled, so no input makes the parser loop or allocate without bound.
 
 use pdpa_sim::{CpuId, JobId, SimDuration, SimRng, SimTime};
+
+/// The most CPU faults [`FaultPlan::parse`] lets a plan hold. An `mtbf=`
+/// element samples about one fault per CPU and repair cycle, so
+/// `mtbf=1e-6,horizon=1e15,repair=1e-6` would ask for about 10²¹ per CPU.
+pub const MAX_PLAN_CPU_FAULTS: usize = 100_000;
 
 /// One scheduled CPU failure, with an optional recovery instant.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -162,7 +171,7 @@ impl FaultPlan {
     ///
     /// Panics if `mtbf_secs` or `horizon_secs` is not positive.
     pub fn mtbf(mut self, mtbf_secs: f64, horizon_secs: f64, n_cpus: usize, seed: u64) -> Self {
-        self.sample_mtbf(mtbf_secs, horizon_secs, 0.0, n_cpus, seed);
+        self.sample_mtbf(mtbf_secs, horizon_secs, 0.0, n_cpus, seed, usize::MAX);
         self
     }
 
@@ -175,10 +184,19 @@ impl FaultPlan {
         n_cpus: usize,
         seed: u64,
     ) -> Self {
-        self.sample_mtbf(mtbf_secs, horizon_secs, repair_secs, n_cpus, seed);
+        self.sample_mtbf(
+            mtbf_secs,
+            horizon_secs,
+            repair_secs,
+            n_cpus,
+            seed,
+            usize::MAX,
+        );
         self
     }
 
+    /// Samples the MTBF schedule into `cpu_faults` until it holds `limit`
+    /// faults; returns false when the schedule did not fit.
     fn sample_mtbf(
         &mut self,
         mtbf_secs: f64,
@@ -186,7 +204,8 @@ impl FaultPlan {
         repair_secs: f64,
         n_cpus: usize,
         seed: u64,
-    ) {
+        limit: usize,
+    ) -> bool {
         assert!(mtbf_secs > 0.0, "MTBF must be positive");
         assert!(horizon_secs > 0.0, "horizon must be positive");
         let mut root = SimRng::new(seed ^ 0xFA17);
@@ -194,6 +213,9 @@ impl FaultPlan {
             let mut rng = root.fork(cpu as u64);
             let mut t = rng.exponential(mtbf_secs);
             while t < horizon_secs {
+                if self.cpu_faults.len() >= limit {
+                    return false;
+                }
                 let recover_at = if repair_secs > 0.0 {
                     Some(SimTime::from_secs(t + repair_secs))
                 } else {
@@ -211,6 +233,7 @@ impl FaultPlan {
                 t = t + repair_secs + rng.exponential(mtbf_secs);
             }
         }
+        true
     }
 
     /// Parses the `--faults` plan grammar (see the module docs).
@@ -352,7 +375,7 @@ fn key_values(element: &str) -> impl Iterator<Item = (&str, &str)> {
         .map(|(k, v)| (k.trim(), v.trim()))
 }
 
-fn parse_mtbf(element: &str, n_cpus: usize, plan: FaultPlan) -> Result<FaultPlan, String> {
+fn parse_mtbf(element: &str, n_cpus: usize, mut plan: FaultPlan) -> Result<FaultPlan, String> {
     let mut mtbf = None;
     let mut horizon = None;
     let mut repair = 0.0;
@@ -376,11 +399,32 @@ fn parse_mtbf(element: &str, n_cpus: usize, plan: FaultPlan) -> Result<FaultPlan
     let horizon = horizon
         .filter(|&h| h > 0.0)
         .ok_or_else(|| format!("{element:?}: horizon=<secs> must be present and positive"))?;
-    Ok(if repair > 0.0 {
-        plan.mtbf_with_repair(mtbf, horizon, repair, n_cpus, seed)
+    if !(horizon + repair).is_finite() {
+        return Err(format!("{element:?}: horizon plus repair must be finite"));
+    }
+    // Each CPU fails about once per repair cycle (once at most without
+    // repair). Refuse what would not fit before sampling any of it; the
+    // sampler's own limit catches an unlucky draw past the estimate.
+    let room = MAX_PLAN_CPU_FAULTS.saturating_sub(plan.cpu_faults.len());
+    let per_cpu = if repair > 0.0 {
+        horizon / (mtbf + repair) + 1.0
     } else {
-        plan.mtbf(mtbf, horizon, n_cpus, seed)
-    })
+        1.0
+    };
+    let expected = n_cpus as f64 * per_cpu;
+    if expected > room as f64 {
+        return Err(format!(
+            "{element:?}: about {expected:.0} CPU faults expected, more than the {room} \
+             left of a plan's {MAX_PLAN_CPU_FAULTS}"
+        ));
+    }
+    if !plan.sample_mtbf(mtbf, horizon, repair, n_cpus, seed, MAX_PLAN_CPU_FAULTS) {
+        return Err(format!(
+            "{element:?}: sampled more than the {room} CPU faults left of a plan's \
+             {MAX_PLAN_CPU_FAULTS}"
+        ));
+    }
+    Ok(plan)
 }
 
 fn parse_retry(element: &str, mut plan: FaultPlan) -> Result<FaultPlan, String> {
@@ -540,6 +584,46 @@ mod tests {
             let err = FaultPlan::parse(input, 60).unwrap_err();
             assert!(err.contains(needle), "{input:?} -> {err:?}");
         }
+    }
+
+    #[test]
+    fn mtbf_elements_past_the_fault_bound_are_rejected() {
+        // About 10^21 repair cycles per CPU, and cycles so short that
+        // `t + repair + draw` rounds back onto `t`: the sampler would never
+        // finish.
+        for input in [
+            "mtbf=1e-6,horizon=1e15,repair=1e-6",
+            "cpu1@5;mtbf=1,horizon=2000000,repair=1",
+            "mtbf=1e300,horizon=1e308,repair=1e308",
+        ] {
+            let err = FaultPlan::parse(input, 60).unwrap_err();
+            let element = input.rsplit(';').next().unwrap();
+            assert!(
+                err.starts_with(&format!("{element:?}: ")),
+                "{input:?} -> {err:?}"
+            );
+        }
+        // Inside the bound: 60 CPUs with about 1,430 cycles each.
+        let plan = FaultPlan::parse("mtbf=1,horizon=100000,repair=69", 60).unwrap();
+        assert!(plan.cpu_faults.len() <= MAX_PLAN_CPU_FAULTS);
+        assert!(plan.cpu_faults.len() > 60_000, "{}", plan.cpu_faults.len());
+        // The bound counts the faults already in the plan.
+        let err = FaultPlan::parse(
+            "mtbf=1,horizon=100000,repair=59;mtbf=1,horizon=100000,repair=59",
+            60,
+        )
+        .unwrap_err();
+        assert!(err.contains("left of a plan's"), "{err}");
+    }
+
+    #[test]
+    fn the_sampler_stops_at_its_limit() {
+        let mut plan = FaultPlan::none();
+        assert!(!plan.sample_mtbf(1.0, 1000.0, 1.0, 4, 3, 10));
+        assert_eq!(plan.cpu_faults.len(), 10);
+        let mut plan = FaultPlan::none();
+        assert!(plan.sample_mtbf(1.0, 1000.0, 1.0, 4, 3, usize::MAX));
+        assert!(plan.cpu_faults.len() > 10);
     }
 
     #[test]

@@ -86,6 +86,18 @@ mod tests {
     use crate::kernels::CurveKernel;
     use pdpa_core::Pdpa;
     use pdpa_perf::SelfAnalyzerConfig;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The tests below time real worker threads; run concurrently on a
+    /// small machine they slow each other's iterations and skew the
+    /// measured curves, so they take this lock and run one at a time.
+    static REAL_THREADS: Mutex<()> = Mutex::new(());
+
+    fn one_at_a_time() -> MutexGuard<'static, ()> {
+        // The lock guards no data, so a test that panicked holding it
+        // leaves nothing half-updated for the next one.
+        REAL_THREADS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     /// A saturating curve with its 0.7-efficiency knee near 4 workers.
     fn kneed_curve(n: usize) -> f64 {
@@ -103,6 +115,7 @@ mod tests {
 
     #[test]
     fn pdpa_converges_to_the_knee_on_real_threads() {
+        let _serial = one_at_a_time();
         let crew = Crew::new(8);
         let mut rm = LocalRm::new(Box::new(Pdpa::paper_default()), 8);
         let analyzer = SelfAnalyzer::new(SelfAnalyzerConfig::default());
@@ -126,6 +139,7 @@ mod tests {
 
     #[test]
     fn estimates_track_the_emulated_curve() {
+        let _serial = one_at_a_time();
         let crew = Crew::new(4);
         let mut rm = LocalRm::new(Box::new(Pdpa::paper_default()), 4);
         let analyzer = SelfAnalyzer::new(SelfAnalyzerConfig::default());

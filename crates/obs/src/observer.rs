@@ -42,6 +42,11 @@ pub struct RecordingObserver {
     /// Events with seq below this are counted but not stored — the
     /// rebuild window of a restored run.
     first_kept_seq: u64,
+    /// The instant of the last stored event.
+    last_at: SimTime,
+    /// Set when a stored event is earlier than the one stored before it;
+    /// only then does [`take_events`](Self::take_events) sort.
+    out_of_order: bool,
 }
 
 impl RecordingObserver {
@@ -58,9 +63,8 @@ impl RecordingObserver {
     /// stopped while keeping sequence numbers globally continuous.
     pub fn with_first_seq(first_seq: u64) -> Self {
         RecordingObserver {
-            events: Vec::new(),
-            next_seq: 0,
             first_kept_seq: first_seq,
+            ..Self::default()
         }
     }
 
@@ -76,15 +80,14 @@ impl RecordingObserver {
 
     /// Consumes the recorder, returning the stream sorted by
     /// `(sim_time, seq)`. Publication order is already nondecreasing in
-    /// sim time and `seq` is monotonic, so one linear pass normally
-    /// confirms the order; the stable sort runs only for a stream
+    /// sim time and `seq` is monotonic, so the recorder notes on each push
+    /// whether the order broke; the stable sort runs only for a stream
     /// published out of order, which keeps the ordering contract explicit
     /// and deterministic regardless of how the stream was produced.
     pub fn take_events(self) -> Vec<TimedEvent> {
         let mut events = self.events;
-        let order = |a: &TimedEvent, b: &TimedEvent| a.at.cmp(&b.at).then(a.seq.cmp(&b.seq));
-        if !events.is_sorted_by(|a, b| order(a, b).is_le()) {
-            events.sort_by(order);
+        if self.out_of_order {
+            events.sort_by(|a, b| a.at.cmp(&b.at).then(a.seq.cmp(&b.seq)));
         }
         events
     }
@@ -93,6 +96,9 @@ impl RecordingObserver {
 impl Observer for RecordingObserver {
     fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
         if self.next_seq >= self.first_kept_seq {
+            // Instants are never NaN, so the float comparison is the order.
+            self.out_of_order |= at.as_secs() < self.last_at.as_secs();
+            self.last_at = at;
             self.events.push(TimedEvent {
                 at,
                 seq: self.next_seq,
@@ -296,5 +302,43 @@ mod tests {
         let events = rec.take_events();
         let order: Vec<(f64, u64)> = events.iter().map(|e| (e.at.as_secs(), e.seq)).collect();
         assert_eq!(order, [(1.0, 1), (1.0, 3), (2.0, 2), (3.0, 0)]);
+    }
+
+    #[test]
+    fn recorder_keeps_an_in_order_stream_without_sorting() {
+        let mut rec = RecordingObserver::new();
+        for (at, job) in [(0.0, 0), (1.0, 1), (1.0, 2), (2.5, 3)] {
+            rec.on_event(
+                SimTime::from_secs(at),
+                &ObsEvent::JobSubmitted { job: JobId(job) },
+            );
+        }
+        assert!(!rec.out_of_order, "equal instants keep the order");
+        let events = rec.take_events();
+        let order: Vec<(f64, u64)> = events.iter().map(|e| (e.at.as_secs(), e.seq)).collect();
+        assert_eq!(order, [(0.0, 0), (1.0, 1), (1.0, 2), (2.5, 3)]);
+    }
+
+    #[test]
+    fn recorder_with_first_seq_checks_only_the_kept_events() {
+        // The discarded rebuild window runs backwards; the kept events do
+        // not, so nothing needs sorting.
+        let mut rec = RecordingObserver::with_first_seq(2);
+        for (at, job) in [(9.0, 0), (4.0, 1), (1.0, 2), (3.0, 3)] {
+            rec.on_event(
+                SimTime::from_secs(at),
+                &ObsEvent::JobSubmitted { job: JobId(job) },
+            );
+        }
+        assert!(!rec.out_of_order, "the rebuild window is not stored");
+        // A kept event earlier than the one before it is sorted into place.
+        rec.on_event(
+            SimTime::from_secs(2.0),
+            &ObsEvent::JobSubmitted { job: JobId(4) },
+        );
+        assert!(rec.out_of_order);
+        let events = rec.take_events();
+        let order: Vec<(f64, u64)> = events.iter().map(|e| (e.at.as_secs(), e.seq)).collect();
+        assert_eq!(order, [(1.0, 2), (2.0, 4), (3.0, 3)]);
     }
 }

@@ -185,11 +185,35 @@ pub fn jobs_from_records(records: &[SwfRecord]) -> Vec<JobSpec> {
     jobs
 }
 
+/// The most iterations a replayed job can have.
+const MAX_ITERATIONS: f64 = u32::MAX as f64;
+
+/// True when `record`'s work estimate fits a replayed job. A record of an
+/// executable outside the paper's four is rescaled to its estimated work
+/// (see [`jobs_from_records`]), which must come to at most `u32::MAX`
+/// iterations of its fallback application; the SWF reader rejects a
+/// record that does not fit.
+pub(crate) fn work_fits(record: &SwfRecord) -> bool {
+    record.class().is_some()
+        || record.cpu_work_estimate().is_none_or(|work| {
+            let iter_secs = paper_app(fallback_class(record)).seq_iter_time.as_secs();
+            (work / iter_secs).round() <= MAX_ITERATIONS
+        })
+}
+
 /// Clones `app` with its iteration count rescaled so total sequential work
-/// approximates `seq_work_secs` (at least one iteration).
+/// approximates `seq_work_secs` (at least one iteration). Work past
+/// `u32::MAX` iterations, which only a machine remap can grow a record to
+/// after the reader checked it, keeps its total by lengthening the
+/// iterations instead of losing the excess.
 fn scale_to_work(app: &ApplicationSpec, seq_work_secs: f64) -> ApplicationSpec {
-    let iter_secs = app.seq_iter_time.as_secs();
-    let iterations = ((seq_work_secs / iter_secs).round() as u32).max(1);
+    let mut iter_secs = app.seq_iter_time.as_secs();
+    let mut iterations = (seq_work_secs / iter_secs).round();
+    if iterations > MAX_ITERATIONS {
+        iterations = MAX_ITERATIONS;
+        iter_secs = seq_work_secs / MAX_ITERATIONS;
+    }
+    let iterations = (iterations as u32).max(1);
     ApplicationSpec::new(
         app.class,
         iterations,
@@ -294,6 +318,22 @@ mod tests {
             "seq work {work} should approximate 800 within one iteration"
         );
         assert_eq!(jobs[0].app.request, 8);
+    }
+
+    #[test]
+    fn work_grown_past_the_iteration_bound_by_a_remap_keeps_its_total() {
+        // The reader accepts 1e10 cpu-s on one processor of a 1-CPU trace
+        // (4e9 iterations of 2.5 s); remapped to 60 CPUs it is 6e11 cpu-s,
+        // which keeps its total in u32::MAX longer iterations.
+        let line = "1 0.0 -1 1e10 1 -1 -1 1 -1 -1 1 -1 -1 7 -1 -1 -1 -1";
+        let r = SwfRecord::parse_line(line, 1).unwrap();
+        assert!(work_fits(&r));
+        let remapped = remap_machine(&[r], 1, 60);
+        assert!(!work_fits(&remapped[0]));
+        let jobs = jobs_from_records(&remapped);
+        assert_eq!(jobs[0].app.iterations, u32::MAX);
+        let work = jobs[0].app.total_seq_time().as_secs();
+        assert!((work / 6e11 - 1.0).abs() < 1e-9, "seq work {work}");
     }
 
     #[test]

@@ -84,6 +84,15 @@ pub enum SwfError {
         /// 1-based SWF field number.
         field: usize,
     },
+    /// The record's executable is outside the paper's four, and its work
+    /// estimate would need more than `u32::MAX` iterations of the fallback
+    /// application [`crate::shape::jobs_from_records`] rescales it to.
+    WorkTooLarge {
+        /// 1-based line number.
+        line: usize,
+        /// 1-based SWF field number: 4, the run time.
+        field: usize,
+    },
     /// The executable number does not map to a known application class.
     UnknownExecutable {
         /// 1-based line number.
@@ -117,6 +126,12 @@ impl fmt::Display for SwfError {
             SwfError::NonFinite { line, field } => {
                 write!(f, "line {line}: field {field} is not a finite number")
             }
+            SwfError::WorkTooLarge { line, field } => write!(
+                f,
+                "line {line}: field {field} is too large: the job's work would need more than \
+                 {} iterations",
+                u32::MAX
+            ),
             SwfError::UnknownExecutable { line, executable } => {
                 write!(f, "line {line}: unknown executable number {executable}")
             }
@@ -333,8 +348,10 @@ fn header_directive(comment: &str, key: &str) -> Option<usize> {
 ///
 /// # Errors
 ///
-/// The first malformed line aborts the parse with its line number; reader
-/// failures surface as [`SwfError::Io`].
+/// The first malformed line aborts the parse with its line number, as
+/// does a record whose work estimate no replayed job can hold
+/// ([`SwfError::WorkTooLarge`]); reader failures surface as
+/// [`SwfError::Io`].
 pub fn read_swf(reader: impl BufRead) -> Result<SwfTrace, SwfError> {
     let mut trace = SwfTrace::default();
     for (idx, line) in reader.lines().enumerate() {
@@ -356,7 +373,14 @@ pub fn read_swf(reader: impl BufRead) -> Result<SwfTrace, SwfError> {
             }
             continue;
         }
-        trace.records.push(SwfRecord::parse_line(line, line_no)?);
+        let record = SwfRecord::parse_line(line, line_no)?;
+        if !crate::shape::work_fits(&record) {
+            return Err(SwfError::WorkTooLarge {
+                line: line_no,
+                field: 4,
+            });
+        }
+        trace.records.push(record);
     }
     Ok(trace)
 }

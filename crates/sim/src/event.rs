@@ -9,11 +9,19 @@
 //!    rate, which invalidates its pending completion events. Rather than
 //!    removing entries from the heap (an O(n) scan), callers push entries
 //!    under a *key* and later [`invalidate_key`](EventQueue::invalidate_key)
-//!    it: the queue tags each keyed entry with the key's generation at push
-//!    time and lazily discards entries whose generation has since moved on.
-//!    Keys are small dense integers (the engine keys by job id), so the
-//!    generations live in a vector and invalidation is an O(1) index bump;
-//!    the stale entry costs one extra O(log n) pop when its turn comes.
+//!    it: the queue records the sequence number the next push would take,
+//!    and an entry under that key whose own sequence number is older is
+//!    stale and lazily discarded. Keys are small dense integers (the engine
+//!    keys by job id), so the marks live in a vector and invalidation is an
+//!    O(1) store; the stale entry costs one extra O(log n) pop when its turn
+//!    comes.
+//!
+//! Every pending entry is 32 bytes with an 8-byte payload: one integer
+//! order key (the instant's bits, then the sequence number), the key word,
+//! and the payload. Finite non-negative `f64`s sort like their bit
+//! patterns, so the heap compares two integers instead of two floats,
+//! and `-0.0` is folded onto `+0.0` so the two still tie, as their values
+//! do.
 //!
 //! The engine keeps the heap small: only running jobs' predictions, faults
 //! and quantum ticks are ever pending. Arrivals stay in the workload's
@@ -43,96 +51,147 @@ pub struct QueueStats {
 }
 
 /// A priority queue of `(SimTime, payload)` entries with FIFO tie-breaking
-/// and generation-keyed lazy deletion.
+/// and key-based lazy deletion.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Current generation per key, indexed by key (missing keys are at
-    /// generation 0); keyed entries pushed under an older generation are
-    /// stale. Generations only grow, so a key reused after retirement can
-    /// never collide with an entry still buried in the heap.
-    generations: Vec<u64>,
+    /// Per key, indexed by key (missing keys were never invalidated): the
+    /// sequence number the next push would have taken when the key was
+    /// last invalidated. Keyed entries with an older sequence number are
+    /// stale. Sequence numbers only grow, so a key reused after retirement
+    /// can never revive an entry still buried in the heap.
+    invalidated: Vec<u64>,
+    /// The next sequence number, which is also the number of pushes.
     next_seq: u64,
-    pushed: u64,
     popped: u64,
     stale: u64,
 }
 
+/// The key word of an entry pushed without a key. Keys index a vector, so
+/// no real key reaches it, and looking it up finds no invalidation.
+const UNKEYED: u64 = u64::MAX;
+
+/// The sign bit of an `f64`; among finite non-negative instants only
+/// `-0.0` carries it.
+const SIGN: u64 = 1 << 63;
+
+/// One past the largest sequence number: the order key's low bit holds the
+/// `-0.0` flag, which leaves sequence numbers 63 bits.
+const SEQ_LIMIT: u64 = 1 << 63;
+
+/// The high word of an entry's order key for instant `at`: its bits with
+/// the sign cleared, so `-0.0` ties `+0.0`.
+#[inline]
+fn time_key(at: SimTime) -> u64 {
+    at.to_bits() & !SIGN
+}
+
 #[derive(Debug)]
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    /// `(key, generation at push time)` for invalidatable entries.
-    key: Option<(u64, u64)>,
+    /// `time_key(at) << 64 | seq << 1 | sign of at`, compared as one
+    /// integer. Sequence numbers are unique, so the sign flag below them
+    /// never decides an order; it only restores a `-0.0` instant exactly.
+    order: u128,
+    /// The key the entry was pushed under, or [`UNKEYED`].
+    key: u64,
     payload: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn new(at: SimTime, seq: u64, key: u64, payload: E) -> Self {
+        let bits = at.to_bits();
+        Entry {
+            order: u128::from(bits & !SIGN) << 64 | u128::from(seq << 1 | bits >> 63),
+            key,
+            payload,
+        }
+    }
+
+    /// The high word: [`time_key`] of the entry's instant.
+    #[inline]
+    fn time_key(&self) -> u64 {
+        (self.order >> 64) as u64
+    }
+
+    #[inline]
+    fn seq(&self) -> u64 {
+        (self.order as u64) >> 1
+    }
+
+    /// The instant the entry was pushed at, bit for bit.
+    #[inline]
+    fn at(&self) -> SimTime {
+        SimTime::from_bits(self.time_key() | (self.order as u64) << 63)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.order == other.order
     }
 }
 
 impl<E> Eq for Entry<E> {}
 
 impl<E> Ord for Entry<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) wins.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.order.cmp(&self.order)
     }
 }
 
 impl<E> PartialOrd for Entry<E> {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes per pending entry (32 for an 8-byte payload).
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            generations: Vec::new(),
+            invalidated: Vec::new(),
             next_seq: 0,
-            pushed: 0,
             popped: 0,
             stale: 0,
         }
     }
 
+    /// Takes the next sequence number.
+    ///
+    /// # Panics
+    ///
+    /// Panics once 2⁶³ events have been pushed, rather than wrapping onto
+    /// sequence numbers that are still pending.
+    #[inline]
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        assert!(seq < SEQ_LIMIT, "event sequence numbers exhausted");
+        self.next_seq += 1;
+        seq
+    }
+
     /// Schedules `payload` at instant `at`.
     pub fn push(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pushed += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            key: None,
-            payload,
-        });
+        let seq = self.take_seq();
+        self.heap.push(Entry::new(at, seq, UNKEYED, payload));
     }
 
     /// Schedules `payload` at instant `at` under `key`, so a later
     /// [`invalidate_key`](Self::invalidate_key) can lazily discard it.
-    /// Entries pushed after an invalidation are live again — the queue
-    /// snapshots the key's generation at push time. Keys index a vector:
-    /// keep them small and dense.
+    /// Entries pushed after an invalidation are live again. Keys index a
+    /// vector: keep them small and dense.
     pub fn push_keyed(&mut self, at: SimTime, key: u64, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pushed += 1;
-        let generation = self.generation(key);
-        self.heap.push(Entry {
-            at,
-            seq,
-            key: Some((key, generation)),
-            payload,
-        });
+        assert!(key != UNKEYED, "key {key} is reserved for unkeyed entries");
+        let seq = self.take_seq();
+        self.heap.push(Entry::new(at, seq, key, payload));
     }
 
     /// Schedules a batch of events in one O(n) heap rebuild instead of
@@ -142,17 +201,7 @@ impl<E> EventQueue<E> {
     pub fn push_batch(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
         let mut batch: BinaryHeap<Entry<E>> = events
             .into_iter()
-            .map(|(at, payload)| {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.pushed += 1;
-                Entry {
-                    at,
-                    seq,
-                    key: None,
-                    payload,
-                }
-            })
+            .map(|(at, payload)| Entry::new(at, self.take_seq(), UNKEYED, payload))
             .collect();
         self.heap.append(&mut batch);
     }
@@ -162,24 +211,18 @@ impl<E> EventQueue<E> {
     /// they reach the head of the queue. O(1).
     pub fn invalidate_key(&mut self, key: u64) {
         let i = key as usize;
-        if i >= self.generations.len() {
-            self.generations.resize(i + 1, 0);
+        if i >= self.invalidated.len() {
+            self.invalidated.resize(i + 1, 0);
         }
-        self.generations[i] += 1;
-    }
-
-    /// The current generation of `key`.
-    #[inline]
-    fn generation(&self, key: u64) -> u64 {
-        self.generations.get(key as usize).copied().unwrap_or(0)
+        self.invalidated[i] = self.next_seq;
     }
 
     /// True if `entry` was invalidated after it was pushed.
     #[inline]
     fn is_stale(&self, entry: &Entry<E>) -> bool {
-        entry
-            .key
-            .is_some_and(|(key, generation)| self.generation(key) != generation)
+        self.invalidated
+            .get(entry.key as usize)
+            .is_some_and(|&mark| entry.seq() < mark)
     }
 
     /// Removes and returns the earliest live event, or `None` when empty.
@@ -188,14 +231,13 @@ impl<E> EventQueue<E> {
     /// [`stale_drops`](Self::stale_drops).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            let stale = self.heap.peek().map(|e| self.is_stale(e))?;
-            let e = self.heap.pop().expect("peeked entry exists");
+            let e = self.heap.pop()?;
             self.popped += 1;
-            if stale {
+            if self.is_stale(&e) {
                 self.stale += 1;
                 continue;
             }
-            return Some((e.at, e.payload));
+            return Some((e.at(), e.payload));
         }
     }
 
@@ -214,12 +256,12 @@ impl<E> EventQueue<E> {
                 self.stale += 1;
                 continue;
             }
-            if head.at > t {
+            if head.time_key() > time_key(t) {
                 return None;
             }
             let e = self.heap.pop().expect("peeked entry exists");
             self.popped += 1;
-            return Some((e.at, e.payload));
+            return Some((e.at(), e.payload));
         }
     }
 
@@ -235,7 +277,7 @@ impl<E> EventQueue<E> {
     pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
         loop {
             let head = self.heap.peek()?;
-            if head.at >= t {
+            if head.time_key() >= time_key(t) {
                 return None;
             }
             let stale = self.is_stale(head);
@@ -245,7 +287,7 @@ impl<E> EventQueue<E> {
                 self.stale += 1;
                 continue;
             }
-            return Some((e.at, e.payload));
+            return Some((e.at(), e.payload));
         }
     }
 
@@ -253,7 +295,7 @@ impl<E> EventQueue<E> {
     /// (a stale head is discarded only when popped, so `peek_time` may be
     /// earlier than what [`pop`](Self::pop) returns).
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(Entry::at)
     }
 
     /// Number of pending entries, stale ones included.
@@ -268,7 +310,7 @@ impl<E> EventQueue<E> {
 
     /// Total events pushed over the queue's lifetime.
     pub fn total_pushed(&self) -> u64 {
-        self.pushed
+        self.next_seq
     }
 
     /// Total events popped over the queue's lifetime, stale discards
@@ -286,7 +328,7 @@ impl<E> EventQueue<E> {
     /// that sample many queues at once.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
-            pushed: self.pushed,
+            pushed: self.next_seq,
             popped: self.popped,
             stale_drops: self.stale,
             len: self.len(),
@@ -425,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn generations_survive_key_reuse() {
+    fn invalidations_survive_key_reuse() {
         let mut q = EventQueue::new();
         // A long-buried entry for key 9, then many invalidate/push cycles.
         q.push_keyed(t(100.0), 9, 0);
@@ -433,7 +475,7 @@ mod tests {
             q.invalidate_key(9);
             q.push_keyed(t(100.0 - f64::from(round)), 9, round);
         }
-        // Only the latest generation survives.
+        // Only the entry pushed after the last invalidation survives.
         assert_eq!(q.pop(), Some((t(95.0), 5)));
         assert_eq!(q.pop(), None);
         assert_eq!(q.stale_drops(), 5);
@@ -495,5 +537,65 @@ mod tests {
         assert_eq!(q.pop_before(t(6.0)), Some((t(5.0), "live")));
         assert_eq!(q.stale_drops(), 2);
         assert_eq!(q.total_popped(), 3);
+    }
+
+    #[test]
+    fn order_keys_pack_and_unpack_at_their_limits() {
+        let instants = [0.0, -0.0, f64::from_bits(1), 1.0, f64::MAX];
+        for secs in instants {
+            for seq in [0, 1, SEQ_LIMIT / 2, SEQ_LIMIT - 1] {
+                let at = t(secs);
+                let e = Entry::new(at, seq, UNKEYED, ());
+                assert_eq!(e.seq(), seq, "{secs:e} at seq {seq}");
+                assert_eq!(e.at().to_bits(), at.to_bits(), "{secs:e} at seq {seq}");
+                assert_eq!(e.time_key(), time_key(at));
+            }
+        }
+        // The time word decides first, the sequence number second, and the
+        // `-0.0` flag never: a later push at `-0.0` still follows an
+        // earlier one at `+0.0`.
+        let first = Entry::new(t(0.0), SEQ_LIMIT - 1, UNKEYED, ());
+        let next = Entry::new(t(f64::from_bits(1)), 0, UNKEYED, ());
+        assert!(first.order < next.order);
+        let plus = Entry::new(t(0.0), 5, UNKEYED, ());
+        let minus = Entry::new(t(-0.0), 6, UNKEYED, ());
+        assert!(plus.order < minus.order);
+        let minus_first = Entry::new(t(-0.0), 4, UNKEYED, ());
+        assert!(minus_first.order < plus.order);
+    }
+
+    #[test]
+    fn the_last_sequence_number_is_usable_and_the_next_panics() {
+        let mut q = EventQueue::new();
+        q.next_seq = SEQ_LIMIT - 2;
+        q.push_keyed(t(1.0), 0, "a");
+        q.push(t(1.0), "b");
+        assert_eq!(q.total_pushed(), SEQ_LIMIT);
+        q.invalidate_key(0);
+        assert_eq!(q.pop(), Some((t(1.0), "b")));
+        assert_eq!(q.stale_drops(), 1);
+        let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.push(t(2.0), "c");
+        }));
+        assert!(overflow.is_err(), "a 2^63rd push must not wrap");
+    }
+
+    #[test]
+    fn negative_zero_ties_positive_zero_and_pops_bit_exact() {
+        let mut q = EventQueue::new();
+        q.push(t(-0.0), "minus");
+        q.push(t(0.0), "plus");
+        q.push(t(-0.0), "minus again");
+        let popped: Vec<(u64, &str)> =
+            std::iter::from_fn(|| q.pop().map(|(at, e)| (at.as_secs().to_bits(), e))).collect();
+        let (minus, plus) = ((-0.0f64).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            popped,
+            [(minus, "minus"), (plus, "plus"), (minus, "minus again")]
+        );
+        // Both zeros bound `pop_before` and `pop_due` alike.
+        q.push(t(0.0), "z");
+        assert_eq!(q.pop_before(t(-0.0)), None);
+        assert_eq!(q.pop_due(t(-0.0)), Some((t(0.0), "z")));
     }
 }

@@ -94,6 +94,20 @@ impl SimTime {
         // bit pattern is exactly the next float toward +∞.
         SimTime(f64::from_bits(self.0.to_bits() + 1))
     }
+
+    /// The instant's bit pattern. Finite non-negative `f64`s sort like
+    /// their bits, except `-0.0`, whose only set bit is the sign.
+    #[inline]
+    pub(crate) fn to_bits(self) -> u64 {
+        self.0.to_bits()
+    }
+
+    /// The instant whose bit pattern is `bits`, as given by
+    /// [`to_bits`](Self::to_bits).
+    #[inline]
+    pub(crate) fn from_bits(bits: u64) -> SimTime {
+        SimTime(f64::from_bits(bits))
+    }
 }
 
 impl SimDuration {

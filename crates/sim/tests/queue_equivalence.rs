@@ -6,10 +6,12 @@
 //! `invalidate_key`, `pop`, `pop_due` and `pop_before` operations is
 //! replayed against both, asserting after every step that popped
 //! `(time, payload)` pairs, `peek_time`, lengths, and the
-//! pushed/popped/stale counters all agree. Timestamps mix dense clusters
-//! with exact ties (FIFO order within an instant), spread-out mid-range
-//! times and far-future outliers; keys are drawn from a small set so the
-//! same key is invalidated and reused many times.
+//! pushed/popped/stale counters all agree. Popped and peeked instants are
+//! compared bit for bit, so a `-0.0` must come back as `-0.0`. Timestamps
+//! mix dense clusters with exact ties (FIFO order within an instant),
+//! both zeros (which tie), the neighbouring floats of cluster instants,
+//! spread-out mid-range times and far-future outliers; keys are drawn
+//! from a small set so the same key is invalidated and reused many times.
 
 use proptest::prelude::*;
 
@@ -40,6 +42,13 @@ fn arb_time() -> impl Strategy<Value = f64> {
         0.0f64..10_000.0,
         // Sparse far-future outliers.
         1.0e6f64..1.0e8,
+        // Both zeros: equal values with different bits.
+        proptest::bool::ANY.prop_map(|negative| if negative { -0.0 } else { 0.0 }),
+        // A cluster instant or one of its next few floats either side.
+        (1u32..20, 0u64..3, proptest::bool::ANY).prop_map(|(k, ulps, up)| {
+            let bits = (f64::from(k) * 0.5).to_bits();
+            f64::from_bits(if up { bits + ulps } else { bits - ulps })
+        }),
     ]
 }
 
@@ -120,6 +129,11 @@ impl Model {
     }
 }
 
+/// A popped event with its instant as bits, so `-0.0` and `+0.0` differ.
+fn exact(popped: Option<(SimTime, u64)>) -> Option<(u64, u64)> {
+    popped.map(|(at, payload)| (at.as_secs().to_bits(), payload))
+}
+
 fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut m = Model::default();
@@ -154,26 +168,32 @@ fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
                 *m.generations.entry(*k).or_insert(0) += 1;
                 (None, None)
             }
-            Op::Pop => (Some(q.pop()), Some(m.pop_where(|_| true, |_| true))),
+            Op::Pop => (
+                Some(exact(q.pop())),
+                Some(exact(m.pop_where(|_| true, |_| true))),
+            ),
             Op::PopDue(t) => {
                 let t = SimTime::from_secs(*t);
                 (
-                    Some(q.pop_due(t)),
-                    Some(m.pop_where(|_| true, |at| at <= t)),
+                    Some(exact(q.pop_due(t))),
+                    Some(exact(m.pop_where(|_| true, |at| at <= t))),
                 )
             }
             Op::PopBefore(t) => {
                 let t = SimTime::from_secs(*t);
                 (
-                    Some(q.pop_before(t)),
-                    Some(m.pop_where(|at| at < t, |at| at < t)),
+                    Some(exact(q.pop_before(t))),
+                    Some(exact(m.pop_where(|at| at < t, |at| at < t))),
                 )
             }
             Op::Peek => (None, None),
         };
         payload += 1;
         prop_assert_eq!(&got, &want, "queue vs model mismatch on {:?}", op);
-        prop_assert_eq!(q.peek_time(), m.pending.first().map(|e| e.0));
+        prop_assert_eq!(
+            q.peek_time().map(|at| at.as_secs().to_bits()),
+            m.pending.first().map(|e| e.0.as_secs().to_bits())
+        );
         prop_assert_eq!(q.len(), m.pending.len());
         prop_assert_eq!(q.is_empty(), m.pending.is_empty());
         prop_assert_eq!(q.total_pushed(), m.pushed);
@@ -187,8 +207,8 @@ fn run_script(ops: &[Op]) -> Result<(), TestCaseError> {
     }
     // Drain everything left: the full remaining pop order must agree.
     loop {
-        let got = q.pop();
-        prop_assert_eq!(&got, &m.pop_where(|_| true, |_| true));
+        let got = exact(q.pop());
+        prop_assert_eq!(&got, &exact(m.pop_where(|_| true, |_| true)));
         if got.is_none() {
             break;
         }
@@ -225,6 +245,68 @@ proptest! {
                     0 => Op::Push(t),
                     1 => Op::PushKeyed(t, key),
                     2 => Op::InvalidateKey(key),
+                    _ => Op::PopBefore(t),
+                }
+            })
+            .collect();
+        run_script(&ops)?;
+    }
+}
+
+/// Scripts over a handful of instants that tie or nearly tie: `-0.0` and
+/// `+0.0`, an instant and its neighbouring floats, and exact repeats.
+fn arb_close_time() -> impl Strategy<Value = f64> {
+    let base = 100.0f64.to_bits();
+    prop_oneof![
+        Just(-0.0),
+        Just(0.0),
+        Just(f64::from_bits(1)),
+        Just(f64::from_bits(base - 1)),
+        Just(100.0),
+        Just(f64::from_bits(base + 1)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Equal instants, both zeros and `next_up` neighbours, with keyed and
+    /// unkeyed entries mixed at each and the pops bounded by the same
+    /// instants: the pop order is `(value, push order)` and every instant
+    /// comes back with its own bits.
+    #[test]
+    fn zeros_neighbours_and_ties_match_the_model(
+        steps in proptest::collection::vec((arb_close_time(), 0u64..3, 0u8..6), 50..300),
+    ) {
+        let ops: Vec<Op> = steps
+            .into_iter()
+            .map(|(t, key, kind)| match kind {
+                0 | 1 => Op::Push(t),
+                2 | 3 => Op::PushKeyed(t, key),
+                4 => Op::InvalidateKey(key),
+                _ if key == 0 => Op::PopDue(t),
+                _ => Op::PopBefore(t),
+            })
+            .collect();
+        run_script(&ops)?;
+    }
+
+    /// One key invalidated hundreds of times, with keyed pushes under it
+    /// and unkeyed pushes around them: only the entries pushed after the
+    /// key's latest invalidation survive, and the unkeyed ones never go
+    /// stale.
+    #[test]
+    fn a_key_invalidated_many_times_matches_the_model(
+        steps in proptest::collection::vec((0u32..50, 0u8..5), 300..600),
+    ) {
+        let ops: Vec<Op> = steps
+            .into_iter()
+            .map(|(slot, kind)| {
+                let t = f64::from(slot);
+                match kind {
+                    0 => Op::Push(t),
+                    1 => Op::PushKeyed(t, 0),
+                    2 | 3 => Op::InvalidateKey(0),
                     _ => Op::PopBefore(t),
                 }
             })

@@ -187,17 +187,45 @@ fn non_finite_fields_are_located_errors() {
 fn huge_finite_fields_shape_without_panicking() {
     // Work that overflows to an infinite demand: the load cannot be
     // rescaled, so the submit instants stay as read.
+    // (Known executables: their work estimate only feeds the demand, so no
+    // job is rescaled to it; see `oversized_work_estimates_are_located_errors`
+    // for executables that are.)
     let text = [
-        data_line(1, 0.0, 5e307, 2, 4, 7),
+        data_line(1, 0.0, 5e307, 2, 4, 1),
         data_line(2, 1e-300, 10.0, 1, 4, 1),
     ]
     .join("\n");
     assert_eq!(replay_pipeline(text.as_bytes()), Ok(2));
     // Submit instants at both ends of the range.
     let text = [
-        data_line(1, 0.0, 1e300, 100, 4, 7),
-        data_line(2, f64::MAX, 1e300, 100, 4, 8),
+        data_line(1, 0.0, 1e300, 100, 4, 2),
+        data_line(2, f64::MAX, 1e300, 100, 4, 3),
     ]
     .join("\n");
     assert_eq!(replay_pipeline(text.as_bytes()), Ok(2));
+}
+
+#[test]
+fn oversized_work_estimates_are_located_errors() {
+    // Executable 7 takes a fallback application rescaled to the record's
+    // work: a run of 1e12 s on one processor would need about 4e11
+    // iterations, which used to be clamped silently to u32::MAX.
+    let text = format!(
+        "; MaxProcs: 60\n{}\n{}\n",
+        data_line(1, 0.0, 10.0, 4, 4, 7),
+        data_line(2, 5.0, 1e12, 1, 1, 7)
+    );
+    let err = replay_pipeline(text.as_bytes()).expect_err("oversized work");
+    assert_eq!(err, SwfError::WorkTooLarge { line: 3, field: 4 });
+    assert_eq!(
+        err.to_string(),
+        "line 3: field 4 is too large: the job's work would need more than 4294967295 iterations"
+    );
+    // A known executable keeps its calibrated application, so the same
+    // run time only feeds the demand.
+    let text = data_line(1, 0.0, 1e12, 1, 1, 4);
+    assert_eq!(replay_pipeline(text.as_bytes()), Ok(1));
+    // Work that fits stays accepted: a million iterations.
+    let text = data_line(1, 0.0, 1e6 * 2.5, 1, 1, 8);
+    assert_eq!(replay_pipeline(text.as_bytes()), Ok(1));
 }
