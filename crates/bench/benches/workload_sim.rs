@@ -10,6 +10,8 @@ use std::hint::black_box;
 use pdpa_bench::PolicyKind;
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_qs::Workload;
+use pdpa_sim::SimTime;
+use pdpa_trace::TraceObserver;
 
 fn bench_full_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_run");
@@ -36,12 +38,15 @@ fn bench_full_runs(c: &mut Criterion) {
     });
 
     group.bench_function("w1_load100_traced/IRIX", |b| {
-        // The heaviest configuration: time sharing with per-quantum ticks.
+        // The heaviest configuration: time sharing with per-quantum ticks,
+        // every event folded into the CPU trace.
         b.iter(|| {
             let jobs = Workload::W1.build(1.0, 42);
             let config = EngineConfig::default().with_trace();
-            let r = Engine::new(config).run(jobs, PolicyKind::Irix.build());
-            black_box(r.total_migrations())
+            let mut tracer = TraceObserver::new(config.cpus);
+            let r = Engine::new(config).run_observed(jobs, PolicyKind::Irix.build(), &mut tracer);
+            let trace = tracer.into_trace(SimTime::from_secs(r.end_secs));
+            black_box((r.total_migrations(), trace.records.len()))
         });
     });
 

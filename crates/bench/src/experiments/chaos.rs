@@ -13,8 +13,9 @@
 use std::fmt::Write as _;
 
 use crate::{run_engine_observed, PolicyKind, SEEDS};
-use pdpa_engine::{Engine, EngineConfig, RunResult};
+use pdpa_engine::{EngineConfig, RunResult};
 use pdpa_faults::{FaultPlan, RetryPolicy};
+use pdpa_obs::NullObserver;
 use pdpa_policies::{GangScheduler, RigidFirstFit, SchedulingPolicy};
 use pdpa_qs::Workload;
 use pdpa_sim::{CpuId, JobId};
@@ -60,7 +61,7 @@ fn one_run(label: &str, seed: u64, faults: Option<FaultPlan>) -> RunResult {
         config = config.with_faults(plan);
     }
     let key = format!("{}-{label}-{mode}-seed{seed}", wl.name());
-    let r = run_engine_observed(&key, &Engine::new(config), jobs, build(label));
+    let r = run_engine_observed(&key, config, jobs, build(label), &mut NullObserver);
     assert!(r.completed_all, "{label} wedged under {mode}");
     r
 }

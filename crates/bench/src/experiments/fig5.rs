@@ -8,9 +8,10 @@
 use std::fmt::Write as _;
 
 use crate::{run_engine_observed, PolicyKind};
-use pdpa_engine::{Engine, EngineConfig};
+use pdpa_engine::EngineConfig;
 use pdpa_qs::Workload;
-use pdpa_trace::{render_ascii, RenderOptions};
+use pdpa_sim::SimTime;
+use pdpa_trace::{render_ascii, RenderOptions, TraceObserver};
 
 /// Renders the experiment.
 pub fn run() -> String {
@@ -23,9 +24,10 @@ pub fn run() -> String {
         let jobs = Workload::W1.build(1.0, 42);
         let config = EngineConfig::default().with_trace().with_seed(42);
         let key = format!("w1-{}-load1-seed42", policy.label());
-        let result = run_engine_observed(&key, &Engine::new(config), jobs, policy.build());
+        let mut tracer = TraceObserver::new(config.cpus);
+        let result = run_engine_observed(&key, config, jobs, policy.build(), &mut tracer);
         let migrations = result.total_migrations();
-        let trace = result.trace.expect("trace collection enabled");
+        let trace = tracer.into_trace(SimTime::from_secs(result.end_secs));
         let _ = writeln!(
             out,
             "## {} (migrations: {}, utilization: {:.0} %)\n",

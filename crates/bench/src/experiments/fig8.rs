@@ -7,7 +7,8 @@
 use std::fmt::Write as _;
 
 use crate::{run_engine_observed, PolicyKind};
-use pdpa_engine::{Engine, EngineConfig};
+use pdpa_engine::EngineConfig;
+use pdpa_obs::{mpl_series, MplPoint, RecordingObserver};
 use pdpa_qs::Workload;
 
 /// Renders the experiment.
@@ -18,19 +19,22 @@ pub fn run() -> String {
         "# Fig. 8 — PDPA's dynamic multiprogramming level (w2, load = 100 %)\n"
     );
     let jobs = Workload::W2.build(1.0, 42);
+    let mut rec = RecordingObserver::new();
     let result = run_engine_observed(
         "w2-PDPA-load1-seed42",
-        &Engine::new(EngineConfig::default().with_seed(42)),
+        EngineConfig::default().with_seed(42),
         jobs,
         PolicyKind::Pdpa.build(),
+        &mut rec,
     );
+    let series = mpl_series(rec.events());
 
     let _ = writeln!(
         out,
         "max ml = {}, makespan = {:.0} s, {} level changes\n",
         result.max_ml,
         result.end_secs,
-        result.ml_series.len()
+        series.len()
     );
 
     // Sampled series (the raw series has one entry per admission/completion).
@@ -39,7 +43,7 @@ pub fn run() -> String {
     let samples = 30usize;
     for i in 0..=samples {
         let t = horizon * i as f64 / samples as f64;
-        let ml = ml_at(&result.ml_series, t);
+        let ml = ml_at(&series, t);
         let _ = writeln!(out, "{t:>7.0}  {ml}");
     }
 
@@ -51,11 +55,7 @@ pub fn run() -> String {
         let mut line = String::with_capacity(width);
         for x in 0..width {
             let t = horizon * x as f64 / width as f64;
-            line.push(if ml_at(&result.ml_series, t) >= level {
-                '#'
-            } else {
-                ' '
-            });
+            line.push(if ml_at(&series, t) >= level { '#' } else { ' ' });
         }
         let _ = writeln!(out, "{level:>3} |{line}");
     }
@@ -65,11 +65,10 @@ pub fn run() -> String {
 }
 
 /// The multiprogramming level in force at instant `t`.
-fn ml_at(series: &[(f64, usize)], t: f64) -> usize {
+fn ml_at(series: &[MplPoint], t: f64) -> usize {
     series
         .iter()
-        .take_while(|&&(at, _)| at <= t)
+        .take_while(|p| p.at.as_secs() <= t)
         .last()
-        .map(|&(_, ml)| ml)
-        .unwrap_or(0)
+        .map_or(0, |p| p.running)
 }

@@ -17,7 +17,8 @@ use crate::{PolicyKind, SEEDS};
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_policies::{GangScheduler, SchedulingPolicy};
 use pdpa_qs::Workload;
-use pdpa_trace::BurstStats;
+use pdpa_sim::SimTime;
+use pdpa_trace::{BurstStats, TraceObserver};
 
 const LABELS: [&str; 4] = ["Equip", "PDPA", "Gang", "IRIX"];
 
@@ -41,10 +42,10 @@ fn run_cell(wl: Workload, label: &str) -> Row {
     let traced = {
         let jobs = wl.build(1.0, 42);
         let config = EngineConfig::default().with_trace().with_seed(42);
-        let r = Engine::new(config).run(jobs, build(label));
-        let migrations = r.total_migrations();
-        let trace = r.trace.expect("traced");
-        BurstStats::from_trace(&trace, migrations)
+        let mut tracer = TraceObserver::new(config.cpus);
+        let r = Engine::new(config).run_observed(jobs, build(label), &mut tracer);
+        let trace = tracer.into_trace(SimTime::from_secs(r.end_secs));
+        BurstStats::from_trace(&trace, r.total_migrations())
     };
     let mut makespan = 0.0;
     let mut resp = 0.0;

@@ -17,7 +17,8 @@ use std::fmt::Write as _;
 use crate::PolicyKind;
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_qs::Workload;
-use pdpa_trace::BurstStats;
+use pdpa_sim::SimTime;
+use pdpa_trace::{BurstStats, TraceObserver};
 
 /// Renders the experiment.
 pub fn run() -> String {
@@ -38,10 +39,10 @@ pub fn run() -> String {
     ] {
         let jobs = Workload::W1.build(1.0, 42);
         let config = EngineConfig::default().with_trace().with_seed(42);
-        let result = Engine::new(config).run(jobs, policy.build());
-        let migrations = result.total_migrations();
-        let trace = result.trace.expect("trace collection enabled");
-        let bursts = BurstStats::from_trace(&trace, migrations);
+        let mut tracer = TraceObserver::new(config.cpus);
+        let result = Engine::new(config).run_observed(jobs, policy.build(), &mut tracer);
+        let trace = tracer.into_trace(SimTime::from_secs(result.end_secs));
+        let bursts = BurstStats::from_trace(&trace, result.total_migrations());
         let _ = writeln!(out, "{}", bursts.table_row(policy.label()));
     }
     let _ = writeln!(out, "\npaper (Origin 2000):");

@@ -271,8 +271,8 @@ pub fn run_tournament(config: &TournamentConfig) -> Tournament {
     let roster = entrants();
 
     let legs = pdpa_parallel::par_map(&roster, pdpa_parallel::num_threads(), |entrant| {
-        // SWF leg. Trace collection drives the quantum clock (gang
-        // rotation), and long traces need headroom past the default
+        // SWF leg. `with_trace` runs the quantum clock (gang rotation);
+        // no CPU trace is kept. Long traces need headroom past the default
         // simulation bound.
         let mut engine_config = EngineConfig::default()
             .with_cpus(config.cpus)

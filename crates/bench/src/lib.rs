@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use pdpa_apps::AppClass;
 use pdpa_core::{Pdpa, PdpaParams};
 use pdpa_engine::{Engine, EngineConfig, RunResult};
+use pdpa_obs::{NullObserver, Observer, RecordingObserver, TeeObserver};
 use pdpa_policies::{EqualEfficiency, Equipartition, IrixLike, SchedulingPolicy};
 use pdpa_qs::Workload;
 
@@ -121,7 +122,8 @@ pub struct Cell {
     pub completed_all: bool,
 }
 
-/// Runs one engine execution and — when the process-wide
+/// Runs one engine execution publishing to `sink` (a `TraceObserver`, a
+/// recorder or a [`NullObserver`]) and — when the process-wide
 /// [`pdpa_obs::collector`] is recording (`--trace-out` and friends) —
 /// captures the decision-event stream under `<scope>/<run_key>`.
 ///
@@ -130,18 +132,20 @@ pub struct Cell {
 /// parallel harness executions.
 pub fn run_engine_observed(
     run_key: &str,
-    engine: &Engine,
+    config: EngineConfig,
     jobs: Vec<pdpa_qs::JobSpec>,
     policy: Box<dyn SchedulingPolicy>,
+    sink: &mut dyn Observer,
 ) -> RunResult {
+    let engine = Engine::new(config);
     if pdpa_obs::collector::is_recording() {
-        let mut rec = pdpa_obs::RecordingObserver::new();
-        let r = engine.run_observed(jobs, policy, &mut rec);
+        let mut rec = RecordingObserver::new();
+        let r = engine.run_observed(jobs, policy, &mut TeeObserver(&mut rec, sink));
         let scope = pdpa_obs::scope::current().unwrap_or_default();
         pdpa_obs::collector::record_run(format!("{scope}/{run_key}"), rec.take_events());
         r
     } else {
-        engine.run(jobs, policy)
+        engine.run_observed(jobs, policy, sink)
     }
 }
 
@@ -163,7 +167,7 @@ pub fn run_single(
         if tuned { "tuned" } else { "untuned" },
         policy.label(),
     );
-    run_engine_observed(&key, &Engine::new(config), jobs, policy.build())
+    run_engine_observed(&key, config, jobs, policy.build(), &mut NullObserver)
 }
 
 /// Runs one `(workload, policy, load)` cell averaged over `seeds`, with

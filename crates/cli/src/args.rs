@@ -371,7 +371,7 @@ pub struct Options {
     pub untuned: bool,
     /// Queue backfilling.
     pub backfill: bool,
-    /// Trace collection.
+    /// Per-CPU trace: a chained `TraceObserver`, quantum clock on.
     pub trace: bool,
     /// Print the ASCII execution view.
     pub ascii: bool,

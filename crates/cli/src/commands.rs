@@ -15,7 +15,7 @@ use pdpa_faults::FaultPlan;
 use pdpa_obs::metrics::Registry;
 use pdpa_obs::{
     chrome_trace, metrics_json, mpl_series_csv, scope, span_trace, FilterObserver, KindFilter,
-    NullObserver, Observer, RecordingObserver,
+    NullObserver, Observer, RecordingObserver, TeeObserver,
 };
 use pdpa_policies::{
     EqualEfficiency, Equipartition, GangScheduler, HeSrpt, IrixLike, LearnedAlloc, OptSplit,
@@ -23,7 +23,8 @@ use pdpa_policies::{
 };
 use pdpa_prof::{HeartbeatConfig, WatchdogConfig};
 use pdpa_qs::{shape, swf};
-use pdpa_trace::{render_ascii, to_paraver, RenderOptions};
+use pdpa_sim::SimTime;
+use pdpa_trace::{render_ascii, to_paraver, RenderOptions, TraceObserver};
 use pdpa_watch::{
     LiveTap, Request, RequestKind, Response, ResponseBody, RunMeta, RunState, StatusServer,
     TapObserver,
@@ -107,10 +108,6 @@ fn execute_with(
     Ok(result)
 }
 
-fn execute(opts: &Options, choice: PolicyChoice) -> Result<RunResult, String> {
-    execute_with(opts, choice, &mut NullObserver)
-}
-
 /// One-line-per-class metrics of a finished run.
 fn class_table(result: &RunResult) -> String {
     let mut out = String::new();
@@ -143,14 +140,21 @@ fn class_table(result: &RunResult) -> String {
 fn run_one(opts: &Options) -> Result<String, String> {
     let choice = opts.policy.expect("parser enforces --policy for run");
     let mut recorder = RecordingObserver::new();
+    // The CPU trace under --trace (and the flags that imply it).
+    let mut tracer = opts.trace.then(|| TraceObserver::new(opts.cpus));
+    let sink: &mut dyn Observer = match &mut tracer {
+        Some(tracer) => tracer,
+        None => &mut NullObserver,
+    };
     let result = if opts.observing() {
         // Attribute this run's registry counters to a CLI scope so the
         // metrics export distinguishes it from harness experiments.
         let _scope = scope::enter(&format!("cli-{}", opts.workload));
-        execute_with(opts, choice, &mut recorder)?
+        execute_with(opts, choice, &mut TeeObserver(&mut recorder, sink))?
     } else {
-        execute(opts, choice)?
+        execute_with(opts, choice, sink)?
     };
+    let trace = tracer.map(|t| t.into_trace(SimTime::from_secs(result.end_secs)));
 
     let mut out = String::new();
     let _ = writeln!(
@@ -185,7 +189,7 @@ fn run_one(opts: &Options) -> Result<String, String> {
     out.push_str(&class_table(&result));
 
     if opts.ascii {
-        let trace = result.trace.as_ref().expect("--ascii implies --trace");
+        let trace = trace.as_ref().expect("--ascii implies --trace");
         out.push('\n');
         out.push_str(&render_ascii(
             trace,
@@ -196,7 +200,7 @@ fn run_one(opts: &Options) -> Result<String, String> {
         ));
     }
     if let Some(path) = &opts.prv_out {
-        let trace = result.trace.as_ref().expect("--prv-out implies --trace");
+        let trace = trace.as_ref().expect("--prv-out implies --trace");
         std::fs::write(path, to_paraver(trace)).map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nParaver trace written to {path}");
     }
@@ -1025,7 +1029,7 @@ fn compare(opts: &Options) -> Result<String, String> {
         PolicyChoice::Gang,
         PolicyChoice::Pdpa,
     ] {
-        let result = execute(opts, choice)?;
+        let result = execute_with(opts, choice, &mut NullObserver)?;
         let _ = writeln!(
             out,
             "{:<14} {:>9.0}s {:>14.0}s {:>13.0}s {:>8} {:>11.0}%",

@@ -18,8 +18,10 @@ pub struct EngineConfig {
     pub analyzer: SelfAnalyzerConfig,
     /// RNG seed (noise, time-shared placement).
     pub seed: u64,
-    /// Record the per-CPU activity trace (needed for Fig. 5 / Table 2;
-    /// costs memory and, under time sharing, per-quantum work).
+    /// Run the time-shared and gang quantum clock (per-quantum placement
+    /// and rotation). Placement draws from the run's RNG, so this changes
+    /// time-shared results. The CPU trace (Fig. 5 / Table 2) comes from a
+    /// `pdpa_trace::TraceObserver` chained as the run's observer.
     pub collect_trace: bool,
     /// Safety bound on simulated time; the run aborts (with
     /// `completed_all = false`) if the workload has not drained by then.
@@ -42,7 +44,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// The paper's setup: 60 processors, Origin-2000 reallocation costs,
-    /// 2 % measurement noise, default SelfAnalyzer, no trace collection.
+    /// 2 % measurement noise, default SelfAnalyzer, no quantum clock.
     fn default() -> Self {
         EngineConfig {
             cpus: 60,
@@ -60,7 +62,8 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Enables trace collection.
+    /// Runs the quantum clock, changing time-shared runs' RNG draws; the CPU
+    /// trace comes from a chained `TraceObserver`.
     pub fn with_trace(mut self) -> Self {
         self.collect_trace = true;
         self

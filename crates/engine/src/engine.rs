@@ -14,7 +14,6 @@ use pdpa_policies::{Decisions, PolicyCtx, SchedulingPolicy, SharingModel};
 use pdpa_prof::{HealthSnapshot, Heartbeat, KindProfile, Profile, SpanKind, Watchdog};
 use pdpa_qs::{JobSpec, QueueSystem};
 use pdpa_sim::{CpuId, EventQueue, JobId, Machine, QueueStats, SimRng, SimTime};
-use pdpa_trace::TraceObserver;
 
 use crate::config::EngineConfig;
 use crate::instrument::Instrumentation;
@@ -48,8 +47,8 @@ enum Ev {
     /// job's queue key, so rescheduling or removing the job lazily
     /// invalidates the pending prediction inside the event queue.
     IterEnd { job: JobId },
-    /// Time-shared placement quantum (only scheduled for time-shared runs
-    /// with trace collection).
+    /// The time-shared and gang quantum clock (only under `collect_trace`):
+    /// re-places threads, drawing from the RNG, or rotates the gangs.
     Tick,
     /// A CPU fails per the fault plan.
     CpuFail(CpuId),
@@ -224,13 +223,7 @@ pub(crate) struct Sim<O> {
     completed_alloc_by_job: HashMap<JobId, f64>,
     /// Total CPU-seconds held by completed jobs.
     cpu_seconds_used: f64,
-    /// The one subscription point for CPU-occupancy tracing: placement
-    /// mutations publish [`ObsEvent::CpuAssigned`] and this bridge rebuilds
-    /// the per-CPU burst trace from the stream.
-    trace_obs: TraceObserver,
-    /// `config.collect_trace`, cached where the publish sites branch on it.
-    trace_on: bool,
-    /// The external event sink, when one is attached.
+    /// The one event sink.
     obs: O,
     /// `obs.is_enabled()`, cached at run start: publish sites skip event
     /// construction entirely when false.
@@ -251,7 +244,6 @@ pub(crate) struct Sim<O> {
     /// private histogram, not the registry.
     queue_timer: Option<SampledTimer>,
     placement: QuantumPlacement,
-    ml_series: Vec<(f64, usize)>,
     max_ml: usize,
     /// Current row of the gang matrix (gang mode only).
     gang_slot: usize,
@@ -279,11 +271,6 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
         sharing: SharingModel,
         obs: O,
     ) -> Self {
-        let trace_obs = if config.collect_trace {
-            TraceObserver::new(config.cpus)
-        } else {
-            TraceObserver::disabled(config.cpus)
-        };
         let obs_on = obs.is_enabled();
         Sim {
             config: config.clone(),
@@ -304,8 +291,6 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
             completed_allocs: Vec::new(),
             completed_alloc_by_job: HashMap::new(),
             cpu_seconds_used: 0.0,
-            trace_on: config.collect_trace,
-            trace_obs,
             obs,
             obs_on,
             changes_scratch: Vec::new(),
@@ -315,7 +300,6 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
             decision_timer: SampledTimer::new(Registry::global().histogram("decision_ns")),
             queue_timer: None,
             placement: QuantumPlacement::new(config.cpus),
-            ml_series: vec![(0.0, 0)],
             max_ml: 0,
             gang_slot: 0,
             gang_prev: vec![None; config.cpus],
@@ -350,7 +334,7 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
     /// and the fault plan. Arrivals are not scheduled; they stream from
     /// the queue system through `pop_next`.
     fn schedule_plan(&mut self) {
-        // Kick off the time-shared/gang quantum clock when tracing.
+        // Kick off the time-shared/gang quantum clock when configured.
         if self.config.collect_trace {
             if let Some(q) = self.quantum() {
                 self.events.push(SimTime::ZERO + q, Ev::Tick);
@@ -499,7 +483,6 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
     fn record_ml(&mut self) {
         let ml = self.store.len();
         self.max_ml = self.max_ml.max(ml);
-        self.ml_series.push((self.clock.as_secs(), ml));
         if self.obs_on {
             // The O(n) allocation sum runs only with a live observer.
             let total_alloc = self.store.total_allocated();
@@ -512,21 +495,17 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
 
     // --- Event publication ---
 
-    /// Publishes to the trace bridge and the external observer. Call sites
-    /// guard with `obs_on` (or `trace_on` for CPU events) so disabled runs
-    /// never construct events.
+    /// Publishes to the observer. Call sites guard with `obs_on` so
+    /// disabled runs never construct events.
     #[inline]
     fn publish(&mut self, ev: ObsEvent) {
-        if self.trace_on {
-            self.trace_obs.on_event(self.clock, &ev);
-        }
         if self.obs_on {
             self.obs.on_event(self.clock, &ev);
         }
     }
 
     /// Publishes a CPU-occupancy change (the high-volume event class); one
-    /// branch and out when neither sink is live.
+    /// branch and out when no observer is live.
     #[inline]
     fn publish_cpu(&mut self, cpu: CpuId, job: Option<JobId>) {
         if let SharingModel::Gang(_) = self.sharing {
@@ -543,7 +522,7 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
             }
             *prev = job;
         }
-        if self.trace_on || self.obs_on {
+        if self.obs_on {
             self.publish(ObsEvent::CpuAssigned { cpu, job });
         }
     }
@@ -1350,15 +1329,9 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
         RunResult {
             policy: policy_name.to_string(),
             summary: Summary::new(self.outcomes),
-            trace: if self.config.collect_trace {
-                Some(self.trace_obs.into_trace(end))
-            } else {
-                None
-            },
             machine_stats: self.machine.stats(),
             timeshare_migrations: self.placement.migrations,
             quantum_rotations: self.quantum_rotations,
-            ml_series: self.ml_series,
             max_ml: self.max_ml,
             avg_alloc_by_class,
             avg_alloc_by_job: self.completed_alloc_by_job,
@@ -1527,8 +1500,10 @@ mod tests {
     fn trace_collection_records_bursts() {
         let jobs = vec![JobSpec::new(t(0.0), apsi())];
         let cfg = quiet_config().with_trace();
-        let r = Engine::new(cfg).run(jobs, Box::new(Equipartition::default()));
-        let trace = r.trace.expect("trace enabled");
+        let mut tracer = pdpa_trace::TraceObserver::new(cfg.cpus);
+        let r =
+            Engine::new(cfg).run_observed(jobs, Box::new(Equipartition::default()), &mut tracer);
+        let trace = tracer.into_trace(t(r.end_secs));
         assert!(!trace.records.is_empty());
         // apsi requests 2 processors: exactly 2 CPUs saw work.
         let busy_cpus: std::collections::HashSet<u16> =
@@ -1614,12 +1589,19 @@ mod tests {
     #[test]
     fn ml_series_tracks_admissions() {
         let jobs = vec![JobSpec::new(t(0.0), apsi()), JobSpec::new(t(0.0), apsi())];
-        let r = Engine::new(quiet_config()).run(jobs, Box::new(Equipartition::default()));
+        let mut rec = pdpa_obs::RecordingObserver::new();
+        let r = Engine::new(quiet_config()).run_observed(
+            jobs,
+            Box::new(Equipartition::default()),
+            &mut rec,
+        );
         assert!(r.completed_all);
-        assert_eq!(r.peak_ml(), 2);
+        let series = pdpa_obs::mpl_series(rec.events());
+        assert_eq!(series.iter().map(|p| p.running).max(), Some(2));
+        assert_eq!(r.max_ml, 2);
         // The series starts at 0 and returns to 0.
-        assert_eq!(r.ml_series.first().unwrap().1, 0);
-        assert_eq!(r.ml_series.last().unwrap().1, 0);
+        assert_eq!(series.first().unwrap().running, 0);
+        assert_eq!(series.last().unwrap().running, 0);
     }
 }
 
@@ -1980,9 +1962,14 @@ mod gang_tests {
             JobSpec::new(SimTime::ZERO, bt_a()),
         ];
         let config = quiet().with_trace();
-        let r = Engine::new(config).run(jobs, Box::new(GangScheduler::paper_comparable()));
+        let mut tracer = pdpa_trace::TraceObserver::new(config.cpus);
+        let r = Engine::new(config).run_observed(
+            jobs,
+            Box::new(GangScheduler::paper_comparable()),
+            &mut tracer,
+        );
         assert!(r.completed_all);
-        let trace = r.trace.expect("traced");
+        let trace = tracer.into_trace(SimTime::from_secs(r.end_secs));
         // Rotation at the 2 s quantum: bursts are short and plentiful, and
         // both jobs appear on cpu0 over time.
         let jobs_on_cpu0: std::collections::HashSet<u32> = trace

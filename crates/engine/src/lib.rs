@@ -13,8 +13,10 @@
 //! - the **SelfAnalyzer** (`pdpa-perf`): each completed iteration is timed
 //!   (with measurement noise) and the resulting speedup estimate is
 //!   reported to the policy;
-//! - the **tracer** (`pdpa-trace`): per-CPU occupancy is recorded for the
-//!   Fig. 5 views and Table 2 statistics.
+//! - the **tracer** (`pdpa-trace`): a chained `pdpa_trace::TraceObserver`
+//!   folds the published per-CPU occupancy into the Fig. 5 views and
+//!   Table 2 statistics; `EngineConfig::collect_trace` runs the quantum
+//!   clock they need, which changes time-shared runs' RNG draws.
 //!
 //! There is one event loop. Like the NANOS resource manager, it
 //! re-decides an allocation the moment a job reports an iteration:

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use pdpa_apps::AppClass;
 use pdpa_metrics::Summary;
 use pdpa_sim::MachineStats;
-use pdpa_trace::Trace;
 
 /// Everything measured during one workload execution under one policy.
 #[derive(Clone, Debug)]
@@ -14,23 +13,18 @@ pub struct RunResult {
     pub policy: String,
     /// Per-job outcomes, aggregated.
     pub summary: Summary,
-    /// The per-CPU activity trace, when collection was enabled.
-    pub trace: Option<Trace>,
     /// Machine counters (space-shared migrations, reallocations).
     pub machine_stats: MachineStats,
     /// Migrations counted by the time-shared placement model (IRIX runs
-    /// with trace collection; 0 otherwise).
+    /// with the quantum clock, `collect_trace`; 0 otherwise).
     pub timeshare_migrations: u64,
-    /// Gang-mode occupant hand-offs at slot rotations (traced gang runs;
+    /// Gang-mode occupant hand-offs at slot rotations (clocked gang runs;
     /// 0 otherwise). Rotation reclaims the same footprint every slot, so
     /// Table 2 does not bill it as migration — but the decision-event
     /// stream shows the churn, and the analyzer's replay counts it. Kept
     /// separate so `analyzer == total_migrations() + quantum_rotations`
     /// holds for every sharing model.
     pub quantum_rotations: u64,
-    /// `(time_secs, running_jobs)` at every multiprogramming-level change —
-    /// the Fig. 8 series.
-    pub ml_series: Vec<(f64, usize)>,
     /// The maximum multiprogramming level reached.
     pub max_ml: usize,
     /// Average processors held per application class (over each job's
@@ -43,7 +37,8 @@ pub struct RunResult {
     /// Final simulated time (the workload makespan when `completed_all`).
     pub end_secs: f64,
     /// Total CPU-seconds held by jobs over the run (the integral of each
-    /// job's allocation over its lifetime).
+    /// job's allocation over its lifetime). Under `TimeShared` and `Gang`
+    /// an allocation counts threads, so this can exceed the capacity.
     pub cpu_seconds_used: f64,
     /// Machine size, for utilization computations.
     pub total_cpus: usize,
@@ -83,14 +78,12 @@ impl RunResult {
         self.machine_stats.migrations + self.timeshare_migrations
     }
 
-    /// The maximum multiprogramming level in the series (sanity accessor).
-    pub fn peak_ml(&self) -> usize {
-        self.ml_series.iter().map(|&(_, ml)| ml).max().unwrap_or(0)
-    }
-
     /// Fraction of machine capacity held by jobs over the run — the paper's
     /// §5.4 observation is that PDPA does the same work at ≈ 70 % of the
     /// CPU time Equipartition burns at ≈ 100 %.
+    /// Under `TimeShared` and `Gang` it counts threads (see
+    /// [`cpu_seconds_used`](Self::cpu_seconds_used)) and can pass 1:
+    /// workload 1 at load 1.0 prints 167 % for IRIX and 181 % for Gang.
     pub fn utilization(&self) -> f64 {
         let capacity = self.end_secs * self.total_cpus as f64;
         if capacity <= 0.0 {
@@ -106,15 +99,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn peak_ml_matches_series() {
+    fn migrations_and_utilization() {
         let r = RunResult {
             policy: "PDPA".into(),
             summary: Summary::new(Vec::new()),
-            trace: None,
             machine_stats: MachineStats::default(),
             timeshare_migrations: 0,
             quantum_rotations: 0,
-            ml_series: vec![(0.0, 1), (5.0, 4), (9.0, 2)],
             max_ml: 4,
             avg_alloc_by_class: HashMap::new(),
             avg_alloc_by_job: HashMap::new(),
@@ -134,8 +125,6 @@ mod tests {
             watchdog: None,
             profile: None,
         };
-        assert_eq!(r.peak_ml(), 4);
-        assert_eq!(r.peak_ml(), r.max_ml);
         assert_eq!(r.total_migrations(), 0);
         assert!((r.utilization() - 0.5).abs() < 1e-12);
     }

@@ -28,9 +28,10 @@
 //! state depends only on which events have been processed, and that set
 //! is determined by the furthest barrier.
 //!
-//! Sessions refuse fault plans and CPU-trace collection — both schedule
-//! events at construction time, which has no meaning for an initially
-//! empty, open-ended workload.
+//! Sessions refuse fault plans and the quantum clock (`collect_trace`,
+//! which also changes time-shared RNG draws): both schedule events at
+//! construction, meaningless for an empty, open-ended workload. A chained
+//! `pdpa_trace::TraceObserver` still folds the CPU trace from the stream.
 
 use pdpa_apps::ApplicationSpec;
 use pdpa_obs::Observer;
@@ -74,7 +75,7 @@ impl EngineSession {
     ///
     /// # Errors
     ///
-    /// Rejects invalid configurations, fault plans, and trace collection.
+    /// Rejects invalid configurations, fault plans, and the quantum clock.
     pub fn new(
         config: EngineConfig,
         policy: Box<dyn SchedulingPolicy + Send>,
@@ -85,7 +86,7 @@ impl EngineSession {
             return Err("an engine session cannot run a fault plan".to_string());
         }
         if config.collect_trace {
-            return Err("an engine session cannot collect a CPU trace".to_string());
+            return Err("a session cannot run the quantum clock (collect_trace)".to_string());
         }
         let sharing = policy.sharing();
         let policy_name = policy.name().to_string();

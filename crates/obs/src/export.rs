@@ -5,6 +5,7 @@ use crate::collector::ExperimentFailure;
 use crate::event::{ObsEvent, TimedEvent};
 use crate::json::{fmt_f64, push_str_escaped};
 use crate::metrics::{CounterSnapshot, MetricsSnapshot};
+use pdpa_sim::SimTime;
 use std::fmt::Write;
 
 /// Schema tag written into [`metrics_json`] documents.
@@ -96,27 +97,45 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) 
     out
 }
 
+/// One point of a run's multiprogramming-level history: from `at` on,
+/// `running` jobs hold `allocated` processors.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct MplPoint {
+    pub at: SimTime,
+    pub running: usize,
+    pub allocated: usize,
+}
+
+/// Folds a recorded stream into the Fig. 8 series: the empty machine at
+/// time zero, then one point per [`ObsEvent::MplChanged`].
+pub fn mpl_series(events: &[TimedEvent]) -> Vec<MplPoint> {
+    let mut series = vec![MplPoint::default()];
+    for te in events {
+        if let ObsEvent::MplChanged {
+            running,
+            total_alloc: allocated,
+        } = te.event
+        {
+            series.push(MplPoint {
+                at: te.at,
+                running,
+                allocated,
+            });
+        }
+    }
+    series
+}
+
 /// Renders the MPL/allocation history of recorded runs as CSV — the data
-/// behind a Fig.-8-style plot. One row per [`ObsEvent::MplChanged`]:
+/// behind a Fig.-8-style plot. One row per [`mpl_series`] point after the
+/// time-zero start (one per [`ObsEvent::MplChanged`]):
 /// `run,sim_secs,running,allocated`.
 pub fn mpl_series_csv(runs: &[(String, Vec<TimedEvent>)]) -> String {
     let mut out = String::from("run,sim_secs,running,allocated\n");
     for (key, events) in runs {
-        for te in events {
-            if let ObsEvent::MplChanged {
-                running,
-                total_alloc,
-            } = te.event
-            {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{}",
-                    key,
-                    te.at.as_secs(),
-                    running,
-                    total_alloc
-                );
-            }
+        for p in &mpl_series(events)[1..] {
+            let (at, running, allocated) = (p.at.as_secs(), p.running, p.allocated);
+            let _ = writeln!(out, "{key},{at},{running},{allocated}");
         }
     }
     out
@@ -126,7 +145,7 @@ pub fn mpl_series_csv(runs: &[(String, Vec<TimedEvent>)]) -> String {
 mod tests {
     use super::*;
     use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-    use pdpa_sim::{JobId, SimTime};
+    use pdpa_sim::JobId;
 
     fn snapshot() -> MetricsSnapshot {
         let mut s = MetricsSnapshot::default();
@@ -205,5 +224,10 @@ mod tests {
             csv,
             "run,sim_secs,running,allocated\nfig8/PDPA,0,1,32\nfig8/PDPA,5.5,0,0\n"
         );
+        let levels: Vec<(f64, usize, usize)> = mpl_series(&runs[0].1)
+            .iter()
+            .map(|p| (p.at.as_secs(), p.running, p.allocated))
+            .collect();
+        assert_eq!(levels, [(0.0, 0, 0), (0.0, 1, 32), (5.5, 0, 0)]);
     }
 }

@@ -49,6 +49,8 @@ pub use binary::{
 pub use chrome::{chrome_trace, span_trace};
 pub use collector::ExperimentFailure;
 pub use event::{DecisionTrigger, ObsEvent, StateName, TimedEvent};
-pub use export::{metrics_json, mpl_series_csv};
+pub use export::{metrics_json, mpl_series, mpl_series_csv, MplPoint};
 pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry, RunCounters};
-pub use observer::{FilterObserver, KindFilter, NullObserver, Observer, RecordingObserver};
+pub use observer::{
+    FilterObserver, KindFilter, NullObserver, Observer, RecordingObserver, TeeObserver,
+};

@@ -193,6 +193,29 @@ impl Observer for FilterObserver<'_> {
     }
 }
 
+/// Publishes one stream to two observers, the first then the second: a
+/// caller that both records a run and folds it live (into a CPU trace,
+/// say) chains the two into the engine's one observer slot. The tee is
+/// enabled when either side is, and then both sides see every event.
+pub struct TeeObserver<'a>(pub &'a mut dyn Observer, pub &'a mut dyn Observer);
+
+impl std::fmt::Debug for TeeObserver<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("TeeObserver")
+    }
+}
+
+impl Observer for TeeObserver<'_> {
+    fn is_enabled(&self) -> bool {
+        self.0.is_enabled() || self.1.is_enabled()
+    }
+
+    fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
+        self.0.on_event(at, event);
+        self.1.on_event(at, event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +225,25 @@ mod tests {
     #[test]
     fn null_observer_is_disabled() {
         assert!(!NullObserver.is_enabled());
+    }
+
+    #[test]
+    fn tee_feeds_both_sides_and_is_enabled_when_either_is() {
+        let (mut a, mut b) = (RecordingObserver::new(), RecordingObserver::new());
+        {
+            let mut tee = TeeObserver(&mut a, &mut b);
+            assert!(tee.is_enabled());
+            tee.on_event(
+                SimTime::from_secs(1.0),
+                &ObsEvent::JobSubmitted { job: JobId(0) },
+            );
+        }
+        assert_eq!(a.events(), b.events());
+        assert_eq!(a.events().len(), 1);
+
+        let (mut null_a, mut null_b) = (NullObserver, NullObserver);
+        assert!(!TeeObserver(&mut null_a, &mut null_b).is_enabled());
+        assert!(TeeObserver(&mut null_a, &mut a).is_enabled());
     }
 
     #[test]

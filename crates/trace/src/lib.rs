@@ -9,21 +9,20 @@
 //!
 //! This crate is the equivalent instrumentation for the simulator:
 //!
-//! - [`TraceCollector`] records which job occupies each CPU over time;
+//! - [`TraceObserver`] folds the engine's event stream into which job
+//!   occupies each CPU over time;
 //! - [`BurstStats`] computes the Table-2 statistics from a finished trace;
 //! - [`render_ascii`] draws the Fig.-5 execution view as text;
 //! - [`to_csv`] exports records for external plotting;
 //! - [`to_paraver`] writes a Paraver `.prv` document for the real tool;
 //! - [`from_paraver`] reads one back, diagnosing malformed input by line.
 
-pub mod bridge;
 pub mod paraver;
 pub mod record;
 pub mod render;
 pub mod stats;
 
-pub use bridge::TraceObserver;
 pub use paraver::{from_paraver, to_paraver, ParaverError};
-pub use record::{ActivityRecord, Trace, TraceCollector};
+pub use record::{ActivityRecord, Trace, TraceObserver};
 pub use render::{render_ascii, to_csv, RenderOptions};
 pub use stats::BurstStats;

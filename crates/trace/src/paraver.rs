@@ -210,18 +210,18 @@ pub fn from_paraver(input: &str) -> Result<Trace, ParaverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceCollector;
+    use crate::record::TraceObserver;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
     }
 
     fn sample_trace() -> Trace {
-        let mut c = TraceCollector::new(4);
+        let mut c = TraceObserver::new(4);
         c.assign(CpuId(0), Some(JobId(7)), t(0.0));
         c.assign(CpuId(1), Some(JobId(3)), t(1.0));
         c.assign(CpuId(0), Some(JobId(3)), t(2.0));
-        c.finish(t(4.0))
+        c.into_trace(t(4.0))
     }
 
     #[test]
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_just_a_header() {
-        let trace = TraceCollector::new(2).finish(t(1.0));
+        let trace = TraceObserver::new(2).into_trace(t(1.0));
         let prv = to_paraver(&trace);
         assert_eq!(prv.lines().count(), 1);
         assert!(prv.contains(":1(2):0"));

@@ -1,5 +1,6 @@
 //! Per-CPU activity records.
 
+use pdpa_obs::{ObsEvent, Observer};
 use pdpa_sim::{CpuId, JobId, SimTime};
 
 /// One burst: a maximal interval during which a CPU continuously executed
@@ -56,50 +57,35 @@ impl Trace {
     }
 }
 
-/// Collects per-CPU activity during a run.
+/// Folds a run's CPU occupancy into its per-CPU activity trace.
 ///
-/// The engine calls [`assign`] whenever a CPU's occupant changes; the
-/// collector merges time into maximal same-job bursts automatically (an
-/// `assign` to the job already running is a no-op).
+/// A caller that wants the Fig. 5 / Table 2 trace chains a `TraceObserver`
+/// as the run's observer and calls [`into_trace`] at the run's end
+/// instant. Every [`ObsEvent::CpuAssigned`] becomes one [`assign`], which
+/// merges time into maximal same-job bursts (an `assign` to the job
+/// already running is a no-op); other events are ignored.
 ///
-/// [`assign`]: TraceCollector::assign
+/// [`assign`]: TraceObserver::assign
+/// [`into_trace`]: TraceObserver::into_trace
 #[derive(Clone, Debug)]
-pub struct TraceCollector {
+pub struct TraceObserver {
     /// Open burst per CPU: `(job, start)`.
     open: Vec<Option<(JobId, SimTime)>>,
     records: Vec<ActivityRecord>,
-    enabled: bool,
 }
 
-impl TraceCollector {
-    /// Creates a collector for an `n_cpus` machine.
+impl TraceObserver {
+    /// Creates an observer for an `n_cpus` machine.
     pub fn new(n_cpus: usize) -> Self {
-        TraceCollector {
+        TraceObserver {
             open: vec![None; n_cpus],
             records: Vec::new(),
-            enabled: true,
         }
-    }
-
-    /// Creates a disabled collector that records nothing (for runs where
-    /// trace memory is not wanted).
-    pub fn disabled(n_cpus: usize) -> Self {
-        let mut c = Self::new(n_cpus);
-        c.enabled = false;
-        c
-    }
-
-    /// True when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Sets the occupant of `cpu` at instant `now` (`None` = idle). Closes
     /// the previous burst if the occupant changed.
     pub fn assign(&mut self, cpu: CpuId, job: Option<JobId>, now: SimTime) {
-        if !self.enabled {
-            return;
-        }
         let slot = &mut self.open[cpu.index()];
         match (*slot, job) {
             (Some((cur, _)), Some(new)) if cur == new => {} // unchanged
@@ -119,8 +105,8 @@ impl TraceCollector {
         }
     }
 
-    /// Closes every open burst and returns the finished trace.
-    pub fn finish(mut self, now: SimTime) -> Trace {
+    /// Closes every open burst at `now` and returns the finished trace.
+    pub fn into_trace(mut self, now: SimTime) -> Trace {
         let n_cpus = self.open.len();
         for (i, slot) in self.open.iter_mut().enumerate() {
             if let Some((job, start)) = slot.take() {
@@ -142,6 +128,14 @@ impl TraceCollector {
     }
 }
 
+impl Observer for TraceObserver {
+    fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
+        if let ObsEvent::CpuAssigned { cpu, job } = *event {
+            self.assign(cpu, job, at);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,20 +146,20 @@ mod tests {
 
     #[test]
     fn merges_same_job_assignments() {
-        let mut c = TraceCollector::new(2);
+        let mut c = TraceObserver::new(2);
         c.assign(CpuId(0), Some(JobId(1)), t(0.0));
         c.assign(CpuId(0), Some(JobId(1)), t(5.0)); // no-op
-        let trace = c.finish(t(10.0));
+        let trace = c.into_trace(t(10.0));
         assert_eq!(trace.records.len(), 1);
         assert_eq!(trace.records[0].duration_secs(), 10.0);
     }
 
     #[test]
     fn job_change_closes_burst() {
-        let mut c = TraceCollector::new(1);
+        let mut c = TraceObserver::new(1);
         c.assign(CpuId(0), Some(JobId(1)), t(0.0));
         c.assign(CpuId(0), Some(JobId(2)), t(4.0));
-        let trace = c.finish(t(10.0));
+        let trace = c.into_trace(t(10.0));
         assert_eq!(trace.records.len(), 2);
         assert_eq!(trace.records[0].job, JobId(1));
         assert_eq!(trace.records[0].duration_secs(), 4.0);
@@ -175,48 +169,83 @@ mod tests {
 
     #[test]
     fn idle_gaps_are_not_recorded() {
-        let mut c = TraceCollector::new(1);
+        let mut c = TraceObserver::new(1);
         c.assign(CpuId(0), Some(JobId(1)), t(0.0));
         c.assign(CpuId(0), None, t(3.0));
         c.assign(CpuId(0), Some(JobId(1)), t(7.0));
-        let trace = c.finish(t(10.0));
+        let trace = c.into_trace(t(10.0));
         assert_eq!(trace.records.len(), 2);
         assert_eq!(trace.busy_cpu_seconds(), 6.0);
     }
 
     #[test]
     fn zero_length_bursts_are_dropped() {
-        let mut c = TraceCollector::new(1);
+        let mut c = TraceObserver::new(1);
         c.assign(CpuId(0), Some(JobId(1)), t(5.0));
         c.assign(CpuId(0), Some(JobId(2)), t(5.0));
-        let trace = c.finish(t(5.0));
+        let trace = c.into_trace(t(5.0));
         assert!(trace.records.is_empty());
     }
 
     #[test]
     fn utilization() {
-        let mut c = TraceCollector::new(2);
+        let mut c = TraceObserver::new(2);
         c.assign(CpuId(0), Some(JobId(1)), t(0.0));
         // CPU 1 stays idle.
-        let trace = c.finish(t(10.0));
+        let trace = c.into_trace(t(10.0));
         assert!((trace.utilization() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
-        let mut c = TraceCollector::disabled(2);
-        assert!(!c.is_enabled());
-        c.assign(CpuId(0), Some(JobId(1)), t(0.0));
-        let trace = c.finish(t(10.0));
-        assert!(trace.records.is_empty());
+    fn bus_events_reproduce_direct_assign_calls() {
+        // The same occupancy story told twice: as direct assign calls and
+        // as CpuAssigned events on the bus.
+        let story: &[(f64, u16, Option<u32>)] = &[
+            (0.0, 0, Some(1)),
+            (0.0, 1, Some(1)),
+            (4.0, 1, Some(2)),
+            (6.0, 0, None),
+            (7.0, 0, Some(2)),
+        ];
+        let mut direct = TraceObserver::new(2);
+        let mut obs = TraceObserver::new(2);
+        for &(at, cpu, job) in story {
+            direct.assign(CpuId(cpu), job.map(JobId), t(at));
+            obs.on_event(
+                t(at),
+                &ObsEvent::CpuAssigned {
+                    cpu: CpuId(cpu),
+                    job: job.map(JobId),
+                },
+            );
+        }
+        let a = direct.into_trace(t(10.0));
+        let b = obs.into_trace(t(10.0));
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.n_cpus, b.n_cpus);
+        assert_eq!(a.end, b.end);
+    }
+
+    #[test]
+    fn non_cpu_events_are_ignored() {
+        let mut obs = TraceObserver::new(1);
+        obs.on_event(t(1.0), &ObsEvent::JobSubmitted { job: JobId(0) });
+        obs.on_event(
+            t(2.0),
+            &ObsEvent::MplChanged {
+                running: 1,
+                total_alloc: 4,
+            },
+        );
+        assert!(obs.into_trace(t(3.0)).records.is_empty());
     }
 
     #[test]
     fn bursts_of_filters_by_cpu() {
-        let mut c = TraceCollector::new(2);
+        let mut c = TraceObserver::new(2);
         c.assign(CpuId(0), Some(JobId(1)), t(0.0));
         c.assign(CpuId(1), Some(JobId(2)), t(0.0));
-        let trace = c.finish(t(4.0));
+        let trace = c.into_trace(t(4.0));
         assert_eq!(trace.bursts_of(CpuId(0)).count(), 1);
         assert_eq!(trace.bursts_of(CpuId(1)).next().unwrap().job, JobId(2));
     }
@@ -239,7 +268,7 @@ mod proptests {
                 0..60,
             )
         ) {
-            let mut collector = TraceCollector::new(4);
+            let mut collector = TraceObserver::new(4);
             let mut now = 0.0f64;
             for (cpu, job, dt) in steps {
                 now += dt;
@@ -249,7 +278,7 @@ mod proptests {
                     SimTime::from_secs(now),
                 );
             }
-            let trace = collector.finish(SimTime::from_secs(now + 1.0));
+            let trace = collector.into_trace(SimTime::from_secs(now + 1.0));
             for cpu in 0..4u16 {
                 let mut bursts: Vec<&ActivityRecord> =
                     trace.bursts_of(CpuId(cpu)).collect();

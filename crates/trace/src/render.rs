@@ -102,7 +102,7 @@ pub fn to_csv(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceCollector;
+    use crate::record::TraceObserver;
     use pdpa_sim::{JobId, SimTime};
 
     fn t(s: f64) -> SimTime {
@@ -110,12 +110,12 @@ mod tests {
     }
 
     fn sample_trace() -> Trace {
-        let mut c = TraceCollector::new(2);
+        let mut c = TraceObserver::new(2);
         c.assign(CpuId(0), Some(JobId(0)), t(0.0));
         c.assign(CpuId(0), Some(JobId(1)), t(50.0));
         c.assign(CpuId(1), Some(JobId(0)), t(25.0));
         c.assign(CpuId(1), None, t(75.0));
-        c.finish(t(100.0))
+        c.into_trace(t(100.0))
     }
 
     #[test]

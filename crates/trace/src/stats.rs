@@ -9,11 +9,11 @@ use crate::record::Trace;
 ///
 /// ```
 /// use pdpa_sim::{CpuId, JobId, SimTime};
-/// use pdpa_trace::{BurstStats, TraceCollector};
+/// use pdpa_trace::{BurstStats, TraceObserver};
 ///
-/// let mut collector = TraceCollector::new(2);
-/// collector.assign(CpuId(0), Some(JobId(1)), SimTime::ZERO);
-/// let trace = collector.finish(SimTime::from_secs(10.0));
+/// let mut tracer = TraceObserver::new(2);
+/// tracer.assign(CpuId(0), Some(JobId(1)), SimTime::ZERO);
+/// let trace = tracer.into_trace(SimTime::from_secs(10.0));
 /// let stats = BurstStats::from_trace(&trace, 0);
 /// assert_eq!(stats.total_bursts, 1);
 /// assert_eq!(stats.avg_burst_secs, 10.0);
@@ -72,7 +72,7 @@ impl BurstStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceCollector;
+    use crate::record::TraceObserver;
     use pdpa_sim::{CpuId, JobId, SimTime};
 
     fn t(s: f64) -> SimTime {
@@ -81,11 +81,11 @@ mod tests {
 
     #[test]
     fn stats_from_simple_trace() {
-        let mut c = TraceCollector::new(2);
+        let mut c = TraceObserver::new(2);
         c.assign(CpuId(0), Some(JobId(1)), t(0.0));
         c.assign(CpuId(0), Some(JobId(2)), t(4.0));
         c.assign(CpuId(1), Some(JobId(1)), t(0.0));
-        let trace = c.finish(t(10.0));
+        let trace = c.into_trace(t(10.0));
         let s = BurstStats::from_trace(&trace, 7);
         assert_eq!(s.total_bursts, 3);
         assert_eq!(s.migrations, 7);
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_all_zeroes() {
-        let trace = TraceCollector::new(4).finish(t(1.0));
+        let trace = TraceObserver::new(4).into_trace(t(1.0));
         let s = BurstStats::from_trace(&trace, 0);
         assert_eq!(s.total_bursts, 0);
         assert_eq!(s.avg_burst_secs, 0.0);

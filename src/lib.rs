@@ -95,5 +95,5 @@ pub mod prelude {
     };
     pub use pdpa_qs::{JobSpec, QueueSystem, Workload};
     pub use pdpa_sim::{CostModel, JobId, Machine, SimDuration, SimTime};
-    pub use pdpa_trace::{BurstStats, Trace};
+    pub use pdpa_trace::{BurstStats, Trace, TraceObserver};
 }

@@ -35,8 +35,8 @@ fn replay_cell(
 ) -> (String, u64, u64) {
     let jobs = workload.build(load, seed);
     let mut recorder = RecordingObserver::new();
-    // The quantum clock that drives time-shared placement only runs under
-    // the trace collector, so Table-2 cells are always traced runs.
+    // `with_trace` runs the quantum clock that drives time-shared placement
+    // and gang rotation, as in the Table-2 cells; no CPU trace is kept.
     let config = EngineConfig::default()
         .with_seed(seed ^ 0xA5A5)
         .with_trace();

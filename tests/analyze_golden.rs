@@ -36,7 +36,8 @@ fn chaos_plan() -> FaultPlan {
 
 fn chaos_run(policy: Box<dyn SchedulingPolicy>) -> Vec<TimedEvent> {
     let jobs = Workload::W3.build(1.0, 7);
-    // The trace collector drives the quantum clock of time-shared runs.
+    // `with_trace` runs the quantum clock of time-shared runs (it changes
+    // their RNG draws); no CPU trace is kept.
     let config = EngineConfig::default()
         .with_seed(7)
         .with_trace()

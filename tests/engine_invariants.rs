@@ -1,5 +1,6 @@
 //! Cross-crate invariants of the execution engine, checked on full runs.
 
+use pdpa_suite::obs::{mpl_series, RecordingObserver};
 use pdpa_suite::prelude::*;
 
 fn policies() -> Vec<Box<dyn SchedulingPolicy>> {
@@ -81,21 +82,22 @@ fn every_job_completes_exactly_once() {
     }
 }
 
-/// The multiprogramming-level series is consistent: starts at 0, ends at 0,
-/// every step changes by at most the jobs started/completed at one instant,
-/// and the recorded max matches the series.
+/// The multiprogramming-level series folded from the recorded stream is
+/// consistent: starts at 0, ends at 0, time goes forward, and the engine's
+/// recorded max matches the series.
 #[test]
 fn ml_series_is_well_formed() {
     for policy in policies() {
         let jobs = Workload::W4.build(1.0, 5);
-        let result = Engine::new(EngineConfig::default()).run(jobs, policy);
-        let series = &result.ml_series;
-        assert_eq!(series.first().map(|&(_, ml)| ml), Some(0));
-        assert_eq!(series.last().map(|&(_, ml)| ml), Some(0));
+        let mut rec = RecordingObserver::new();
+        let result = Engine::new(EngineConfig::default()).run_observed(jobs, policy, &mut rec);
+        let series = mpl_series(rec.events());
+        assert_eq!(series.first().map(|p| p.running), Some(0));
+        assert_eq!(series.last().map(|p| p.running), Some(0));
         for pair in series.windows(2) {
-            assert!(pair[0].0 <= pair[1].0, "time goes forward");
+            assert!(pair[0].at <= pair[1].at, "time goes forward");
         }
-        let peak = series.iter().map(|&(_, ml)| ml).max().unwrap();
+        let peak = series.iter().map(|p| p.running).max().unwrap();
         assert_eq!(peak, result.max_ml);
     }
 }

@@ -189,10 +189,10 @@ fn table2_migration_and_burst_structure() {
     ] {
         let jobs = Workload::W1.build(1.0, 42);
         let config = EngineConfig::default().with_trace();
-        let result = Engine::new(config).run(jobs, policy);
-        let migrations = result.total_migrations();
-        let trace = result.trace.expect("traced");
-        stats.push(BurstStats::from_trace(&trace, migrations));
+        let mut tracer = TraceObserver::new(config.cpus);
+        let result = Engine::new(config).run_observed(jobs, policy, &mut tracer);
+        let trace = tracer.into_trace(SimTime::from_secs(result.end_secs));
+        stats.push(BurstStats::from_trace(&trace, result.total_migrations()));
     }
     let (irix, pdpa, equip) = (&stats[0], &stats[1], &stats[2]);
     assert!(
@@ -217,12 +217,22 @@ fn table2_migration_and_burst_structure() {
 }
 
 /// Fig. 8: PDPA's multiprogramming level moves over the run — it is a
-/// dynamic series, not a constant.
+/// dynamic series, not a constant. The series is folded from the recorded
+/// stream, as the Fig. 8 experiment folds it.
 #[test]
 fn fig8_ml_series_is_dynamic() {
-    let pdpa = run(Workload::W2, 1.0, true, Box::new(Pdpa::paper_default()));
-    let levels: std::collections::HashSet<usize> =
-        pdpa.ml_series.iter().map(|&(_, ml)| ml).collect();
+    let jobs = Workload::W2.build_with_tuning(1.0, 42, true);
+    let mut rec = pdpa_suite::obs::RecordingObserver::new();
+    let pdpa = Engine::new(EngineConfig::default()).run_observed(
+        jobs,
+        Box::new(Pdpa::paper_default()),
+        &mut rec,
+    );
+    assert!(pdpa.completed_all, "workload must drain");
+    let levels: std::collections::HashSet<usize> = pdpa_suite::obs::mpl_series(rec.events())
+        .iter()
+        .map(|p| p.running)
+        .collect();
     assert!(
         levels.len() >= 4,
         "the level should visit several values, saw {levels:?}"
