@@ -7,13 +7,13 @@
 //! than it saves.
 
 use crate::fold::{Fold, JobIndex};
-use crate::series::{machine_size, CpuFold, CpuSeries, MplFold, MplStats};
+use crate::series::{machine_size, CpuSeries, LiveCpuFold, MplFold, MplStats};
 use crate::stability::{MigrationFold, MigrationStats};
 use crate::states::{StateBreakdown, StateFold};
 use crate::timeline::{summarize, JobTimeline, TimelineFold, TimelineStats};
 use pdpa_obs::json::{fmt_f64, push_str_escaped};
-use pdpa_obs::{DecisionTrigger, ObsEvent, TimedEvent};
-use pdpa_sim::JobId;
+use pdpa_obs::{DecisionTrigger, ObsEvent, Observer, TimedEvent};
+use pdpa_sim::{JobId, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -60,17 +60,23 @@ pub struct RunAnalysis {
 /// Every analysis of [`RunAnalysis`] as one fold: push the events of a
 /// run in stream order, then [`finish`](Analyzer::finish).
 ///
-/// Each event costs one job lookup, shared by the per-job folds
-/// (timelines, time in state, CPU holdings), and no event is kept. The
-/// result is bit-identical to each module's standalone function over the
-/// same stream, because both run the same component folds.
+/// An analyzer is also an [`Observer`]: put one built by
+/// [`live`](Analyzer::live) in a run's observer chain and the run is
+/// analyzed as it publishes, with no recorded stream. Each event costs one
+/// job lookup, shared by the per-job folds (timelines, time in state, CPU
+/// holdings), and no event is kept or cloned; only a live analyzer's CPU
+/// fold holds 16 bytes an event until the stream settles the machine size
+/// (see [`live`](Analyzer::live)). The result is bit-identical to each
+/// module's standalone function over the same stream, and a live
+/// analyzer's to [`RunAnalysis::from_events`] over the recorded stream,
+/// because all of them run the same component folds in the same order.
 #[derive(Debug)]
 pub struct Analyzer {
     jobs: JobIndex,
     timelines: TimelineFold,
     states: StateFold,
     migrations: MigrationFold,
-    cpus: CpuFold,
+    cpus: LiveCpuFold,
     mpl: MplFold,
     events: usize,
     first: Option<f64>,
@@ -90,15 +96,45 @@ const TRIGGERS: [DecisionTrigger; 4] = [
 ];
 
 impl Analyzer {
-    /// An analyzer for a machine of `cpus` CPUs; [`machine_size`] takes
-    /// it from a recorded stream. With 0 CPUs the CPU series stays empty.
+    /// An analyzer for a machine of exactly `cpus` CPUs; [`machine_size`]
+    /// takes it from a recorded stream. With 0 CPUs the CPU series stays
+    /// empty.
     pub fn new(cpus: usize) -> Self {
+        Self::with_cpu_fold(LiveCpuFold::known(cpus))
+    }
+
+    /// An analyzer that reads the machine size from the stream as it is
+    /// published, so that [`finish`](Analyzer::finish) equals
+    /// [`RunAnalysis::from_events`] over the same stream recorded. `cpus`
+    /// is the run's configured machine size (`None` when unknown, as for a
+    /// stream read from a file).
+    ///
+    /// `from_events` sizes the CPU series by a pre-scan ([`machine_size`]),
+    /// which a live fold cannot make. So the CPU fold holds each event's
+    /// instant and CPU effect until the size is settled: by a `degraded`
+    /// event whose total is `cpus`, or by an assignment of CPU `cpus − 1`
+    /// before any `degraded` event. It then replays what it held and folds
+    /// live. A stream that never settles (no `cpus`, a light load that
+    /// never assigns the top CPU, a filter without `cpu` events) is
+    /// replayed at [`finish`](Analyzer::finish) under the pre-scan's rule.
+    ///
+    /// # Panics
+    ///
+    /// [`finish`](Analyzer::finish) panics when the whole stream describes
+    /// another size ([`machine_size`]) than the one it settled at. An
+    /// engine stream cannot: its CPU ids lie below `cpus` and every
+    /// `degraded` total equals it.
+    pub fn live(cpus: Option<usize>) -> Self {
+        Self::with_cpu_fold(LiveCpuFold::live(cpus))
+    }
+
+    fn with_cpu_fold(cpus: LiveCpuFold) -> Self {
         Analyzer {
             jobs: JobIndex::default(),
             timelines: TimelineFold::default(),
             states: StateFold::default(),
             migrations: MigrationFold::default(),
-            cpus: CpuFold::new(cpus),
+            cpus,
             mpl: MplFold::default(),
             events: 0,
             first: None,
@@ -110,12 +146,18 @@ impl Analyzer {
     }
 
     /// Folds in the next event of the stream.
+    #[inline]
     pub fn push(&mut self, te: &TimedEvent) {
-        let now = te.at.as_secs();
+        self.fold(te.at.as_secs(), &te.event);
+    }
+
+    /// Folds in `event`, published at `now` seconds.
+    #[inline(always)]
+    fn fold(&mut self, now: f64, event: &ObsEvent) {
         self.first.get_or_insert(now);
         self.last = now;
         self.events += 1;
-        match &te.event {
+        match event {
             ObsEvent::Decision { trigger, .. } => self.by_trigger[*trigger as usize] += 1,
             ObsEvent::ReallocCost { penalty_secs, .. } => {
                 self.realloc_events += 1;
@@ -123,12 +165,12 @@ impl Analyzer {
             }
             _ => {}
         }
-        let slot = self.jobs.slot_of(&te.event);
-        self.timelines.push(te, slot);
-        self.states.push(te, slot);
-        self.migrations.push(te, slot);
-        self.cpus.push(te, slot);
-        self.mpl.push(te, slot);
+        let slot = self.jobs.slot_of(event);
+        self.timelines.push(now, event, slot);
+        self.states.push(now, event, slot);
+        self.migrations.push(now, event, slot);
+        self.cpus.push(now, event, slot);
+        self.mpl.push(now, event, slot);
     }
 
     /// Closes every fold at the last event pushed.
@@ -160,9 +202,19 @@ impl Analyzer {
     }
 }
 
+/// Folds each event as the run publishes it; events must arrive in
+/// stream order, which the engine's publication order is.
+impl Observer for Analyzer {
+    fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
+        self.fold(at.as_secs(), event);
+    }
+}
+
 impl RunAnalysis {
     /// Replays a recorded stream into the full metric set: the machine
-    /// size from a pre-scan, then one [`Analyzer`] pass.
+    /// size from a pre-scan, then one [`Analyzer`] pass. A run analyzed
+    /// live by [`Analyzer::live`] gets the same result without the
+    /// recording.
     pub fn from_events(events: &[TimedEvent]) -> Self {
         let mut analyzer = Analyzer::new(machine_size(events));
         for te in events {

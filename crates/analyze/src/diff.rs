@@ -9,7 +9,7 @@
 //! sides, rendered as signed differences, says whether the divergence
 //! *mattered* — more migrations, longer queues, worse fragmentation.
 
-use crate::analysis::RunAnalysis;
+use crate::analysis::{Analyzer, RunAnalysis};
 use pdpa_obs::TimedEvent;
 use std::fmt::Write as _;
 
@@ -45,33 +45,11 @@ pub struct RunDiff {
 impl RunDiff {
     /// Compares two streams event-for-event and analyzes both sides.
     pub fn compare(a: &[TimedEvent], b: &[TimedEvent]) -> Self {
-        let mut divergence = None;
-        let limit = a.len().max(b.len());
-        for i in 0..limit {
-            let ea = a.get(i);
-            let eb = b.get(i);
-            let same = match (ea, eb) {
-                (Some(x), Some(y)) => x.to_line() == y.to_line(),
-                _ => false,
-            };
-            if !same {
-                let lead = ea.or(eb).expect("i < max(len)");
-                divergence = Some(Divergence {
-                    index: i,
-                    at: lead.at.as_secs(),
-                    seq: lead.seq,
-                    kind: lead.event.kind(),
-                    line_a: ea.map(TimedEvent::to_line),
-                    line_b: eb.map(TimedEvent::to_line),
-                });
-                break;
-            }
+        let mut diff = StreamDiff::default();
+        for i in 0..a.len().max(b.len()) {
+            diff.push(a.get(i), b.get(i));
         }
-        RunDiff {
-            divergence,
-            a: RunAnalysis::from_events(a),
-            b: RunAnalysis::from_events(b),
-        }
+        diff.finish()
     }
 
     /// True when the streams are event-for-event identical.
@@ -199,6 +177,69 @@ impl RunDiff {
             ));
         }
         rows
+    }
+}
+
+/// [`RunDiff::compare`] one pair of events at a time, for two streams
+/// decoded as they are read: push the `i`-th event of each side (`None`
+/// past a side's end), then [`finish`](StreamDiff::finish). Events are
+/// compared until the first divergence and analyzed to the end.
+#[derive(Debug)]
+pub struct StreamDiff {
+    index: usize,
+    divergence: Option<Divergence>,
+    a: Analyzer,
+    b: Analyzer,
+}
+
+impl Default for StreamDiff {
+    fn default() -> Self {
+        StreamDiff {
+            index: 0,
+            divergence: None,
+            a: Analyzer::live(None),
+            b: Analyzer::live(None),
+        }
+    }
+}
+
+impl StreamDiff {
+    /// Folds in the next event of each side.
+    pub fn push(&mut self, a: Option<&TimedEvent>, b: Option<&TimedEvent>) {
+        if self.divergence.is_none() {
+            let same = match (a, b) {
+                (Some(x), Some(y)) => x.to_line() == y.to_line(),
+                _ => false,
+            };
+            if !same {
+                if let Some(lead) = a.or(b) {
+                    self.divergence = Some(Divergence {
+                        index: self.index,
+                        at: lead.at.as_secs(),
+                        seq: lead.seq,
+                        kind: lead.event.kind(),
+                        line_a: a.map(TimedEvent::to_line),
+                        line_b: b.map(TimedEvent::to_line),
+                    });
+                }
+            }
+        }
+        if let Some(x) = a {
+            self.a.push(x);
+        }
+        if let Some(y) = b {
+            self.b.push(y);
+        }
+        self.index += 1;
+    }
+
+    /// The diff of the events pushed.
+    pub fn finish(self) -> RunDiff {
+        RunDiff {
+            divergence: self.divergence,
+            a: self.a.finish(),
+            b: self.b.finish(),
+        }
     }
 }
 

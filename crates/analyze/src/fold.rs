@@ -108,8 +108,9 @@ pub(crate) trait Fold {
     /// What the fold produces.
     type Output;
 
-    /// Folds one event; `slot` is [`JobIndex::slot_of`] the event.
-    fn push(&mut self, te: &TimedEvent, slot: Option<usize>);
+    /// Folds one event published at `at` (seconds); `slot` is
+    /// [`JobIndex::slot_of`] the event.
+    fn push(&mut self, at: f64, event: &ObsEvent, slot: Option<usize>);
 
     /// Closes the fold. `end` is the last event's instant (0 for an empty
     /// stream).
@@ -121,7 +122,7 @@ pub(crate) fn run<F: Fold>(events: &[TimedEvent], mut fold: F) -> F::Output {
     let mut jobs = JobIndex::default();
     for te in events {
         let slot = jobs.slot_of(&te.event);
-        fold.push(te, slot);
+        fold.push(te.at.as_secs(), &te.event, slot);
     }
     fold.finish(&jobs, events.last().map_or(0.0, |te| te.at.as_secs()))
 }

@@ -25,8 +25,11 @@
 //!
 //! Everything funnels through one fold, [`Analyzer`], which computes all
 //! of the above in a single pass; [`RunAnalysis::from_events`] runs it
-//! over a recorded stream. The JSON document ([`analysis_json`]) carries
-//! the `pdpa-analyze/v1` schema.
+//! over a recorded stream. The analyzer is also an
+//! [`Observer`](pdpa_obs::Observer): built by [`Analyzer::live`] and put
+//! in a run's observer chain, it folds each event as the engine publishes
+//! it and gives the same result with no stream recorded. The JSON
+//! document ([`analysis_json`]) carries the `pdpa-analyze/v1` schema.
 
 pub mod analysis;
 pub mod diff;
@@ -37,7 +40,7 @@ pub mod states;
 pub mod timeline;
 
 pub use analysis::{analysis_json, Analyzer, DecisionStats, RunAnalysis, ANALYSIS_SCHEMA};
-pub use diff::{Divergence, RunDiff};
+pub use diff::{Divergence, RunDiff, StreamDiff};
 pub use series::{CpuSeries, MplStats};
 pub use stability::MigrationStats;
 pub use states::StateBreakdown;

@@ -66,23 +66,78 @@ pub fn cpu_series(events: &[TimedEvent]) -> CpuSeries {
 /// total when the engine published one, otherwise the highest CPU index
 /// seen plus one (0 for a stream without CPUs).
 pub fn machine_size(events: &[TimedEvent]) -> usize {
-    let mut total = 0;
-    let mut max_cpu = None::<usize>;
+    let mut scan = SizeScan::default();
     for te in events {
-        match &te.event {
-            ObsEvent::DegradedCapacity { total: t, .. } => total = total.max(*t),
+        scan.push(&te.event);
+    }
+    scan.size()
+}
+
+/// The inputs of [`machine_size`], read one event at a time.
+#[derive(Clone, Copy, Debug, Default)]
+struct SizeScan {
+    /// The largest `DegradedCapacity` total so far (0 before the first).
+    total: usize,
+    /// The highest CPU index so far.
+    max_cpu: Option<usize>,
+}
+
+impl SizeScan {
+    #[inline]
+    fn push(&mut self, event: &ObsEvent) {
+        match event {
+            ObsEvent::DegradedCapacity { total, .. } => self.total = self.total.max(*total),
             ObsEvent::CpuAssigned { cpu, .. }
             | ObsEvent::CpuFailed { cpu }
             | ObsEvent::CpuRecovered { cpu } => {
-                max_cpu = Some(max_cpu.unwrap_or(0).max(cpu.index()));
+                self.max_cpu = Some(self.max_cpu.unwrap_or(0).max(cpu.index()));
             }
             _ => {}
         }
     }
-    if total == 0 {
-        total = max_cpu.map_or(0, |m| m + 1);
+
+    /// [`machine_size`] of the events pushed so far.
+    fn size(&self) -> usize {
+        if self.total > 0 {
+            self.total
+        } else {
+            self.max_cpu.map_or(0, |m| m + 1)
+        }
     }
-    total
+}
+
+/// What the CPU fold reads of one event: 4 bytes instead of the event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum CpuOp {
+    /// A CPU's occupant was published (changed or re-announced).
+    Assign { cpu: u16, occupied: bool },
+    /// A CPU failed.
+    Fail,
+    /// A failed CPU came back.
+    Recover,
+    /// A job joined the queue (submission or retry).
+    Enqueue,
+    /// A job left the queue.
+    Dequeue,
+    /// Any other event: it only advances the clock.
+    Tick,
+}
+
+impl CpuOp {
+    #[inline]
+    fn of(event: &ObsEvent) -> Self {
+        match event {
+            ObsEvent::CpuAssigned { cpu, job } => CpuOp::Assign {
+                cpu: cpu.0,
+                occupied: job.is_some(),
+            },
+            ObsEvent::CpuFailed { .. } => CpuOp::Fail,
+            ObsEvent::CpuRecovered { .. } => CpuOp::Recover,
+            ObsEvent::JobSubmitted { .. } | ObsEvent::JobRetried { .. } => CpuOp::Enqueue,
+            ObsEvent::JobDequeued { .. } => CpuOp::Dequeue,
+            _ => CpuOp::Tick,
+        }
+    }
 }
 
 /// The fold behind [`cpu_series`], for a machine of known size.
@@ -114,17 +169,14 @@ impl CpuFold {
             last: None,
         }
     }
-}
 
-impl Fold for CpuFold {
-    type Output = CpuSeries;
-
-    fn push(&mut self, te: &TimedEvent, _slot: Option<usize>) {
+    /// Integrates up to `now`, then applies `op`.
+    #[inline]
+    fn apply(&mut self, now: f64, op: CpuOp) {
         let series = &mut self.series;
         if series.cpus == 0 {
             return;
         }
-        let now = te.at.as_secs();
         let dt = (now - self.last.unwrap_or(now)).max(0.0);
         self.last = Some(now);
         let idle = series
@@ -136,28 +188,172 @@ impl Fold for CpuFold {
         if self.waiting > 0 {
             series.frag_cpu_secs += idle as f64 * dt;
         }
-        match &te.event {
-            ObsEvent::CpuAssigned { cpu, job } => {
-                if let Some(occupied) = self.occupied.get_mut(cpu.index()) {
-                    match (*occupied, job.is_some()) {
+        match op {
+            CpuOp::Assign {
+                cpu,
+                occupied: now_occupied,
+            } => {
+                if let Some(occupied) = self.occupied.get_mut(usize::from(cpu)) {
+                    match (*occupied, now_occupied) {
                         (false, true) => self.busy += 1,
                         (true, false) => self.busy -= 1,
                         _ => {}
                     }
-                    *occupied = job.is_some();
+                    *occupied = now_occupied;
                     series.peak_busy = series.peak_busy.max(self.busy);
                 }
             }
-            ObsEvent::CpuFailed { .. } => self.dead += 1,
-            ObsEvent::CpuRecovered { .. } => self.dead = self.dead.saturating_sub(1),
-            ObsEvent::JobSubmitted { .. } | ObsEvent::JobRetried { .. } => self.waiting += 1,
-            ObsEvent::JobDequeued { .. } => self.waiting -= 1,
-            _ => {}
+            CpuOp::Fail => self.dead += 1,
+            CpuOp::Recover => self.dead = self.dead.saturating_sub(1),
+            CpuOp::Enqueue => self.waiting += 1,
+            CpuOp::Dequeue => self.waiting -= 1,
+            CpuOp::Tick => {}
         }
+    }
+}
+
+impl Fold for CpuFold {
+    type Output = CpuSeries;
+
+    fn push(&mut self, at: f64, event: &ObsEvent, _slot: Option<usize>) {
+        self.apply(at, CpuOp::of(event));
     }
 
     fn finish(self, _jobs: &JobIndex, _end: f64) -> CpuSeries {
         self.series
+    }
+}
+
+/// The CPU fold of an [`Analyzer`](crate::Analyzer): of a known size, or
+/// sized from the stream as it is published.
+///
+/// A live fold cannot look ahead for [`machine_size`], so it holds each
+/// event's [`CpuOp`] and instant until the size is settled, then replays
+/// them in order and folds live from there. Every floating-point sum is
+/// therefore taken in the order [`cpu_series`] takes it, and the result is
+/// bit-identical. The size settles, for a run whose configured size is the
+/// bound `cpus`, when
+///
+/// - a `degraded` event reports a total of `cpus`, or
+/// - CPU `cpus − 1` is assigned before any `degraded` event;
+///
+/// a stream that never settles (no bound, a light load that leaves the top
+/// CPU unassigned, a kind filter that drops every `cpu` event) is replayed
+/// at the end under [`machine_size`]'s rule. The engine's streams meet the
+/// bound's two conditions: CPU ids lie below the configured size and every
+/// `degraded` total equals it. [`finish`](Fold::finish) panics when the
+/// whole stream describes another size than the one it settled at.
+#[derive(Debug)]
+pub(crate) struct LiveCpuFold {
+    /// The fold; a 0-CPU stand-in, which folds nothing, until the size is
+    /// known.
+    fold: CpuFold,
+    /// `None` when the size was given.
+    sizer: Option<Sizer>,
+}
+
+/// A live fold's sizing state.
+#[derive(Debug)]
+struct Sizer {
+    /// The configured machine size, when known.
+    bound: Option<usize>,
+    /// Whether the size is settled and the fold live.
+    settled: bool,
+    scan: SizeScan,
+    /// `(instant, op)` of every event until the size settles, less the
+    /// clock-only events at the instant of the one before, which change
+    /// nothing (a zero interval adds zero).
+    pending: Vec<(f64, CpuOp)>,
+}
+
+impl Sizer {
+    /// The machine size, once the events so far determine it.
+    fn size(&self) -> Option<usize> {
+        let bound = self.bound?;
+        let top_assigned = self.scan.total == 0 && self.scan.max_cpu == bound.checked_sub(1);
+        (bound > 0 && (self.scan.total == bound || top_assigned)).then_some(bound)
+    }
+
+    /// Holds one event's input; returns the machine size once the events
+    /// so far settle it.
+    #[inline(never)]
+    fn hold(&mut self, at: f64, op: CpuOp) -> Option<usize> {
+        let repeat = op == CpuOp::Tick && self.pending.last().is_some_and(|p| p.0 == at);
+        if !repeat {
+            self.pending.push((at, op));
+        }
+        let cpus = self.size()?;
+        self.settled = true;
+        Some(cpus)
+    }
+
+    /// A fold of `cpus` CPUs over the held events; frees them.
+    fn replay(&mut self, cpus: usize) -> CpuFold {
+        let mut fold = CpuFold::new(cpus);
+        for &(at, op) in &self.pending {
+            fold.apply(at, op);
+        }
+        self.pending = Vec::new();
+        fold
+    }
+}
+
+impl LiveCpuFold {
+    /// A fold over a machine of exactly `cpus` CPUs.
+    pub(crate) fn known(cpus: usize) -> Self {
+        LiveCpuFold {
+            fold: CpuFold::new(cpus),
+            sizer: None,
+        }
+    }
+
+    /// A fold sized from the stream; `bound` is the run's configured
+    /// machine size, when known.
+    pub(crate) fn live(bound: Option<usize>) -> Self {
+        LiveCpuFold {
+            fold: CpuFold::new(0),
+            sizer: Some(Sizer {
+                bound,
+                settled: false,
+                scan: SizeScan::default(),
+                pending: Vec::new(),
+            }),
+        }
+    }
+}
+
+impl Fold for LiveCpuFold {
+    type Output = CpuSeries;
+
+    #[inline]
+    fn push(&mut self, at: f64, event: &ObsEvent, _slot: Option<usize>) {
+        if let Some(sizer) = &mut self.sizer {
+            sizer.scan.push(event);
+            if !sizer.settled {
+                if let Some(cpus) = sizer.hold(at, CpuOp::of(event)) {
+                    self.fold = sizer.replay(cpus);
+                }
+                return;
+            }
+        }
+        self.fold.apply(at, CpuOp::of(event));
+    }
+
+    fn finish(self, jobs: &JobIndex, end: f64) -> CpuSeries {
+        let fold = match self.sizer {
+            None => self.fold,
+            Some(mut sizer) if !sizer.settled => sizer.replay(sizer.scan.size()),
+            Some(sizer) => {
+                let size = sizer.scan.size();
+                assert_eq!(
+                    self.fold.series.cpus, size,
+                    "the live CPU fold settled at {} CPUs, but the stream describes {size}",
+                    self.fold.series.cpus
+                );
+                self.fold
+            }
+        };
+        fold.finish(jobs, end)
     }
 }
 
@@ -194,13 +390,12 @@ impl MplFold {
 impl Fold for MplFold {
     type Output = MplStats;
 
-    fn push(&mut self, te: &TimedEvent, _slot: Option<usize>) {
+    fn push(&mut self, now: f64, event: &ObsEvent, _slot: Option<usize>) {
         if let ObsEvent::MplChanged {
             running,
             total_alloc,
-        } = &te.event
+        } = event
         {
-            let now = te.at.as_secs();
             self.close(now);
             let stats = &mut self.stats;
             stats.samples += 1;

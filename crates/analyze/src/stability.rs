@@ -85,8 +85,8 @@ impl MigrationFold {
 impl Fold for MigrationFold {
     type Output = MigrationStats;
 
-    fn push(&mut self, te: &TimedEvent, slot: Option<usize>) {
-        let ObsEvent::CpuAssigned { cpu, .. } = &te.event else {
+    fn push(&mut self, _at: f64, event: &ObsEvent, slot: Option<usize>) {
+        let ObsEvent::CpuAssigned { cpu, .. } = event else {
             self.batch = None;
             return;
         };

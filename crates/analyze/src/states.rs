@@ -94,10 +94,9 @@ impl StateFold {
 impl Fold for StateFold {
     type Output = StateBreakdown;
 
-    fn push(&mut self, te: &TimedEvent, slot: Option<usize>) {
+    fn push(&mut self, now: f64, event: &ObsEvent, slot: Option<usize>) {
         let Some(slot) = slot else { return };
-        let now = te.at.as_secs();
-        match &te.event {
+        match event {
             ObsEvent::JobStarted { .. } => *slot_mut(&mut self.open, slot) = Some((None, now)),
             ObsEvent::Decision {
                 transition: Some((from, to)),

@@ -163,11 +163,10 @@ pub(crate) struct TimelineFold {
 impl Fold for TimelineFold {
     type Output = BTreeMap<JobId, JobTimeline>;
 
-    fn push(&mut self, te: &TimedEvent, slot: Option<usize>) {
+    fn push(&mut self, now: f64, event: &ObsEvent, slot: Option<usize>) {
         let Some(slot) = slot else { return };
-        let now = te.at.as_secs();
         let c = slot_mut(&mut self.clocks, slot);
-        match &te.event {
+        match event {
             ObsEvent::JobSubmitted { .. } => {
                 c.timeline().submitted = Some(now);
                 c.wait_from = Some(now);

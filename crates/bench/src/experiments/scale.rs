@@ -7,7 +7,7 @@
 //! shape it (window slice, machine remap, load rescale), and replay it
 //! under PDPA, Equipartition, and Equal_efficiency. Reported per policy:
 //! makespan, utilization, and the per-job slowdown distribution computed
-//! by `pdpa-analyze` from the replayed decision-event stream.
+//! by `pdpa-analyze` from the decision-event stream as it is published.
 //!
 //! The point is twofold: the allocation-policy comparison survives at
 //! scale (Berg et al. evaluate allocation policies on exactly such
@@ -18,10 +18,9 @@
 
 use std::fmt::Write as _;
 
-use crate::PolicyKind;
-use pdpa_analyze::RunAnalysis;
-use pdpa_engine::{Engine, EngineConfig};
-use pdpa_obs::RecordingObserver;
+use crate::{run_engine_observed, PolicyKind};
+use pdpa_analyze::Analyzer;
+use pdpa_engine::EngineConfig;
 use pdpa_qs::shape;
 use pdpa_qs::swf;
 use pdpa_qs::{GeneratorConfig, Workload};
@@ -81,15 +80,10 @@ fn replay(trace: &pdpa_qs::SwfTrace, policy: PolicyKind) -> Row {
         .with_cpus(CPUS)
         .with_seed(SEED ^ 0xA5A5);
     let key = format!("scale-{}-seed{SEED}", policy.label());
-    let mut rec = RecordingObserver::new();
-    let result = Engine::new(config).run_observed(jobs, policy.build(), &mut rec);
-    let events = rec.take_events();
+    let mut analyzer = Analyzer::live(Some(CPUS));
+    let result = run_engine_observed(&key, config, jobs, policy.build(), &mut analyzer);
     assert!(result.completed_all, "{} wedged at scale", policy.label());
-    if pdpa_obs::collector::is_recording() {
-        let scope = pdpa_obs::scope::current().unwrap_or_default();
-        pdpa_obs::collector::record_run(format!("{scope}/{key}"), events.clone());
-    }
-    let analysis = RunAnalysis::from_events(&events);
+    let analysis = analyzer.finish();
     Row {
         label: policy.label(),
         makespan: result.summary.makespan_secs(),

@@ -16,8 +16,9 @@
 //!    crash with bounded retries).
 //!
 //! Every run is traced, and the per-job slowdown distribution is computed
-//! by `pdpa-analyze` from the recorded decision-event stream — the same
-//! replay path `pdpa replay` uses. Entrants are ranked by p50,
+//! by a `pdpa-analyze` analyzer that folds the decision-event stream as
+//! the run publishes it — the same path `pdpa replay` uses; the stream is
+//! recorded only when the harness collects it. Entrants are ranked by p50,
 //! then p90, then p99 slowdown (label as the final tie-break), so the
 //! ranking is deterministic for a fixed seed; the `ranking(<leg>):` lines
 //! are the artifact the CI tournament-smoke job diffs across repeated
@@ -29,11 +30,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::experiments::chaos;
-use pdpa_analyze::{RunAnalysis, SlowdownDist};
+use crate::run_engine_observed;
+use pdpa_analyze::{Analyzer, SlowdownDist};
 use pdpa_core::Pdpa;
-use pdpa_engine::{Engine, EngineConfig};
+use pdpa_engine::EngineConfig;
 use pdpa_obs::json::Json;
-use pdpa_obs::RecordingObserver;
 use pdpa_policies::{
     EqualEfficiency, Equipartition, GangScheduler, HeSrpt, LearnedAlloc, OptSplit, RigidFirstFit,
     SchedulingPolicy,
@@ -213,17 +214,12 @@ fn race(
     config: EngineConfig,
     key: &str,
 ) -> LegStats {
-    let mut rec = RecordingObserver::new();
+    let mut analyzer = Analyzer::live(Some(config.cpus));
     let started = Instant::now();
-    let result = Engine::new(config).run_observed(jobs, (entrant.build)(), &mut rec);
+    let result = run_engine_observed(key, config, jobs, (entrant.build)(), &mut analyzer);
     let wall_secs = started.elapsed().as_secs_f64();
     assert!(result.completed_all, "{} wedged on {key}", entrant.label);
-    let events = rec.take_events();
-    if pdpa_obs::collector::is_recording() {
-        let scope = pdpa_obs::scope::current().unwrap_or_default();
-        pdpa_obs::collector::record_run(format!("{scope}/{key}"), events.clone());
-    }
-    let analysis = RunAnalysis::from_events(&events);
+    let analysis = analyzer.finish();
     LegStats {
         label: entrant.label,
         slug: entrant.slug,

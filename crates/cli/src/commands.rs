@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pdpa_analyze::{analysis_json, RunAnalysis, RunDiff};
+use pdpa_analyze::{analysis_json, Analyzer, RunAnalysis, RunDiff, StreamDiff};
 use pdpa_apps::{paper_app, AppClass};
 use pdpa_bench::experiments::tournament::{run_tournament, TournamentConfig};
 use pdpa_core::Pdpa;
@@ -14,8 +14,9 @@ use pdpa_engine::{Engine, EngineConfig, Instrumentation, RunResult};
 use pdpa_faults::FaultPlan;
 use pdpa_obs::metrics::Registry;
 use pdpa_obs::{
-    chrome_trace, metrics_json, mpl_series_csv, scope, span_trace, FilterObserver, KindFilter,
-    NullObserver, Observer, RecordingObserver, TeeObserver,
+    chrome_trace, metrics_json, mpl_series_csv, scope, span_trace, stream_events, FilterObserver,
+    KindCounter, KindFilter, NullObserver, ObsEvent, Observer, RecordingObserver, StreamWriter,
+    TeeObserver,
 };
 use pdpa_policies::{
     EqualEfficiency, Equipartition, GangScheduler, HeSrpt, IrixLike, LearnedAlloc, OptSplit,
@@ -224,7 +225,11 @@ fn run_one(opts: &Options) -> Result<String, String> {
     if opts.observing() {
         let events = recorder.take_events();
         if opts.obs {
-            out.push_str(&event_kind_summary(&events));
+            let mut kinds = KindCounter::default();
+            for te in &events {
+                kinds.on_event(te.at, &te.event);
+            }
+            out.push_str(&event_kind_summary(&kinds));
         }
         let runs = vec![(format!("{}-{}", opts.workload, result.policy), events)];
         if let Some(path) = &opts.trace_out {
@@ -262,13 +267,17 @@ fn analyze(opts: &Options) -> Result<String, String> {
     // PDPAOBS1 binary, auto-detected by magic bytes) without re-running
     // the engine.
     if let Some(path) = &opts.from_stream {
-        let events = load_stream(path)?;
-        let analysis = RunAnalysis::from_events(&events);
+        let bytes = read_file(path)?;
+        let mut analyzer = Analyzer::live(None);
+        for te in stream_events(&bytes).map_err(|e| format!("{path}: {e}"))? {
+            analyzer.push(&te.map_err(|e| format!("{path}: {e}"))?);
+        }
+        let analysis = analyzer.finish();
         let mut out = String::new();
         let _ = writeln!(
             out,
             "analysis of recorded stream {path} ({} events)\n",
-            events.len()
+            analysis.events
         );
         out.push_str(&analysis.render_text());
         if let Some(out_path) = &opts.analyze_out {
@@ -279,13 +288,12 @@ fn analyze(opts: &Options) -> Result<String, String> {
         return Ok(out);
     }
     let choice = opts.policy.expect("parser enforces --policy for analyze");
-    let mut recorder = RecordingObserver::new();
+    let mut analyzer = Analyzer::live(Some(opts.cpus));
     let result = {
         let _scope = scope::enter(&format!("cli-{}", opts.workload));
-        execute_with(opts, choice, &mut recorder)?
+        execute_with(opts, choice, &mut analyzer)?
     };
-    let events = recorder.take_events();
-    let analysis = RunAnalysis::from_events(&events);
+    let analysis = analyzer.finish();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -328,9 +336,7 @@ fn diff(opts: &Options) -> Result<String, String> {
     // disk; each side may be text or PDPAOBS1 binary independently, so
     // this also cross-checks the two codecs against each other.
     if let (Some(path_a), Some(path_b)) = (&opts.from_stream, &opts.from_stream_b) {
-        let events_a = load_stream(path_a)?;
-        let events_b = load_stream(path_b)?;
-        let run_diff = RunDiff::compare(&events_a, &events_b);
+        let run_diff = diff_stream_files(path_a, path_b)?;
         let mut out = String::new();
         let _ = writeln!(out, "diff of recorded streams {path_a} vs {path_b}\n");
         out.push_str(&run_diff.render(path_a, path_b));
@@ -373,35 +379,50 @@ fn diff(opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// Reads a decision-event stream file in either encoding, auto-detected
-/// by the `PDPAOBS1` magic bytes.
-fn load_stream(path: &str) -> Result<Vec<pdpa_obs::TimedEvent>, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    pdpa_obs::parse_stream(&bytes).map_err(|e| format!("{path}: {e}"))
+fn read_file(path: &str) -> Result<Vec<u8>, String> {
+    std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Per-kind counts of a recorded decision-event stream (`--obs` output).
-fn event_kind_summary(events: &[pdpa_obs::TimedEvent]) -> String {
+/// Diffs two decision-event stream files, each in either encoding
+/// (auto-detected by the `PDPAOBS1` magic bytes), decoding both in step.
+/// A diagnostic about the first file wins over one about the second, as
+/// when each was read whole in turn.
+fn diff_stream_files(path_a: &str, path_b: &str) -> Result<RunDiff, String> {
+    let bytes_a = read_file(path_a)?;
+    let mut a = stream_events(&bytes_a).map_err(|e| format!("{path_a}: {e}"))?;
+    let first_a_error = |a: pdpa_obs::StreamEvents<'_>, err_b: String| {
+        a.filter_map(Result::err)
+            .next()
+            .map_or(err_b, |e| format!("{path_a}: {e}"))
+    };
+    let bytes_b = match read_file(path_b) {
+        Ok(bytes) => bytes,
+        Err(e) => return Err(first_a_error(a, e)),
+    };
+    let mut b = match stream_events(&bytes_b) {
+        Ok(b) => b,
+        Err(e) => return Err(first_a_error(a, format!("{path_b}: {e}"))),
+    };
+    let mut diff = StreamDiff::default();
+    loop {
+        let ea = a.next().transpose().map_err(|e| format!("{path_a}: {e}"))?;
+        let eb = match b.next().transpose() {
+            Ok(eb) => eb,
+            Err(e) => return Err(first_a_error(a, format!("{path_b}: {e}"))),
+        };
+        if ea.is_none() && eb.is_none() {
+            return Ok(diff.finish());
+        }
+        diff.push(ea.as_ref(), eb.as_ref());
+    }
+}
+
+/// Per-kind counts of a decision-event stream (`--obs` output).
+fn event_kind_summary(kinds: &KindCounter) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "\ndecision-event stream: {} events", events.len());
-    for kind in [
-        "submit",
-        "dequeue",
-        "start",
-        "finish",
-        "iter",
-        "decision",
-        "state",
-        "mpl",
-        "cost",
-        "cpu",
-        "cpu_failed",
-        "cpu_recovered",
-        "degraded",
-        "retry",
-        "job_failed",
-    ] {
-        let n = events.iter().filter(|te| te.event.kind() == kind).count();
+    let _ = writeln!(out, "\ndecision-event stream: {} events", kinds.total());
+    // Every kind but `failed`, which only the harness publishes.
+    for (kind, n) in kinds.counts().take(ObsEvent::KINDS.len() - 1) {
         if n > 0 {
             let _ = writeln!(out, "  {kind:<8} {n}");
         }
@@ -486,14 +507,38 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         None => None,
     };
 
-    let mut recorder = RecordingObserver::new();
+    // The run is analyzed as it publishes. The stream is recorded only for
+    // the Chrome trace; `--obs-out` writes each event as it is published.
+    let mut analyzer = Analyzer::live(Some(opts.cpus));
+    let mut kinds = KindCounter::default();
+    let mut recorder = opts.trace_out.as_ref().map(|_| RecordingObserver::new());
+    let mut writer = match &opts.obs_out {
+        Some(path) => Some(stream_writer(path, opts.obs_format)?),
+        None => None,
+    };
     let result = {
         let _scope = scope::enter("cli-replay");
         let engine = Engine::new(config);
-        // Observer chain, innermost out: recorder <- tap tee <- kind
-        // filter. The filter wraps the outside so the recorded stream and
+        // Observer chain, innermost out: analyzer, the kind counter, the
+        // recorder and the stream writer <- tap tee <- kind filter. The
+        // filter wraps the outside so the analysis, the written stream and
         // the tap's tail agree on what was kept.
-        let mut observer: &mut dyn Observer = &mut recorder;
+        let mut observer: &mut dyn Observer = &mut analyzer;
+        let mut kinds_tee;
+        if opts.obs {
+            kinds_tee = TeeObserver(&mut kinds, observer);
+            observer = &mut kinds_tee;
+        }
+        let mut recorder_tee;
+        if let Some(recorder) = &mut recorder {
+            recorder_tee = TeeObserver(recorder, observer);
+            observer = &mut recorder_tee;
+        }
+        let mut writer_tee;
+        if let Some(writer) = &mut writer {
+            writer_tee = TeeObserver(writer, observer);
+            observer = &mut writer_tee;
+        }
         let mut tap_tee;
         if let Some((tap, _)) = &serve {
             tap_tee = TapObserver::new(observer, Arc::clone(tap));
@@ -529,8 +574,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             opts.policy
         ));
     }
-    let events = recorder.take_events();
-    let analysis = RunAnalysis::from_events(&events);
+    let analysis = analyzer.finish();
 
     let mut out = String::new();
     let _ = writeln!(
@@ -569,15 +613,15 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     out.push('\n');
     out.push_str(&class_table(&result));
     if opts.obs {
-        out.push_str(&event_kind_summary(&events));
+        out.push_str(&event_kind_summary(&kinds));
     }
     if let Some(n) = served_connections {
         let _ = writeln!(out, "\nstatus server answered {n} connection(s)");
     }
 
     let key = format!("replay-{}", opts.policy.slug());
-    if let Some(path) = &opts.trace_out {
-        let runs = vec![(key.clone(), events.clone())];
+    if let (Some(path), Some(recorder)) = (&opts.trace_out, recorder) {
+        let runs = vec![(key.clone(), recorder.take_events())];
         std::fs::write(path, chrome_trace(&runs))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nChrome trace written to {path}");
@@ -587,16 +631,18 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nRun analysis JSON written to {path}");
     }
-    if let Some(path) = &opts.obs_out {
-        let (bytes, fmt) = match opts.obs_format {
-            ObsFormat::Binary => (pdpa_obs::write_stream(&events), "binary"),
-            ObsFormat::Text => (pdpa_obs::write_text_stream(&events).into_bytes(), "text"),
+    if let (Some(path), Some(writer)) = (&opts.obs_out, writer) {
+        let events = writer.events();
+        writer
+            .finish()
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let fmt = match opts.obs_format {
+            ObsFormat::Binary => "binary",
+            ObsFormat::Text => "text",
         };
-        std::fs::write(path, bytes).map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(
             out,
-            "\ndecision-event stream ({fmt}, {} events) written to {path}",
-            events.len()
+            "\ndecision-event stream ({fmt}, {events} events) written to {path}"
         );
     }
     if let Some(path) = &opts.profile_out {
@@ -613,6 +659,19 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         out.push_str(&profile.hot_path_report());
     }
     Ok(out)
+}
+
+/// A `--obs-out` writer over a new file at `path`.
+fn stream_writer(
+    path: &str,
+    format: ObsFormat,
+) -> Result<StreamWriter<std::io::BufWriter<std::fs::File>>, String> {
+    let cannot = |e: std::io::Error| format!("cannot write {path}: {e}");
+    let file = std::io::BufWriter::new(std::fs::File::create(path).map_err(cannot)?);
+    match format {
+        ObsFormat::Binary => StreamWriter::binary(file).map_err(cannot),
+        ObsFormat::Text => Ok(StreamWriter::text(file)),
+    }
 }
 
 /// Sends `requests` down one connection to a `--serve` replay and returns

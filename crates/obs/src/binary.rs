@@ -40,6 +40,7 @@ use pdpa_sim::{CpuId, JobId, SimTime};
 
 use crate::collector::ExperimentFailure;
 use crate::event::{DecisionTrigger, ObsEvent, StateName, TimedEvent};
+use crate::observer::Observer;
 
 /// The stream header: `PDPAOBS1` in ASCII. Doubles as the format version —
 /// an incompatible revision bumps the trailing digit.
@@ -236,12 +237,12 @@ fn trigger_code(t: DecisionTrigger) -> u8 {
     }
 }
 
-fn encode_payload(ev: &TimedEvent, out: &mut Vec<u8>) {
+fn encode_payload(at: SimTime, seq: u64, event: &ObsEvent, out: &mut Vec<u8>) {
     // Kind codes are the declaration order, which `kind_index` is.
-    out.push(ev.event.kind_index() as u8);
-    put_f64(out, ev.at.as_secs());
-    put_uvarint(out, ev.seq);
-    match &ev.event {
+    out.push(event.kind_index() as u8);
+    put_f64(out, at.as_secs());
+    put_uvarint(out, seq);
+    match event {
         ObsEvent::JobSubmitted { job }
         | ObsEvent::JobDequeued { job }
         | ObsEvent::JobFinished { job } => {
@@ -346,14 +347,15 @@ fn encode_payload(ev: &TimedEvent, out: &mut Vec<u8>) {
     }
 }
 
-/// Appends one whole frame to `out`. The payload is encoded in place
-/// behind a one-byte length slot that is patched afterwards; the rare
-/// payload of 128 bytes or more (only `failed` frames carry text that
-/// long) widens the slot to its full varint.
-fn encode_frame(ev: &TimedEvent, out: &mut Vec<u8>) {
+/// Appends the frame of `event` stamped `(at, seq)` to `out`. The payload
+/// is encoded in place behind a one-byte length slot that is patched
+/// afterwards; the rare payload of 128 bytes or more (only `failed` frames
+/// carry text that long) widens the slot to its full varint.
+#[inline(always)]
+fn encode_frame(at: SimTime, seq: u64, event: &ObsEvent, out: &mut Vec<u8>) {
     let slot = out.len();
     out.push(0);
-    encode_payload(ev, out);
+    encode_payload(at, seq, event, out);
     let len = out.len() - slot - 1;
     if len < 0x80 {
         out[slot] = len as u8;
@@ -364,6 +366,7 @@ fn encode_frame(ev: &TimedEvent, out: &mut Vec<u8>) {
     }
 }
 
+#[inline(always)]
 fn decode_payload<const FAST: bool>(payload: &[u8]) -> Result<TimedEvent, String> {
     let mut cur = Cur::<FAST>::new(payload);
     let kind = cur.byte("event kind")?;
@@ -474,45 +477,83 @@ fn decode_payload<const FAST: bool>(payload: &[u8]) -> Result<TimedEvent, String
 // Streams
 // ---------------------------------------------------------------------------
 
-/// Streaming frame writer: emits the magic on construction, one frame per
-/// [`BinaryWriter::write`]. Works over any `io::Write` (file, socket,
-/// `Vec<u8>`), which is what makes it reusable as the `pdpad` wire
-/// protocol.
-pub struct BinaryWriter<W: Write> {
+/// Writes a stream event by event, in either encoding: the `PDPAOBS1`
+/// frames of [`write_stream`] or the lines of [`write_text_stream`]. Works
+/// over any `io::Write` (file, socket, `Vec<u8>`).
+///
+/// As an [`Observer`] it numbers the events it receives `0, 1, …`, as a
+/// [`RecordingObserver`](crate::RecordingObserver) does, so a run written
+/// as it publishes produces the bytes of its recorded stream written after
+/// the run. An observer cannot return an error, so the first write error
+/// is kept, later events are dropped, and [`finish`](Self::finish)
+/// reports it.
+pub struct StreamWriter<W: Write> {
     out: W,
-    frame: Vec<u8>,
-    frames: u64,
+    binary: bool,
+    buf: Vec<u8>,
+    events: u64,
+    error: Option<io::Error>,
 }
 
-impl<W: Write> BinaryWriter<W> {
-    /// Wraps `out` and writes the stream magic.
-    pub fn new(mut out: W) -> io::Result<Self> {
+impl<W: Write> StreamWriter<W> {
+    /// A binary writer; writes the stream magic.
+    pub fn binary(mut out: W) -> io::Result<Self> {
         out.write_all(&MAGIC)?;
-        Ok(BinaryWriter {
-            out,
-            frame: Vec::with_capacity(64),
-            frames: 0,
-        })
+        Ok(Self::new(out, true))
     }
 
-    /// Appends one event frame.
-    pub fn write(&mut self, ev: &TimedEvent) -> io::Result<()> {
-        self.frame.clear();
-        encode_frame(ev, &mut self.frame);
-        self.out.write_all(&self.frame)?;
-        self.frames += 1;
+    /// A text writer: one [`TimedEvent::to_line`] line per event.
+    pub fn text(out: W) -> Self {
+        Self::new(out, false)
+    }
+
+    fn new(out: W, binary: bool) -> Self {
+        StreamWriter {
+            out,
+            binary,
+            buf: Vec::with_capacity(64),
+            events: 0,
+            error: None,
+        }
+    }
+
+    fn write_event(&mut self, at: SimTime, seq: u64, event: &ObsEvent) -> io::Result<()> {
+        self.buf.clear();
+        if self.binary {
+            encode_frame(at, seq, event, &mut self.buf);
+        } else {
+            self.buf
+                .extend_from_slice(crate::event::line(at, seq, event).as_bytes());
+            self.buf.push(b'\n');
+        }
+        self.out.write_all(&self.buf)?;
+        self.events += 1;
         Ok(())
     }
 
-    /// Frames written so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
+    /// Events written so far.
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
-    /// Flushes and returns the underlying writer.
+    /// Flushes and returns the underlying writer, or the first error a
+    /// write met.
     pub fn finish(mut self) -> io::Result<W> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
         self.out.flush()?;
         Ok(self.out)
+    }
+}
+
+impl<W: Write> Observer for StreamWriter<W> {
+    fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
+        if self.error.is_none() {
+            if let Err(e) = self.write_event(at, self.events, event) {
+                self.error = Some(e);
+            }
+        }
     }
 }
 
@@ -523,7 +564,7 @@ pub fn write_stream(events: &[TimedEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(MAGIC.len() + events.len() * 32);
     out.extend_from_slice(&MAGIC);
     for ev in events {
-        encode_frame(ev, &mut out);
+        encode_frame(ev.at, ev.seq, &ev.event, &mut out);
     }
     out
 }
@@ -635,16 +676,78 @@ pub fn parse_stream(bytes: &[u8]) -> Result<Vec<TimedEvent>, String> {
     if is_binary(bytes) {
         return read_stream(bytes);
     }
+    stream_events(bytes)?.collect()
+}
+
+/// The events of an observer stream of either format (auto-detected as by
+/// [`parse_stream`]), decoded one at a time, for a reader that folds or
+/// compares them and has no use for the vector.
+///
+/// # Errors
+///
+/// A text stream that is not UTF-8 fails here. Every other diagnostic is
+/// the item where [`parse_stream`] would stop, with the same text (`frame
+/// N at byte M: …` or `line N: …`); the walk ends after it.
+pub fn stream_events(bytes: &[u8]) -> Result<StreamEvents<'_>, String> {
+    if is_binary(bytes) {
+        return Ok(StreamEvents(Walk::Binary {
+            bytes,
+            at: MAGIC.len(),
+            index: 0,
+        }));
+    }
     let text = std::str::from_utf8(bytes)
         .map_err(|_| "stream is neither PDPAOBS1 binary nor UTF-8 text".to_string())?;
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
+    Ok(StreamEvents(Walk::Text(text.lines().enumerate())))
+}
+
+/// The iterator of [`stream_events`].
+#[derive(Debug)]
+pub struct StreamEvents<'a>(Walk<'a>);
+
+#[derive(Debug)]
+enum Walk<'a> {
+    /// The next frame's length prefix starts at byte `at`.
+    Binary {
+        bytes: &'a [u8],
+        at: usize,
+        index: usize,
+    },
+    Text(std::iter::Enumerate<std::str::Lines<'a>>),
+    /// After an error.
+    Done,
+}
+
+impl Iterator for StreamEvents<'_> {
+    type Item = Result<TimedEvent, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let item = match &mut self.0 {
+            Walk::Binary { bytes, at, index } => {
+                if *at >= bytes.len() {
+                    return None;
+                }
+                frame_payload(bytes, *at, *index).and_then(|payload| {
+                    let ev = decode_payload::<true>(&bytes[payload.clone()])
+                        .map_err(|e| format!("frame {index} at byte {at}: {e}"))?;
+                    *at = payload.end;
+                    *index += 1;
+                    Ok(ev)
+                })
+            }
+            Walk::Text(lines) => loop {
+                let (i, line) = lines.next()?;
+                if !line.is_empty() {
+                    break TimedEvent::parse_line(line).map_err(|e| format!("line {}: {e}", i + 1));
+                }
+            },
+            Walk::Done => return None,
+        };
+        if item.is_err() {
+            self.0 = Walk::Done;
         }
-        events.push(TimedEvent::parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+        Some(item)
     }
-    Ok(events)
 }
 
 #[cfg(test)]
@@ -713,6 +816,74 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_observer_writes_the_recorded_stream() {
+        use crate::observer::RecordingObserver;
+        let mut events = sample_events();
+        for (seq, ev) in events.iter_mut().enumerate() {
+            ev.seq = seq as u64;
+        }
+        let mut binary = StreamWriter::binary(Vec::new()).expect("Vec write cannot fail");
+        let mut text = StreamWriter::text(Vec::new());
+        let mut recorder = RecordingObserver::new();
+        for ev in &events {
+            binary.on_event(ev.at, &ev.event);
+            text.on_event(ev.at, &ev.event);
+            recorder.on_event(ev.at, &ev.event);
+        }
+        assert_eq!(recorder.events(), &events[..], "the recorder numbers alike");
+        assert_eq!((binary.events(), text.events()), (5, 5));
+        assert_eq!(binary.finish().expect("flush"), write_stream(&events));
+        assert_eq!(
+            text.finish().expect("flush"),
+            write_text_stream(&events).into_bytes()
+        );
+    }
+
+    #[test]
+    fn a_writer_keeps_its_first_error_for_finish() {
+        #[derive(Debug)]
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = StreamWriter::text(Full);
+        for ev in sample_events() {
+            w.on_event(ev.at, &ev.event);
+        }
+        assert_eq!(w.events(), 0);
+        let err = w.finish().expect_err("the write error surfaces");
+        assert_eq!(err.to_string(), "disk full");
+    }
+
+    #[test]
+    fn the_walker_yields_what_parse_stream_returns() {
+        let events = sample_events();
+        for bytes in [
+            write_stream(&events),
+            write_text_stream(&events).into_bytes(),
+        ] {
+            let walked: Result<Vec<_>, _> = stream_events(&bytes).expect("detects").collect();
+            assert_eq!(walked.expect("decodes"), events);
+        }
+        // A truncated stream yields its good frames, then the error, then
+        // nothing.
+        let bytes = write_stream(&events);
+        let mut walk = stream_events(&bytes[..bytes.len() - 3]).expect("magic");
+        for ev in &events[..events.len() - 1] {
+            assert_eq!(walk.next().expect("a frame").as_ref(), Ok(ev));
+        }
+        let err = walk.next().expect("an error").expect_err("truncated");
+        assert_eq!(Err(err), read_stream(&bytes[..bytes.len() - 3]));
+        assert!(walk.next().is_none());
+        assert!(stream_events(&[0xff, 0xfe]).is_err(), "neither format");
+    }
+
+    #[test]
     fn parse_stream_auto_detects_both_formats() {
         let events = sample_events();
         let binary = write_stream(&events);
@@ -773,7 +944,7 @@ mod tests {
     fn trailing_frame_bytes_are_rejected() {
         let ev = te(1.0, 0, ObsEvent::JobFinished { job: JobId(1) });
         let mut payload = Vec::new();
-        encode_payload(&ev, &mut payload);
+        encode_payload(ev.at, ev.seq, &ev.event, &mut payload);
         payload.push(0xAA); // junk past the decoded fields
         let mut bytes = MAGIC.to_vec();
         put_uvarint(&mut bytes, payload.len() as u64);
@@ -836,20 +1007,27 @@ mod tests {
                 ObsEvent::JobFinished { job: JobId(7) },
             ));
         }
-        // Frames after a widened prefix stay aligned, and the streaming
-        // writer produces the same bytes as the whole-buffer encoder.
+        // Frames after a widened prefix stay aligned.
         let bytes = write_stream(&all);
         assert_eq!(
             (bytes.len(), fnv1a(&bytes)),
             (20_519, 0x90b8_64d1_d339_c2f2)
         );
-        let mut w = BinaryWriter::new(Vec::new()).expect("Vec write cannot fail");
-        for ev in &all {
-            w.write(ev).expect("Vec write cannot fail");
-        }
-        assert_eq!(w.frames(), all.len() as u64);
-        assert_eq!(w.finish().expect("Vec flush cannot fail"), bytes);
         assert_eq!(read_stream(&bytes).expect("decodes"), all);
+        // The streaming writer, which numbers events itself, produces the
+        // bytes of the whole-buffer encoder.
+        for (seq, ev) in all.iter_mut().enumerate() {
+            ev.seq = seq as u64;
+        }
+        let mut w = StreamWriter::binary(Vec::new()).expect("Vec write cannot fail");
+        for ev in &all {
+            w.on_event(ev.at, &ev.event);
+        }
+        assert_eq!(w.events(), all.len() as u64);
+        assert_eq!(
+            w.finish().expect("Vec flush cannot fail"),
+            write_stream(&all)
+        );
     }
 
     /// Builds a one-frame stream around a hand-made payload.

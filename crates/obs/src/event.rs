@@ -352,87 +352,7 @@ impl TimedEvent {
     /// shortest round-trip formatting, so two bit-identical runs produce
     /// byte-identical lines.
     pub fn to_line(&self) -> String {
-        let t = self.at.as_secs();
-        let seq = self.seq;
-        let body = match &self.event {
-            ObsEvent::JobSubmitted { job } => format!("job={}", job.0),
-            ObsEvent::JobDequeued { job } => format!("job={}", job.0),
-            ObsEvent::JobStarted { job, request } => {
-                format!("job={} request={}", job.0, request)
-            }
-            ObsEvent::JobFinished { job } => format!("job={}", job.0),
-            ObsEvent::IterationMeasured {
-                job,
-                procs,
-                iter_secs,
-                speedup,
-                efficiency,
-                estimated,
-            } => format!(
-                "job={} procs={} iter_secs={} speedup={} efficiency={} estimated={}",
-                job.0, procs, iter_secs, speedup, efficiency, estimated
-            ),
-            ObsEvent::Decision {
-                trigger,
-                job,
-                from_alloc,
-                to_alloc,
-                transition,
-            } => {
-                let tr = match transition {
-                    Some((from, to)) => format!(" transition={from}->{to}"),
-                    None => String::new(),
-                };
-                format!(
-                    "trigger={} job={} from={} to={}{}",
-                    trigger.label(),
-                    job.0,
-                    from_alloc,
-                    to_alloc,
-                    tr
-                )
-            }
-            ObsEvent::StateChanged { job, from, to } => {
-                format!("job={} from={} to={}", job.0, from, to)
-            }
-            ObsEvent::MplChanged {
-                running,
-                total_alloc,
-            } => format!("running={running} total_alloc={total_alloc}"),
-            ObsEvent::ReallocCost {
-                job,
-                penalty_secs,
-                gained,
-                lost,
-            } => format!(
-                "job={} penalty_secs={} gained={} lost={}",
-                job.0, penalty_secs, gained, lost
-            ),
-            ObsEvent::CpuAssigned { cpu, job } => match job {
-                Some(j) => format!("cpu={} job={}", cpu.0, j.0),
-                None => format!("cpu={} job=idle", cpu.0),
-            },
-            ObsEvent::CpuFailed { cpu } => format!("cpu={}", cpu.0),
-            ObsEvent::CpuRecovered { cpu } => format!("cpu={}", cpu.0),
-            ObsEvent::DegradedCapacity { alive, total } => {
-                format!("alive={alive} total={total}")
-            }
-            ObsEvent::JobRetried {
-                job,
-                attempt,
-                backoff_secs,
-            } => format!(
-                "job={} attempt={} backoff_secs={}",
-                job.0, attempt, backoff_secs
-            ),
-            ObsEvent::JobFailed { job, attempts } => {
-                format!("job={} attempts={}", job.0, attempts)
-            }
-            ObsEvent::ExperimentFailed(failure) => {
-                format!("name={} message={:?}", failure.name, failure.message)
-            }
-        };
-        format!("{t} {seq} {} {body}", self.event.kind())
+        line(self.at, self.seq, &self.event)
     }
 
     /// Parses a line produced by [`TimedEvent::to_line`] back into the
@@ -446,6 +366,91 @@ impl TimedEvent {
     pub fn parse_line(line: &str) -> Result<TimedEvent, String> {
         parse::line(line)
     }
+}
+
+/// [`TimedEvent::to_line`] of `event` stamped `(at, seq)`, without
+/// building the [`TimedEvent`].
+pub(crate) fn line(at: SimTime, seq: u64, event: &ObsEvent) -> String {
+    let t = at.as_secs();
+    let body = match event {
+        ObsEvent::JobSubmitted { job } => format!("job={}", job.0),
+        ObsEvent::JobDequeued { job } => format!("job={}", job.0),
+        ObsEvent::JobStarted { job, request } => {
+            format!("job={} request={}", job.0, request)
+        }
+        ObsEvent::JobFinished { job } => format!("job={}", job.0),
+        ObsEvent::IterationMeasured {
+            job,
+            procs,
+            iter_secs,
+            speedup,
+            efficiency,
+            estimated,
+        } => format!(
+            "job={} procs={} iter_secs={} speedup={} efficiency={} estimated={}",
+            job.0, procs, iter_secs, speedup, efficiency, estimated
+        ),
+        ObsEvent::Decision {
+            trigger,
+            job,
+            from_alloc,
+            to_alloc,
+            transition,
+        } => {
+            let tr = match transition {
+                Some((from, to)) => format!(" transition={from}->{to}"),
+                None => String::new(),
+            };
+            format!(
+                "trigger={} job={} from={} to={}{}",
+                trigger.label(),
+                job.0,
+                from_alloc,
+                to_alloc,
+                tr
+            )
+        }
+        ObsEvent::StateChanged { job, from, to } => {
+            format!("job={} from={} to={}", job.0, from, to)
+        }
+        ObsEvent::MplChanged {
+            running,
+            total_alloc,
+        } => format!("running={running} total_alloc={total_alloc}"),
+        ObsEvent::ReallocCost {
+            job,
+            penalty_secs,
+            gained,
+            lost,
+        } => format!(
+            "job={} penalty_secs={} gained={} lost={}",
+            job.0, penalty_secs, gained, lost
+        ),
+        ObsEvent::CpuAssigned { cpu, job } => match job {
+            Some(j) => format!("cpu={} job={}", cpu.0, j.0),
+            None => format!("cpu={} job=idle", cpu.0),
+        },
+        ObsEvent::CpuFailed { cpu } => format!("cpu={}", cpu.0),
+        ObsEvent::CpuRecovered { cpu } => format!("cpu={}", cpu.0),
+        ObsEvent::DegradedCapacity { alive, total } => {
+            format!("alive={alive} total={total}")
+        }
+        ObsEvent::JobRetried {
+            job,
+            attempt,
+            backoff_secs,
+        } => format!(
+            "job={} attempt={} backoff_secs={}",
+            job.0, attempt, backoff_secs
+        ),
+        ObsEvent::JobFailed { job, attempts } => {
+            format!("job={} attempts={}", job.0, attempts)
+        }
+        ObsEvent::ExperimentFailed(failure) => {
+            format!("name={} message={:?}", failure.name, failure.message)
+        }
+    };
+    format!("{t} {seq} {} {body}", event.kind())
 }
 
 /// The [`TimedEvent::to_line`] inverse.

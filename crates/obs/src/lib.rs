@@ -44,7 +44,8 @@ pub mod observer;
 pub mod scope;
 
 pub use binary::{
-    is_binary, parse_stream, read_stream, write_stream, write_text_stream, BinaryWriter,
+    is_binary, parse_stream, read_stream, stream_events, write_stream, write_text_stream,
+    StreamEvents, StreamWriter,
 };
 pub use chrome::{chrome_trace, span_trace};
 pub use collector::ExperimentFailure;
@@ -52,5 +53,5 @@ pub use event::{DecisionTrigger, ObsEvent, StateName, TimedEvent};
 pub use export::{metrics_json, mpl_series, mpl_series_csv, MplPoint};
 pub use metrics::{Counter, Histogram, MetricsSnapshot, Registry, RunCounters};
 pub use observer::{
-    FilterObserver, KindFilter, NullObserver, Observer, RecordingObserver, TeeObserver,
+    FilterObserver, KindCounter, KindFilter, NullObserver, Observer, RecordingObserver, TeeObserver,
 };

@@ -158,6 +158,35 @@ impl KindFilter {
     }
 }
 
+/// Counts the events of a run per kind, so a caller that needs only the
+/// counts (`pdpa replay --obs`) keeps no stream.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KindCounter {
+    /// Events per kind, by [`ObsEvent::kind_index`].
+    counts: [u64; ObsEvent::KINDS.len()],
+}
+
+impl KindCounter {
+    /// Events counted, all kinds.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// `(kind label, count)` for every kind, in [`ObsEvent::KINDS`] order.
+    pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        ObsEvent::KINDS
+            .iter()
+            .copied()
+            .zip(self.counts.iter().copied())
+    }
+}
+
+impl Observer for KindCounter {
+    fn on_event(&mut self, _at: SimTime, event: &ObsEvent) {
+        self.counts[event.kind_index()] += 1;
+    }
+}
+
 /// Forwards only the kinds a [`KindFilter`] keeps to the wrapped observer.
 /// Wraps the *outside* of an observer chain, so everything downstream (the
 /// recorder, a live tap) sees the same reduced stream.
@@ -244,6 +273,20 @@ mod tests {
         let (mut null_a, mut null_b) = (NullObserver, NullObserver);
         assert!(!TeeObserver(&mut null_a, &mut null_b).is_enabled());
         assert!(TeeObserver(&mut null_a, &mut a).is_enabled());
+    }
+
+    #[test]
+    fn kind_counter_counts_every_kind() {
+        let mut kinds = KindCounter::default();
+        let at = SimTime::from_secs(1.0);
+        for job in 0..3 {
+            kinds.on_event(at, &ObsEvent::JobSubmitted { job: JobId(job) });
+        }
+        kinds.on_event(at, &ObsEvent::JobFinished { job: JobId(0) });
+        assert_eq!(kinds.total(), 4);
+        let counts: Vec<(&str, u64)> = kinds.counts().filter(|&(_, n)| n > 0).collect();
+        assert_eq!(counts, [("submit", 3), ("finish", 1)]);
+        assert_eq!(kinds.counts().count(), ObsEvent::KINDS.len());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //!
 //! - `read_stream` never panics;
 //! - every error names the frame and its byte offset;
+//! - the frame-by-frame walker (`stream_events`) stops at the same
+//!   error, with the same text, or yields the same events;
 //! - a decoded stream never holds more capacity than one event per
 //!   smallest legal frame (12 bytes) of input;
 //! - state names past the table's cap are an error, not a new entry.
@@ -18,8 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 
 use pdpa_suite::obs::{
-    parse_stream, read_stream, write_stream, write_text_stream, DecisionTrigger, ExperimentFailure,
-    ObsEvent, StateName, TimedEvent,
+    parse_stream, read_stream, stream_events, write_stream, write_text_stream, DecisionTrigger,
+    ExperimentFailure, ObsEvent, StateName, TimedEvent,
 };
 use pdpa_suite::sim::{CpuId, JobId, SimTime};
 
@@ -222,6 +224,25 @@ proptest! {
         // The auto-detecting reader takes the same path.
         let via_parse = catch_unwind(AssertUnwindSafe(|| parse_stream(&bytes)));
         prop_assert!(via_parse.is_ok(), "parse_stream panicked");
+        // So does the walker, one frame at a time.
+        let walked = stream_events(&bytes).and_then(|walk| walk.collect::<Result<Vec<_>, _>>());
+        prop_assert_eq!(walked, read_stream(&bytes));
+    }
+
+    /// The text walker stops at the line `parse_stream` stops at.
+    #[test]
+    fn walked_text_streams_fail_where_parsed_ones_do(
+        events in arb_stream(),
+        cut in 0.0f64..1.0,
+    ) {
+        let text = write_text_stream(&events);
+        let mut bytes = text.into_bytes();
+        let at = (cut * bytes.len() as f64) as usize;
+        if at < bytes.len() {
+            bytes[at] = b'#';
+        }
+        let walked = stream_events(&bytes).and_then(|walk| walk.collect::<Result<Vec<_>, _>>());
+        prop_assert_eq!(walked, parse_stream(&bytes));
     }
 }
 
