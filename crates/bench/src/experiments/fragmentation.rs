@@ -13,29 +13,30 @@
 
 use std::fmt::Write as _;
 
-use crate::{PolicyKind, SEEDS};
+use crate::SEEDS;
+use pdpa_core::roster;
 use pdpa_engine::{Engine, EngineConfig};
-use pdpa_policies::RigidFirstFit;
 use pdpa_qs::Workload;
 
-const VARIANTS: [&str; 4] = ["Rigid", "Rigid+backfill", "Equip", "PDPA"];
+/// Table rows: label, roster slug, and whether the queue is backfilled.
+const VARIANTS: [(&str, &str, bool); 4] = [
+    ("Rigid", "rigid", false),
+    ("Rigid+backfill", "rigid", true),
+    ("Equip", "equip", false),
+    ("PDPA", "pdpa", false),
+];
 
-fn run_variant(wl: Workload, which: &str) -> (f64, f64, usize) {
+fn run_variant(wl: Workload, (which, slug, backfill): (&str, &str, bool)) -> (f64, f64, usize) {
     let mut makespan = 0.0;
     let mut resp = 0.0;
     let mut ml = 0usize;
     for &seed in &SEEDS {
         let jobs = wl.build(1.0, seed);
-        let policy: Box<dyn pdpa_policies::SchedulingPolicy> = match which {
-            "Rigid" | "Rigid+backfill" => Box::new(RigidFirstFit::paper_default()),
-            "Equip" => PolicyKind::Equipartition.build(),
-            _ => PolicyKind::Pdpa.build(),
-        };
         let mut config = EngineConfig::default().with_seed(seed ^ 0xA5A5);
-        if which == "Rigid+backfill" {
+        if backfill {
             config = config.with_backfill();
         }
-        let r = Engine::new(config).run(jobs, policy);
+        let r = Engine::new(config).run(jobs, roster::get(slug).build());
         assert!(r.completed_all, "{wl}/{which} wedged");
         makespan += r.summary.makespan_secs();
         resp += r.summary.overall_avg_response_secs();
@@ -47,12 +48,12 @@ fn run_variant(wl: Workload, which: &str) -> (f64, f64, usize) {
 
 /// Renders the experiment.
 pub fn run() -> String {
-    let tasks: Vec<(Workload, &str)> = Workload::ALL
+    let tasks: Vec<(Workload, (&str, &str, bool))> = Workload::ALL
         .iter()
-        .flat_map(|&wl| VARIANTS.iter().map(move |&which| (wl, which)))
+        .flat_map(|&wl| VARIANTS.iter().map(move |&variant| (wl, variant)))
         .collect();
-    let results = pdpa_parallel::par_map(&tasks, pdpa_parallel::num_threads(), |&(wl, which)| {
-        run_variant(wl, which)
+    let results = pdpa_parallel::par_map(&tasks, pdpa_parallel::num_threads(), |&(wl, variant)| {
+        run_variant(wl, variant)
     });
     let mut results = results.into_iter();
 
@@ -67,7 +68,7 @@ pub fn run() -> String {
         "wl", "policy", "makespan", "mean response", "maxML"
     );
     for wl in Workload::ALL {
-        for which in VARIANTS {
+        for (which, _, _) in VARIANTS {
             let (makespan, resp, ml) = results.next().expect("one result per task");
             let _ = writeln!(
                 out,

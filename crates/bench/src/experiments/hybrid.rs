@@ -15,8 +15,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use crate::PolicyKind;
 use pdpa_apps::{Amdahl, AppClass, ApplicationSpec, SpeedupModel};
-use pdpa_core::Pdpa;
 use pdpa_engine::{Engine, EngineConfig};
 use pdpa_hybrid::{HybridSpec, HybridSpeedup, RankStrategy};
 use pdpa_qs::JobSpec;
@@ -87,8 +87,7 @@ pub fn run() -> String {
             JobSpec::new(SimTime::ZERO, app(strategy)),
             JobSpec::new(SimTime::from_secs(10.0), app(strategy)),
         ];
-        let result =
-            Engine::new(EngineConfig::default()).run(jobs, Box::new(Pdpa::paper_default()));
+        let result = Engine::new(EngineConfig::default()).run(jobs, PolicyKind::Pdpa.build());
         let _ = writeln!(
             out,
             "  {label:<10} makespan {:>6.1}s  avg alloc {:>5.1}  completed: {}",

@@ -13,23 +13,15 @@
 
 use std::fmt::Write as _;
 
-use crate::{PolicyKind, SEEDS};
+use crate::SEEDS;
+use pdpa_core::roster::{self, Entry};
 use pdpa_engine::{Engine, EngineConfig};
-use pdpa_policies::{GangScheduler, SchedulingPolicy};
 use pdpa_qs::Workload;
 use pdpa_sim::SimTime;
 use pdpa_trace::{BurstStats, TraceObserver};
 
-const LABELS: [&str; 4] = ["Equip", "PDPA", "Gang", "IRIX"];
-
-fn build(label: &str) -> Box<dyn SchedulingPolicy> {
-    match label {
-        "Gang" => Box::new(GangScheduler::paper_comparable()),
-        "IRIX" => PolicyKind::Irix.build(),
-        "Equip" => PolicyKind::Equipartition.build(),
-        _ => PolicyKind::Pdpa.build(),
-    }
-}
+/// Roster slugs, in table order.
+const POLICIES: [&str; 4] = ["equip", "pdpa", "gang", "irix"];
 
 struct Row {
     makespan: f64,
@@ -37,13 +29,13 @@ struct Row {
     stats: BurstStats,
 }
 
-fn run_cell(wl: Workload, label: &str) -> Row {
+fn run_cell(wl: Workload, policy: &Entry) -> Row {
     // Burst structure from one traced run (seed 42).
     let traced = {
         let jobs = wl.build(1.0, 42);
         let config = EngineConfig::default().with_trace().with_seed(42);
         let mut tracer = TraceObserver::new(config.cpus);
-        let r = Engine::new(config).run_observed(jobs, build(label), &mut tracer);
+        let r = Engine::new(config).run_observed(jobs, policy.build(), &mut tracer);
         let trace = tracer.into_trace(SimTime::from_secs(r.end_secs));
         BurstStats::from_trace(&trace, r.total_migrations())
     };
@@ -52,8 +44,8 @@ fn run_cell(wl: Workload, label: &str) -> Row {
     for &seed in &SEEDS {
         let jobs = wl.build(1.0, seed);
         let r =
-            Engine::new(EngineConfig::default().with_seed(seed ^ 0xA5A5)).run(jobs, build(label));
-        assert!(r.completed_all, "{wl}/{label} wedged");
+            Engine::new(EngineConfig::default().with_seed(seed ^ 0xA5A5)).run(jobs, policy.build());
+        assert!(r.completed_all, "{wl}/{} wedged", policy.label);
         makespan += r.summary.makespan_secs();
         resp += r.summary.overall_avg_response_secs();
     }
@@ -68,12 +60,13 @@ fn run_cell(wl: Workload, label: &str) -> Row {
 /// Renders the experiment.
 pub fn run() -> String {
     let workloads = [Workload::W1, Workload::W4];
-    let tasks: Vec<(Workload, &str)> = workloads
+    let policies = POLICIES.map(roster::get);
+    let tasks: Vec<(Workload, &Entry)> = workloads
         .iter()
-        .flat_map(|&wl| LABELS.iter().map(move |&label| (wl, label)))
+        .flat_map(|&wl| policies.iter().map(move |&policy| (wl, policy)))
         .collect();
-    let rows = pdpa_parallel::par_map(&tasks, pdpa_parallel::num_threads(), |&(wl, label)| {
-        run_cell(wl, label)
+    let rows = pdpa_parallel::par_map(&tasks, pdpa_parallel::num_threads(), |&(wl, policy)| {
+        run_cell(wl, policy)
     });
     let mut rows = rows.into_iter();
 
@@ -89,12 +82,12 @@ pub fn run() -> String {
             "{:<8} {:>10} {:>15} {:>12} {:>17}",
             "policy", "makespan", "mean response", "migrations", "avg burst (ms)"
         );
-        for label in LABELS {
+        for policy in policies {
             let row = rows.next().expect("one row per task");
             let _ = writeln!(
                 out,
                 "{:<8} {:>9.0}s {:>14.0}s {:>12} {:>17.0}",
-                label,
+                policy.label,
                 row.makespan,
                 row.resp,
                 row.stats.migrations,

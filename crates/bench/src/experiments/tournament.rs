@@ -32,13 +32,9 @@ use std::time::Instant;
 use crate::experiments::chaos;
 use crate::run_engine_observed;
 use pdpa_analyze::{Analyzer, SlowdownDist};
-use pdpa_core::Pdpa;
+use pdpa_core::roster::{self, Entry};
 use pdpa_engine::EngineConfig;
 use pdpa_obs::json::Json;
-use pdpa_policies::{
-    EqualEfficiency, Equipartition, GangScheduler, HeSrpt, LearnedAlloc, OptSplit, RigidFirstFit,
-    SchedulingPolicy,
-};
 use pdpa_qs::{shape, swf, GeneratorConfig, Workload};
 
 /// Submission window of the generated SWF leg, seconds (≈ 350 jobs at
@@ -52,63 +48,25 @@ const CPUS: usize = 60;
 /// The tournament's fixed seed.
 const SEED: u64 = 42;
 
-/// One competing policy.
-pub struct Entrant {
-    /// Display label, as used in the paper's figures where applicable.
-    pub label: &'static str,
-    /// Stable identifier, the `tournament-<slug>-<leg>` run key.
-    pub slug: &'static str,
-    /// Builds a fresh policy instance.
-    pub build: fn() -> Box<dyn SchedulingPolicy>,
-}
+/// The entrants, as roster slugs: the paper's space-sharing policies, the
+/// rigid and gang baselines, and the three literature policies. IRIX sits
+/// this one out — its 250 ms quantum makes a traced replay of a long trace
+/// emit millions of per-quantum placement events for no extra ranking
+/// insight.
+const ENTRANTS: [&str; 8] = [
+    "pdpa",
+    "equip",
+    "equal-eff",
+    "rigid",
+    "gang",
+    "hesrpt",
+    "optsplit",
+    "learned",
+];
 
-/// The roster: the paper's space-sharing policies, the rigid and gang
-/// baselines, and the three literature entrants. IRIX sits this one out —
-/// its 250 ms quantum makes a traced replay of a long trace emit millions
-/// of per-quantum placement events for no extra ranking insight.
-pub fn entrants() -> Vec<Entrant> {
-    vec![
-        Entrant {
-            label: "PDPA",
-            slug: "pdpa",
-            build: || Box::new(Pdpa::paper_default()),
-        },
-        Entrant {
-            label: "Equip",
-            slug: "equip",
-            build: || Box::new(Equipartition::default()),
-        },
-        Entrant {
-            label: "Equal_eff",
-            slug: "equal-eff",
-            build: || Box::new(EqualEfficiency::paper_default()),
-        },
-        Entrant {
-            label: "Rigid",
-            slug: "rigid",
-            build: || Box::new(RigidFirstFit::paper_default()),
-        },
-        Entrant {
-            label: "Gang",
-            slug: "gang",
-            build: || Box::new(GangScheduler::paper_comparable()),
-        },
-        Entrant {
-            label: "heSRPT",
-            slug: "hesrpt",
-            build: || Box::new(HeSrpt::default()),
-        },
-        Entrant {
-            label: "OptSplit",
-            slug: "optsplit",
-            build: || Box::new(OptSplit::default()),
-        },
-        Entrant {
-            label: "Learned",
-            slug: "learned",
-            build: || Box::new(LearnedAlloc::default()),
-        },
-    ]
+/// The entrants' roster entries, in race order.
+pub fn entrants() -> [&'static Entry; 8] {
+    ENTRANTS.map(roster::get)
 }
 
 /// Tournament parameters. [`Default`] is what the registry experiment and
@@ -208,15 +166,10 @@ fn shaped_trace(config: &TournamentConfig) -> pdpa_qs::SwfTrace {
 
 /// Runs one entrant on one leg: traced engine run, event-stream analysis,
 /// uniform churn accounting.
-fn race(
-    entrant: &Entrant,
-    jobs: Vec<pdpa_qs::JobSpec>,
-    config: EngineConfig,
-    key: &str,
-) -> LegStats {
+fn race(entrant: &Entry, jobs: Vec<pdpa_qs::JobSpec>, config: EngineConfig, key: &str) -> LegStats {
     let mut analyzer = Analyzer::live(Some(config.cpus));
     let started = Instant::now();
-    let result = run_engine_observed(key, config, jobs, (entrant.build)(), &mut analyzer);
+    let result = run_engine_observed(key, config, jobs, entrant.build(), &mut analyzer);
     let wall_secs = started.elapsed().as_secs_f64();
     assert!(result.completed_all, "{} wedged on {key}", entrant.label);
     let analysis = analyzer.finish();

@@ -29,6 +29,7 @@
 use std::collections::HashMap;
 
 use pdpa_apps::AppClass;
+use pdpa_core::roster::{self, Entry};
 use pdpa_core::{Pdpa, PdpaParams};
 use pdpa_engine::{Engine, EngineConfig, RunResult};
 use pdpa_obs::{NullObserver, Observer, RecordingObserver, TeeObserver};
@@ -66,24 +67,24 @@ impl PolicyKind {
         PolicyKind::Pdpa,
     ];
 
+    /// The policy's roster entry.
+    fn entry(self) -> &'static Entry {
+        roster::get(match self {
+            PolicyKind::Irix => "irix",
+            PolicyKind::Equipartition => "equip",
+            PolicyKind::EqualEfficiency => "equal-eff",
+            PolicyKind::Pdpa => "pdpa",
+        })
+    }
+
     /// The label used in the paper's figures.
     pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Irix => "IRIX",
-            PolicyKind::Equipartition => "Equip",
-            PolicyKind::EqualEfficiency => "Equal_eff",
-            PolicyKind::Pdpa => "PDPA",
-        }
+        self.entry().label
     }
 
     /// Instantiates the policy with the paper's configuration.
     pub fn build(self) -> Box<dyn SchedulingPolicy> {
-        match self {
-            PolicyKind::Irix => Box::new(IrixLike::paper_default()),
-            PolicyKind::Equipartition => Box::new(Equipartition::default()),
-            PolicyKind::EqualEfficiency => Box::new(EqualEfficiency::paper_default()),
-            PolicyKind::Pdpa => Box::new(Pdpa::paper_default()),
-        }
+        self.entry().build()
     }
 
     /// Instantiates the policy with an overridden multiprogramming level

@@ -1,7 +1,9 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
+use std::str::FromStr;
 use std::time::Duration;
 
+use pdpa_core::roster::{self, Entry};
 use pdpa_qs::Workload;
 
 /// A parsed CLI invocation.
@@ -39,7 +41,7 @@ pub struct ReplayOptions {
     /// Path of the SWF trace to replay.
     pub trace_path: String,
     /// Scheduling policy to replay under.
-    pub policy: PolicyChoice,
+    pub policy: &'static Entry,
     /// Rescale the trace to this demand fraction (omitted: replay the
     /// trace's intrinsic arrival rate).
     pub load: Option<f64>,
@@ -139,7 +141,7 @@ impl Default for ReplayOptions {
     fn default() -> Self {
         ReplayOptions {
             trace_path: String::new(),
-            policy: PolicyChoice::Pdpa,
+            policy: roster::get("pdpa"),
             load: None,
             cpus: 60,
             window: None,
@@ -195,7 +197,7 @@ pub struct DaemonOptions {
     /// printed to stderr at bind time).
     pub addr: String,
     /// Scheduling policy the daemon runs.
-    pub policy: PolicyChoice,
+    pub policy: &'static Entry,
     /// Machine size.
     pub cpus: usize,
     /// Engine seed.
@@ -223,7 +225,7 @@ impl Default for DaemonOptions {
     fn default() -> Self {
         DaemonOptions {
             addr: "127.0.0.1:0".to_string(),
-            policy: PolicyChoice::Pdpa,
+            policy: roster::get("pdpa"),
             cpus: 32,
             seed: 42,
             backfill: false,
@@ -297,70 +299,13 @@ pub struct CtlOptions {
     pub json: bool,
 }
 
-/// Scheduling policies selectable from the command line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyChoice {
-    /// The paper's contribution.
-    Pdpa,
-    /// Equipartition.
-    Equipartition,
-    /// Equal_efficiency.
-    EqualEfficiency,
-    /// The IRIX-like time-sharing model.
-    Irix,
-    /// Rigid first-fit space sharing.
-    Rigid,
-    /// Gang scheduling.
-    Gang,
-    /// heSRPT: closed-form allocation by remaining-work rank.
-    Hesrpt,
-    /// OptSplit: water-filling over concave speedup curves.
-    Optsplit,
-    /// LearnedAlloc: online gradient steps on measured speedups.
-    Learned,
-}
-
-impl PolicyChoice {
-    /// Parses a policy name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "pdpa" => Some(PolicyChoice::Pdpa),
-            "equip" | "equipartition" => Some(PolicyChoice::Equipartition),
-            "equal-eff" | "equal_eff" | "equal-efficiency" => Some(PolicyChoice::EqualEfficiency),
-            "irix" => Some(PolicyChoice::Irix),
-            "rigid" => Some(PolicyChoice::Rigid),
-            "gang" => Some(PolicyChoice::Gang),
-            "hesrpt" | "he-srpt" => Some(PolicyChoice::Hesrpt),
-            "optsplit" | "opt-split" => Some(PolicyChoice::Optsplit),
-            "learned" | "learnedalloc" | "learned-alloc" => Some(PolicyChoice::Learned),
-            _ => None,
-        }
-    }
-
-    /// Short stable identifier: the `replay-<slug>` run key of the trace
-    /// and analysis exports, and the policy name in daemon snapshots.
-    pub fn slug(self) -> &'static str {
-        match self {
-            PolicyChoice::Pdpa => "pdpa",
-            PolicyChoice::Equipartition => "equip",
-            PolicyChoice::EqualEfficiency => "equal-eff",
-            PolicyChoice::Irix => "irix",
-            PolicyChoice::Rigid => "rigid",
-            PolicyChoice::Gang => "gang",
-            PolicyChoice::Hesrpt => "hesrpt",
-            PolicyChoice::Optsplit => "optsplit",
-            PolicyChoice::Learned => "learned",
-        }
-    }
-}
-
 /// Options shared by `run` and `compare`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
     /// The workload to execute.
     pub workload: Workload,
     /// Policy (meaningful for `run`; `compare` runs them all).
-    pub policy: Option<PolicyChoice>,
+    pub policy: Option<&'static Entry>,
     /// System load fraction.
     pub load: f64,
     /// Seed for the generator and engine.
@@ -393,7 +338,7 @@ pub struct Options {
     /// unparsed — validated against `cpus` when the engine is built.
     pub faults: Option<String>,
     /// Second policy for `pdpa diff` (defaults to `--policy`).
-    pub policy_b: Option<PolicyChoice>,
+    pub policy_b: Option<&'static Entry>,
     /// Second seed for `pdpa diff` (defaults to `--seed`).
     pub seed_b: Option<u64>,
     /// `analyze`/`diff`: read this recorded decision-event stream (text or
@@ -404,7 +349,8 @@ pub struct Options {
 }
 
 impl Options {
-    /// Whether the run must record its decision-event stream.
+    /// Whether the run exports what it published (the event summary, the
+    /// stream's exports or the metrics), so it runs under a CLI scope.
     pub fn observing(&self) -> bool {
         self.obs
             || self.trace_out.is_some()
@@ -452,71 +398,152 @@ fn parse_workload(s: &str) -> Result<Workload, String> {
     }
 }
 
+/// A cursor over one command's arguments. The typed readers take the
+/// value of the flag [`next`](Cursor::next) returned last, and name that
+/// flag in their diagnostics.
+struct Cursor<'a> {
+    args: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Cursor<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// The next argument, unless it is a flag.
+    fn positional(&mut self) -> Option<&'a str> {
+        match self.args.as_slice().first() {
+            Some(next) if !next.starts_with('-') => self.next(),
+            _ => None,
+        }
+    }
+
+    /// The flag's value.
+    fn value_of(&mut self) -> Result<String, String> {
+        let flag = self.flag;
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The flag's value parsed as a `T` (`what` names `T` in the
+    /// diagnostic), with the text it was parsed from.
+    fn parsed<T: FromStr>(&mut self, what: &str) -> Result<(T, String), String> {
+        let v = self.value_of()?;
+        match v.parse() {
+            Ok(x) => Ok((x, v)),
+            Err(_) => Err(format!("{} expects {what}, got {v:?}", self.flag)),
+        }
+    }
+
+    /// A count, at least 1.
+    fn count(&mut self) -> Result<usize, String> {
+        match self.parsed("an integer")? {
+            (0, _) => Err(format!("{} must be at least 1", self.flag)),
+            (n, _) => Ok(n),
+        }
+    }
+
+    fn seed(&mut self) -> Result<u64, String> {
+        Ok(self.parsed("an integer")?.0)
+    }
+
+    /// A load fraction in (0, 2].
+    fn load(&mut self) -> Result<f64, String> {
+        let (load, v) = self.parsed::<f64>("a number")?;
+        if !(load > 0.0 && load <= 2.0) {
+            return Err(format!("{} {v} out of range (0, 2]", self.flag));
+        }
+        Ok(load)
+    }
+
+    /// A positive, finite number of seconds, with its text.
+    fn positive_secs(&mut self) -> Result<(f64, String), String> {
+        let (secs, v) = self.parsed::<f64>("seconds")?;
+        if !(secs > 0.0 && secs.is_finite()) {
+            return Err(format!(
+                "{} {v} must be a positive number of seconds",
+                self.flag
+            ));
+        }
+        Ok((secs, v))
+    }
+
+    fn secs(&mut self) -> Result<f64, String> {
+        Ok(self.positive_secs()?.0)
+    }
+
+    fn duration(&mut self) -> Result<Duration, String> {
+        let (secs, v) = self.positive_secs()?;
+        Duration::try_from_secs_f64(secs).map_err(|_| {
+            format!(
+                "{} {v} is out of range (more seconds than a duration holds)",
+                self.flag
+            )
+        })
+    }
+
+    /// A policy named by a roster slug or alias.
+    fn policy(&mut self) -> Result<&'static Entry, String> {
+        roster::lookup(&self.value_of()?)
+    }
+}
+
+fn unknown_option(arg: &str) -> String {
+    format!("unknown option {arg:?}; try `pdpa help`")
+}
+
+/// Stores the one positional argument of a command in `slot`; `what`
+/// names it in the diagnostic for a second one.
+fn set_once(slot: &mut String, arg: &str, what: &str) -> Result<(), String> {
+    if !slot.is_empty() {
+        return Err(format!("{what}; got {slot:?} and {arg:?}"));
+    }
+    *slot = arg.to_string();
+    Ok(())
+}
+
 /// Parses an argument list (without the program name).
 ///
 /// # Errors
 ///
 /// Returns a human-readable diagnostic on any malformed input.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().peekable();
-    let Some(verb) = it.next() else {
+    let mut args = Cursor {
+        args: args.iter(),
+        flag: "",
+    };
+    let Some(verb) = args.next() else {
         return Ok(Command::Help);
     };
-    match verb.as_str() {
+    match verb {
         "help" | "--help" | "-h" => return Ok(Command::Help),
         "curves" => return Ok(Command::Curves),
-        "replay" => return parse_replay(&mut it),
-        "tournament" => return parse_tournament(&mut it),
-        "watch" => return parse_watch(&mut it),
-        "daemon" => return parse_daemon(&mut it),
-        "submit" => return parse_submit(&mut it),
-        "ctl" => return parse_ctl(&mut it),
+        "replay" => return parse_replay(&mut args),
+        "tournament" => return parse_tournament(&mut args),
+        "watch" => return parse_watch(&mut args),
+        "daemon" => return parse_daemon(&mut args),
+        "submit" => return parse_submit(&mut args),
+        "ctl" => return parse_ctl(&mut args),
         "run" | "compare" | "analyze" | "diff" => {}
         other => return Err(format!("unknown command {other:?}; try `pdpa help`")),
     }
 
     let mut opts = Options::default();
     let mut workload_set = false;
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(arg) = args.next() {
+        match arg {
             "--workload" => {
-                opts.workload = parse_workload(&value_of("--workload", &mut it)?)?;
+                opts.workload = parse_workload(&args.value_of()?)?;
                 workload_set = true;
             }
-            "--policy" => {
-                let v = value_of("--policy", &mut it)?;
-                opts.policy =
-                    Some(PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?);
-            }
-            "--load" => {
-                let v = value_of("--load", &mut it)?;
-                opts.load = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--load expects a number, got {v:?}"))?;
-                if !(opts.load > 0.0 && opts.load <= 2.0) {
-                    return Err(format!("--load {v} out of range (0, 2]"));
-                }
-            }
-            "--seed" => {
-                let v = value_of("--seed", &mut it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--cpus" => {
-                let v = value_of("--cpus", &mut it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
+            "--policy" => opts.policy = Some(args.policy()?),
+            "--load" => opts.load = args.load()?,
+            "--seed" => opts.seed = args.seed()?,
+            "--cpus" => opts.cpus = args.count()?,
             "--untuned" => opts.untuned = true,
             "--backfill" => opts.backfill = true,
             "--trace" => opts.trace = true,
@@ -525,35 +552,25 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 opts.trace = true;
             }
             "--prv-out" => {
-                opts.prv_out = Some(value_of("--prv-out", &mut it)?);
+                opts.prv_out = Some(args.value_of()?);
                 opts.trace = true;
             }
-            "--swf-log" => opts.swf_log = Some(value_of("--swf-log", &mut it)?),
+            "--swf-log" => opts.swf_log = Some(args.value_of()?),
             "--obs" => opts.obs = true,
-            "--trace-out" => opts.trace_out = Some(value_of("--trace-out", &mut it)?),
-            "--metrics-out" => opts.metrics_out = Some(value_of("--metrics-out", &mut it)?),
-            "--mpl-csv" => opts.mpl_csv = Some(value_of("--mpl-csv", &mut it)?),
-            "--analyze-out" => opts.analyze_out = Some(value_of("--analyze-out", &mut it)?),
-            "--faults" => opts.faults = Some(value_of("--faults", &mut it)?),
-            "--policy-b" => {
-                let v = value_of("--policy-b", &mut it)?;
-                opts.policy_b =
-                    Some(PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?);
-            }
-            "--seed-b" => {
-                let v = value_of("--seed-b", &mut it)?;
-                opts.seed_b = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--seed-b expects an integer, got {v:?}"))?,
-                );
-            }
-            "--from-stream" => opts.from_stream = Some(value_of("--from-stream", &mut it)?),
-            "--from-stream-b" => opts.from_stream_b = Some(value_of("--from-stream-b", &mut it)?),
-            other => return Err(format!("unknown option {other:?}; try `pdpa help`")),
+            "--trace-out" => opts.trace_out = Some(args.value_of()?),
+            "--metrics-out" => opts.metrics_out = Some(args.value_of()?),
+            "--mpl-csv" => opts.mpl_csv = Some(args.value_of()?),
+            "--analyze-out" => opts.analyze_out = Some(args.value_of()?),
+            "--faults" => opts.faults = Some(args.value_of()?),
+            "--policy-b" => opts.policy_b = Some(args.policy()?),
+            "--seed-b" => opts.seed_b = Some(args.seed()?),
+            "--from-stream" => opts.from_stream = Some(args.value_of()?),
+            "--from-stream-b" => opts.from_stream_b = Some(args.value_of()?),
+            other => return Err(unknown_option(other)),
         }
     }
     let from_stream = opts.from_stream.is_some();
-    if from_stream && !matches!(verb.as_str(), "analyze" | "diff") {
+    if from_stream && !matches!(verb, "analyze" | "diff") {
         return Err("--from-stream is only meaningful for `pdpa analyze`/`pdpa diff`".into());
     }
     if opts.from_stream_b.is_some() && verb != "diff" {
@@ -570,12 +587,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     if verb != "diff" && (opts.policy_b.is_some() || opts.seed_b.is_some()) {
         return Err("--policy-b/--seed-b are only meaningful for `pdpa diff`".into());
     }
-    match verb.as_str() {
+    match verb {
         "run" | "analyze" | "diff" => {
             if opts.policy.is_none() && !from_stream {
                 return Err(format!("--policy is required for `pdpa {verb}`"));
             }
-            Ok(match verb.as_str() {
+            Ok(match verb {
                 "run" => Command::Run(opts),
                 "analyze" => Command::Analyze(opts),
                 _ => Command::Diff(opts),
@@ -586,88 +603,43 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 }
 
 /// Parses `pdpa replay <trace.swf> [flags]`.
-fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_replay(args: &mut Cursor) -> Result<Command, String> {
     let mut opts = ReplayOptions::default();
     let mut policy_set = false;
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(arg) = args.next() {
+        match arg {
             "--policy" => {
-                let v = value_of("--policy", it)?;
-                opts.policy =
-                    PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?;
+                opts.policy = args.policy()?;
                 policy_set = true;
             }
-            "--load" => {
-                let v = value_of("--load", it)?;
-                let load = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--load expects a number, got {v:?}"))?;
-                if !(load > 0.0 && load <= 2.0) {
-                    return Err(format!("--load {v} out of range (0, 2]"));
-                }
-                opts.load = Some(load);
-            }
-            "--cpus" => {
-                let v = value_of("--cpus", it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
-            "--window" => {
-                let v = value_of("--window", it)?;
-                opts.window = Some(parse_window(&v)?);
-            }
-            "--seed" => {
-                let v = value_of("--seed", it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
+            "--load" => opts.load = Some(args.load()?),
+            "--cpus" => opts.cpus = args.count()?,
+            "--window" => opts.window = Some(parse_window(&args.value_of()?)?),
+            "--seed" => opts.seed = args.seed()?,
             "--obs" => opts.obs = true,
-            "--trace-out" => opts.trace_out = Some(value_of("--trace-out", it)?),
-            "--analyze-out" => opts.analyze_out = Some(value_of("--analyze-out", it)?),
-            "--faults" => opts.faults = Some(value_of("--faults", it)?),
-            "--profile-out" => opts.profile_out = Some(value_of("--profile-out", it)?),
-            "--obs-out" => opts.obs_out = Some(value_of("--obs-out", it)?),
+            "--trace-out" => opts.trace_out = Some(args.value_of()?),
+            "--analyze-out" => opts.analyze_out = Some(args.value_of()?),
+            "--faults" => opts.faults = Some(args.value_of()?),
+            "--profile-out" => opts.profile_out = Some(args.value_of()?),
+            "--obs-out" => opts.obs_out = Some(args.value_of()?),
             "--obs-format" => {
-                let v = value_of("--obs-format", it)?;
+                let v = args.value_of()?;
                 opts.obs_format = ObsFormat::parse(&v)
                     .ok_or_else(|| format!("--obs-format expects text or binary, got {v:?}"))?;
             }
             "--watchdog" => opts.watchdog = true,
             "--no-watchdog" => opts.watchdog = false,
-            "--heartbeat" => {
-                let v = value_of("--heartbeat", it)?;
-                opts.heartbeat = Some(parse_secs("--heartbeat", &v)?);
-            }
-            "--serve" => opts.serve = Some(value_of("--serve", it)?),
+            "--heartbeat" => opts.heartbeat = Some(args.duration()?),
+            "--serve" => opts.serve = Some(args.value_of()?),
             "--obs-filter" => {
-                let v = value_of("--obs-filter", it)?;
+                let v = args.value_of()?;
                 // Validate the kind list now so typos fail before a long
                 // replay starts; the filter is rebuilt from the spec later.
                 pdpa_obs::KindFilter::parse(&v).map_err(|e| format!("--obs-filter: {e}"))?;
                 opts.obs_filter = Some(v);
             }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            path => {
-                if !opts.trace_path.is_empty() {
-                    return Err(format!(
-                        "replay takes one trace path; got {:?} and {path:?}",
-                        opts.trace_path
-                    ));
-                }
-                opts.trace_path = path.to_string();
-            }
+            other if other.starts_with('-') => return Err(unknown_option(other)),
+            path => set_once(&mut opts.trace_path, path, "replay takes one trace path")?,
         }
     }
     if opts.trace_path.is_empty() {
@@ -683,43 +655,16 @@ fn parse_replay(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Resul
 }
 
 /// Parses `pdpa watch <addr> [flags]`.
-fn parse_watch(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_watch(args: &mut Cursor) -> Result<Command, String> {
     let mut opts = WatchOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(arg) = args.next() {
+        match arg {
             "--follow" => opts.follow = true,
             "--json" => opts.json = true,
-            "--tail" => {
-                let v = value_of("--tail", it)?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--tail expects an event count, got {v:?}"))?;
-                if n == 0 {
-                    return Err("--tail must be at least 1".into());
-                }
-                opts.tail = Some(n);
-            }
-            "--interval" => {
-                let v = value_of("--interval", it)?;
-                opts.interval = parse_secs("--interval", &v)?;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            addr => {
-                if !opts.addr.is_empty() {
-                    return Err(format!(
-                        "watch takes one address; got {:?} and {addr:?}",
-                        opts.addr
-                    ));
-                }
-                opts.addr = addr.to_string();
-            }
+            "--tail" => opts.tail = Some(args.count()?),
+            "--interval" => opts.interval = args.duration()?,
+            other if other.starts_with('-') => return Err(unknown_option(other)),
+            addr => set_once(&mut opts.addr, addr, "watch takes one address")?,
         }
     }
     if opts.addr.is_empty() {
@@ -729,130 +674,45 @@ fn parse_watch(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result
 }
 
 /// Parses `pdpa daemon [flags]`.
-fn parse_daemon(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_daemon(args: &mut Cursor) -> Result<Command, String> {
     let mut opts = DaemonOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = value_of("--addr", it)?,
-            "--policy" => {
-                let v = value_of("--policy", it)?;
-                opts.policy =
-                    PolicyChoice::parse(&v).ok_or_else(|| format!("unknown policy {v:?}"))?;
-            }
-            "--cpus" => {
-                let v = value_of("--cpus", it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                let v = value_of("--seed", it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
+    while let Some(arg) = args.next() {
+        match arg {
+            "--addr" => opts.addr = args.value_of()?,
+            "--policy" => opts.policy = args.policy()?,
+            "--cpus" => opts.cpus = args.count()?,
+            "--seed" => opts.seed = args.seed()?,
             "--backfill" => opts.backfill = true,
-            "--max-queue" => {
-                let v = value_of("--max-queue", it)?;
-                opts.max_queue = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--max-queue expects an integer, got {v:?}"))?;
-                if opts.max_queue == 0 {
-                    return Err("--max-queue must be at least 1".into());
-                }
-            }
+            "--max-queue" => opts.max_queue = args.count()?,
             "--time-scale" => {
-                let v = value_of("--time-scale", it)?;
-                let scale = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--time-scale expects a number, got {v:?}"))?;
+                let (scale, v) = args.parsed::<f64>("a number")?;
                 if !(scale >= 0.0 && scale.is_finite()) {
                     return Err(format!("--time-scale {v} must be finite and >= 0"));
                 }
                 opts.time_scale = scale;
             }
-            "--max-sim-secs" => {
-                let v = value_of("--max-sim-secs", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--max-sim-secs expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("--max-sim-secs {v} must be positive and finite"));
-                }
-                opts.max_sim_secs = Some(secs);
-            }
-            "--stream" => opts.stream = Some(value_of("--stream", it)?),
-            "--snapshot" => opts.snapshot = Some(value_of("--snapshot", it)?),
-            "--restore" => opts.restore = Some(value_of("--restore", it)?),
-            other => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
+            "--max-sim-secs" => opts.max_sim_secs = Some(args.secs()?),
+            "--stream" => opts.stream = Some(args.value_of()?),
+            "--snapshot" => opts.snapshot = Some(args.value_of()?),
+            "--restore" => opts.restore = Some(args.value_of()?),
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(Command::Daemon(opts))
 }
 
 /// Parses `pdpa submit ADDR --class NAME [flags]`.
-fn parse_submit(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_submit(args: &mut Cursor) -> Result<Command, String> {
     let mut opts = SubmitOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--class" => opts.class = value_of("--class", it)?,
-            "--request" => {
-                let v = value_of("--request", it)?;
-                let request = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--request expects an integer, got {v:?}"))?;
-                if request == 0 {
-                    return Err("--request must be at least 1".into());
-                }
-                opts.request = Some(request);
-            }
-            "--work-secs" => {
-                let v = value_of("--work-secs", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--work-secs expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("--work-secs {v} must be positive and finite"));
-                }
-                opts.work_secs = Some(secs);
-            }
-            "--count" => {
-                let v = value_of("--count", it)?;
-                opts.count = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--count expects an integer, got {v:?}"))?;
-                if opts.count == 0 {
-                    return Err("--count must be at least 1".into());
-                }
-            }
+    while let Some(arg) = args.next() {
+        match arg {
+            "--class" => opts.class = args.value_of()?,
+            "--request" => opts.request = Some(args.count()? as u64),
+            "--work-secs" => opts.work_secs = Some(args.secs()?),
+            "--count" => opts.count = args.count()?,
             "--json" => opts.json = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            addr => {
-                if !opts.addr.is_empty() {
-                    return Err(format!(
-                        "submit takes one address; got {:?} and {addr:?}",
-                        opts.addr
-                    ));
-                }
-                opts.addr = addr.to_string();
-            }
+            other if other.starts_with('-') => return Err(unknown_option(other)),
+            addr => set_once(&mut opts.addr, addr, "submit takes one address")?,
         }
     }
     if opts.addr.is_empty() {
@@ -862,56 +722,38 @@ fn parse_submit(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Resul
 }
 
 /// Parses `pdpa ctl ADDR ACTION [ARG] [flags]`.
-fn parse_ctl(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<Command, String> {
+fn parse_ctl(args: &mut Cursor) -> Result<Command, String> {
     let mut addr = String::new();
     let mut action: Option<CtlAction> = None;
     let mut json = false;
     let mut snapshot_flag: Option<String> = None;
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
+    let job_id = |args: &mut Cursor, verb: &str| {
+        let v = args
+            .next()
+            .ok_or_else(|| format!("ctl {verb} needs a job id"))?;
+        v.parse::<u64>()
+            .map_err(|_| format!("ctl {verb} expects a job id, got {v:?}"))
     };
-    // An optional positional value directly after the action verb.
-    let optional_positional =
-        |it: &mut std::iter::Peekable<std::slice::Iter<String>>| match it.peek() {
-            Some(next) if !next.starts_with('-') => it.next().cloned(),
-            _ => None,
-        };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(arg) = args.next() {
+        match arg {
             "--json" => json = true,
-            "--snapshot" => snapshot_flag = Some(value_of("--snapshot", it)?),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
+            "--snapshot" => snapshot_flag = Some(args.value_of()?),
+            other if other.starts_with('-') => return Err(unknown_option(other)),
             word if addr.is_empty() => addr = word.to_string(),
             word if action.is_none() => {
                 action = Some(match word {
                     "hello" => CtlAction::Hello,
                     "drain" => CtlAction::Drain,
-                    "snapshot" => CtlAction::Snapshot(optional_positional(it)),
+                    "snapshot" => CtlAction::Snapshot(args.positional().map(String::from)),
                     "shutdown" => CtlAction::Shutdown(None),
-                    "cancel" => {
-                        let v = it.next().ok_or("ctl cancel needs a job id")?;
-                        CtlAction::Cancel(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("ctl cancel expects a job id, got {v:?}"))?,
-                        )
-                    }
-                    "jobs" => CtlAction::Jobs(match optional_positional(it) {
+                    "cancel" => CtlAction::Cancel(job_id(args, "cancel")?),
+                    "jobs" => CtlAction::Jobs(match args.positional() {
                         Some(v) => v
                             .parse::<usize>()
                             .map_err(|_| format!("ctl jobs expects a count, got {v:?}"))?,
                         None => 20,
                     }),
-                    "job" => {
-                        let v = it.next().ok_or("ctl job needs a job id")?;
-                        CtlAction::Job(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("ctl job expects a job id, got {v:?}"))?,
-                        )
-                    }
+                    "job" => CtlAction::Job(job_id(args, "job")?),
                     other => {
                         return Err(format!(
                             "unknown ctl action {other:?} (hello, drain, snapshot, shutdown, \
@@ -939,69 +781,21 @@ fn parse_ctl(it: &mut std::iter::Peekable<std::slice::Iter<String>>) -> Result<C
 }
 
 /// Parses `pdpa tournament [trace.swf] [flags]`.
-fn parse_tournament(
-    it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-) -> Result<Command, String> {
+fn parse_tournament(args: &mut Cursor) -> Result<Command, String> {
     let mut opts = TournamentOptions::default();
-    let value_of = |flag: &str, it: &mut std::iter::Peekable<std::slice::Iter<String>>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cpus" => {
-                let v = value_of("--cpus", it)?;
-                opts.cpus = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cpus expects an integer, got {v:?}"))?;
-                if opts.cpus == 0 {
-                    return Err("--cpus must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                let v = value_of("--seed", it)?;
-                opts.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--load" => {
-                let v = value_of("--load", it)?;
-                let load = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--load expects a number, got {v:?}"))?;
-                if !(load > 0.0 && load <= 2.0) {
-                    return Err(format!("--load {v} out of range (0, 2]"));
-                }
-                opts.load = Some(load);
-            }
-            "--duration" => {
-                let v = value_of("--duration", it)?;
-                let secs = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--duration expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!(
-                        "--duration {v} must be a positive number of seconds"
-                    ));
-                }
-                opts.duration = Some(secs);
-            }
-            "--out" => opts.out = Some(value_of("--out", it)?),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}; try `pdpa help`"));
-            }
-            path => {
-                if opts.trace_path.is_some() {
-                    return Err(format!(
-                        "tournament takes one trace path; got {:?} and {path:?}",
-                        opts.trace_path.as_deref().unwrap_or("")
-                    ));
-                }
-                opts.trace_path = Some(path.to_string());
-            }
+    let mut trace_path = String::new();
+    while let Some(arg) = args.next() {
+        match arg {
+            "--cpus" => opts.cpus = args.count()?,
+            "--seed" => opts.seed = args.seed()?,
+            "--load" => opts.load = Some(args.load()?),
+            "--duration" => opts.duration = Some(args.secs()?),
+            "--out" => opts.out = Some(args.value_of()?),
+            other if other.starts_with('-') => return Err(unknown_option(other)),
+            path => set_once(&mut trace_path, path, "tournament takes one trace path")?,
         }
     }
+    opts.trace_path = (!trace_path.is_empty()).then_some(trace_path);
     if opts.duration.is_some() && opts.trace_path.is_some() {
         return Err("--duration shapes the generated trace; it conflicts with a trace file".into());
     }
@@ -1009,19 +803,6 @@ fn parse_tournament(
 }
 
 /// Parses a `--window A:B` value into a `[start, end)` pair of seconds.
-/// Parses the value `v` of `flag`, a positive number of seconds, into the
-/// `Duration` it names.
-fn parse_secs(flag: &str, v: &str) -> Result<Duration, String> {
-    let secs = v
-        .parse::<f64>()
-        .map_err(|_| format!("{flag} expects seconds, got {v:?}"))?;
-    if !(secs > 0.0 && secs.is_finite()) {
-        return Err(format!("{flag} {v} must be a positive number of seconds"));
-    }
-    Duration::try_from_secs_f64(secs)
-        .map_err(|_| format!("{flag} {v} is out of range (more seconds than a duration holds)"))
-}
-
 fn parse_window(s: &str) -> Result<(f64, f64), String> {
     let (a, b) = s
         .split_once(':')
@@ -1069,7 +850,7 @@ mod tests {
             panic!("expected Run")
         };
         assert_eq!(o.workload, Workload::W2);
-        assert_eq!(o.policy, Some(PolicyChoice::Pdpa));
+        assert_eq!(o.policy.map(|p| p.slug), Some("pdpa"));
         assert_eq!(o.load, 0.8);
         assert_eq!(o.seed, 7);
         assert_eq!(o.cpus, 32);
@@ -1138,7 +919,7 @@ mod tests {
         let Command::Analyze(o) = cmd else {
             panic!("expected Analyze")
         };
-        assert_eq!(o.policy, Some(PolicyChoice::Pdpa));
+        assert_eq!(o.policy.map(|p| p.slug), Some("pdpa"));
         assert_eq!(o.analyze_out.as_deref(), Some("a.json"));
         assert!(o.observing());
         assert!(parse(&argv("analyze --workload w1"))
@@ -1155,8 +936,8 @@ mod tests {
         let Command::Diff(o) = cmd else {
             panic!("expected Diff")
         };
-        assert_eq!(o.policy, Some(PolicyChoice::Pdpa));
-        assert_eq!(o.policy_b, Some(PolicyChoice::Equipartition));
+        assert_eq!(o.policy.map(|p| p.slug), Some("pdpa"));
+        assert_eq!(o.policy_b.map(|p| p.slug), Some("equip"));
         assert_eq!(o.seed_b, Some(7));
         // The B-side flags are rejected everywhere else.
         assert!(
@@ -1170,16 +951,27 @@ mod tests {
     }
 
     #[test]
-    fn policy_aliases() {
-        assert_eq!(
-            PolicyChoice::parse("equal-efficiency"),
-            Some(PolicyChoice::EqualEfficiency)
-        );
-        assert_eq!(
-            PolicyChoice::parse("EQUIP"),
-            Some(PolicyChoice::Equipartition)
-        );
-        assert_eq!(PolicyChoice::parse("nonesuch"), None);
+    fn every_policy_flag_reads_the_roster() {
+        // Any slug or alias, in any case, names its policy; an unknown
+        // name lists the slugs.
+        for cmd in [
+            "run --workload w1 --policy EQUAL-EFFICIENCY",
+            "analyze --workload w1 --policy Equal_Eff",
+            "diff --workload w1 --policy pdpa --policy-b equal-eff",
+            "replay t.swf --policy equal_eff",
+            "daemon --policy Equal-Eff",
+        ] {
+            let slug = match parse(&argv(cmd)).unwrap() {
+                Command::Run(o) | Command::Analyze(o) => o.policy.unwrap().slug,
+                Command::Diff(o) => o.policy_b.unwrap().slug,
+                Command::Replay(o) => o.policy.slug,
+                Command::Daemon(o) => o.policy.slug,
+                other => panic!("{cmd}: {other:?}"),
+            };
+            assert_eq!(slug, "equal-eff", "{cmd}");
+        }
+        let err = parse(&argv("run --workload w1 --policy nonesuch")).unwrap_err();
+        assert!(err.contains("nonesuch") && err.contains("hesrpt"), "{err}");
     }
 
     #[test]
@@ -1194,7 +986,7 @@ mod tests {
             panic!("expected Replay")
         };
         assert_eq!(o.trace_path, "trace.swf");
-        assert_eq!(o.policy, PolicyChoice::Equipartition);
+        assert_eq!(o.policy.slug, "equip");
         assert_eq!(o.load, Some(0.9));
         assert_eq!(o.cpus, 128);
         assert_eq!(o.window, Some((100.0, 5000.0)));
@@ -1212,7 +1004,7 @@ mod tests {
             panic!("expected Replay")
         };
         assert_eq!(o.trace_path, "trace.swf");
-        assert_eq!(o.policy, PolicyChoice::Pdpa);
+        assert_eq!(o.policy.slug, "pdpa");
         assert_eq!(o.load, None);
         assert_eq!(o.cpus, 60);
         assert_eq!(o.window, None);
@@ -1407,37 +1199,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_slugs_are_stable() {
-        // Trajectory mode names (`replay-<slug>`) must never change, or
-        // the perf gate loses its baseline pairing.
-        assert_eq!(PolicyChoice::Pdpa.slug(), "pdpa");
-        assert_eq!(PolicyChoice::Equipartition.slug(), "equip");
-        assert_eq!(PolicyChoice::EqualEfficiency.slug(), "equal-eff");
-        assert_eq!(PolicyChoice::Hesrpt.slug(), "hesrpt");
-        assert_eq!(PolicyChoice::Optsplit.slug(), "optsplit");
-        assert_eq!(PolicyChoice::Learned.slug(), "learned");
-    }
-
-    #[test]
-    fn literature_policies_parse_with_aliases() {
-        assert_eq!(PolicyChoice::parse("hesrpt"), Some(PolicyChoice::Hesrpt));
-        assert_eq!(PolicyChoice::parse("he-srpt"), Some(PolicyChoice::Hesrpt));
-        assert_eq!(
-            PolicyChoice::parse("opt-split"),
-            Some(PolicyChoice::Optsplit)
-        );
-        assert_eq!(
-            PolicyChoice::parse("learnedalloc"),
-            Some(PolicyChoice::Learned)
-        );
-        let cmd = parse(&argv("replay t.swf --policy hesrpt")).unwrap();
-        let Command::Replay(o) = cmd else {
-            panic!("expected Replay")
-        };
-        assert_eq!(o.policy, PolicyChoice::Hesrpt);
-    }
-
-    #[test]
     fn tournament_defaults_and_full_invocation() {
         let cmd = parse(&argv("tournament")).unwrap();
         assert_eq!(cmd, Command::Tournament(TournamentOptions::default()));
@@ -1496,7 +1257,7 @@ mod tests {
             panic!("expected Daemon")
         };
         assert_eq!(o.addr, "127.0.0.1:7777");
-        assert_eq!(o.policy, PolicyChoice::Rigid);
+        assert_eq!(o.policy.slug, "rigid");
         assert_eq!(o.cpus, 8);
         assert_eq!(o.seed, 9);
         assert!(o.backfill);

@@ -6,10 +6,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pdpa_analyze::{analysis_json, Analyzer, RunAnalysis, RunDiff, StreamDiff};
+use pdpa_analyze::{analysis_json, Analyzer, RunDiff, StreamDiff};
 use pdpa_apps::{paper_app, AppClass};
 use pdpa_bench::experiments::tournament::{run_tournament, TournamentConfig};
-use pdpa_core::Pdpa;
+use pdpa_core::roster::{self, Entry};
 use pdpa_engine::{Engine, EngineConfig, Instrumentation, RunResult};
 use pdpa_faults::FaultPlan;
 use pdpa_obs::metrics::Registry;
@@ -17,10 +17,6 @@ use pdpa_obs::{
     chrome_trace, metrics_json, mpl_series_csv, scope, span_trace, stream_events, FilterObserver,
     KindCounter, KindFilter, NullObserver, ObsEvent, Observer, RecordingObserver, StreamWriter,
     TeeObserver,
-};
-use pdpa_policies::{
-    EqualEfficiency, Equipartition, GangScheduler, HeSrpt, IrixLike, LearnedAlloc, OptSplit,
-    RigidFirstFit, SchedulingPolicy,
 };
 use pdpa_prof::{HeartbeatConfig, WatchdogConfig};
 use pdpa_qs::{shape, swf};
@@ -32,7 +28,7 @@ use pdpa_watch::{
 };
 
 use crate::args::{
-    Command, CtlAction, CtlOptions, DaemonOptions, ObsFormat, Options, PolicyChoice, ReplayOptions,
+    Command, CtlAction, CtlOptions, DaemonOptions, ObsFormat, Options, ReplayOptions,
     SubmitOptions, TournamentOptions, WatchOptions,
 };
 use crate::USAGE;
@@ -59,20 +55,6 @@ pub fn dispatch(command: Command) -> Result<String, String> {
     }
 }
 
-fn build_policy(choice: PolicyChoice) -> Box<dyn SchedulingPolicy> {
-    match choice {
-        PolicyChoice::Pdpa => Box::new(Pdpa::paper_default()),
-        PolicyChoice::Equipartition => Box::new(Equipartition::default()),
-        PolicyChoice::EqualEfficiency => Box::new(EqualEfficiency::paper_default()),
-        PolicyChoice::Irix => Box::new(IrixLike::paper_default()),
-        PolicyChoice::Rigid => Box::new(RigidFirstFit::paper_default()),
-        PolicyChoice::Gang => Box::new(GangScheduler::paper_comparable()),
-        PolicyChoice::Hesrpt => Box::new(HeSrpt::default()),
-        PolicyChoice::Optsplit => Box::new(OptSplit::default()),
-        PolicyChoice::Learned => Box::new(LearnedAlloc::default()),
-    }
-}
-
 fn engine_config(opts: &Options) -> Result<EngineConfig, String> {
     let mut config = EngineConfig::default()
         .with_seed(opts.seed ^ 0xA5A5)
@@ -92,18 +74,17 @@ fn engine_config(opts: &Options) -> Result<EngineConfig, String> {
 
 fn execute_with(
     opts: &Options,
-    choice: PolicyChoice,
+    policy: &Entry,
     observer: &mut dyn Observer,
 ) -> Result<RunResult, String> {
     let jobs = opts
         .workload
         .build_with_tuning(opts.load, opts.seed, !opts.untuned);
-    let result =
-        Engine::new(engine_config(opts)?).run_observed(jobs, build_policy(choice), observer);
+    let result = Engine::new(engine_config(opts)?).run_observed(jobs, policy.build(), observer);
     if !result.completed_all {
         return Err(format!(
-            "{:?} did not drain the workload within the simulation bound",
-            choice
+            "{} did not drain the workload within the simulation bound",
+            policy.label
         ));
     }
     Ok(result)
@@ -139,21 +120,45 @@ fn class_table(result: &RunResult) -> String {
 }
 
 fn run_one(opts: &Options) -> Result<String, String> {
-    let choice = opts.policy.expect("parser enforces --policy for run");
-    let mut recorder = RecordingObserver::new();
-    // The CPU trace under --trace (and the flags that imply it).
+    let policy = opts.policy.expect("parser enforces --policy for run");
+    // The stream is folded as the engine publishes it: the analysis and
+    // the kind counts live, the events recorded only for the Chrome trace
+    // and the MPL CSV. The CPU trace under --trace (and the flags that
+    // imply it).
     let mut tracer = opts.trace.then(|| TraceObserver::new(opts.cpus));
-    let sink: &mut dyn Observer = match &mut tracer {
-        Some(tracer) => tracer,
-        None => &mut NullObserver,
-    };
-    let result = if opts.observing() {
+    let mut analyzer = opts
+        .analyze_out
+        .as_ref()
+        .map(|_| Analyzer::live(Some(opts.cpus)));
+    let mut kinds = KindCounter::default();
+    let mut recorder =
+        (opts.trace_out.is_some() || opts.mpl_csv.is_some()).then(RecordingObserver::new);
+    let result = {
+        let mut observer: &mut dyn Observer = match &mut tracer {
+            Some(tracer) => tracer,
+            None => &mut NullObserver,
+        };
+        let mut analyzer_tee;
+        if let Some(analyzer) = &mut analyzer {
+            analyzer_tee = TeeObserver(analyzer, observer);
+            observer = &mut analyzer_tee;
+        }
+        let mut kinds_tee;
+        if opts.obs {
+            kinds_tee = TeeObserver(&mut kinds, observer);
+            observer = &mut kinds_tee;
+        }
+        let mut recorder_tee;
+        if let Some(recorder) = &mut recorder {
+            recorder_tee = TeeObserver(recorder, observer);
+            observer = &mut recorder_tee;
+        }
         // Attribute this run's registry counters to a CLI scope so the
         // metrics export distinguishes it from harness experiments.
-        let _scope = scope::enter(&format!("cli-{}", opts.workload));
-        execute_with(opts, choice, &mut TeeObserver(&mut recorder, sink))?
-    } else {
-        execute_with(opts, choice, sink)?
+        let _scope = opts
+            .observing()
+            .then(|| scope::enter(&format!("cli-{}", opts.workload)));
+        execute_with(opts, policy, observer)?
     };
     let trace = tracer.map(|t| t.into_trace(SimTime::from_secs(result.end_secs)));
 
@@ -222,16 +227,12 @@ fn run_one(opts: &Options) -> Result<String, String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "\nSWF log written to {path}");
     }
-    if opts.observing() {
-        let events = recorder.take_events();
-        if opts.obs {
-            let mut kinds = KindCounter::default();
-            for te in &events {
-                kinds.on_event(te.at, &te.event);
-            }
-            out.push_str(&event_kind_summary(&kinds));
-        }
-        let runs = vec![(format!("{}-{}", opts.workload, result.policy), events)];
+    if opts.obs {
+        out.push_str(&event_kind_summary(&kinds));
+    }
+    let key = format!("{}-{}", opts.workload, result.policy);
+    if let Some(recorder) = recorder {
+        let runs = vec![(key.clone(), recorder.take_events())];
         if let Some(path) = &opts.trace_out {
             std::fs::write(path, chrome_trace(&runs))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -242,20 +243,16 @@ fn run_one(opts: &Options) -> Result<String, String> {
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             let _ = writeln!(out, "\nMPL series CSV written to {path}");
         }
-        if let Some(path) = &opts.metrics_out {
-            std::fs::write(path, metrics_json(&Registry::global().snapshot(), &[]))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = writeln!(out, "\nMetrics JSON written to {path}");
-        }
-        if let Some(path) = &opts.analyze_out {
-            let analyses: Vec<(String, RunAnalysis)> = runs
-                .iter()
-                .map(|(key, events)| (key.clone(), RunAnalysis::from_events(events)))
-                .collect();
-            std::fs::write(path, analysis_json(&analyses))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = writeln!(out, "\nRun analysis JSON written to {path}");
-        }
+    }
+    if let Some(path) = &opts.metrics_out {
+        std::fs::write(path, metrics_json(&Registry::global().snapshot(), &[]))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let _ = writeln!(out, "\nMetrics JSON written to {path}");
+    }
+    if let (Some(path), Some(analyzer)) = (&opts.analyze_out, analyzer) {
+        std::fs::write(path, analysis_json(&[(key, analyzer.finish())]))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let _ = writeln!(out, "\nRun analysis JSON written to {path}");
     }
     Ok(out)
 }
@@ -287,11 +284,11 @@ fn analyze(opts: &Options) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let choice = opts.policy.expect("parser enforces --policy for analyze");
+    let policy = opts.policy.expect("parser enforces --policy for analyze");
     let mut analyzer = Analyzer::live(Some(opts.cpus));
     let result = {
         let _scope = scope::enter(&format!("cli-{}", opts.workload));
-        execute_with(opts, choice, &mut analyzer)?
+        execute_with(opts, policy, &mut analyzer)?
     };
     let analysis = analyzer.finish();
 
@@ -345,8 +342,8 @@ fn diff(opts: &Options) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let choice_a = opts.policy.expect("parser enforces --policy for diff");
-    let choice_b = opts.policy_b.unwrap_or(choice_a);
+    let policy_a = opts.policy.expect("parser enforces --policy for diff");
+    let policy_b = opts.policy_b.unwrap_or(policy_a);
     let opts_b = Options {
         seed: opts.seed_b.unwrap_or(opts.seed),
         ..opts.clone()
@@ -357,8 +354,8 @@ fn diff(opts: &Options) -> Result<String, String> {
     let (result_a, result_b) = {
         let _scope = scope::enter(&format!("cli-{}", opts.workload));
         (
-            execute_with(opts, choice_a, &mut rec_a)?,
-            execute_with(&opts_b, choice_b, &mut rec_b)?,
+            execute_with(opts, policy_a, &mut rec_a)?,
+            execute_with(&opts_b, policy_b, &mut rec_b)?,
         )
     };
     let events_a = rec_a.take_events();
@@ -494,7 +491,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     let serve = match &opts.serve {
         Some(addr) => {
             let tap = LiveTap::new(RunMeta {
-                policy: build_policy(opts.policy).name().to_string(),
+                policy: opts.policy.build().name().to_string(),
                 trace: opts.trace_path.clone(),
                 jobs_total: n_jobs as u64,
             });
@@ -550,7 +547,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             filtered = FilterObserver::new(observer, filter);
             observer = &mut filtered;
         }
-        engine.run_instrumented(jobs, build_policy(opts.policy), observer, instr)
+        engine.run_instrumented(jobs, opts.policy.build(), observer, instr)
     };
     // Publish the terminal state, give polling watchers a window to see
     // it, then tear the server down — on the abort path too, so a
@@ -570,8 +567,8 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
     }
     if !result.completed_all {
         return Err(format!(
-            "{:?} did not drain the trace within the simulation bound",
-            opts.policy
+            "{} did not drain the trace within the simulation bound",
+            opts.policy.label
         ));
     }
     let analysis = analyzer.finish();
@@ -619,7 +616,7 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
         let _ = writeln!(out, "\nstatus server answered {n} connection(s)");
     }
 
-    let key = format!("replay-{}", opts.policy.slug());
+    let key = format!("replay-{}", opts.policy.slug);
     if let (Some(path), Some(recorder)) = (&opts.trace_out, recorder) {
         let runs = vec![(key.clone(), recorder.take_events())];
         std::fs::write(path, chrome_trace(&runs))
@@ -922,7 +919,7 @@ fn watch(opts: &WatchOptions) -> Result<String, String> {
 /// summary.
 fn daemon(opts: &DaemonOptions) -> Result<String, String> {
     let config = pdpa_daemon::DaemonConfig {
-        policy: opts.policy.slug().to_string(),
+        policy: opts.policy.slug.to_string(),
         cpus: opts.cpus,
         seed: opts.seed,
         backfill: opts.backfill,
@@ -1080,15 +1077,8 @@ fn compare(opts: &Options) -> Result<String, String> {
         "{:<14} {:>10} {:>15} {:>14} {:>8} {:>12}",
         "policy", "makespan", "mean response", "p95 response", "maxML", "utilization"
     );
-    for choice in [
-        PolicyChoice::Irix,
-        PolicyChoice::Equipartition,
-        PolicyChoice::EqualEfficiency,
-        PolicyChoice::Rigid,
-        PolicyChoice::Gang,
-        PolicyChoice::Pdpa,
-    ] {
-        let result = execute_with(opts, choice, &mut NullObserver)?;
+    for slug in ["irix", "equip", "equal-eff", "rigid", "gang", "pdpa"] {
+        let result = execute_with(opts, roster::get(slug), &mut NullObserver)?;
         let _ = writeln!(
             out,
             "{:<14} {:>9.0}s {:>14.0}s {:>13.0}s {:>8} {:>11.0}%",
@@ -1140,6 +1130,16 @@ mod tests {
         let out = run_cli("help").unwrap();
         assert!(out.contains("USAGE"));
         assert!(out.contains("--workload"));
+    }
+
+    #[test]
+    fn usage_lists_every_roster_slug() {
+        let list = USAGE.split_once("--policy <").unwrap().1;
+        let mut listed: Vec<&str> = list.split_once('>').unwrap().0.split('|').collect();
+        let mut slugs: Vec<&str> = roster::ROSTER.iter().map(|e| e.slug).collect();
+        listed.sort_unstable();
+        slugs.sort_unstable();
+        assert_eq!(listed, slugs);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! The public entry point is [`Pdpa`], which implements
 //! [`pdpa_policies::SchedulingPolicy`] and can be handed to the execution
-//! engine exactly like any baseline policy.
+//! engine exactly like any baseline policy. [`roster`] names every policy,
+//! PDPA and the baselines alike, and builds each with its paper defaults.
 //!
 //! # Example
 //!
@@ -31,6 +32,7 @@
 pub mod mlevel;
 pub mod params;
 pub mod pdpa;
+pub mod roster;
 pub mod state;
 
 pub use mlevel::{ml_allows_start, MlSnapshot};

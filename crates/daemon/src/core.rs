@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pdpa_apps::{paper_app, AppClass, ApplicationSpec};
+use pdpa_core::roster;
 use pdpa_engine::{CancelOutcome, EngineConfig, EngineSession};
 use pdpa_prof::ProgressSink as _;
 use pdpa_sim::{JobId, SimTime};
@@ -30,14 +31,13 @@ use pdpa_watch::{
 };
 
 use crate::journal::{Op, Snapshot, SnapshotCheck, SnapshotConfig, SNAPSHOT_FORMAT};
-use crate::observer::{DaemonObserver, StreamHandle};
-use crate::policy::{known_policies, policy_from_slug};
+use crate::observer::{DaemonObserver, StreamFile, StreamHandle, STREAM_POISONED};
 use crate::registry::RunRegistry;
 
 /// Everything a daemon needs to open (or restore) its session.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// Policy slug (see [`crate::policy_from_slug`]).
+    /// Policy slug or alias (see [`pdpa_core::roster`]).
     pub policy: String,
     /// Machine size.
     pub cpus: usize,
@@ -209,13 +209,7 @@ impl DaemonCore {
         first_kept_seq: u64,
         barrier_secs: Option<f64>,
     ) -> Result<DaemonCore, String> {
-        let policy = policy_from_slug(&config.policy).ok_or_else(|| {
-            format!(
-                "unknown policy '{}' (known: {})",
-                config.policy,
-                known_policies().join(", ")
-            )
-        })?;
+        let policy = roster::lookup(&config.policy)?.build();
         let mut engine_config = EngineConfig::default()
             .with_seed(config.seed ^ 0xA5A5)
             .with_cpus(config.cpus);
@@ -236,7 +230,7 @@ impl DaemonCore {
             Some(path) => {
                 let file = std::fs::File::create(path)
                     .map_err(|e| format!("cannot create stream file {path}: {e}"))?;
-                Some(Arc::new(Mutex::new(std::io::BufWriter::new(file))))
+                Some(Arc::new(Mutex::new(StreamFile::new(file))))
             }
             None => None,
         };
@@ -490,9 +484,15 @@ impl DaemonCore {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Propagates I/O failures, and refuses while the stream file is
+    /// short of a write or flush that failed: the two stream files would
+    /// no longer concatenate to the uninterrupted stream.
     pub fn snapshot_to(&mut self, path: &str) -> Result<(), String> {
-        self.flush_stream();
+        if let Some(stream) = &self.stream {
+            if let Some(e) = stream.lock().expect(STREAM_POISONED).flush() {
+                return Err(format!("cannot write the decision stream: {e}"));
+            }
+        }
         let snap = Snapshot {
             proto: PROTO_VERSION,
             config: SnapshotConfig {
@@ -531,11 +531,11 @@ impl DaemonCore {
         self.publish_progress();
     }
 
-    /// Flushes the decision-stream file, if one is attached.
+    /// Flushes the decision-stream file, if one is attached. A write or
+    /// flush error is kept, and refuses every later snapshot.
     pub fn flush_stream(&mut self) {
         if let Some(stream) = &self.stream {
-            use std::io::Write as _;
-            let _ = stream.lock().unwrap().flush();
+            stream.lock().expect(STREAM_POISONED).flush();
         }
     }
 
@@ -621,6 +621,41 @@ mod tests {
             panic!("expected reject, got {body:?}");
         };
         assert_eq!(reject.reason, "unknown_job");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_stream_that_cannot_be_written_refuses_the_snapshot() {
+        let snapshot =
+            std::env::temp_dir().join(format!("pdpa-full-{}.snapshot", std::process::id()));
+        let snapshot = snapshot.to_string_lossy().into_owned();
+        let mut core = DaemonCore::new(DaemonConfig {
+            stream_path: Some("/dev/full".to_string()),
+            ..quiet()
+        })
+        .expect("/dev/full opens for writing");
+        assert!(matches!(
+            core.handle(&submit("swim", None), 0.0),
+            ResponseBody::Ack(_)
+        ));
+        for kind in [
+            RequestKind::Snapshot {
+                path: Some(snapshot.clone()),
+            },
+            RequestKind::Shutdown {
+                snapshot: Some(snapshot.clone()),
+            },
+        ] {
+            let body = core.handle(&kind, 0.0);
+            let ResponseBody::Reject(reject) = body else {
+                panic!("expected a refusal of {kind:?}, got {body:?}");
+            };
+            assert_eq!(reject.reason, "io_error");
+        }
+        assert!(
+            !std::path::Path::new(&snapshot).exists(),
+            "no snapshot is written over a short stream"
+        );
     }
 
     #[test]

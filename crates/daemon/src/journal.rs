@@ -141,7 +141,7 @@ fn time_secs(doc: &Json, key: &str, what: &str) -> Result<f64, String> {
 /// equivalent fresh session.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotConfig {
-    /// Policy slug ([`crate::policy_from_slug`] vocabulary).
+    /// Policy slug ([`pdpa_core::roster`] vocabulary).
     pub policy: String,
     /// Machine size.
     pub cpus: usize,

@@ -22,7 +22,7 @@
 //! that.
 
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{self, BufWriter, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -34,7 +34,43 @@ use crate::registry::RunRegistry;
 
 /// Shared handle to the decision-stream file, so the core can flush it at
 /// snapshot/shutdown barriers while the observer owns the writes.
-pub type StreamHandle = Arc<Mutex<BufWriter<File>>>;
+pub type StreamHandle = Arc<Mutex<StreamFile>>;
+
+pub(crate) const STREAM_POISONED: &str = "a thread panicked while writing the stream file";
+
+/// The buffered decision-stream file. It keeps the first write or flush
+/// error, as `pdpa_obs::StreamWriter` does: after one, the file is short,
+/// and no later write may pretend otherwise.
+#[derive(Debug)]
+pub struct StreamFile {
+    out: BufWriter<File>,
+    error: Option<io::Error>,
+}
+
+impl StreamFile {
+    /// A buffered stream over `file`.
+    pub fn new(file: File) -> Self {
+        StreamFile {
+            out: BufWriter::new(file),
+            error: None,
+        }
+    }
+
+    fn write_line(&mut self, line: &str) {
+        if self.error.is_none() {
+            self.error = writeln!(self.out, "{line}").err();
+        }
+    }
+
+    /// Flushes the buffer and returns the first write or flush error, if
+    /// any.
+    pub fn flush(&mut self) -> Option<&io::Error> {
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
+        self.error.as_ref()
+    }
+}
 
 /// The owned observer installed into the daemon's `EngineSession`.
 pub struct DaemonObserver {
@@ -95,8 +131,7 @@ impl Observer for DaemonObserver {
                     event: event.clone(),
                 }
                 .to_line();
-                let mut writer = stream.lock().unwrap();
-                let _ = writeln!(writer, "{line}");
+                stream.lock().expect(STREAM_POISONED).write_line(&line);
             }
         }
     }

@@ -8,39 +8,26 @@
 //!   allocations always fit in the currently-alive processor set;
 //! - a fixed seed produces a bit-identical decision-event stream.
 //!
-//! New policies get these guarantees by being added to [`roster`]; nothing
-//! else in the suite is policy-specific.
+//! New policies get these guarantees by being added to the policy roster
+//! (`pdpa_core::roster`); nothing else in the suite is policy-specific.
 
 use std::collections::HashMap;
 
+use pdpa_suite::core::roster::{Entry, ROSTER};
 use pdpa_suite::obs::{ObsEvent, Observer, RecordingObserver};
-use pdpa_suite::policies::GangScheduler;
 use pdpa_suite::prelude::*;
 use pdpa_suite::sim::CpuId;
 
-type PolicyFactory = fn() -> Box<dyn SchedulingPolicy>;
-
-/// Every registered policy, old and new, by slug.
-fn roster() -> Vec<(&'static str, PolicyFactory)> {
-    vec![
-        ("pdpa", || Box::new(Pdpa::paper_default())),
-        ("equip", || Box::new(Equipartition::default())),
-        ("equal_eff", || Box::new(EqualEfficiency::paper_default())),
-        ("rigid", || Box::new(RigidFirstFit::paper_default())),
-        ("irix", || Box::new(IrixLike::paper_default())),
-        ("gang", || Box::new(GangScheduler::paper_comparable())),
-        ("hesrpt", || Box::new(HeSrpt::default())),
-        ("optsplit", || Box::new(OptSplit::default())),
-        ("learned", || Box::new(LearnedAlloc::default())),
-    ]
+/// Every policy of the roster, by slug.
+fn roster() -> impl Iterator<Item = (&'static str, &'static Entry)> {
+    ROSTER.iter().map(|entry| (entry.slug, entry))
 }
 
 /// The space-sharing subset: the policies whose allocations partition the
 /// machine.
-fn space_sharing() -> Vec<(&'static str, PolicyFactory)> {
+fn space_sharing() -> Vec<(&'static str, &'static Entry)> {
     roster()
-        .into_iter()
-        .filter(|(_, make)| matches!(make().sharing(), SharingModel::SpaceShared))
+        .filter(|(_, make)| matches!(make.build().sharing(), SharingModel::SpaceShared))
         .collect()
 }
 
@@ -138,7 +125,7 @@ impl Observer for ContractChecker {
 /// One traced engine run with the given observer; panics if it wedges.
 fn run_with<O: Observer>(
     name: &str,
-    make: PolicyFactory,
+    make: &Entry,
     faults: FaultPlan,
     observer: &mut O,
 ) -> RunResult {
@@ -147,7 +134,7 @@ fn run_with<O: Observer>(
         .with_seed(42)
         .with_faults(faults)
         .with_trace();
-    let result = Engine::new(config).run_observed(jobs, make(), observer);
+    let result = Engine::new(config).run_observed(jobs, make.build(), observer);
     assert!(result.completed_all, "{name} did not drain the workload");
     result
 }
