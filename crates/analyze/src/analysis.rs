@@ -11,7 +11,7 @@ use crate::series::{machine_size, CpuSeries, LiveCpuFold, MplFold, MplStats};
 use crate::stability::{MigrationFold, MigrationStats};
 use crate::states::{StateBreakdown, StateFold};
 use crate::timeline::{summarize, JobTimeline, TimelineFold, TimelineStats};
-use pdpa_obs::json::{fmt_f64, push_str_escaped};
+use pdpa_obs::json::{push_f64, push_str_escaped};
 use pdpa_obs::{DecisionTrigger, ObsEvent, Observer, TimedEvent};
 use pdpa_sim::{JobId, SimTime};
 use std::collections::BTreeMap;
@@ -245,14 +245,13 @@ impl RunAnalysis {
         );
         push_num(&mut out, "avg_slowdown", self.timeline.avg_slowdown);
         if let Some(d) = self.timeline.slowdown_dist {
-            let _ = write!(
-                out,
-                "\"slowdown_dist\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},",
-                fmt_f64(d.p50),
-                fmt_f64(d.p90),
-                fmt_f64(d.p99),
-                fmt_f64(d.max)
-            );
+            out.push_str("\"slowdown_dist\":{");
+            push_num(&mut out, "p50", d.p50);
+            push_num(&mut out, "p90", d.p90);
+            push_num(&mut out, "p99", d.p99);
+            out.push_str("\"max\":");
+            push_f64(&mut out, d.max);
+            out.push_str("},");
         }
         out.push_str("\"time_in_state_secs\":{");
         let mut first = true;
@@ -262,7 +261,8 @@ impl RunAnalysis {
             }
             first = false;
             push_str_escaped(&mut out, state);
-            let _ = write!(out, ":{}", fmt_f64(*secs));
+            out.push(':');
+            push_f64(&mut out, *secs);
         }
         out.push_str("},");
         push_num(
@@ -302,11 +302,8 @@ impl RunAnalysis {
             "realloc_events",
             self.decisions.realloc_events as f64,
         );
-        let _ = write!(
-            out,
-            "\"realloc_penalty_secs\":{}",
-            fmt_f64(self.decisions.realloc_penalty_secs)
-        );
+        out.push_str("\"realloc_penalty_secs\":");
+        push_f64(&mut out, self.decisions.realloc_penalty_secs);
         out.push('}');
         out
     }
@@ -402,7 +399,9 @@ pub fn analysis_json(runs: &[(String, RunAnalysis)]) -> String {
 }
 
 fn push_num(out: &mut String, key: &str, v: f64) {
-    let _ = write!(out, "\"{}\":{},", key, fmt_f64(v));
+    let _ = write!(out, "\"{key}\":");
+    push_f64(out, v);
+    out.push(',');
 }
 
 #[cfg(test)]

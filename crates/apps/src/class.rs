@@ -19,6 +19,17 @@ pub enum AppClass {
     Apsi,
 }
 
+/// Every accepted spelling, lowercase, with the class it names.
+const NAMES: [(&str, AppClass); 7] = [
+    ("swim", AppClass::Swim),
+    ("bt.a", AppClass::BtA),
+    ("bt", AppClass::BtA),
+    ("bt_a", AppClass::BtA),
+    ("hydro2d", AppClass::Hydro2d),
+    ("hydro", AppClass::Hydro2d),
+    ("apsi", AppClass::Apsi),
+];
+
 impl AppClass {
     /// All classes, in the paper's order.
     pub const ALL: [AppClass; 4] = [
@@ -39,15 +50,13 @@ impl AppClass {
     }
 
     /// Parses a benchmark name (as written by [`AppClass::name`], case
-    /// insensitive; `bt` is accepted for `bt.A`).
+    /// insensitive; `bt` and `bt_a` are accepted for `bt.A`, `hydro` for
+    /// `hydro2d`). Compares in place, so parsing allocates nothing.
     pub fn parse(s: &str) -> Option<AppClass> {
-        match s.to_ascii_lowercase().as_str() {
-            "swim" => Some(AppClass::Swim),
-            "bt.a" | "bt" | "bt_a" => Some(AppClass::BtA),
-            "hydro2d" | "hydro" => Some(AppClass::Hydro2d),
-            "apsi" => Some(AppClass::Apsi),
-            _ => None,
-        }
+        NAMES
+            .iter()
+            .find(|(name, _)| s.eq_ignore_ascii_case(name))
+            .map(|&(_, class)| class)
     }
 
     /// The scalability description the paper gives this class.
@@ -100,6 +109,74 @@ mod tests {
         assert_eq!(AppClass::parse("hydro"), Some(AppClass::Hydro2d));
         assert_eq!(AppClass::parse("SWIM"), Some(AppClass::Swim));
         assert_eq!(AppClass::parse("nonesuch"), None);
+    }
+
+    /// Every ASCII case mix of `name`.
+    fn case_mixes(name: &str) -> Vec<String> {
+        let letters: Vec<usize> = name
+            .char_indices()
+            .filter(|(_, c)| c.is_ascii_alphabetic())
+            .map(|(i, _)| i)
+            .collect();
+        (0..1u32 << letters.len())
+            .map(|mask| {
+                let mut mix = name.as_bytes().to_vec();
+                for (bit, &i) in letters.iter().enumerate() {
+                    if mask & (1 << bit) != 0 {
+                        mix[i] = mix[i].to_ascii_uppercase();
+                    }
+                }
+                String::from_utf8(mix).expect("ASCII stays UTF-8")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parse_accepts_exactly_the_alias_table_in_any_case() {
+        let table = [
+            ("swim", AppClass::Swim),
+            ("bt.a", AppClass::BtA),
+            ("bt", AppClass::BtA),
+            ("bt_a", AppClass::BtA),
+            ("hydro2d", AppClass::Hydro2d),
+            ("hydro", AppClass::Hydro2d),
+            ("apsi", AppClass::Apsi),
+        ];
+        for (name, class) in table {
+            let mixes = case_mixes(name);
+            assert_eq!(
+                mixes.len(),
+                1 << name.bytes().filter(u8::is_ascii_alphabetic).count()
+            );
+            for mix in mixes {
+                assert_eq!(AppClass::parse(&mix), Some(class), "{mix:?}");
+            }
+        }
+        for miss in [
+            "",
+            "swi",
+            "swimm",
+            " swim",
+            "swim ",
+            "swim\n",
+            "bt.",
+            "bt.b",
+            "bt-a",
+            "bta",
+            "bt.a.",
+            "btA",
+            "hydro2",
+            "hydro3d",
+            "hydro_2d",
+            "aps",
+            "apsi2",
+            "ſwim",
+            "ＳＷＩＭ",
+            "bt\u{0}",
+            "nonesuch",
+        ] {
+            assert_eq!(AppClass::parse(miss), None, "{miss:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | hydro2d | saturates at S ≈ 10 | ≈ 10 | 300 s |
 //! | apsi | flat at S ≈ 1.5 | 2 | 150 s |
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pdpa_sim::SimDuration;
 
@@ -127,13 +127,20 @@ pub fn apsi() -> ApplicationSpec {
 }
 
 /// The calibrated specification for any paper application class.
+///
+/// The four specifications are built once, on first use, and each call
+/// returns a clone: the speedup curve is an [`Arc`], so a clone shares it
+/// and allocates nothing.
 pub fn paper_app(class: AppClass) -> ApplicationSpec {
-    match class {
-        AppClass::Swim => swim(),
-        AppClass::BtA => bt_a(),
-        AppClass::Hydro2d => hydro2d(),
-        AppClass::Apsi => apsi(),
-    }
+    static PAPER: OnceLock<[ApplicationSpec; 4]> = OnceLock::new();
+    let apps = PAPER.get_or_init(|| [swim(), bt_a(), hydro2d(), apsi()]);
+    let index = match class {
+        AppClass::Swim => 0,
+        AppClass::BtA => 1,
+        AppClass::Hydro2d => 2,
+        AppClass::Apsi => 3,
+    };
+    apps[index].clone()
 }
 
 #[cfg(test)]
@@ -220,6 +227,32 @@ mod tests {
         let a = apsi();
         let t = a.ideal_exec_time(15).as_secs();
         assert!((90.0..115.0).contains(&t), "apsi exec at 15 procs: {t}");
+    }
+
+    #[test]
+    fn paper_app_clones_one_spec_per_class() {
+        for (class, fresh) in [
+            (AppClass::Swim, swim()),
+            (AppClass::BtA, bt_a()),
+            (AppClass::Hydro2d, hydro2d()),
+            (AppClass::Apsi, apsi()),
+        ] {
+            let (a, b) = (paper_app(class), paper_app(class));
+            assert!(Arc::ptr_eq(&a.speedup, &b.speedup), "{class}: one curve");
+            assert_eq!(a.class, class);
+            assert_eq!(a.iterations, fresh.iterations);
+            assert_eq!(a.seq_iter_time, fresh.seq_iter_time);
+            assert_eq!(a.request, fresh.request);
+            assert_eq!(a.measurement_overhead, fresh.measurement_overhead);
+            assert_eq!(a.phase_change, fresh.phase_change);
+            for p in 0..=64 {
+                assert_eq!(
+                    a.speedup.speedup(p),
+                    fresh.speedup.speedup(p),
+                    "{class} S({p})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,9 +26,10 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn read(path: &str) -> Result<Json, String> {
+/// Reads and parses the JSON document at `path`, then runs `check` on it.
+fn check_file<T>(path: &str, check: fn(&Json) -> Result<T, String>) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    check(&Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
 fn check_trace(doc: &Json) -> Result<usize, String> {
@@ -149,19 +150,19 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = trace {
-        match read(&path).and_then(|doc| check_trace(&doc)) {
+        match check_file(&path, check_trace) {
             Ok(n) => println!("validate-obs: {path}: OK ({n} trace events, spans paired)"),
             Err(e) => return fail(&e),
         }
     }
     if let Some(path) = metrics {
-        match read(&path).and_then(|doc| check_metrics(&doc)) {
+        match check_file(&path, check_metrics) {
             Ok(()) => println!("validate-obs: {path}: OK (schema, nonzero counters)"),
             Err(e) => return fail(&e),
         }
     }
     if let Some(path) = analyze {
-        match read(&path).and_then(|doc| check_analysis(&doc)) {
+        match check_file(&path, check_analysis) {
             Ok(n) => println!("validate-obs: {path}: OK ({n} analyzed run(s), nonzero metrics)"),
             Err(e) => return fail(&e),
         }

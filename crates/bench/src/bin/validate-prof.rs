@@ -29,9 +29,10 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn read(path: &str) -> Result<Json, String> {
+/// Reads and parses the JSON document at `path`, then runs `check` on it.
+fn check_file<T>(path: &str, check: fn(&Json) -> Result<T, String>) -> Result<T, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    check(&Json::parse(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
 /// Validates the profiler's Chrome trace and returns its span count.
@@ -157,7 +158,7 @@ fn main() -> ExitCode {
 
     let mut spans = None;
     if let Some(path) = &profile {
-        match read(path).and_then(|doc| check_profile(&doc)) {
+        match check_file(path, check_profile) {
             Ok(n) => {
                 println!("validate-prof: {path}: OK ({n} spans on the coordinator lane)");
                 spans = Some(n);

@@ -322,7 +322,7 @@ impl Tournament {
 
     /// The `pdpa-tournament/v1` JSON report.
     pub fn render_json(&self) -> String {
-        fn leg_json(rows: &[LegStats]) -> Json {
+        fn leg_json(rows: &[LegStats]) -> Json<'static> {
             Json::Arr(
                 rows.iter()
                     .enumerate()
@@ -428,7 +428,8 @@ mod tests {
             ..TournamentConfig::default()
         };
         let t = run_tournament(&config);
-        let doc = Json::parse(&t.render_json()).expect("own JSON parses");
+        let json = t.render_json();
+        let doc = Json::parse(&json).expect("own JSON parses");
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),
             Some("pdpa-tournament/v1")

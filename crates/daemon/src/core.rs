@@ -18,7 +18,6 @@
 //! the core; that one is about the daemon process, not the simulated
 //! machine.)
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pdpa_apps::{paper_app, AppClass, ApplicationSpec};
@@ -85,7 +84,6 @@ pub struct DaemonCore {
     config: DaemonConfig,
     tap: Arc<LiveTap>,
     registry: Arc<RunRegistry>,
-    seq: Arc<AtomicU64>,
     stream: Option<StreamHandle>,
     journal: Vec<Op>,
     draining: bool,
@@ -119,7 +117,8 @@ fn ack(job: Option<u64>, at_secs: Option<f64>, info: Option<String>) -> Response
     ResponseBody::Ack(AckBody { job, at_secs, info })
 }
 
-/// Builds the concrete [`ApplicationSpec`] for a submission. Class names
+/// Builds the concrete [`ApplicationSpec`] for a submission: a clone of
+/// the paper application, which shares its speedup curve. Class names
 /// follow `AppClass::parse`; `work_secs` rescales the iteration count so
 /// total sequential work approximates the requested span; `request`
 /// overrides the paper request.
@@ -136,15 +135,7 @@ fn materialize(
             return Err(format!("work_secs must be positive and finite, got {work}"));
         }
         let iter_secs = app.seq_iter_time.as_secs();
-        let iterations = ((work / iter_secs).round() as u32).max(1);
-        app = ApplicationSpec::new(
-            app.class,
-            iterations,
-            app.seq_iter_time,
-            app.request,
-            app.speedup.clone(),
-            app.measurement_overhead,
-        );
+        app.iterations = ((work / iter_secs).round() as u32).max(1);
     }
     if let Some(request) = request {
         if request == 0 || request > u32::MAX as u64 {
@@ -225,7 +216,6 @@ impl DaemonCore {
             jobs_total: 0,
         });
         let registry = RunRegistry::new();
-        let seq = Arc::new(AtomicU64::new(0));
         let stream = match &config.stream_path {
             Some(path) => {
                 let file = std::fs::File::create(path)
@@ -237,7 +227,6 @@ impl DaemonCore {
         let observer = DaemonObserver::new(
             Arc::clone(&tap),
             Arc::clone(&registry),
-            Arc::clone(&seq),
             first_kept_seq,
             stream.clone(),
         );
@@ -247,7 +236,6 @@ impl DaemonCore {
             config,
             tap,
             registry,
-            seq,
             stream,
             journal: Vec::new(),
             draining,
@@ -313,7 +301,7 @@ impl DaemonCore {
     fn check(&self) -> SnapshotCheck {
         let stats = self.session.queue_stats();
         SnapshotCheck {
-            events_published: self.seq.load(Ordering::Relaxed),
+            events_published: self.tap.events_published(),
             pushed: stats.pushed,
             popped: stats.popped,
             stale_drops: stats.stale_drops,
@@ -471,12 +459,13 @@ impl DaemonCore {
                 return reject("io_error", None);
             }
         }
-        self.flush_stream();
-        ack(
-            None,
-            Some(self.session.clock().as_secs()),
-            Some("shutting down".to_string()),
-        )
+        // The daemon stops either way, but the operator learns from the
+        // ack, not only from the exit status, that the stream lost events.
+        let info = match self.flush_stream() {
+            None => "shutting down".to_string(),
+            Some(e) => format!("shutting down; the decision stream is short: {e}"),
+        };
+        ack(None, Some(self.session.clock().as_secs()), Some(info))
     }
 
     /// Writes a `pdpa-snapshot/v1` document to `path`, flushing the
@@ -488,10 +477,8 @@ impl DaemonCore {
     /// short of a write or flush that failed: the two stream files would
     /// no longer concatenate to the uninterrupted stream.
     pub fn snapshot_to(&mut self, path: &str) -> Result<(), String> {
-        if let Some(stream) = &self.stream {
-            if let Some(e) = stream.lock().expect(STREAM_POISONED).flush() {
-                return Err(format!("cannot write the decision stream: {e}"));
-            }
+        if let Some(e) = self.flush_stream() {
+            return Err(format!("cannot write the decision stream: {e}"));
         }
         let snap = Snapshot {
             proto: PROTO_VERSION,
@@ -531,12 +518,14 @@ impl DaemonCore {
         self.publish_progress();
     }
 
-    /// Flushes the decision-stream file, if one is attached. A write or
-    /// flush error is kept, and refuses every later snapshot.
-    pub fn flush_stream(&mut self) {
-        if let Some(stream) = &self.stream {
-            stream.lock().expect(STREAM_POISONED).flush();
-        }
+    /// Flushes the decision-stream file, if one is attached, and returns
+    /// the first write or flush error it kept, if any. After one the file
+    /// is short: every later snapshot is refused, and a `shutdown` says
+    /// so.
+    pub fn flush_stream(&mut self) -> Option<String> {
+        let stream = self.stream.as_ref()?;
+        let mut file = stream.lock().expect(STREAM_POISONED);
+        file.flush().map(ToString::to_string)
     }
 
     fn publish_progress(&self) {
@@ -656,6 +645,37 @@ mod tests {
             !std::path::Path::new(&snapshot).exists(),
             "no snapshot is written over a short stream"
         );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_short_stream_is_named_in_the_shutdown_ack() {
+        let mut core = DaemonCore::new(DaemonConfig {
+            stream_path: Some("/dev/full".to_string()),
+            ..quiet()
+        })
+        .expect("/dev/full opens for writing");
+        assert!(matches!(
+            core.handle(&submit("swim", None), 0.0),
+            ResponseBody::Ack(_)
+        ));
+        let body = core.handle(&RequestKind::Shutdown { snapshot: None }, 0.0);
+        let ResponseBody::Ack(ack) = body else {
+            panic!("a shutdown without a snapshot is acked, got {body:?}");
+        };
+        let info = ack.info.expect("the ack says why");
+        assert!(
+            info.starts_with("shutting down; the decision stream is short: ")
+                && info.contains("No space left on device"),
+            "{info}"
+        );
+        // A stream that wrote everything is not reported.
+        let mut core = DaemonCore::new(quiet()).expect("core");
+        let body = core.handle(&RequestKind::Shutdown { snapshot: None }, 0.0);
+        let ResponseBody::Ack(ack) = body else {
+            panic!("expected an ack, got {body:?}");
+        };
+        assert_eq!(ack.info.as_deref(), Some("shutting down"));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use std::fmt::Write as _;
 
-use pdpa_obs::json::{fmt_f64, push_str_escaped, Json};
+use pdpa_obs::json::{push_f64, push_str_escaped, Json};
 use pdpa_watch::PROTO_VERSION;
 
 /// Magic format tag; the first field of every snapshot file.
@@ -67,27 +67,23 @@ impl Op {
                 request,
                 work_secs,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"submit\",\"at_secs\":{},",
-                    fmt_f64(*at_secs)
-                );
-                out.push_str("\"class\":");
+                out.push_str("{\"op\":\"submit\",\"at_secs\":");
+                push_f64(out, *at_secs);
+                out.push_str(",\"class\":");
                 push_str_escaped(out, class);
                 if let Some(request) = request {
                     let _ = write!(out, ",\"request\":{request}");
                 }
                 if let Some(work) = work_secs {
-                    let _ = write!(out, ",\"work_secs\":{}", fmt_f64(*work));
+                    out.push_str(",\"work_secs\":");
+                    push_f64(out, *work);
                 }
                 out.push('}');
             }
             Op::Cancel { at_secs, job } => {
-                let _ = write!(
-                    out,
-                    "{{\"op\":\"cancel\",\"at_secs\":{},\"job\":{job}}}",
-                    fmt_f64(*at_secs)
-                );
+                out.push_str("{\"op\":\"cancel\",\"at_secs\":");
+                push_f64(out, *at_secs);
+                let _ = write!(out, ",\"job\":{job}}}");
             }
         }
     }
@@ -206,18 +202,13 @@ impl Snapshot {
         push_str_escaped(&mut out, &self.config.policy);
         let _ = write!(
             out,
-            ",\"cpus\":{},\"seed\":{},\"backfill\":{},\"max_sim_secs\":{}}}",
-            self.config.cpus,
-            self.config.seed,
-            self.config.backfill,
-            fmt_f64(self.config.max_sim_secs)
+            ",\"cpus\":{},\"seed\":{},\"backfill\":{},\"max_sim_secs\":",
+            self.config.cpus, self.config.seed, self.config.backfill,
         );
-        let _ = write!(
-            out,
-            ",\"draining\":{},\"barrier_secs\":{},\"ops\":[",
-            self.draining,
-            fmt_f64(self.barrier_secs)
-        );
+        push_f64(&mut out, self.config.max_sim_secs);
+        let _ = write!(out, "}},\"draining\":{},\"barrier_secs\":", self.draining);
+        push_f64(&mut out, self.barrier_secs);
+        out.push_str(",\"ops\":[");
         for (i, op) in self.ops.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -229,7 +220,7 @@ impl Snapshot {
             out,
             "],\"check\":{{\"events_published\":{},\"pushed\":{},\"popped\":{},\
              \"stale_drops\":{},\"jobs_submitted\":{},\"jobs_finished\":{},\
-             \"jobs_failed\":{},\"clock_secs\":{}}}}}",
+             \"jobs_failed\":{},\"clock_secs\":",
             c.events_published,
             c.pushed,
             c.popped,
@@ -237,9 +228,9 @@ impl Snapshot {
             c.jobs_submitted,
             c.jobs_finished,
             c.jobs_failed,
-            fmt_f64(c.clock_secs)
         );
-        out.push('\n');
+        push_f64(&mut out, c.clock_secs);
+        out.push_str("}}\n");
         out
     }
 

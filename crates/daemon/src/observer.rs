@@ -11,8 +11,8 @@
 //! 3. an optional decision-stream file, in the exact
 //!    `pdpa_obs::TimedEvent` line grammar a batch replay records.
 //!
-//! The stream writer carries the snapshot/restore seq contract: the
-//! observer numbers every event from a shared counter, and a restored
+//! The stream writer carries the snapshot/restore seq contract: every
+//! event is numbered by the tap's publication counter, and a restored
 //! daemon suppresses *writing* (never counting) events below the
 //! snapshot's `events_published` mark. Journal replay regenerates the
 //! pre-snapshot events — identical, but already durable in the previous
@@ -23,7 +23,6 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pdpa_obs::{ObsEvent, Observer, TimedEvent};
@@ -76,7 +75,6 @@ impl StreamFile {
 pub struct DaemonObserver {
     tap: Arc<LiveTap>,
     registry: Arc<RunRegistry>,
-    seq: Arc<AtomicU64>,
     first_kept: u64,
     stream: Option<StreamHandle>,
 }
@@ -84,7 +82,7 @@ pub struct DaemonObserver {
 impl std::fmt::Debug for DaemonObserver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DaemonObserver")
-            .field("seq", &self.seq.load(Ordering::Relaxed))
+            .field("seq", &self.tap.events_published())
             .field("first_kept", &self.first_kept)
             .field("stream", &self.stream.is_some())
             .finish()
@@ -93,19 +91,17 @@ impl std::fmt::Debug for DaemonObserver {
 
 impl DaemonObserver {
     /// An observer feeding `tap` and `registry`, writing the stream to
-    /// `stream` (if any) from seq `first_kept` onward. `seq` is shared so
-    /// the core can read the published-event count for snapshots.
+    /// `stream` (if any) from seq `first_kept` onward. The tap numbers
+    /// the events, and the core reads its count for snapshots.
     pub fn new(
         tap: Arc<LiveTap>,
         registry: Arc<RunRegistry>,
-        seq: Arc<AtomicU64>,
         first_kept: u64,
         stream: Option<StreamHandle>,
     ) -> Self {
         DaemonObserver {
             tap,
             registry,
-            seq,
             first_kept,
             stream,
         }
@@ -118,10 +114,7 @@ impl Observer for DaemonObserver {
     }
 
     fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
-        // fetch_add returns the prior count: a 0-based publication seq,
-        // aligned with the tap's events_published counter.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.tap.observe(at, event);
+        let seq = self.tap.observe(at, event);
         self.registry.apply(at, event);
         if seq >= self.first_kept {
             if let Some(stream) = &self.stream {
@@ -148,14 +141,7 @@ mod tests {
         let tap = LiveTap::new(RunMeta::default());
         let registry = RunRegistry::new();
         registry.admit(0, "swim", 16, 0.0);
-        let seq = Arc::new(AtomicU64::new(0));
-        let mut obs = DaemonObserver::new(
-            Arc::clone(&tap),
-            Arc::clone(&registry),
-            Arc::clone(&seq),
-            0,
-            None,
-        );
+        let mut obs = DaemonObserver::new(Arc::clone(&tap), Arc::clone(&registry), 0, None);
         obs.on_event(
             SimTime::from_secs(0.0),
             &ObsEvent::JobSubmitted { job: JobId(0) },
@@ -167,7 +153,7 @@ mod tests {
                 request: 16,
             },
         );
-        assert_eq!(seq.load(Ordering::Relaxed), 2);
+        assert_eq!(tap.events_published(), 2);
         assert_eq!(tap.status_body().jobs_submitted, 1);
         assert_eq!(registry.row(0).unwrap().state, "running");
     }

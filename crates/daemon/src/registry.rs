@@ -18,8 +18,11 @@
 //! Cancellation is a daemon-level concept (the engine publishes a
 //! terminal `JobFailed` either way), so [`RunRegistry::mark_cancelled`]
 //! runs *after* the engine's events and overrides `failed`.
+//!
+//! Job ids are dense (the session numbers jobs 0, 1, 2, … as it admits
+//! them), so the rows live in a vector indexed by id: admitting a job is
+//! a push, and each lifecycle event is one bounds-checked index.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use pdpa_obs::ObsEvent;
@@ -35,10 +38,17 @@ struct JobRecord {
     finish_secs: Option<f64>,
 }
 
-/// Concurrent per-job lifecycle mirror; keyed by job id.
+/// Concurrent per-job lifecycle mirror; slot `i` holds job `i`, and a
+/// slot is empty only for an id that was never admitted (the session
+/// skips none).
 #[derive(Debug, Default)]
 pub struct RunRegistry {
-    jobs: Mutex<BTreeMap<u64, JobRecord>>,
+    jobs: Mutex<Vec<Option<JobRecord>>>,
+}
+
+/// The record of `job` in `slots`, if it was admitted.
+fn record(slots: &mut [Option<JobRecord>], job: u64) -> Option<&mut JobRecord> {
+    slots.get_mut(usize::try_from(job).ok()?)?.as_mut()
 }
 
 impl RunRegistry {
@@ -49,23 +59,30 @@ impl RunRegistry {
     }
 
     /// Records an admitted job in state `queued`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id beyond `usize::MAX`.
     pub fn admit(&self, job: u64, class: &str, request: usize, submit_secs: f64) {
-        self.jobs.lock().unwrap().insert(
-            job,
-            JobRecord {
-                class: class.to_string(),
-                request,
-                state: "queued",
-                submit_secs,
-                finish_secs: None,
-            },
-        );
+        let index = usize::try_from(job).expect("a job id fits in usize");
+        let record = JobRecord {
+            class: class.to_string(),
+            request,
+            state: "queued",
+            submit_secs,
+            finish_secs: None,
+        };
+        let mut slots = self.jobs.lock().unwrap();
+        if index >= slots.len() {
+            slots.resize_with(index + 1, || None);
+        }
+        slots[index] = Some(record);
     }
 
     /// Marks a job cancelled at `at_secs`. Called after the engine's own
     /// terminal events, so it wins over `failed`.
     pub fn mark_cancelled(&self, job: u64, at_secs: f64) {
-        if let Some(rec) = self.jobs.lock().unwrap().get_mut(&job) {
+        if let Some(rec) = record(&mut self.jobs.lock().unwrap(), job) {
             rec.state = "cancelled";
             rec.finish_secs.get_or_insert(at_secs);
         }
@@ -79,7 +96,7 @@ impl RunRegistry {
             ObsEvent::JobFailed { job, .. } => (job.0, "failed", true),
             _ => return,
         };
-        if let Some(rec) = self.jobs.lock().unwrap().get_mut(&u64::from(job)) {
+        if let Some(rec) = record(&mut self.jobs.lock().unwrap(), u64::from(job)) {
             // A retried job can re-enter `running` after a crash, but no
             // event un-cancels: the daemon's verdict is terminal.
             if rec.state == "cancelled" {
@@ -94,26 +111,26 @@ impl RunRegistry {
 
     /// The row for one job, if it was ever admitted.
     pub fn row(&self, job: u64) -> Option<JobRow> {
-        self.jobs
-            .lock()
-            .unwrap()
-            .get(&job)
-            .map(|rec| to_row(job, rec))
+        record(&mut self.jobs.lock().unwrap(), job).map(|rec| to_row(job, rec))
     }
 
     /// Up to `n` most recently admitted jobs, ascending by id.
     pub fn rows(&self, n: usize) -> Vec<JobRow> {
-        let jobs = self.jobs.lock().unwrap();
-        let skip = jobs.len().saturating_sub(n);
-        jobs.iter()
-            .skip(skip)
-            .map(|(id, rec)| to_row(*id, rec))
-            .collect()
+        let slots = self.jobs.lock().unwrap();
+        let mut rows: Vec<JobRow> = slots
+            .iter()
+            .enumerate()
+            .rev()
+            .filter_map(|(id, rec)| Some(to_row(id as u64, rec.as_ref()?)))
+            .take(n)
+            .collect();
+        rows.reverse();
+        rows
     }
 
     /// Jobs ever admitted.
     pub fn len(&self) -> usize {
-        self.jobs.lock().unwrap().len()
+        self.jobs.lock().unwrap().iter().flatten().count()
     }
 
     /// True when nothing was ever admitted.

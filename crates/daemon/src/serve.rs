@@ -191,7 +191,9 @@ impl Daemon {
     /// # Errors
     ///
     /// A panic inside the core (a poisoned lock) ends the serve with an
-    /// error; connections still open get `shutting_down` from then on.
+    /// error; connections still open get `shutting_down` from then on. A
+    /// decision-stream file short of a failed write or flush ends it with
+    /// an error too, naming the first failure, after the summary.
     pub fn run(self) -> Result<String, String> {
         let Some(mut locked) = self.service.pace_until_stopped() else {
             let message = "pdpad: the core panicked while applying an op";
@@ -199,7 +201,7 @@ impl Daemon {
             self.server.shutdown();
             return Err(message.to_string());
         };
-        locked.core.flush_stream();
+        let stream_error = locked.core.flush_stream();
         let session = locked.core.session();
         let outcome = format!(
             "{} jobs ({} done, {} failed), sim clock {:.1}s, {} journal ops",
@@ -216,10 +218,14 @@ impl Daemon {
         self.server.wait_for_final_query(Duration::from_secs(1));
         let connections = self.server.connections();
         self.server.shutdown();
-        Ok(format!(
+        let summary = format!(
             "pdpad: shut down after {:.1}s — {connections} connections, {outcome}",
             self.service.wall(),
-        ))
+        );
+        match stream_error {
+            None => Ok(summary),
+            Some(e) => Err(format!("{summary}; the decision stream is short: {e}")),
+        }
     }
 }
 
@@ -332,6 +338,34 @@ mod tests {
         assert!(
             summary.contains("1 jobs") && summary.contains("1 journal ops"),
             "{summary}"
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_short_stream_ends_run_with_an_error() {
+        let core = DaemonCore::new(DaemonConfig {
+            time_scale: 0.0,
+            stream_path: Some("/dev/full".to_string()),
+            ..DaemonConfig::default()
+        })
+        .expect("/dev/full opens for writing");
+        let daemon = Daemon::bind(core, "127.0.0.1:0").expect("bind");
+        let service = Arc::clone(&daemon.service);
+        let tap = Arc::clone(&daemon.tap);
+        assert!(matches!(
+            service.control(&submit(), &tap),
+            ResponseBody::Ack(_)
+        ));
+        let shutdown = RequestKind::Shutdown { snapshot: None };
+        assert!(matches!(
+            service.control(&shutdown, &tap),
+            ResponseBody::Ack(_)
+        ));
+        let err = daemon.run().expect_err("a short stream fails the serve");
+        assert!(
+            err.contains("1 jobs") && err.contains("the decision stream is short: "),
+            "{err}"
         );
     }
 

@@ -15,7 +15,7 @@
 //!   named thread lane.
 
 use crate::event::{ObsEvent, TimedEvent};
-use crate::json::{fmt_f64, push_str_escaped};
+use crate::json::{push_f64, push_str_escaped};
 use std::collections::BTreeMap;
 
 /// Simulated seconds → trace microseconds.
@@ -78,17 +78,18 @@ pub fn span_trace<'a>(
     lane: &str,
     spans: impl IntoIterator<Item = (&'a str, u64, u64)>,
 ) -> String {
-    let ns_to_us = |ns: u64| fmt_f64(ns as f64 / 1e3);
     let mut w = EventWriter::new();
     w.name_record("process_name", 1, 0, process);
     w.name_record("thread_name", 1, 0, lane);
     for (name, start_ns, dur_ns) in spans {
-        w.push(format!(
-            "\"name\":{},\"cat\":\"prof\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":0",
-            quoted(name),
-            ns_to_us(start_ns),
-            ns_to_us(dur_ns),
-        ));
+        let mut body = String::from("\"name\":");
+        push_str_escaped(&mut body, name);
+        body.push_str(",\"cat\":\"prof\",\"ph\":\"X\",\"ts\":");
+        push_f64(&mut body, start_ns as f64 / 1e3);
+        body.push_str(",\"dur\":");
+        push_f64(&mut body, dur_ns as f64 / 1e3);
+        body.push_str(",\"pid\":1,\"tid\":0");
+        w.push(body);
     }
     w.finish()
 }

@@ -3,7 +3,7 @@
 
 use crate::collector::ExperimentFailure;
 use crate::event::{ObsEvent, TimedEvent};
-use crate::json::{fmt_f64, push_str_escaped};
+use crate::json::{push_f64, push_str_escaped};
 use crate::metrics::{CounterSnapshot, MetricsSnapshot};
 use pdpa_sim::SimTime;
 use std::fmt::Write;
@@ -11,12 +11,13 @@ use std::fmt::Write;
 /// Schema tag written into [`metrics_json`] documents.
 pub const METRICS_SCHEMA: &str = "pdpa-obs-metrics/v1";
 
-fn counters_obj(c: &CounterSnapshot, indent: &str) -> String {
-    format!(
+fn push_counters(out: &mut String, c: &CounterSnapshot, indent: &str) {
+    let _ = write!(
+        out,
         "{{\n{indent}  \"runs\": {},\n{indent}  \"events_pushed\": {},\n\
          {indent}  \"events_popped\": {},\n{indent}  \"events_stale_dropped\": {},\n\
          {indent}  \"decisions\": {},\n{indent}  \"memo_hits\": {},\n\
-         {indent}  \"memo_misses\": {},\n{indent}  \"memo_hit_rate\": {}\n{indent}}}",
+         {indent}  \"memo_misses\": {},\n{indent}  \"memo_hit_rate\": ",
         c.runs,
         c.events_pushed,
         c.events_popped,
@@ -24,8 +25,9 @@ fn counters_obj(c: &CounterSnapshot, indent: &str) -> String {
         c.decisions,
         c.memo_hits,
         c.memo_misses,
-        fmt_f64(c.memo_hit_rate()),
-    )
+    );
+    push_f64(out, c.memo_hit_rate());
+    let _ = write!(out, "\n{indent}}}");
 }
 
 /// Renders a metrics snapshot (plus any recorded experiment failures) as a
@@ -34,11 +36,9 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) 
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{METRICS_SCHEMA}\",");
-    let _ = writeln!(
-        out,
-        "  \"engine\": {},",
-        counters_obj(&snapshot.engine, "  ")
-    );
+    out.push_str("  \"engine\": ");
+    push_counters(&mut out, &snapshot.engine, "  ");
+    out.push_str(",\n");
     out.push_str("  \"scopes\": {");
     for (i, (name, c)) in snapshot.scopes.iter().enumerate() {
         if i > 0 {
@@ -46,7 +46,8 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) 
         }
         out.push_str("\n    ");
         push_str_escaped(&mut out, name);
-        let _ = write!(out, ": {}", counters_obj(c, "    "));
+        out.push_str(": ");
+        push_counters(&mut out, c, "    ");
     }
     if snapshot.scopes.is_empty() {
         out.push_str("},\n");
@@ -60,16 +61,13 @@ pub fn metrics_json(snapshot: &MetricsSnapshot, failures: &[ExperimentFailure]) 
         }
         out.push_str("\n    ");
         push_str_escaped(&mut out, name);
+        let _ = write!(out, ": {{\n      \"count\": {},\n      \"mean\": ", h.count);
+        push_f64(&mut out, h.mean);
         let _ = write!(
             out,
-            ": {{\n      \"count\": {},\n      \"mean\": {},\n      \
-             \"p50\": {},\n      \"p90\": {},\n      \"p99\": {},\n      \"max\": {}\n    }}",
-            h.count,
-            fmt_f64(h.mean),
-            h.p50,
-            h.p90,
-            h.p99,
-            h.max
+            ",\n      \"p50\": {},\n      \"p90\": {},\n      \"p99\": {},\n      \
+             \"max\": {}\n    }}",
+            h.p50, h.p90, h.p99, h.max
         );
     }
     if snapshot.histograms.is_empty() {

@@ -2,19 +2,25 @@
 //! shares, and the one value tree and parser every reader uses.
 //!
 //! The workspace is offline (no serde), so each document is hand-rolled.
-//! [`push_str_escaped`] and [`fmt_f64`] are the one place that decides how
-//! a string or a float appears in any of them: the metrics and
+//! [`push_str_escaped`] and [`push_f64`] are the one place that decides
+//! how a string or a float appears in any of them: the metrics and
 //! Chrome-trace exports here, the `pdpa-analyze/v1` document, the status
-//! protocol, the daemon journal and the tournament report.
+//! protocol, the daemon journal and the tournament report. Both append
+//! straight to the caller's buffer, so writing a document allocates
+//! nothing but the buffer's own growth.
 //!
 //! [`Json`] is the reader side: a recursive-descent parser into an
 //! order-preserving value tree, used by the status protocol, the daemon's
-//! snapshot restore and the export validators. Numbers are kept as `f64`,
-//! which is exact for every integer below 2^53; larger counters degrade to
-//! the nearest representable integer, matching JSON's own number model.
-//! Parsing is linear in the input, nesting is capped at [`MAX_DEPTH`], and
-//! every parse error names the byte offset it stopped at.
+//! snapshot restore and the export validators. The tree borrows from its
+//! input: a key or string without escapes is a slice of the parsed text,
+//! and only one that contains an escape is decoded into a `String` of its
+//! own. Numbers are kept as `f64`, which is exact for every integer below
+//! 2^53; larger counters degrade to the nearest representable integer,
+//! matching JSON's own number model. Parsing is linear in the input,
+//! nesting is capped at [`MAX_DEPTH`], and every parse error names the
+//! byte offset it stopped at.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a quoted, escaped JSON string.
@@ -36,14 +42,14 @@ pub fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Formats a float as a JSON number. Rust's shortest round-trip `Display`
-/// is valid JSON for every finite value; non-finite values (which JSON
-/// cannot carry) degrade to 0.
-pub fn fmt_f64(v: f64) -> String {
+/// Appends a float to `out` as a JSON number. Rust's shortest round-trip
+/// `Display` is valid JSON for every finite value; non-finite values
+/// (which JSON cannot carry) degrade to 0.
+pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "0".to_string()
+        out.push('0');
     }
 }
 
@@ -53,29 +59,32 @@ pub fn fmt_f64(v: f64) -> String {
 /// workspace writes nests at most four levels deep.
 pub const MAX_DEPTH: usize = 64;
 
-/// A parsed JSON value. Object keys keep insertion order, so a document
-/// written from a tree is stable and diffable.
+/// A parsed JSON value, borrowing from the text it was parsed from.
+/// Object keys keep insertion order, so a document written from a tree is
+/// stable and diffable.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
     /// A finite number.
     Num(f64),
-    /// A string, unescaped.
-    Str(String),
+    /// A string, unescaped: borrowed from the input unless it held an
+    /// escape.
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
-    /// An object, as ordered key/value pairs.
-    Obj(Vec<(String, Json)>),
+    Arr(Vec<Json<'a>>),
+    /// An object, as ordered key/value pairs; keys are borrowed like
+    /// strings.
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// Parses one JSON document, requiring it to span the whole input
     /// (surrounding whitespace aside). Errors name the byte offset where
     /// parsing stopped.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub fn parse(text: &'a str) -> Result<Json<'a>, String> {
         let mut p = Parser { text, pos: 0 };
         let value = p.value(0)?;
         p.skip_ws();
@@ -86,7 +95,7 @@ impl Json {
     }
 
     /// Object field lookup; `None` on a missing key or a non-object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -128,7 +137,7 @@ impl Json {
     }
 
     /// The array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -154,7 +163,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 assert!(n.is_finite(), "non-finite number in a JSON document");
-                out.push_str(&fmt_f64(*n));
+                push_f64(out, *n);
             }
             Json::Str(s) => push_str_escaped(out, s),
             Json::Arr(items) if items.is_empty() => out.push_str("[]"),
@@ -196,7 +205,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> String {
         format!("{message} at offset {}", self.pos)
     }
@@ -212,7 +221,7 @@ impl Parser<'_> {
     }
 
     /// Parses the value at `pos`, which sits inside `depth` open brackets.
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.skip_ws();
         match self.peek() {
             None => Err(self.err("unexpected end of input")),
@@ -230,7 +239,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Json<'a>) -> Result<Json<'a>, String> {
         if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
@@ -239,7 +248,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.pos;
         while matches!(
             self.peek(),
@@ -255,7 +264,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.pos += 1; // '{'
         let mut fields = Vec::new();
         self.skip_ws();
@@ -284,7 +293,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.pos += 1; // '['
         let mut items = Vec::new();
         self.skip_ws();
@@ -306,34 +315,49 @@ impl Parser<'_> {
         }
     }
 
-    /// Parses a string literal. Each run of plain bytes up to the next
-    /// `"` or `\` is copied in one slice, so a string costs time linear in
-    /// its length; both delimiters are ASCII, so every run starts and
-    /// ends on a character boundary of the (already valid UTF-8) input.
-    fn string(&mut self) -> Result<String, String> {
+    /// Skips plain bytes up to the next `"` or `\\` (or the end) and
+    /// returns the run skipped. Both delimiters are ASCII, so every run
+    /// starts and ends on a character boundary of the (already valid
+    /// UTF-8) input.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        let rest = &self.text.as_bytes()[start..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        &self.text[start..self.pos]
+    }
+
+    /// Parses a string literal. A string without escapes is returned as a
+    /// slice of the input; the first escape starts an owned copy, into
+    /// which each later run of plain bytes is copied in one slice, so a
+    /// string costs time linear in its length either way.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         if self.peek() != Some(b'"') {
             return Err(self.err("expected '\"'"));
         }
         let open = self.pos;
         self.pos += 1;
-        let mut out = String::new();
+        let first = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(first));
+        }
+        let mut out = String::from(first);
         loop {
-            let start = self.pos;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                self.pos += 1;
-            }
-            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(format!("unterminated string at offset {open}")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 _ => {
                     self.pos += 1; // '\\'
                     self.escape(&mut out)?;
                 }
             }
+            out.push_str(self.plain_run());
         }
     }
 
@@ -416,14 +440,25 @@ mod tests {
         }
     }
 
+    fn f64_text(v: f64) -> String {
+        let mut out = String::new();
+        push_f64(&mut out, v);
+        out
+    }
+
     #[test]
-    fn fmt_f64_round_trips_finite_values() {
+    fn push_f64_round_trips_finite_values() {
         for v in [0.0, -0.0, 1.5, 1e300, 1.0 / 3.0, -2.25e-8] {
-            let s = fmt_f64(v);
+            let s = f64_text(v);
+            assert_eq!(s, format!("{v}"), "the shortest round-trip text");
             assert_eq!(s.parse::<f64>().unwrap().to_bits(), v.to_bits());
         }
-        assert_eq!(fmt_f64(f64::NAN), "0");
-        assert_eq!(fmt_f64(f64::INFINITY), "0");
+        assert_eq!(f64_text(f64::NAN), "0");
+        assert_eq!(f64_text(f64::INFINITY), "0");
+        // It appends: nothing already in the buffer is touched.
+        let mut out = String::from("[1,");
+        push_f64(&mut out, 2.5);
+        assert_eq!(out, "[1,2.5");
     }
 
     #[test]
@@ -476,7 +511,7 @@ mod tests {
         assert_eq!(Json::Num(42.0).to_pretty(), "42\n");
         assert_eq!(Json::Num(1.5).to_pretty(), "1.5\n");
         assert_eq!(Json::Num(1e15).to_pretty(), "1000000000000000\n");
-        assert_eq!(Json::Num(-0.0).to_pretty(), format!("{}\n", fmt_f64(-0.0)));
+        assert_eq!(Json::Num(-0.0).to_pretty(), format!("{}\n", f64_text(-0.0)));
     }
 
     #[test]
@@ -568,7 +603,7 @@ mod tests {
         let line = "[".repeat(60_000);
         let result = std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || Json::parse(&line))
+            .spawn(move || Json::parse(&line).map(drop))
             .expect("spawns")
             .join()
             .expect("parser thread must not crash");

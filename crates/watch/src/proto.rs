@@ -34,7 +34,7 @@
 
 use std::fmt::Write as _;
 
-use pdpa_obs::json::{fmt_f64, push_str_escaped, Json};
+use pdpa_obs::json::{push_f64, push_str_escaped, Json};
 
 /// The protocol generation this build speaks.
 ///
@@ -173,7 +173,8 @@ impl Request {
                     let _ = write!(out, ",\"request\":{r}");
                 }
                 if let Some(w) = work_secs {
-                    let _ = write!(out, ",\"work_secs\":{}", fmt_f64(*w));
+                    out.push_str(",\"work_secs\":");
+                    push_f64(&mut out, *w);
                 }
             }
             RequestKind::Cancel { job } | RequestKind::Job { job } => {
@@ -477,17 +478,24 @@ fn push_opt_str(out: &mut String, key: &str, v: &Option<String>) {
     }
 }
 
+/// Appends `v` as a JSON number, or `null` when absent.
+fn push_opt_f64(out: &mut String, v: Option<f64>) {
+    match v {
+        Some(v) => push_f64(out, v),
+        None => out.push_str("null"),
+    }
+}
+
 fn push_job_row(out: &mut String, r: &JobRow) {
     let _ = write!(out, "{{\"job\":{},\"class\":", r.job);
     push_str_escaped(out, &r.class);
     let _ = write!(out, ",\"request\":{},\"state\":", r.request);
     push_str_escaped(out, &r.state);
-    let _ = write!(
-        out,
-        ",\"submit_secs\":{},\"finish_secs\":{}}}",
-        fmt_f64(r.submit_secs),
-        r.finish_secs.map_or("null".to_string(), fmt_f64),
-    );
+    out.push_str(",\"submit_secs\":");
+    push_f64(out, r.submit_secs);
+    out.push_str(",\"finish_secs\":");
+    push_opt_f64(out, r.finish_secs);
+    out.push('}');
 }
 
 fn parse_job_row(doc: &Json) -> Result<JobRow, String> {
@@ -545,33 +553,34 @@ impl Response {
                     out,
                     ",\"shards\":1,\"jobs\":{{\"total\":{},\"submitted\":{},\
                      \"finished\":{},\"failed\":{}}},\"events_published\":{},\
-                     \"elapsed_secs\":{}",
+                     \"elapsed_secs\":",
                     s.jobs_total,
                     s.jobs_submitted,
                     s.jobs_finished,
                     s.jobs_failed,
                     s.events_published,
-                    fmt_f64(s.elapsed_secs),
                 );
+                push_f64(out, s.elapsed_secs);
                 push_opt_str(out, "watchdog", &s.watchdog);
             }
             ResponseBody::Progress(p) => {
+                out.push_str(",\"type\":\"progress\",\"sim_clock_secs\":");
+                push_f64(out, p.sim_clock_secs);
                 let _ = write!(
                     out,
-                    ",\"type\":\"progress\",\"sim_clock_secs\":{},\"events_popped\":{},\
-                     \"events_per_sec\":{},\"queue_len\":{},\"running\":{},\"waiting\":{},\
-                     \"jobs_finished\":{},\"jobs_total\":{},\"eta_secs\":{},\"elapsed_secs\":{}",
-                    fmt_f64(p.sim_clock_secs),
-                    p.events_popped,
-                    fmt_f64(p.events_per_sec),
-                    p.queue_len,
-                    p.running,
-                    p.waiting,
-                    p.jobs_finished,
-                    p.jobs_total,
-                    p.eta_secs.map_or("null".to_string(), fmt_f64),
-                    fmt_f64(p.elapsed_secs),
+                    ",\"events_popped\":{},\"events_per_sec\":",
+                    p.events_popped
                 );
+                push_f64(out, p.events_per_sec);
+                let _ = write!(
+                    out,
+                    ",\"queue_len\":{},\"running\":{},\"waiting\":{},\
+                     \"jobs_finished\":{},\"jobs_total\":{},\"eta_secs\":",
+                    p.queue_len, p.running, p.waiting, p.jobs_finished, p.jobs_total,
+                );
+                push_opt_f64(out, p.eta_secs);
+                out.push_str(",\"elapsed_secs\":");
+                push_f64(out, p.elapsed_secs);
             }
             ResponseBody::Health(h) => {
                 out.push_str(",\"type\":\"health\"");
@@ -579,12 +588,13 @@ impl Response {
                 push_opt_str(out, "watchdog", &h.watchdog);
                 // `shard_events` and `imbalance` are constants kept for
                 // older clients, which require the fields.
-                let _ = write!(
-                    out,
-                    ",\"shard_events\":[],\"imbalance\":null,\"memory_hwm_kib\":{}",
-                    h.memory_hwm_kib
-                        .map_or("null".to_string(), |k| k.to_string()),
-                );
+                out.push_str(",\"shard_events\":[],\"imbalance\":null,\"memory_hwm_kib\":");
+                match h.memory_hwm_kib {
+                    Some(kib) => {
+                        let _ = write!(out, "{kib}");
+                    }
+                    None => out.push_str("null"),
+                }
             }
             ResponseBody::Metrics { format, body } => {
                 out.push_str(",\"type\":\"metrics\",\"format\":");
@@ -615,7 +625,8 @@ impl Response {
                     let _ = write!(out, ",\"job\":{job}");
                 }
                 if let Some(at) = a.at_secs {
-                    let _ = write!(out, ",\"at_secs\":{}", fmt_f64(at));
+                    out.push_str(",\"at_secs\":");
+                    push_f64(out, at);
                 }
                 if let Some(info) = &a.info {
                     out.push_str(",\"info\":");
@@ -626,7 +637,8 @@ impl Response {
                 out.push_str(",\"type\":\"reject\",\"reason\":");
                 push_str_escaped(out, &r.reason);
                 if let Some(after) = r.retry_after_secs {
-                    let _ = write!(out, ",\"retry_after_secs\":{}", fmt_f64(after));
+                    out.push_str(",\"retry_after_secs\":");
+                    push_f64(out, after);
                 }
             }
             ResponseBody::Jobs(rows) => {
@@ -1117,8 +1129,24 @@ mod tests {
         }
     }
 
+    /// Submit class names beyond the printable-ASCII draws: the aliases
+    /// the daemon accepts, and names that need every kind of escape.
+    const CLASS_NAMES: [&str; 10] = [
+        "BT",
+        "bt_a",
+        "Hydro",
+        "SWIM",
+        "q\"uote",
+        "back\\slash",
+        "tab\tnew\nline",
+        "bell\u{7}",
+        "caf\u{e9}",
+        "\u{1F600}",
+    ];
+
     // Strategy helpers: printable strings (escaping is exercised by the
-    // full printable-ASCII class plus the explicit cases above).
+    // full printable-ASCII class, `CLASS_NAMES` and the explicit cases
+    // above).
     proptest! {
         #[test]
         fn protocol_round_trips_all_message_types(
@@ -1135,6 +1163,11 @@ mod tests {
             // Requests: every kind, query and control vocabularies alike.
             // Submit class names are free-form strings on the wire (the
             // daemon validates them, not the protocol layer).
+            let class = match CLASS_NAMES.get(n % 16) {
+                Some(name) => name.to_string(),
+                None if s1.is_empty() => "swim".to_string(),
+                None => s1.clone(),
+            };
             let req = Request {
                 id,
                 kind: match pick % 13 {
@@ -1145,7 +1178,7 @@ mod tests {
                     4 => RequestKind::Tail { n },
                     5 => RequestKind::Hello,
                     6 => RequestKind::Submit {
-                        class: if s1.is_empty() { "swim".into() } else { s1.clone() },
+                        class: class.clone(),
                         request: some.then_some(id % 128),
                         work_secs: (!some).then_some(f1),
                     },
@@ -1165,7 +1198,7 @@ mod tests {
             // printable class so quoting/escaping is exercised.
             let row = JobRow {
                 job: id % 4096,
-                class: s1.clone(),
+                class,
                 request: id % 128,
                 state: ["queued", "running", "done", "failed", "cancelled"][pick % 5].into(),
                 submit_secs: f1,

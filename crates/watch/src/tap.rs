@@ -109,10 +109,12 @@ impl LiveTap {
         })
     }
 
-    /// Feeds one observer event into the mirror. Non-blocking: if a server
-    /// thread holds the ring, the event is counted as dropped instead of
-    /// making the engine wait.
-    pub fn observe(&self, at: SimTime, event: &ObsEvent) {
+    /// Feeds one observer event into the mirror and returns its 0-based
+    /// publication seq, so an observer that also writes the stream needs
+    /// no counter of its own. Non-blocking: if a server thread holds the
+    /// ring, the event is counted as dropped instead of making the engine
+    /// wait.
+    pub fn observe(&self, at: SimTime, event: &ObsEvent) -> u64 {
         // fetch_add returns the prior count — a 0-based publication seq.
         let seq = self.events_published.fetch_add(1, Ordering::Relaxed);
         match event {
@@ -143,6 +145,7 @@ impl LiveTap {
                 self.ring_dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
+        seq
     }
 
     /// Marks the run finished (all outputs computed).
@@ -187,6 +190,11 @@ impl LiveTap {
         self.jobs_total.load(Ordering::Relaxed)
     }
 
+    /// Observer events published through the tap so far.
+    pub fn events_published(&self) -> u64 {
+        self.events_published.load(Ordering::Relaxed)
+    }
+
     /// The `status` view.
     pub fn status_body(&self) -> StatusBody {
         StatusBody {
@@ -198,7 +206,7 @@ impl LiveTap {
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             jobs_finished: self.jobs_finished.load(Ordering::Relaxed),
             jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            events_published: self.events_published.load(Ordering::Relaxed),
+            events_published: self.events_published(),
             elapsed_secs: self.elapsed_secs(),
             watchdog: self.watchdog.lock().unwrap().clone(),
         }

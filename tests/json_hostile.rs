@@ -10,8 +10,10 @@
 //! - every parse error names the byte offset it stopped at.
 //!
 //! The parser is also pinned to linear time on a snapshot-sized input,
-//! and names written into JSON are escaped wherever they appear.
+//! names written into JSON are escaped wherever they appear, and the
+//! parsed tree borrows every string and key that holds no escape.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -21,7 +23,7 @@ use proptest::prelude::*;
 use pdpa_bench::experiments::tournament::{run_tournament, TournamentConfig};
 use pdpa_daemon::{DaemonConfig, DaemonCore, Op, Snapshot, SnapshotCheck, SnapshotConfig};
 use pdpa_suite::analyze::{analysis_json, RunAnalysis};
-use pdpa_suite::obs::json::Json;
+use pdpa_suite::obs::json::{push_str_escaped, Json};
 use pdpa_suite::obs::{
     chrome_trace, span_trace, ObsEvent, RecordingObserver, StateName, TimedEvent,
 };
@@ -101,6 +103,11 @@ fn protocol_lines() -> Vec<(Kind, String)> {
         },
         RequestKind::Submit {
             class: "hydro2d".into(),
+            request: None,
+            work_secs: None,
+        },
+        RequestKind::Submit {
+            class: "BT".into(),
             request: None,
             work_secs: None,
         },
@@ -365,11 +372,8 @@ fn state_names_are_escaped_in_every_document() {
         ),
         te(4.0, 4, ObsEvent::JobFinished { job }),
     ];
-    let analysis = Json::parse(&analysis_json(&[(
-        "odd".to_string(),
-        RunAnalysis::from_events(&events),
-    )]))
-    .expect("the analysis parses");
+    let analysis = analysis_json(&[("odd".to_string(), RunAnalysis::from_events(&events))]);
+    let analysis = Json::parse(&analysis).expect("the analysis parses");
     let states = analysis
         .get("runs")
         .and_then(|r| r.get("odd"))
@@ -378,8 +382,8 @@ fn state_names_are_escaped_in_every_document() {
     // In the odd state from t=1 until the decision moves it to DEC at t=2.
     assert_eq!(states.get("ST\"x\\y").and_then(Json::as_f64), Some(1.0));
 
-    let trace =
-        Json::parse(&chrome_trace(&[("odd".to_string(), events)])).expect("the trace parses");
+    let trace = chrome_trace(&[("odd".to_string(), events)]);
+    let trace = Json::parse(&trace).expect("the trace parses");
     let events = trace.get("traceEvents").and_then(Json::as_arr).unwrap();
     let field = |name: &str, key: &str| {
         events
@@ -397,5 +401,122 @@ fn state_names_are_escaped_in_every_document() {
     assert_eq!(
         field("decision 4->2", "transition").as_deref(),
         Some("ST\"x\\y->DEC")
+    );
+}
+
+/// Every string value and object key in `doc`, in document order.
+fn strings<'t>(doc: &'t Json<'t>, out: &mut Vec<&'t Cow<'t, str>>) {
+    match doc {
+        Json::Str(s) => out.push(s),
+        Json::Arr(items) => items.iter().for_each(|item| strings(item, out)),
+        Json::Obj(fields) => {
+            for (key, value) in fields {
+                out.push(key);
+                strings(value, out);
+            }
+        }
+        Json::Null | Json::Bool(_) | Json::Num(_) => {}
+    }
+}
+
+#[test]
+fn unescaped_strings_and_keys_come_back_borrowed() {
+    let text = r#"{"id":7,"type":"submit","class":"bt.A","path":"/tmp/a b/é😀",
+                   "":"","xs":[{"k":"v"},"w",null,1.5]}"#;
+    let doc = Json::parse(text).expect("parses");
+    let mut all = Vec::new();
+    strings(&doc, &mut all);
+    let texts: Vec<&str> = all.iter().map(|s| s.as_ref()).collect();
+    assert_eq!(
+        texts,
+        [
+            "id",
+            "type",
+            "submit",
+            "class",
+            "bt.A",
+            "path",
+            "/tmp/a b/é😀",
+            "",
+            "",
+            "xs",
+            "k",
+            "v",
+            "w"
+        ]
+    );
+    let input = text.as_bytes().as_ptr_range();
+    for s in all {
+        let Cow::Borrowed(slice) = s else {
+            panic!("{s:?} holds no escape but was copied");
+        };
+        assert!(
+            input.contains(&slice.as_ptr()) || slice.is_empty(),
+            "{slice:?} is a slice of the input"
+        );
+    }
+}
+
+#[test]
+fn escaped_strings_and_keys_come_back_owned_and_decoded() {
+    for (literal, decoded) in [
+        (r#""a\"b""#, "a\"b"),
+        (r#""a\\b""#, "a\\b"),
+        (r#""caf\u00e9""#, "café"),
+        (r#""\ud83d\ude00!""#, "😀!"),
+        (r#""\u00e9""#, "é"),
+        (r#""x\/y\n\t\r\b\f""#, "x/y\n\t\r\u{8}\u{c}"),
+        (
+            r#""plain run, then \"quoted\" and é raw""#,
+            "plain run, then \"quoted\" and é raw",
+        ),
+    ] {
+        match Json::parse(literal).expect("parses") {
+            Json::Str(Cow::Owned(s)) => assert_eq!(s, decoded, "{literal}"),
+            other => panic!("{literal}: expected an owned string, got {other:?}"),
+        }
+        let object = format!("{{{literal}:{literal}}}");
+        let Json::Obj(fields) = Json::parse(&object).expect("parses") else {
+            panic!("{object}: not an object");
+        };
+        let (key, value) = &fields[0];
+        assert!(
+            matches!(key, Cow::Owned(k) if k == decoded),
+            "{object}: key {key:?}"
+        );
+        assert_eq!(value.as_str(), Some(decoded), "{object}");
+        let doc = Json::Obj(fields);
+        assert_eq!(doc.get(decoded).and_then(Json::as_str), Some(decoded));
+    }
+}
+
+/// In every document the workspace writes, a string comes back copied
+/// exactly when its writer had to escape it.
+#[test]
+fn corpus_strings_are_copied_only_where_escaped() {
+    let (mut borrowed, mut owned) = (0, 0);
+    for (kind, text) in corpus() {
+        let doc = Json::parse(text).expect("parses");
+        let mut all = Vec::new();
+        strings(&doc, &mut all);
+        for s in all {
+            let mut escaped = String::new();
+            push_str_escaped(&mut escaped, s);
+            let needs_escape = escaped.contains('\\');
+            assert_eq!(
+                matches!(s, Cow::Owned(_)),
+                needs_escape,
+                "{kind:?}: {s:?} in {text}"
+            );
+            if needs_escape {
+                owned += 1;
+            } else {
+                borrowed += 1;
+            }
+        }
+    }
+    assert!(
+        owned > 0 && borrowed > 100 * owned,
+        "{owned} owned, {borrowed} borrowed"
     );
 }
