@@ -24,7 +24,6 @@ use pdpa_sim::SimTime;
 use pdpa_trace::{render_ascii, to_paraver, RenderOptions, TraceObserver};
 use pdpa_watch::{
     LiveTap, Request, RequestKind, Response, ResponseBody, RunMeta, RunState, StatusServer,
-    TapObserver,
 };
 
 use crate::args::{
@@ -536,9 +535,10 @@ fn replay(opts: &ReplayOptions) -> Result<String, String> {
             writer_tee = TeeObserver(writer, observer);
             observer = &mut writer_tee;
         }
-        let mut tap_tee;
+        let (mut tap_feed, mut tap_tee);
         if let Some((tap, _)) = &serve {
-            tap_tee = TapObserver::new(observer, Arc::clone(tap));
+            tap_feed = &**tap;
+            tap_tee = TeeObserver(&mut tap_feed, observer);
             observer = &mut tap_tee;
         }
         let mut filtered;

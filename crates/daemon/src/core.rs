@@ -1,8 +1,11 @@
 //! [`DaemonCore`]: the state machine behind `pdpad`.
 //!
-//! The core owns the [`EngineSession`] and is the only place mutations
-//! happen; the TCP layer in [`crate::serve`] keeps it behind one lock and
-//! applies one control op at a time on the connection thread holding it,
+//! The core owns the [`EngineSession`], and through it the session's
+//! [`DaemonObserver`] (the live tap, the run registry and the stream
+//! writer); it is the only place mutations happen. A submit or cancel
+//! takes one path, `DaemonCore::apply`, whether it arrives live or is
+//! replayed from a snapshot's journal. The TCP layer in [`crate::serve`]
+//! keeps the core behind one lock and applies one control op at a time on the connection thread holding it,
 //! so every admission decision, journal append, and snapshot happens at a
 //! quiescent point between ops. That is what makes the persistence story
 //! honest: a snapshot taken "mid-run" is always taken between two ops,
@@ -18,11 +21,13 @@
 //! the core; that one is about the daemon process, not the simulated
 //! machine.)
 
-use std::sync::{Arc, Mutex};
+use std::io::BufWriter;
+use std::sync::Arc;
 
 use pdpa_apps::{paper_app, AppClass, ApplicationSpec};
 use pdpa_core::roster;
 use pdpa_engine::{CancelOutcome, EngineConfig, EngineSession};
+use pdpa_obs::StreamWriter;
 use pdpa_prof::ProgressSink as _;
 use pdpa_sim::{JobId, SimTime};
 use pdpa_watch::{
@@ -30,7 +35,7 @@ use pdpa_watch::{
 };
 
 use crate::journal::{Op, Snapshot, SnapshotCheck, SnapshotConfig, SNAPSHOT_FORMAT};
-use crate::observer::{DaemonObserver, StreamFile, StreamHandle, STREAM_POISONED};
+use crate::observer::DaemonObserver;
 use crate::registry::RunRegistry;
 
 /// Everything a daemon needs to open (or restore) its session.
@@ -80,13 +85,20 @@ impl Default for DaemonConfig {
 
 /// The daemon's state machine; see the [module docs](self).
 pub struct DaemonCore {
-    session: EngineSession,
+    session: EngineSession<DaemonObserver>,
     config: DaemonConfig,
-    tap: Arc<LiveTap>,
-    registry: Arc<RunRegistry>,
-    stream: Option<StreamHandle>,
     journal: Vec<Op>,
     draining: bool,
+}
+
+/// A submit or cancel as `DaemonCore::apply` carried it out.
+struct Applied {
+    /// The effective (cursor-clamped) instant.
+    at: SimTime,
+    /// The job admitted or cancelled.
+    job: u64,
+    /// The ack's note: where a cancel found its job.
+    info: Option<&'static str>,
 }
 
 // The serve layer moves the core behind a lock shared by connection
@@ -106,7 +118,18 @@ impl std::fmt::Debug for DaemonCore {
     }
 }
 
-fn reject(reason: &str, retry_after_secs: Option<f64>) -> ResponseBody {
+/// The `hello` frame, read from the tap alone so that the serve layer can
+/// answer it without the core's lock.
+pub(crate) fn hello(tap: &LiveTap) -> ResponseBody {
+    ResponseBody::Hello(HelloBody {
+        proto: PROTO_VERSION,
+        server: "pdpad".to_string(),
+        policy: tap.policy().to_string(),
+        state: tap.state(),
+    })
+}
+
+pub(crate) fn reject(reason: &str, retry_after_secs: Option<f64>) -> ResponseBody {
     ResponseBody::Reject(RejectBody {
         reason: reason.to_string(),
         retry_after_secs,
@@ -215,76 +238,101 @@ impl DaemonCore {
             trace: "live".to_string(),
             jobs_total: 0,
         });
-        let registry = RunRegistry::new();
         let stream = match &config.stream_path {
             Some(path) => {
                 let file = std::fs::File::create(path)
                     .map_err(|e| format!("cannot create stream file {path}: {e}"))?;
-                Some(Arc::new(Mutex::new(StreamFile::new(file))))
+                Some(StreamWriter::text(BufWriter::new(file)).starting_at(first_kept_seq))
             }
             None => None,
         };
-        let observer = DaemonObserver::new(
-            Arc::clone(&tap),
-            Arc::clone(&registry),
-            first_kept_seq,
-            stream.clone(),
-        );
+        let observer = DaemonObserver::new(tap, stream);
         let session = EngineSession::new(engine_config, policy, Box::new(observer))?;
         let mut core = DaemonCore {
             session,
             config,
-            tap,
-            registry,
-            stream,
             journal: Vec::new(),
             draining,
         };
         for op in ops {
-            core.replay_op(op)?;
+            let (Op::Submit { at_secs, .. } | Op::Cancel { at_secs, .. }) = op;
+            let applied = core.apply(op).map_err(|e| format!("journal replay: {e}"))?;
+            if applied.at.as_secs() != at_secs {
+                return Err(format!(
+                    "journal replay: an op journaled at {at_secs}s landed at {}s — \
+                     the journal is not a fixed point",
+                    applied.at.as_secs()
+                ));
+            }
         }
         if let Some(barrier) = barrier_secs {
             core.session.run_until(SimTime::from_secs(barrier));
         }
-        core.tap.set_jobs_total(core.session.total_jobs() as u64);
         core.publish_progress();
         Ok(core)
     }
 
-    fn replay_op(&mut self, op: Op) -> Result<(), String> {
-        match &op {
+    /// The one path of a submit or cancel, live or replayed from the
+    /// journal: applies `op` to the session at its instant, keeps the
+    /// registry in step, and journals the op at its effective instant. A
+    /// submit's row is admitted before its arrival runs, so the registry
+    /// sees every lifecycle event of the job. An op that fails is not
+    /// journaled.
+    fn apply(&mut self, mut op: Op) -> Result<Applied, String> {
+        let applied = match &mut op {
             Op::Submit {
                 at_secs,
                 class,
                 request,
                 work_secs,
             } => {
-                let app = materialize(class, *request, *work_secs)
-                    .map_err(|e| format!("journal replay: {e}"))?;
-                let request = app.request;
-                let (eff, job) = self.session.submit(SimTime::from_secs(*at_secs), app);
-                if eff.as_secs() != *at_secs {
-                    return Err(format!(
-                        "journal replay: submit journaled at {at_secs}s landed at {}s — \
-                         the journal is not a fixed point",
-                        eff.as_secs()
-                    ));
+                let app = materialize(class, *request, *work_secs)?;
+                let effective_request = app.request;
+                let (at, job) = self.session.submit(SimTime::from_secs(*at_secs), app);
+                let job = u64::from(job.0);
+                self.session.observer_mut().registry.admit(
+                    job,
+                    class,
+                    effective_request,
+                    at.as_secs(),
+                );
+                // Process the arrival now, so the waiting and running
+                // counts (and the next admission decision) reflect this
+                // job. Barriers need no journaling — only the op's
+                // effective instant does.
+                self.session.run_until(at);
+                self.tap_ref()
+                    .set_jobs_total(self.session.total_jobs() as u64);
+                *at_secs = at.as_secs();
+                Applied {
+                    at,
+                    job,
+                    info: None,
                 }
-                self.registry
-                    .admit(u64::from(job.0), class, request, eff.as_secs());
             }
             Op::Cancel { at_secs, job } => {
-                let (eff, outcome) = self
-                    .session
-                    .cancel(SimTime::from_secs(*at_secs), JobId(*job as u32));
-                if outcome == CancelOutcome::NotFound {
-                    return Err(format!("journal replay: cancel of unknown job {job}"));
+                let unknown = || format!("cancel of unknown job {job}");
+                let id = u32::try_from(*job).map_err(|_| unknown())?;
+                let (at, outcome) = self.session.cancel(SimTime::from_secs(*at_secs), JobId(id));
+                let info = match outcome {
+                    CancelOutcome::Queued => "cancelled while queued",
+                    CancelOutcome::Running => "cancelled while running",
+                    CancelOutcome::NotFound => return Err(unknown()),
+                };
+                self.session
+                    .observer_mut()
+                    .registry
+                    .mark_cancelled(*job, at.as_secs());
+                *at_secs = at.as_secs();
+                Applied {
+                    at,
+                    job: *job,
+                    info: Some(info),
                 }
-                self.registry.mark_cancelled(*job, eff.as_secs());
             }
-        }
+        };
         self.journal.push(op);
-        Ok(())
+        Ok(applied)
     }
 
     fn verify_check(&self, path: &str, expect: &SnapshotCheck) -> Result<(), String> {
@@ -301,7 +349,7 @@ impl DaemonCore {
     fn check(&self) -> SnapshotCheck {
         let stats = self.session.queue_stats();
         SnapshotCheck {
-            events_published: self.tap.events_published(),
+            events_published: self.tap_ref().events_published(),
             pushed: stats.pushed,
             popped: stats.popped,
             stale_drops: stats.stale_drops,
@@ -314,7 +362,7 @@ impl DaemonCore {
 
     /// The live tap to serve queries from.
     pub fn tap(&self) -> Arc<LiveTap> {
-        Arc::clone(&self.tap)
+        Arc::clone(&self.session.observer().tap)
     }
 
     /// The journal accumulated so far (tests and diagnostics).
@@ -323,7 +371,7 @@ impl DaemonCore {
     }
 
     /// The underlying session (read-only views).
-    pub fn session(&self) -> &EngineSession {
+    pub fn session(&self) -> &EngineSession<DaemonObserver> {
         &self.session
     }
 
@@ -338,12 +386,7 @@ impl DaemonCore {
     /// `bad_request` defensively.
     pub fn handle(&mut self, kind: &RequestKind, wall_secs: f64) -> ResponseBody {
         match kind {
-            RequestKind::Hello => ResponseBody::Hello(HelloBody {
-                proto: PROTO_VERSION,
-                server: "pdpad".to_string(),
-                policy: self.session.policy_name().to_string(),
-                state: self.tap.state(),
-            }),
+            RequestKind::Hello => hello(self.tap_ref()),
             RequestKind::Submit {
                 class,
                 request,
@@ -353,8 +396,8 @@ impl DaemonCore {
             RequestKind::Drain => self.handle_drain(),
             RequestKind::Snapshot { path } => self.handle_snapshot(path.as_deref()),
             RequestKind::Shutdown { snapshot } => self.handle_shutdown(snapshot.as_deref()),
-            RequestKind::Jobs { n } => ResponseBody::Jobs(self.registry.rows(*n)),
-            RequestKind::Job { job } => match self.registry.row(*job) {
+            RequestKind::Jobs { n } => ResponseBody::Jobs(self.registry().rows(*n)),
+            RequestKind::Job { job } => match self.registry().row(*job) {
                 Some(row) => ResponseBody::Job(row),
                 None => reject("unknown_job", None),
             },
@@ -381,48 +424,36 @@ impl DaemonCore {
         if self.session.waiting_count() >= self.config.max_queue {
             return reject("queue_full", Some(self.config.retry_after_secs));
         }
-        let app = match materialize(class, request, work_secs) {
-            Ok(app) => app,
-            Err(_) => return reject("bad_request", None),
-        };
-        let effective_request = app.request;
-        let (eff, job) = self.session.submit(self.now_sim(wall_secs), app);
-        // Process the arrival immediately so waiting/running counts (and
-        // the next admission decision) reflect this job. Barriers need no
-        // journaling — only the op's effective instant does.
-        self.session.run_until(eff);
-        self.journal.push(Op::Submit {
-            at_secs: eff.as_secs(),
+        let op = Op::Submit {
+            at_secs: self.now_sim(wall_secs).as_secs(),
             class: class.to_string(),
             request,
             work_secs,
-        });
-        self.registry
-            .admit(u64::from(job.0), class, effective_request, eff.as_secs());
-        self.tap.set_jobs_total(self.session.total_jobs() as u64);
-        self.publish_progress();
-        ack(Some(u64::from(job.0)), Some(eff.as_secs()), None)
+        };
+        match self.apply(op) {
+            Ok(applied) => self.acknowledge(&applied),
+            Err(_) => reject("bad_request", None),
+        }
     }
 
     fn handle_cancel(&mut self, job: u64, wall_secs: f64) -> ResponseBody {
-        if job > u64::from(u32::MAX) {
-            return reject("unknown_job", None);
-        }
-        let (eff, outcome) = self
-            .session
-            .cancel(self.now_sim(wall_secs), JobId(job as u32));
-        let info = match outcome {
-            CancelOutcome::Queued => "cancelled while queued",
-            CancelOutcome::Running => "cancelled while running",
-            CancelOutcome::NotFound => return reject("unknown_job", None),
-        };
-        self.journal.push(Op::Cancel {
-            at_secs: eff.as_secs(),
+        let op = Op::Cancel {
+            at_secs: self.now_sim(wall_secs).as_secs(),
             job,
-        });
-        self.registry.mark_cancelled(job, eff.as_secs());
+        };
+        match self.apply(op) {
+            Ok(applied) => self.acknowledge(&applied),
+            Err(_) => reject("unknown_job", None),
+        }
+    }
+
+    fn acknowledge(&self, applied: &Applied) -> ResponseBody {
         self.publish_progress();
-        ack(Some(job), Some(eff.as_secs()), Some(info.to_string()))
+        ack(
+            Some(applied.job),
+            Some(applied.at.as_secs()),
+            applied.info.map(str::to_string),
+        )
     }
 
     fn handle_drain(&mut self) -> ResponseBody {
@@ -523,13 +554,20 @@ impl DaemonCore {
     /// is short: every later snapshot is refused, and a `shutdown` says
     /// so.
     pub fn flush_stream(&mut self) -> Option<String> {
-        let stream = self.stream.as_ref()?;
-        let mut file = stream.lock().expect(STREAM_POISONED);
-        file.flush().map(ToString::to_string)
+        let stream = self.session.observer_mut().stream.as_mut()?;
+        stream.flush().map(ToString::to_string)
+    }
+
+    fn tap_ref(&self) -> &LiveTap {
+        &self.session.observer().tap
+    }
+
+    fn registry(&self) -> &RunRegistry {
+        &self.session.observer().registry
     }
 
     fn publish_progress(&self) {
-        self.tap.progress(&self.session.health_snapshot());
+        self.tap_ref().progress(&self.session.health_snapshot());
     }
 }
 
@@ -576,7 +614,7 @@ mod tests {
         let body = core.handle(&RequestKind::Drain, 0.0);
         assert!(matches!(body, ResponseBody::Ack(_)));
         assert!(core.session().all_done());
-        assert_eq!(core.registry.row(0).unwrap().state, "done");
+        assert_eq!(core.registry().row(0).unwrap().state, "done");
         assert_eq!(core.tap().status_body().jobs_finished, 1);
     }
 

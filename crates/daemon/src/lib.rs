@@ -6,7 +6,7 @@
 //! process that owns a live [`EngineSession`](pdpa_engine::EngineSession),
 //! admits jobs as they arrive
 //! over TCP, and can be killed and restarted mid-workload without losing
-//! (or perturbing) a single decision event. Four layers:
+//! (or perturbing) a single decision event. Five layers:
 //!
 //! - [`core`] — the [`DaemonCore`]: the heart that applies, one at a
 //!   time, the control operations (`submit`, `cancel`, `drain`, `snapshot`,
@@ -18,10 +18,16 @@
 //!   config, the ordered journal of effective-instant ops, the time
 //!   barrier, and an integrity block of counters a restore must
 //!   reproduce exactly. Replaying the journal against a fresh session
-//!   reconstructs the full state — RNG streams included, because all
-//!   per-job noise derives positionally from `(seed, job, attempt)`.
+//!   reconstructs the full state — timing noise included: it comes from
+//!   the run's one `SimRng`, drawn in event order, and replay processes
+//!   the same events in the same order.
+//!   A submit or cancel takes one path, live or replayed
+//!   (`DaemonCore::apply`), so the replayed state is the live state.
 //! - [`registry`] — the per-job run registry behind the `jobs`/`job`
 //!   queries: class, request, lifecycle state, submit/finish instants.
+//! - [`observer`] — the [`DaemonObserver`](observer::DaemonObserver) the
+//!   session owns: it feeds each event to the live tap, the registry and
+//!   the decision-stream writer, all under the core's one lock.
 //! - [`serve`] — the TCP front: a [`Daemon`] puts the core behind one
 //!   lock shared by the `pdpa_watch::StatusServer` connection threads.
 //!   Query traffic (`status`, `progress`, `health`, `metrics`, `tail`) is

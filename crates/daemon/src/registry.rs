@@ -2,10 +2,11 @@
 //! queries.
 //!
 //! The engine's own job store knows everything, but it lives inside the
-//! single-owner simulation world. The registry is the concurrent mirror:
-//! admission inserts a record, the daemon's observer moves it through the
-//! lifecycle as decision events are published, and server threads read
-//! [`JobRow`]s out of it without touching the engine. States:
+//! simulation. The registry is the daemon's view of it: admission inserts
+//! a record, the daemon's observer moves it through the lifecycle as
+//! decision events are published, and the `jobs`/`job` queries read
+//! [`JobRow`]s out of it. The observer owns it, so it lives under the
+//! core's one lock with the session. States:
 //!
 //! ```text
 //! queued ── start ──► running ── finish ──► done
@@ -20,10 +21,10 @@
 //! runs *after* the engine's events and overrides `failed`.
 //!
 //! Job ids are dense (the session numbers jobs 0, 1, 2, … as it admits
-//! them), so the rows live in a vector indexed by id: admitting a job is
-//! a push, and each lifecycle event is one bounds-checked index.
-
-use std::sync::{Arc, Mutex};
+//! them), and the core admits each job's row right after the session
+//! numbers it, before its arrival runs. So the rows live in a vector
+//! indexed by id: admitting a job is a push, and each lifecycle event is
+//! one bounds-checked index.
 
 use pdpa_obs::ObsEvent;
 use pdpa_sim::SimTime;
@@ -38,65 +39,52 @@ struct JobRecord {
     finish_secs: Option<f64>,
 }
 
-/// Concurrent per-job lifecycle mirror; slot `i` holds job `i`, and a
-/// slot is empty only for an id that was never admitted (the session
-/// skips none).
+/// Per-job lifecycle mirror; row `i` holds job `i`.
 #[derive(Debug, Default)]
 pub struct RunRegistry {
-    jobs: Mutex<Vec<Option<JobRecord>>>,
-}
-
-/// The record of `job` in `slots`, if it was admitted.
-fn record(slots: &mut [Option<JobRecord>], job: u64) -> Option<&mut JobRecord> {
-    slots.get_mut(usize::try_from(job).ok()?)?.as_mut()
+    jobs: Vec<JobRecord>,
 }
 
 impl RunRegistry {
-    /// An empty registry behind an [`Arc`], ready to share with the
-    /// daemon's observer and the server threads.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// Records an admitted job in state `queued`.
     ///
     /// # Panics
     ///
-    /// Panics on an id beyond `usize::MAX`.
-    pub fn admit(&self, job: u64, class: &str, request: usize, submit_secs: f64) {
-        let index = usize::try_from(job).expect("a job id fits in usize");
-        let record = JobRecord {
+    /// Panics unless `job` is the next id: the session numbers jobs
+    /// densely, and every one is admitted.
+    pub fn admit(&mut self, job: u64, class: &str, request: usize, submit_secs: f64) {
+        assert_eq!(job, self.jobs.len() as u64, "jobs are admitted in id order");
+        self.jobs.push(JobRecord {
             class: class.to_string(),
             request,
             state: "queued",
             submit_secs,
             finish_secs: None,
-        };
-        let mut slots = self.jobs.lock().unwrap();
-        if index >= slots.len() {
-            slots.resize_with(index + 1, || None);
-        }
-        slots[index] = Some(record);
+        });
+    }
+
+    fn record(&mut self, job: u64) -> Option<&mut JobRecord> {
+        self.jobs.get_mut(usize::try_from(job).ok()?)
     }
 
     /// Marks a job cancelled at `at_secs`. Called after the engine's own
     /// terminal events, so it wins over `failed`.
-    pub fn mark_cancelled(&self, job: u64, at_secs: f64) {
-        if let Some(rec) = record(&mut self.jobs.lock().unwrap(), job) {
+    pub fn mark_cancelled(&mut self, job: u64, at_secs: f64) {
+        if let Some(rec) = self.record(job) {
             rec.state = "cancelled";
             rec.finish_secs.get_or_insert(at_secs);
         }
     }
 
     /// Advances lifecycle state from one published observer event.
-    pub fn apply(&self, at: SimTime, event: &ObsEvent) {
+    pub fn apply(&mut self, at: SimTime, event: &ObsEvent) {
         let (job, state, finished) = match event {
             ObsEvent::JobStarted { job, .. } => (job.0, "running", false),
             ObsEvent::JobFinished { job } => (job.0, "done", true),
             ObsEvent::JobFailed { job, .. } => (job.0, "failed", true),
             _ => return,
         };
-        if let Some(rec) = record(&mut self.jobs.lock().unwrap(), u64::from(job)) {
+        if let Some(rec) = self.record(u64::from(job)) {
             // A retried job can re-enter `running` after a crash, but no
             // event un-cancels: the daemon's verdict is terminal.
             if rec.state == "cancelled" {
@@ -111,31 +99,26 @@ impl RunRegistry {
 
     /// The row for one job, if it was ever admitted.
     pub fn row(&self, job: u64) -> Option<JobRow> {
-        record(&mut self.jobs.lock().unwrap(), job).map(|rec| to_row(job, rec))
+        let rec = self.jobs.get(usize::try_from(job).ok()?)?;
+        Some(to_row(job, rec))
     }
 
     /// Up to `n` most recently admitted jobs, ascending by id.
     pub fn rows(&self, n: usize) -> Vec<JobRow> {
-        let slots = self.jobs.lock().unwrap();
-        let mut rows: Vec<JobRow> = slots
-            .iter()
-            .enumerate()
-            .rev()
-            .filter_map(|(id, rec)| Some(to_row(id as u64, rec.as_ref()?)))
-            .take(n)
-            .collect();
-        rows.reverse();
-        rows
+        let first = self.jobs.len().saturating_sub(n);
+        (first..self.jobs.len())
+            .map(|id| to_row(id as u64, &self.jobs[id]))
+            .collect()
     }
 
     /// Jobs ever admitted.
     pub fn len(&self) -> usize {
-        self.jobs.lock().unwrap().iter().flatten().count()
+        self.jobs.len()
     }
 
     /// True when nothing was ever admitted.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.jobs.is_empty()
     }
 }
 
@@ -161,7 +144,7 @@ mod tests {
 
     #[test]
     fn lifecycle_moves_through_states() {
-        let reg = RunRegistry::new();
+        let mut reg = RunRegistry::default();
         reg.admit(0, "swim", 16, 0.0);
         assert_eq!(reg.row(0).unwrap().state, "queued");
         reg.apply(
@@ -180,8 +163,10 @@ mod tests {
 
     #[test]
     fn cancelled_wins_over_failed() {
-        let reg = RunRegistry::new();
-        reg.admit(3, "apsi", 8, 2.0);
+        let mut reg = RunRegistry::default();
+        for id in 0..4 {
+            reg.admit(id, "apsi", 8, 2.0);
+        }
         reg.apply(
             t(4.0),
             &ObsEvent::JobFailed {
@@ -204,7 +189,7 @@ mod tests {
 
     #[test]
     fn rows_returns_the_newest_n_in_id_order() {
-        let reg = RunRegistry::new();
+        let mut reg = RunRegistry::default();
         for id in 0..5 {
             reg.admit(id, "swim", 4, id as f64);
         }

@@ -29,12 +29,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pdpa_watch::{
-    ControlHandler, HelloBody, LiveTap, RejectBody, RequestKind, ResponseBody, StatusServer,
-    PROTO_VERSION,
-};
+use pdpa_watch::{ControlHandler, LiveTap, RequestKind, ResponseBody, StatusServer};
 
-use crate::core::{DaemonConfig, DaemonCore};
+use crate::core::{hello, reject, DaemonConfig, DaemonCore};
 
 /// Ops that may wait for the core at once before clients see `busy`.
 const MAX_WAITING: usize = 64;
@@ -56,13 +53,6 @@ struct Service {
     /// Wakes the pacer once a `shutdown` is acked.
     stop: Condvar,
     started: Instant,
-}
-
-fn reject(reason: &str, retry_after_secs: Option<f64>) -> ResponseBody {
-    ResponseBody::Reject(RejectBody {
-        reason: reason.to_string(),
-        retry_after_secs,
-    })
 }
 
 impl Service {
@@ -112,12 +102,7 @@ impl Service {
 impl ControlHandler for Service {
     fn control(&self, kind: &RequestKind, tap: &LiveTap) -> ResponseBody {
         if matches!(kind, RequestKind::Hello) {
-            return ResponseBody::Hello(HelloBody {
-                proto: PROTO_VERSION,
-                server: "pdpad".to_string(),
-                policy: tap.status_body().policy,
-                state: tap.state(),
-            });
+            return hello(tap);
         }
         let Some(locked) = self.lock_as_waiter() else {
             return reject("busy", Some(0.5));

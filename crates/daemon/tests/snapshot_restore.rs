@@ -6,13 +6,15 @@
 //! completion (the reference stream), drive a second daemon through the
 //! same prefix, snapshot-and-drop it, restore a third from the snapshot
 //! file, drive it through the remaining ops, and require
-//! `cat pre.stream continuation.stream == reference.stream` exactly.
+//! `cat pre.stream continuation.stream == reference.stream` exactly. The
+//! run registry must agree too: the restored daemon's `jobs` frame equals
+//! the live daemon's at the snapshot and again after the remaining ops.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use pdpa_daemon::{DaemonConfig, DaemonCore, Op};
-use pdpa_watch::{RequestKind, ResponseBody};
+use pdpa_watch::{RequestKind, Response, ResponseBody};
 
 static NEXT_DIR: AtomicU32 = AtomicU32::new(0);
 
@@ -51,6 +53,14 @@ fn submit(core: &mut DaemonCore, class: &str, request: Option<u64>, work: Option
         ResponseBody::Ack(ack) => ack.job.expect("submit ack carries the job id"),
         other => panic!("submit rejected: {other:?}"),
     }
+}
+
+/// The `jobs` frame over every job the daemon admitted, as it goes on the
+/// wire.
+fn jobs_frame(core: &mut DaemonCore) -> String {
+    let body = core.handle(&RequestKind::Jobs { n: 400 }, 0.0);
+    assert!(matches!(body, ResponseBody::Jobs(_)), "jobs: {body:?}");
+    Response { id: 0, body }.to_line()
 }
 
 /// The scripted workload, split at the snapshot point. Phase one mixes
@@ -92,6 +102,7 @@ fn restored_daemon_reproduces_the_uninterrupted_stream_byte_for_byte() {
     phase_two(&mut full);
     assert!(full.session().all_done(), "reference drained");
     full.flush_stream();
+    let reference_jobs = jobs_frame(&mut full);
 
     // Interrupted run: phase one, snapshot, and "kill" (drop).
     let mut first = DaemonCore::new(config(&pre)).expect("first core");
@@ -104,6 +115,7 @@ fn restored_daemon_reproduces_the_uninterrupted_stream_byte_for_byte() {
     );
     assert!(matches!(body, ResponseBody::Ack(_)), "shutdown: {body:?}");
     let ops_at_snapshot = first.journal().len();
+    let jobs_at_snapshot = jobs_frame(&mut first);
     drop(first);
 
     // Restore and run the remainder.
@@ -114,9 +126,23 @@ fn restored_daemon_reproduces_the_uninterrupted_stream_byte_for_byte() {
         ops_at_snapshot,
         "the journal survives the restore"
     );
+    assert_eq!(
+        jobs_frame(&mut second),
+        jobs_at_snapshot,
+        "the restored registry reads as the live one did at the snapshot"
+    );
+    assert!(
+        jobs_at_snapshot.contains(r#""state":"running""#),
+        "a job runs at the snapshot: {jobs_at_snapshot}"
+    );
     phase_two(&mut second);
     assert!(second.session().all_done(), "restored run drained");
     second.flush_stream();
+    assert_eq!(
+        jobs_frame(&mut second),
+        reference_jobs,
+        "the restored registry ends as the uninterrupted one"
+    );
 
     let reference_bytes = std::fs::read(&reference).expect("reference stream");
     let pre_bytes = std::fs::read(&pre).expect("pre stream");

@@ -195,8 +195,8 @@ impl Engine {
 /// `O` is the observer slot: the classic batch path borrows the caller's
 /// observer for one `run_instrumented` call (`&mut dyn Observer`), while a
 /// long-running [`EngineSession`](crate::session) owns its sink outright
-/// (`Box<dyn Observer + Send>`), so the simulation state can outlive any
-/// one call stack and move between threads.
+/// (a `Box` of the session's observer type), so the simulation state can
+/// outlive any one call stack and move between threads.
 pub(crate) struct Sim<O> {
     config: EngineConfig,
     sharing: SharingModel,
@@ -840,6 +840,14 @@ impl<O: DerefMut<Target: Observer>> Sim<O> {
 
     pub(crate) fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    pub(crate) fn observer(&self) -> &O::Target {
+        &self.obs
+    }
+
+    pub(crate) fn observer_mut(&mut self) -> &mut O::Target {
+        &mut self.obs
     }
 
     pub(crate) fn qs(&self) -> &QueueSystem {

@@ -49,9 +49,12 @@ pub use crate::engine::CancelOutcome;
 ///
 /// See the [module docs](self) for the determinism contract. A session
 /// is `Send`: its policy and observer are, so a daemon can drive it from
-/// whichever thread holds it.
-pub struct EngineSession {
-    sim: Sim<Box<dyn Observer + Send>>,
+/// whichever thread holds it. `O` is the observer it owns; a caller that
+/// names its concrete observer type reaches it through
+/// [`observer`](EngineSession::observer) and
+/// [`observer_mut`](EngineSession::observer_mut) between ops.
+pub struct EngineSession<O: Observer + Send + ?Sized = dyn Observer + Send> {
+    sim: Sim<Box<O>>,
     policy: Box<dyn SchedulingPolicy + Send>,
     policy_name: String,
     /// The furthest instant the session has been driven to — op instants
@@ -60,7 +63,7 @@ pub struct EngineSession {
     cursor: SimTime,
 }
 
-impl std::fmt::Debug for EngineSession {
+impl<O: Observer + Send + ?Sized> std::fmt::Debug for EngineSession<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineSession")
             .field("policy", &self.policy_name)
@@ -69,7 +72,7 @@ impl std::fmt::Debug for EngineSession {
     }
 }
 
-impl EngineSession {
+impl<O: Observer + Send + ?Sized> EngineSession<O> {
     /// Opens a session: an empty workload under `policy`, publishing all
     /// decision events to `observer`.
     ///
@@ -79,8 +82,8 @@ impl EngineSession {
     pub fn new(
         config: EngineConfig,
         policy: Box<dyn SchedulingPolicy + Send>,
-        observer: Box<dyn Observer + Send>,
-    ) -> Result<EngineSession, String> {
+        observer: Box<O>,
+    ) -> Result<Self, String> {
         config.validate()?;
         if !config.faults.is_empty() || config.faults.retry.is_some() {
             return Err("an engine session cannot run a fault plan".to_string());
@@ -153,6 +156,17 @@ impl EngineSession {
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
         self.sim.config()
+    }
+
+    /// The observer the session publishes to.
+    pub fn observer(&self) -> &O {
+        self.sim.observer()
+    }
+
+    /// The observer, mutably: state it folds from the stream can be
+    /// amended between ops.
+    pub fn observer_mut(&mut self) -> &mut O {
+        self.sim.observer_mut()
     }
 
     /// The scheduling policy's display name.
@@ -351,6 +365,43 @@ mod tests {
             result.jobs_failed, 2,
             "both cancellations are terminal failures"
         );
+    }
+
+    #[test]
+    fn the_owned_observer_is_reachable_between_ops() {
+        let mut session = EngineSession::new(
+            quiet_config(),
+            Box::new(Equipartition::default()),
+            Box::new(RecordingObserver::new()),
+        )
+        .expect("valid session");
+        session.submit(t(0.0), apsi());
+        assert!(
+            session.observer().events().is_empty(),
+            "a submit publishes nothing before its arrival runs"
+        );
+        session.run_until(t(0.0));
+        let kinds: Vec<&str> = session
+            .observer()
+            .events()
+            .iter()
+            .map(|e| e.event.kind())
+            .collect();
+        assert_eq!(kinds[..2], ["submit", "dequeue"]);
+        assert!(kinds.contains(&"start"), "{kinds:?}");
+        *session.observer_mut() = RecordingObserver::new();
+        session.drain();
+        let rest = session.observer().events();
+        assert!(
+            rest.iter().any(|e| e.event.kind() == "finish") && rest[0].seq == 0,
+            "the replaced observer receives the rest of the run"
+        );
+        // A caller that boxes a trait object gets the default parameter.
+        let observer: Box<dyn Observer + Send> = Box::new(RecordingObserver::new());
+        let boxed: EngineSession =
+            EngineSession::new(quiet_config(), Box::new(Equipartition::default()), observer)
+                .expect("valid session");
+        assert!(boxed.observer().is_enabled());
     }
 
     #[test]

@@ -484,13 +484,19 @@ fn decode_payload<const FAST: bool>(payload: &[u8]) -> Result<TimedEvent, String
 /// As an [`Observer`] it numbers the events it receives `0, 1, …`, as a
 /// [`RecordingObserver`](crate::RecordingObserver) does, so a run written
 /// as it publishes produces the bytes of its recorded stream written after
-/// the run. An observer cannot return an error, so the first write error
-/// is kept, later events are dropped, and [`finish`](Self::finish)
-/// reports it.
+/// the run. A writer [`starting_at`](Self::starting_at) a mark numbers
+/// every event but writes only those from the mark on. An observer cannot
+/// return an error, so the first write or flush error is kept, later
+/// events are dropped, and [`flush`](Self::flush) and
+/// [`finish`](Self::finish) report it.
 pub struct StreamWriter<W: Write> {
     out: W,
     binary: bool,
     buf: Vec<u8>,
+    /// The seq the next event receives.
+    seq: u64,
+    /// Events numbered below this are counted but not written.
+    start: u64,
     events: u64,
     error: Option<io::Error>,
 }
@@ -512,9 +518,21 @@ impl<W: Write> StreamWriter<W> {
             out,
             binary,
             buf: Vec::with_capacity(64),
+            seq: 0,
+            start: 0,
             events: 0,
             error: None,
         }
+    }
+
+    /// The writer, writing only events numbered `start` or later. A
+    /// restored run replays its journal to rebuild its state, publishing
+    /// again the events the previous process already wrote; its stream
+    /// starts at the first one it did not, and the seq numbers run on
+    /// from the previous stream's.
+    pub fn starting_at(mut self, start: u64) -> Self {
+        self.start = start;
+        self
     }
 
     fn write_event(&mut self, at: SimTime, seq: u64, event: &ObsEvent) -> io::Result<()> {
@@ -536,23 +554,33 @@ impl<W: Write> StreamWriter<W> {
         self.events
     }
 
-    /// Flushes and returns the underlying writer, or the first error a
-    /// write met.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
+    /// Flushes the underlying writer and returns the first write or flush
+    /// error, if any. After one the stream is short, and it stays so:
+    /// every later call returns the same error.
+    pub fn flush(&mut self) -> Option<&io::Error> {
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
         }
-        self.out.flush()?;
-        Ok(self.out)
+        self.error.as_ref()
+    }
+
+    /// Flushes and returns the underlying writer, or the first error a
+    /// write or flush met.
+    pub fn finish(mut self) -> io::Result<W> {
+        self.flush();
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.out),
+        }
     }
 }
 
 impl<W: Write> Observer for StreamWriter<W> {
     fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
-        if self.error.is_none() {
-            if let Err(e) = self.write_event(at, self.events, event) {
-                self.error = Some(e);
-            }
+        let seq = self.seq;
+        self.seq += 1;
+        if seq >= self.start && self.error.is_none() {
+            self.error = self.write_event(at, seq, event).err();
         }
     }
 }
@@ -858,6 +886,64 @@ mod tests {
         assert_eq!(w.events(), 0);
         let err = w.finish().expect_err("the write error surfaces");
         assert_eq!(err.to_string(), "disk full");
+    }
+
+    #[test]
+    fn a_writer_counts_but_does_not_write_below_its_start_mark() {
+        let events = sample_events();
+        let mut w = StreamWriter::text(Vec::new()).starting_at(2);
+        for ev in &events {
+            w.on_event(ev.at, &ev.event);
+        }
+        assert_eq!(
+            w.events(),
+            3,
+            "the two events below the mark are not written"
+        );
+        let written = String::from_utf8(w.finish().expect("Vec write cannot fail")).unwrap();
+        let kept: Vec<TimedEvent> = events
+            .iter()
+            .enumerate()
+            .skip(2)
+            .map(|(seq, ev)| TimedEvent {
+                seq: seq as u64,
+                ..ev.clone()
+            })
+            .collect();
+        assert_eq!(
+            written,
+            write_text_stream(&kept),
+            "seq numbers run on past the mark"
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn flush_keeps_the_first_error_and_later_events_are_dropped() {
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens for writing");
+        let mut w = StreamWriter::text(io::BufWriter::new(file));
+        let events = sample_events();
+        w.on_event(events[0].at, &events[0].event);
+        assert_eq!(w.events(), 1, "the line waits in the buffer");
+        let first = w
+            .flush()
+            .expect("the flush meets a full device")
+            .to_string();
+        assert!(first.contains("No space left on device"), "{first}");
+        for ev in &events[1..] {
+            w.on_event(ev.at, &ev.event);
+        }
+        assert_eq!(w.events(), 1, "events after the error are dropped");
+        assert_eq!(
+            w.flush().map(ToString::to_string),
+            Some(first.clone()),
+            "the first error is kept"
+        );
+        let err = w.finish().expect_err("finish reports the kept error");
+        assert_eq!(err.to_string(), first);
     }
 
     #[test]

@@ -38,10 +38,6 @@ impl Observer for NullObserver {
 #[derive(Debug, Default)]
 pub struct RecordingObserver {
     events: Vec<TimedEvent>,
-    next_seq: u64,
-    /// Events with seq below this are counted but not stored — the
-    /// rebuild window of a restored run.
-    first_kept_seq: u64,
     /// The instant of the last stored event.
     last_at: SimTime,
     /// Set when a stored event is earlier than the one stored before it;
@@ -53,24 +49,6 @@ impl RecordingObserver {
     /// An empty recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A recorder that counts but discards the first `first_seq` events,
-    /// recording only from sequence number `first_seq` onward. A restored
-    /// run replays its journal to rebuild scheduler state, re-publishing
-    /// events the pre-snapshot instance already wrote; this constructor
-    /// lets the continuation stream start exactly where the old one
-    /// stopped while keeping sequence numbers globally continuous.
-    pub fn with_first_seq(first_seq: u64) -> Self {
-        RecordingObserver {
-            first_kept_seq: first_seq,
-            ..Self::default()
-        }
-    }
-
-    /// The sequence number the next event will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Events recorded so far, in `(sim_time, seq)` order.
@@ -95,17 +73,14 @@ impl RecordingObserver {
 
 impl Observer for RecordingObserver {
     fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
-        if self.next_seq >= self.first_kept_seq {
-            // Instants are never NaN, so the float comparison is the order.
-            self.out_of_order |= at.as_secs() < self.last_at.as_secs();
-            self.last_at = at;
-            self.events.push(TimedEvent {
-                at,
-                seq: self.next_seq,
-                event: event.clone(),
-            });
-        }
-        self.next_seq += 1;
+        // Instants are never NaN, so the float comparison is the order.
+        self.out_of_order |= at.as_secs() < self.last_at.as_secs();
+        self.last_at = at;
+        self.events.push(TimedEvent {
+            at,
+            seq: self.events.len() as u64,
+            event: event.clone(),
+        });
     }
 }
 
@@ -330,25 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_with_first_seq_counts_but_skips_the_rebuild_window() {
-        let mut rec = RecordingObserver::with_first_seq(2);
-        for i in 0..4 {
-            rec.on_event(
-                SimTime::from_secs(f64::from(i)),
-                &ObsEvent::JobSubmitted { job: JobId(i) },
-            );
-        }
-        assert_eq!(rec.next_seq(), 4, "suppressed events still advance seq");
-        let events = rec.take_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![2, 3],
-            "recorded stream continues the global numbering"
-        );
-    }
-
-    #[test]
     fn recorder_assigns_monotonic_seq_and_sorts() {
         let mut rec = RecordingObserver::new();
         rec.on_event(
@@ -402,28 +358,5 @@ mod tests {
         let events = rec.take_events();
         let order: Vec<(f64, u64)> = events.iter().map(|e| (e.at.as_secs(), e.seq)).collect();
         assert_eq!(order, [(0.0, 0), (1.0, 1), (1.0, 2), (2.5, 3)]);
-    }
-
-    #[test]
-    fn recorder_with_first_seq_checks_only_the_kept_events() {
-        // The discarded rebuild window runs backwards; the kept events do
-        // not, so nothing needs sorting.
-        let mut rec = RecordingObserver::with_first_seq(2);
-        for (at, job) in [(9.0, 0), (4.0, 1), (1.0, 2), (3.0, 3)] {
-            rec.on_event(
-                SimTime::from_secs(at),
-                &ObsEvent::JobSubmitted { job: JobId(job) },
-            );
-        }
-        assert!(!rec.out_of_order, "the rebuild window is not stored");
-        // A kept event earlier than the one before it is sorted into place.
-        rec.on_event(
-            SimTime::from_secs(2.0),
-            &ObsEvent::JobSubmitted { job: JobId(4) },
-        );
-        assert!(rec.out_of_order);
-        let events = rec.take_events();
-        let order: Vec<(f64, u64)> = events.iter().map(|e| (e.at.as_secs(), e.seq)).collect();
-        assert_eq!(order, [(1.0, 2), (2.0, 4), (3.0, 3)]);
     }
 }

@@ -8,31 +8,24 @@
 //! stealing, no locks on the hot path, no dependency on a registry
 //! crate — plain `std::thread::scope`.
 //!
-//! Thread count comes from `RAYON_NUM_THREADS` (kept for familiarity
-//! with rayon-based setups), then `PDPA_THREADS`, then the number of
-//! available cores. Set either variable to `1` to force sequential
-//! execution, e.g. when bisecting a determinism bug.
+//! Thread count comes from `PDPA_THREADS`, else the number of available
+//! cores. Set it to `1` to force sequential execution, e.g. when
+//! bisecting a determinism bug.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves the worker-thread count for parallel sweeps.
 ///
-/// Precedence: `RAYON_NUM_THREADS`, then `PDPA_THREADS`, then
-/// [`std::thread::available_parallelism`]. Values that fail to parse or
-/// are zero fall through to the next source. The result is always ≥ 1.
+/// `PDPA_THREADS`, else [`std::thread::available_parallelism`]. A value
+/// that fails to parse or is zero falls through to the core count. The
+/// result is always ≥ 1.
 pub fn num_threads() -> usize {
-    for var in ["RAYON_NUM_THREADS", "PDPA_THREADS"] {
-        if let Ok(raw) = std::env::var(var) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
+    std::env::var("PDPA_THREADS")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(1)
 }
 

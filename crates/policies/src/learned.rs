@@ -8,8 +8,9 @@
 //! between the job's two most recent samples (finite difference over their
 //! allocation gap) pushes the target up when an extra processor still buys
 //! meaningful speedup and down when it does not. A deterministic ±1
-//! exploration perturbation — derived by the same pure seed-mixing the
-//! engine uses for its per-(seed, job, attempt) noise streams — keeps the
+//! exploration perturbation — a pure function of the policy seed, the job
+//! and its report count, drawn from a `SimRng` seeded by mixing the three,
+//! so it takes no draw from the engine's one run stream — keeps the
 //! finite-difference window open by occasionally forcing the allocation off
 //! its fixed point, exactly the reinforcement-style exploration of the
 //! pinning paper and a generalization of PDPA's own ±`step` search loop.

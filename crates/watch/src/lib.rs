@@ -11,7 +11,7 @@
 //!   bound: atomic progress counters and the latest heartbeat/watchdog
 //!   state (both via `pdpa_prof::ProgressSink`), and
 //!   a bounded ring of recent observer events with honest drop accounting
-//!   (via [`TapObserver`], which tees the stream unchanged to the real
+//!   (the tap is an `Observer` through `&LiveTap`, teed beside the real
 //!   recorder).
 //! - [`proto`] — the typed, correlation-ID'd, line-delimited JSON
 //!   request/response protocol: the v1 query vocabulary (`status`,
@@ -46,4 +46,4 @@ pub use proto::{
     Response, ResponseBody, RunState, StatusBody, TailBody, PROTO_VERSION,
 };
 pub use server::{ControlHandler, ReadOnlyControl, StatusServer};
-pub use tap::{LiveTap, RunMeta, TapObserver, DEFAULT_RING_CAPACITY};
+pub use tap::{LiveTap, RunMeta, DEFAULT_RING_CAPACITY};

@@ -366,7 +366,7 @@ fn answer(request: &Request, tap: &LiveTap, handler: &dyn ControlHandler) -> Res
 mod tests {
     use super::*;
     use crate::tap::RunMeta;
-    use pdpa_obs::ObsEvent;
+    use pdpa_obs::{ObsEvent, Observer as _};
     use pdpa_sim::{JobId, SimTime};
 
     fn query(addr: SocketAddr, lines: &[String]) -> Vec<Response> {
@@ -392,7 +392,7 @@ mod tests {
             trace: "t.swf".into(),
             jobs_total: 10,
         });
-        tap.observe(
+        (&*tap).on_event(
             SimTime::from_secs(1.0),
             &ObsEvent::JobSubmitted { job: JobId(0) },
         );

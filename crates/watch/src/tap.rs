@@ -14,9 +14,11 @@
 //! - **heartbeat/watchdog**: the same impl keeps the latest heartbeat
 //!   line the engine wrote to stderr; a tripped watchdog marks the run
 //!   aborted.
-//! - **events**: a [`TapObserver`] tees the observer stream into a bounded
-//!   ring with honest drop accounting — under lock contention the tap
-//!   *drops* (and counts) rather than ever blocking the engine.
+//! - **events**: the tap is an [`Observer`] through a shared reference,
+//!   so a caller tees the stream into it (`pdpa_obs::TeeObserver`) and
+//!   it keeps a bounded ring with honest drop accounting — under lock
+//!   contention the tap *drops* (and counts) rather than ever blocking
+//!   the engine.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -68,7 +70,7 @@ pub struct LiveTap {
     heartbeat_line: Mutex<Option<String>>,
     watchdog: Mutex<Option<String>>,
 
-    // Event feed, written by TapObserver.
+    // Event feed, written through the `Observer` impl.
     events_published: AtomicU64,
     jobs_submitted: AtomicU64,
     jobs_finished: AtomicU64,
@@ -107,45 +109,6 @@ impl LiveTap {
             ring_cap: capacity.max(1),
             ring_dropped: AtomicU64::new(0),
         })
-    }
-
-    /// Feeds one observer event into the mirror and returns its 0-based
-    /// publication seq, so an observer that also writes the stream needs
-    /// no counter of its own. Non-blocking: if a server thread holds the
-    /// ring, the event is counted as dropped instead of making the engine
-    /// wait.
-    pub fn observe(&self, at: SimTime, event: &ObsEvent) -> u64 {
-        // fetch_add returns the prior count — a 0-based publication seq.
-        let seq = self.events_published.fetch_add(1, Ordering::Relaxed);
-        match event {
-            ObsEvent::JobSubmitted { .. } => {
-                self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::JobFinished { .. } => {
-                self.jobs_finished.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::JobFailed { .. } => {
-                self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        match self.ring.try_lock() {
-            Ok(mut ring) => {
-                if ring.len() == self.ring_cap {
-                    ring.pop_front();
-                    self.ring_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                ring.push_back(TimedEvent {
-                    at,
-                    seq,
-                    event: event.clone(),
-                });
-            }
-            Err(_) => {
-                self.ring_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        seq
     }
 
     /// Marks the run finished (all outputs computed).
@@ -188,6 +151,11 @@ impl LiveTap {
     /// jobs admitted online since.
     pub fn jobs_total(&self) -> u64 {
         self.jobs_total.load(Ordering::Relaxed)
+    }
+
+    /// The watched run's policy display name.
+    pub fn policy(&self) -> &str {
+        &self.meta.policy
     }
 
     /// Observer events published through the tap so far.
@@ -283,44 +251,50 @@ impl ProgressSink for LiveTap {
     }
 }
 
-/// Tees an observer stream into a [`LiveTap`] while forwarding every event,
-/// unchanged and in order, to the wrapped observer — which is why a
-/// `--serve` run records the byte-identical stream of a plain run.
-pub struct TapObserver<'a> {
-    inner: &'a mut dyn Observer,
-    tap: Arc<LiveTap>,
-}
-
-impl std::fmt::Debug for TapObserver<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TapObserver")
-            .field("tap", &self.tap)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> TapObserver<'a> {
-    /// Wraps `inner`, mirroring into `tap`.
-    pub fn new(inner: &'a mut dyn Observer, tap: Arc<LiveTap>) -> Self {
-        TapObserver { inner, tap }
-    }
-}
-
-impl Observer for TapObserver<'_> {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
+/// Feeds each event into the mirror. Non-blocking: if a server thread
+/// holds the ring, the event is counted as dropped instead of making the
+/// engine wait. Readers see a mirror and the publisher sees a sink, which
+/// is why a `--serve` run records the byte-identical stream of a plain
+/// run.
+impl Observer for &LiveTap {
     fn on_event(&mut self, at: SimTime, event: &ObsEvent) {
-        self.tap.observe(at, event);
-        self.inner.on_event(at, event);
+        // fetch_add returns the prior count — a 0-based publication seq.
+        let seq = self.events_published.fetch_add(1, Ordering::Relaxed);
+        match event {
+            ObsEvent::JobSubmitted { .. } => {
+                self.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+            }
+            ObsEvent::JobFinished { .. } => {
+                self.jobs_finished.fetch_add(1, Ordering::Relaxed);
+            }
+            ObsEvent::JobFailed { .. } => {
+                self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+        match self.ring.try_lock() {
+            Ok(mut ring) => {
+                if ring.len() == self.ring_cap {
+                    ring.pop_front();
+                    self.ring_dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                ring.push_back(TimedEvent {
+                    at,
+                    seq,
+                    event: event.clone(),
+                });
+            }
+            Err(_) => {
+                self.ring_dropped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdpa_obs::RecordingObserver;
+    use pdpa_obs::{RecordingObserver, TeeObserver};
     use pdpa_sim::JobId;
 
     fn meta() -> RunMeta {
@@ -334,11 +308,12 @@ mod tests {
     #[test]
     fn tap_counts_jobs_and_mirrors_progress() {
         let tap = LiveTap::new(meta());
-        tap.observe(
+        let mut feed = &*tap;
+        feed.on_event(
             SimTime::from_secs(1.0),
             &ObsEvent::JobSubmitted { job: JobId(0) },
         );
-        tap.observe(
+        feed.on_event(
             SimTime::from_secs(2.0),
             &ObsEvent::JobFinished { job: JobId(0) },
         );
@@ -366,8 +341,9 @@ mod tests {
     #[test]
     fn ring_bounds_and_counts_drops() {
         let tap = LiveTap::with_ring_capacity(meta(), 2);
+        let mut feed = &*tap;
         for i in 0..5u32 {
-            tap.observe(
+            feed.on_event(
                 SimTime::from_secs(f64::from(i)),
                 &ObsEvent::JobSubmitted { job: JobId(i) },
             );
@@ -413,11 +389,12 @@ mod tests {
     }
 
     #[test]
-    fn tap_observer_forwards_everything() {
+    fn a_tee_into_the_tap_forwards_everything() {
         let tap = LiveTap::with_ring_capacity(meta(), 1);
         let mut rec = RecordingObserver::new();
         {
-            let mut obs = TapObserver::new(&mut rec, Arc::clone(&tap));
+            let mut feed = &*tap;
+            let mut obs = TeeObserver(&mut feed, &mut rec);
             assert!(obs.is_enabled());
             for i in 0..3u32 {
                 obs.on_event(

@@ -2,8 +2,8 @@
 //!
 //! Two guarantees the `pdpa replay --serve` stack rests on:
 //!
-//! 1. **Determinism**: attaching a [`TapObserver`] (the `--serve` tee)
-//!    must not change the recorded decision-event stream by a single
+//! 1. **Determinism**: teeing the stream into a [`LiveTap`] (the
+//!    `--serve` chain) must not change the recorded decision-event stream by a single
 //!    byte — the tap is a mirror, nothing feeds back into the engine.
 //! 2. **Liveness**: a status server over a real engine run answers the
 //!    protocol queries, and its terminal `status` totals agree with the
@@ -14,12 +14,11 @@ use std::time::{Duration, Instant};
 
 use pdpa_suite::core::Pdpa;
 use pdpa_suite::engine::{Engine, EngineConfig, Instrumentation};
-use pdpa_suite::obs::{write_text_stream, RecordingObserver};
+use pdpa_suite::obs::{write_text_stream, RecordingObserver, TeeObserver};
 use pdpa_suite::prof::HeartbeatConfig;
 use pdpa_suite::qs::{generate, GeneratorConfig, Workload};
 use pdpa_suite::watch::{
     LiveTap, Request, RequestKind, Response, ResponseBody, RunMeta, RunState, StatusServer,
-    TapObserver,
 };
 
 #[test]
@@ -48,7 +47,8 @@ fn decision_stream_is_bit_identical_with_and_without_the_tap() {
     });
     let mut tapped_rec = RecordingObserver::new();
     let tapped = {
-        let mut observer = TapObserver::new(&mut tapped_rec, Arc::clone(&tap));
+        let mut feed = &*tap;
+        let mut observer = TeeObserver(&mut feed, &mut tapped_rec);
         engine.run_instrumented(
             jobs(),
             policy(),
@@ -130,7 +130,8 @@ fn status_server_over_a_real_run_reports_the_engine_totals() {
         let engine = Engine::new(EngineConfig::default().with_seed(42));
         let mut recorder = RecordingObserver::new();
         let result = {
-            let mut observer = TapObserver::new(&mut recorder, Arc::clone(&run_tap));
+            let mut feed = &*run_tap;
+            let mut observer = TeeObserver(&mut feed, &mut recorder);
             engine.run_instrumented(
                 jobs,
                 Box::new(Pdpa::paper_default()),

@@ -16,9 +16,9 @@ use std::time::Instant;
 
 use pdpa_suite::core::Pdpa;
 use pdpa_suite::engine::{Engine, EngineConfig, Instrumentation};
-use pdpa_suite::obs::{NullObserver, RecordingObserver};
+use pdpa_suite::obs::{NullObserver, RecordingObserver, TeeObserver};
 use pdpa_suite::qs::Workload;
-use pdpa_suite::watch::{LiveTap, RunMeta, StatusServer, TapObserver};
+use pdpa_suite::watch::{LiveTap, RunMeta, StatusServer};
 
 /// Held for the whole of each guard: the test harness runs tests in
 /// parallel, and a guard timed against another guard's engine runs
@@ -137,7 +137,8 @@ fn live_tap_and_idle_server_cost_within_two_percent_of_recording_run() {
         let mut recorder = RecordingObserver::new();
         let t = Instant::now();
         let r = {
-            let mut observer = TapObserver::new(&mut recorder, Arc::clone(&tap));
+            let mut feed = &*tap;
+            let mut observer = TeeObserver(&mut feed, &mut recorder);
             engine.run_instrumented(
                 jobs(),
                 policy(),
